@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import shutil
 import sys
 from pathlib import Path
@@ -638,7 +637,7 @@ def _cmd_bounds_check(cfg: dict, config_path) -> int:
 _EXP_KEYS = {
     "scenario", "n_list", "replicates", "kappa_grid", "S", "beta", "nu",
     "nodes", "tuning", "c_kappa", "lattice", "align_window", "align_step",
-    "seed", "restarts", "workers", "cell_budget_s", "out_dir",
+    "seed", "restarts", "cell_budget_s", "out_dir",
 }
 
 
@@ -651,7 +650,6 @@ def _cmd_experiment(cfg: dict, config_path) -> int:
     scenario = scenario_from_config(cfg["scenario"])
     tuning = cfg.get("tuning", {"mode": "theoretical"})
     _require_keys(tuning, {"mode", "m_opt"}, {"mode"}, "tuning")
-    workers = int(os.environ.get("CFDECONV_THREADS", cfg.get("workers", 1)))
     plan = ExperimentPlan(
         scenario=scenario,
         n_list=tuple(cfg["n_list"]),
@@ -670,7 +668,6 @@ def _cmd_experiment(cfg: dict, config_path) -> int:
         align_step=float(cfg.get("align_step", 0.05)),
         seed=int(cfg.get("seed", 0)),
         restarts=_as_int(cfg.get("restarts", 4), "restarts", 1),
-        workers=workers,
         cell_budget_s=cfg.get("cell_budget_s"),
     )
     out = _open_run_dir(cfg, config_path)

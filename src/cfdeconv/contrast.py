@@ -15,12 +15,16 @@ U[g1, q] the block-1 monomials and W[g2, r] the block-2 monomials, the full
 table of a candidate with scattered coefficient matrix C is U C W^T, and the
 two slice tables are U C[:, 0] and W C[0, :].  All contrast evaluations and
 the exact gradient reduce to a handful of small dense matrix products.
+
+Nothing here is cached across calls at module level: a grid memoizes its own
+derived arrays and pattern matrices, and candidate tables are recomputed on
+every call, which costs less than hashing the coefficients would.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +41,8 @@ class QuadratureGrid:
 
     One shared axis rule (nodes, weights) is tensored over all coordinates;
     block point lists are flattened C-order, matching `ecf.ecf_on_grid`.
+    The id, block points and block weights are computed once per instance
+    and returned read-only.
     """
 
     nu: float
@@ -50,19 +56,19 @@ class QuadratureGrid:
     def d(self) -> int:
         return self.dims[0] + self.dims[1]
 
-    @property
+    @cached_property
     def grid_id(self) -> str:
         return content_hash("grid", self.rule, self.dims, self.nu, self.axis_nodes)
 
     def _block_points(self, d_block):
         grids = np.meshgrid(*([self.axis_nodes] * d_block), indexing="ij")
-        return np.stack(grids, axis=-1).reshape(-1, d_block)
+        return _read_only(np.stack(grids, axis=-1).reshape(-1, d_block))
 
-    @property
+    @cached_property
     def block1_points(self) -> np.ndarray:
         return self._block_points(self.dims[0])
 
-    @property
+    @cached_property
     def block2_points(self) -> np.ndarray:
         return self._block_points(self.dims[1])
 
@@ -70,15 +76,20 @@ class QuadratureGrid:
         w = np.ones(1)
         for _ in range(d_block):
             w = np.outer(w, self.axis_weights).reshape(-1)
-        return w
+        return _read_only(w)
 
-    @property
+    @cached_property
     def w1(self) -> np.ndarray:
         return self._block_weights(self.dims[0])
 
-    @property
+    @cached_property
     def w2(self) -> np.ndarray:
         return self._block_weights(self.dims[1])
+
+    @cached_property
+    def _pattern_memo(self) -> dict:
+        """max_degree -> _GridTables of this grid, filled by _GridTables.get."""
+        return {}
 
     def embedded1(self) -> np.ndarray:
         """Block-1 points zero-padded to full dimension (t1, 0)."""
@@ -92,6 +103,11 @@ class QuadratureGrid:
         out = np.zeros((pts.shape[0], self.d))
         out[:, self.dims[0] :] = pts
         return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48,
@@ -154,15 +170,8 @@ class OracleModel:
         return self._cache[key]
 
 
-# candidate grid-value cache: (poly content hash, grid id) -> tables
-_TABLE_CACHE: OrderedDict = OrderedDict()
-_TABLE_CACHE_MAX = 128
-
-
 class _GridTables:
     """Per-(grid, degree) pattern monomial matrices U, W and scatter maps."""
-
-    _cache: OrderedDict = OrderedDict()
 
     def __init__(self, grid: QuadratureGrid, max_degree: int):
         d1, d2 = grid.dims
@@ -174,12 +183,10 @@ class _GridTables:
 
     @classmethod
     def get(cls, grid: QuadratureGrid, max_degree: int) -> "_GridTables":
-        key = (grid.grid_id, grid.dims, max_degree)
-        if key not in cls._cache:
-            if len(cls._cache) > 64:
-                cls._cache.popitem(last=False)
-            cls._cache[key] = cls(grid, max_degree)
-        return cls._cache[key]
+        memo = grid._pattern_memo
+        if max_degree not in memo:
+            memo[max_degree] = cls(grid, max_degree)
+        return memo[max_degree]
 
 
 def _monomials(points, entries, max_degree):
@@ -198,24 +205,19 @@ def scatter_matrix(poly: TaylorPoly, tables: _GridTables) -> np.ndarray:
 
 
 def poly_tables(poly: TaylorPoly, grid: QuadratureGrid):
-    """Candidate values (full grid, first slice, second slice), cached."""
+    """Candidate values (full grid, first slice, second slice).
+
+    Computed afresh on every call: three small products against the grid's
+    memoized pattern matrices.
+    """
     if poly.dims != grid.dims:
         raise ConfigError(f"poly dims {poly.dims} != grid dims {grid.dims}")
-    key = (poly.content_hash(), grid.grid_id)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        _TABLE_CACHE.move_to_end(key)
-        return hit
     gt = _GridTables.get(grid, poly.max_degree)
     C = scatter_matrix(poly, gt)
     full = gt.U @ C @ gt.W.T
     first = gt.U @ C[:, 0]
     second = gt.W @ C[0, :]
-    out = (full, first, second)
-    _TABLE_CACHE[key] = out
-    if len(_TABLE_CACHE) > _TABLE_CACHE_MAX:
-        _TABLE_CACHE.popitem(last=False)
-    return out
+    return full, first, second
 
 
 def _callable_tables(fn, grid: QuadratureGrid):
@@ -255,15 +257,25 @@ def _defect(cand_tables, ref_tables):
     )
 
 
-def contrast_empirical(candidate, table: EcfTable, grid: QuadratureGrid) -> float:
-    """Empirical factorization contrast of a candidate against an ECF table."""
+def _ref_tables(table: EcfTable, grid: QuadratureGrid):
+    """The ECF table's (full, first slice, second slice), checked against the grid."""
     if table.grid_id and table.grid_id != grid.grid_id:
         raise ConfigError("ECF table was computed on a different grid")
-    A = _defect(_tables_for(candidate, grid), (table.full, table.first, table.second))
+    return table.full, table.first, table.second
+
+
+def _empirical_value(A, grid: QuadratureGrid) -> float:
+    """Box integral of |A|^2 for a defect table A."""
     val = float(grid.w1 @ (np.abs(A) ** 2) @ grid.w2)
     if not np.isfinite(val):
         raise NumericalError("contrast evaluated to a non-finite value")
     return val
+
+
+def contrast_empirical(candidate, table: EcfTable, grid: QuadratureGrid) -> float:
+    """Empirical factorization contrast of a candidate against an ECF table."""
+    ref = _ref_tables(table, grid)
+    return _empirical_value(_defect(_tables_for(candidate, grid), ref), grid)
 
 
 def contrast_oracle(candidate, model: OracleModel, grid: QuadratureGrid) -> float:

@@ -5,25 +5,23 @@ TaylorPoly; feasibility (pinned unit value at zero, per-order modulus caps)
 is restored by projection after every accepted step.  The gradient is exact:
 the contrast is a quadratic form of the candidate's grid tables, which factor
 through the pattern matrices, so each partial derivative reduces to entries
-of three small matrix products.
+of three small matrix products.  A candidate's tables and defect are built
+once and serve both its value and, when the step is accepted, its gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._util import ConfigError, NumericalError
-from .contrast import QuadratureGrid, _GridTables, contrast_empirical, poly_tables
+from .contrast import QuadratureGrid, _GridTables, _defect, _empirical_value, _ref_tables, poly_tables
+# module attribute kept for callers that look it up here (perfbench/tracer.py)
+from .contrast import contrast_empirical  # noqa: F401
 from .ecf import EcfTable
-from .multiindex_taylor import (
-    TaylorPoly,
-    UpsilonParams,
-    _bound_vector,
-    index_table,
-    project_upsilon,
-)
+from .multiindex_taylor import TaylorPoly, UpsilonParams, _bound_vector, parity_phase, project_upsilon
 
 
 @dataclass
@@ -45,7 +43,6 @@ class MinimizeConfig:
     grad_tol: float = 1e-9
     stall_window: int = 25
     seed: int = 0
-    extra_constraint: callable = None
 
     def __post_init__(self):
         if self.m_opt < 1:
@@ -58,12 +55,76 @@ class MinimizeConfig:
 
 @dataclass
 class MinimizeResult:
+    """The best restart's estimate, value and value trace.
+
+    `reason` says why that restart stopped: "grad_tol" (gradient norm below
+    grad_tol), "stall" (improvement over the stall window below tol),
+    "no_descent" (no backtracked step met the Armijo condition) or
+    "max_iters".  `converged` is False only for "max_iters".
+    """
+
     estimate: TaylorPoly
     value: float
     trace: np.ndarray
     restarts_used: int
     converged: bool
     grad_norm: float
+    reason: str
+
+
+class _Point(NamedTuple):
+    """A candidate with its grid tables, defect table and contrast value."""
+
+    poly: TaylorPoly
+    tables: tuple
+    defect: np.ndarray
+    value: float
+
+
+class _Evaluator:
+    """Empirical contrast value and exact gradient of TaylorPoly candidates
+    of one degree against one ECF table.
+
+    `point` builds a candidate's tables and defect once; `gradient` reuses
+    them, so a value and a gradient at the same candidate cost one table
+    pass.  The grid's weight outer product is formed once per evaluator.
+    """
+
+    def __init__(self, table: EcfTable, grid: QuadratureGrid, max_degree: int):
+        self.ref = _ref_tables(table, grid)
+        self.grid = grid
+        self.gt = _GridTables.get(grid, max_degree)
+        self.weights = grid.w1[:, None] * grid.w2[None, :]
+
+    def point(self, poly: TaylorPoly) -> _Point:
+        tables = poly_tables(poly, self.grid)
+        A = _defect(tables, self.ref)
+        return _Point(poly, tables, A, _empirical_value(A, self.grid))
+
+    def gradient(self, pt: _Point) -> np.ndarray:
+        """Partial derivatives in the theta coordinates; pinned coordinates
+        (the unit value at the zero index) get 0."""
+        gt, poly = self.gt, pt.poly
+        _, first_p, second_p = pt.tables
+        full_r, first_r, second_r = self.ref
+        B = self.weights * np.conj(pt.defect)
+        # keep the outer product an inline temporary: on large grids numpy
+        # then multiplies by B in its buffer, whose rounding differs from a
+        # product with a stored array (test_bit_equal_to_public_functions)
+        T1 = gt.U.T @ (B * (first_r[:, None] * second_r[None, :])) @ gt.W
+        BF = B * full_r
+        S1 = gt.U.T @ (BF @ second_p)
+        S2 = gt.W.T @ (BF.T @ first_p)
+        phase = parity_phase(poly.d, poly.max_degree)
+        inner = T1[gt.p1, gt.p2]
+        inner = inner - np.where(gt.p2 == 0, S1[gt.p1], 0.0)
+        inner = inner - np.where(gt.p1 == 0, S2[gt.p2], 0.0)
+        grad = 2.0 * np.real(phase * inner)
+        if poly.cf_candidate:
+            grad[0] = 0.0
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError("non-finite contrast gradient")
+        return grad
 
 
 def contrast_gradient(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -> np.ndarray:
@@ -73,28 +134,8 @@ def contrast_gradient(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -
     """
     if poly.dims != grid.dims:
         raise ConfigError(f"poly dims {poly.dims} != grid dims {grid.dims}")
-    if table.grid_id and table.grid_id != grid.grid_id:
-        raise ConfigError("ECF table was computed on a different grid")
-    gt = _GridTables.get(grid, poly.max_degree)
-    full_p, first_p, second_p = poly_tables(poly, grid)
-    A = full_p * (table.first[:, None] * table.second[None, :]) - table.full * (
-        first_p[:, None] * second_p[None, :]
-    )
-    B = (grid.w1[:, None] * grid.w2[None, :]) * np.conj(A)
-    T1 = gt.U.T @ (B * (table.first[:, None] * table.second[None, :])) @ gt.W
-    S1 = gt.U.T @ ((B * table.full) @ second_p)
-    S2 = gt.W.T @ ((B * table.full).T @ first_p)
-    orders = poly.orders
-    phase = np.where(orders % 2 == 0, 1.0 + 0.0j, 1.0j)
-    inner = T1[gt.p1, gt.p2]
-    inner = inner - np.where(gt.p2 == 0, S1[gt.p1], 0.0)
-    inner = inner - np.where(gt.p1 == 0, S2[gt.p2], 0.0)
-    grad = 2.0 * np.real(phase * inner)
-    if poly.cf_candidate:
-        grad[0] = 0.0
-    if not np.all(np.isfinite(grad)):
-        raise NumericalError("non-finite contrast gradient")
-    return grad
+    ev = _Evaluator(table, grid, poly.max_degree)
+    return ev.gradient(ev.point(poly))
 
 
 def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
@@ -105,9 +146,8 @@ def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     """
     d = grid.d
     gt = _GridTables.get(grid, m_opt)
-    _, orders, _ = index_table(d, m_opt)
-    n_idx = orders.shape[0]
-    phase = np.where(orders % 2 == 0, 1.0 + 0.0j, 1.0j)
+    phase = parity_phase(d, m_opt)
+    n_idx = phase.shape[0]
     design = (
         gt.U[:, gt.p1].reshape(gt.U.shape[0], 1, n_idx)
         * gt.W[:, gt.p2].reshape(1, gt.W.shape[0], n_idx)
@@ -123,46 +163,37 @@ def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     return TaylorPoly(grid.dims, m_opt, theta, cf_candidate=True)
 
 
-def _feasible(poly: TaylorPoly, config: MinimizeConfig) -> bool:
-    if config.extra_constraint is None:
-        return True
-    return bool(config.extra_constraint(poly))
-
-
 def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeConfig) -> MinimizeResult:
     """Multi-start projected gradient descent on the empirical contrast.
 
     Start 0 is the projected least-squares fit to the ECF; the remaining
     starts draw coefficients uniformly inside their modulus boxes.  Each
     accepted iterate is the projection of a backtracked gradient step
-    (halving from step_init with an Armijo condition).  Ties across restarts
-    resolve to the earliest restart index.
+    (halving from step_init with an Armijo condition).  Every candidate is
+    evaluated once; an accepted one's gradient reuses that evaluation.
+    Ties across restarts resolve to the earliest restart index.
     """
-    d1, d2 = grid.dims
-    _, orders, _ = index_table(d1 + d2, config.m_opt)
-    bounds = _bound_vector(orders, config.params)
+    bounds = _bound_vector(grid.d, config.m_opt, config.params)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
     starts = [project_upsilon(_ls_init(table, grid, config.m_opt), config.params)]
     for _ in range(config.restarts - 1):
-        theta = rng.uniform(-1.0, 1.0, size=orders.shape[0])
+        theta = rng.uniform(-1.0, 1.0, size=bounds.shape[0])
         theta *= np.where(np.isfinite(bounds), bounds, 1.0)
         cand = TaylorPoly(grid.dims, config.m_opt, theta, cf_candidate=True)
         starts.append(project_upsilon(cand, config.params))
 
+    ev = _Evaluator(table, grid, config.m_opt)
     best = None
     for r_idx, start in enumerate(starts):
-        if not _feasible(start, config):
-            continue
-        poly = start
-        value = contrast_empirical(poly, table, grid)
-        trace = [value]
-        grad = contrast_gradient(poly, table, grid)
-        converged = False
+        pt = ev.point(start)
+        trace = [pt.value]
+        grad = ev.gradient(pt)
+        reason = "max_iters"
         for it in range(config.max_iters):
             gnorm = float(np.linalg.norm(grad))
             if gnorm < config.grad_tol:
-                converged = True
+                reason = "grad_tol"
                 break
             step = config.step_init
             accepted = None
@@ -170,37 +201,34 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
                 cand = TaylorPoly(
                     grid.dims,
                     config.m_opt,
-                    poly.theta - step * grad,
-                    cf_candidate=poly.cf_candidate,
+                    pt.poly.theta - step * grad,
+                    cf_candidate=pt.poly.cf_candidate,
                 )
-                cand = project_upsilon(cand, config.params)
-                if _feasible(cand, config):
-                    cand_val = contrast_empirical(cand, table, grid)
-                    if cand_val <= value - config.armijo * step * gnorm**2:
-                        accepted = (cand, cand_val)
-                        break
+                cand_pt = ev.point(project_upsilon(cand, config.params))
+                if cand_pt.value <= pt.value - config.armijo * step * gnorm**2:
+                    accepted = cand_pt
+                    break
                 step *= 0.5
             if accepted is None:
-                converged = True
+                reason = "no_descent"
                 break
-            poly, value = accepted
-            trace.append(value)
-            grad = contrast_gradient(poly, table, grid)
+            pt = accepted
+            trace.append(pt.value)
+            grad = ev.gradient(pt)
             window = config.stall_window
-            if len(trace) > window and trace[-window - 1] - value < config.tol:
-                converged = True
+            if len(trace) > window and trace[-window - 1] - pt.value < config.tol:
+                reason = "stall"
                 break
-        entry = (value, r_idx, poly, np.array(trace), converged, float(np.linalg.norm(grad)))
+        entry = (pt.value, r_idx, pt.poly, np.array(trace), reason, float(np.linalg.norm(grad)))
         if best is None or entry[0] < best[0]:
             best = entry
-    if best is None:
-        raise NumericalError("no feasible start satisfied the extra constraint")
-    value, r_idx, poly, trace, converged, gnorm = best
+    value, r_idx, poly, trace, reason, gnorm = best
     return MinimizeResult(
         estimate=poly,
         value=value,
         trace=trace,
         restarts_used=len(starts),
-        converged=converged,
+        converged=reason != "max_iters",
         grad_norm=gnorm,
+        reason=reason,
     )

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import ConfigError, content_hash
+from ._util import ConfigError
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,16 @@ def index_table(d: int, max_degree: int):
     entries.setflags(write=False)
     orders.setflags(write=False)
     return entries, orders, position
+
+
+@lru_cache(maxsize=None)
+def parity_phase(d: int, max_degree: int) -> np.ndarray:
+    """1 (even order) or 1j (odd order) per index_table(d, max_degree) row,
+    read-only: theta * phase is the complex coefficient vector."""
+    orders = index_table(d, max_degree)[1]
+    phase = np.where(orders % 2 == 0, 1.0 + 0.0j, 1.0j)
+    phase.setflags(write=False)
+    return phase
 
 
 @lru_cache(maxsize=None)
@@ -163,16 +173,12 @@ class TaylorPoly:
     @property
     def coeffs(self) -> np.ndarray:
         """Complex coefficient vector in index_table order."""
-        phase = np.where(self.orders % 2 == 0, 1.0 + 0.0j, 1.0j)
-        return self.theta * phase
+        return self.theta * parity_phase(self.d, self.max_degree)
 
     def coeff(self, index) -> complex:
         entries = tuple(index.entries if isinstance(index, MultiIndex) else index)
         pos = index_table(self.d, self.max_degree)[2][entries]
         return complex(self.coeffs[pos])
-
-    def content_hash(self) -> str:
-        return content_hash("poly", self.dims, self.max_degree, self.cf_candidate, self.theta)
 
     def copy(self) -> "TaylorPoly":
         return TaylorPoly(self.dims, self.max_degree, self.theta.copy(), self.cf_candidate)
@@ -228,18 +234,23 @@ def upsilon_bound(index, params: UpsilonParams) -> float:
     return float(params.S**k * float(k) ** (-params.kappa * k))
 
 
-def _bound_vector(orders: np.ndarray, params: UpsilonParams) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _bound_vector(d: int, max_degree: int, params: UpsilonParams) -> np.ndarray:
+    """Read-only modulus cap per index_table(d, max_degree) row; the zero
+    index is uncapped."""
+    orders = index_table(d, max_degree)[1]
     k = orders.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         b = params.S**k * np.where(k > 0, k, 1.0) ** (-params.kappa * k)
     b[orders == 0] = np.inf
+    b.setflags(write=False)
     return b
 
 
 def project_upsilon(poly: TaylorPoly, params: UpsilonParams) -> TaylorPoly:
     """Project onto the admissible class: pin c_0 = 1, clamp coefficient
     moduli to their order bound preserving sign.  Idempotent."""
-    bounds = _bound_vector(poly.orders, params)
+    bounds = _bound_vector(poly.d, poly.max_degree, params)
     theta = np.clip(poly.theta, -bounds, bounds)
     theta[0] = 1.0
     return TaylorPoly(poly.dims, poly.max_degree, theta, cf_candidate=True)
@@ -279,10 +290,8 @@ def slice_block(poly: TaylorPoly, block: int) -> TaylorPoly:
 def random_member(params: UpsilonParams, dims: tuple, max_degree: int, rng) -> TaylorPoly:
     """Draw an admissible candidate with each coefficient uniform on its
     modulus interval [-bound, bound]."""
-    d = dims[0] + dims[1]
-    _, orders, _ = index_table(d, max_degree)
-    bounds = _bound_vector(orders, params)
-    theta = rng.uniform(-1.0, 1.0, size=orders.shape[0]) * np.where(np.isfinite(bounds), bounds, 1.0)
+    bounds = _bound_vector(dims[0] + dims[1], max_degree, params)
+    theta = rng.uniform(-1.0, 1.0, size=bounds.shape[0]) * np.where(np.isfinite(bounds), bounds, 1.0)
     return TaylorPoly(dims, max_degree, theta, cf_candidate=True)
 
 

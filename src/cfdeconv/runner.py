@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,7 +59,6 @@ class ExperimentPlan:
     align_step: float = 0.05
     seed: int = 0
     restarts: int = 4
-    workers: int = 1
     cell_budget_s: Optional[float] = None
 
     def __post_init__(self):
@@ -253,13 +251,7 @@ def run(plan: ExperimentPlan) -> ExperimentReport:
         for ki in range(len(plan.kappa_grid))
         for rep in range(plan.replicates)
     ]
-    if plan.workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            rows = list(pool.map(
-                lambda key: _run_cell(plan, model, grid, truth, truth_grid, *key), keys
-            ))
-    else:
-        rows = [_run_cell(plan, model, grid, truth, truth_grid, *key) for key in keys]
+    rows = [_run_cell(plan, model, grid, truth, truth_grid, *key) for key in keys]
     rows.sort(key=lambda r: (r.n, r.kappa, r.replicate))
     summary = {
         "variant": scenario.variant,

@@ -494,24 +494,16 @@ class TestExperiment:
         for entry in report["aggregates"].values():
             assert entry["n_ok"] == 2
 
-    def test_threads_env_overrides_workers(self, tmp_path, monkeypatch):
-        captured = {}
-
-        def fake_run(plan):
-            captured["workers"] = plan.workers
-            return ExperimentReport(plan_summary={"stub": True},
-                                    rows=(make_row(12),))
-
-        monkeypatch.setattr(cli_io, "run", fake_run)
-        monkeypatch.setenv("CFDECONV_THREADS", "3")
+    def test_workers_key_rejected(self, tmp_path):
+        # the experiment runs its cells serially; the old key is now unknown
         cfg = write_config(tmp_path, "exp.json", {
             "scenario": POINTMASS_SCENARIO, "n_list": [12], "replicates": 1,
-            "kappa_grid": [0.75], "S": 1.5, "workers": 1,
+            "kappa_grid": [0.75], "S": 1.5, "workers": 2,
             "out_dir": str(tmp_path / "out"),
         })
-        rc, _ = run_cli(["experiment", cfg])
-        assert rc == 0
-        assert captured["workers"] == 3
+        rc, err = run_cli(["experiment", cfg])
+        assert rc == 2
+        assert "unknown config keys" in err and "workers" in err
 
     def test_tuning_override_wiring(self, tmp_path, monkeypatch):
         captured = {}

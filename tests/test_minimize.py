@@ -4,9 +4,22 @@ import numpy as np
 import pytest
 
 from cfdeconv import ConfigError
-from cfdeconv.contrast import contrast_empirical, ecf_table_for_grid, make_grid
+from cfdeconv import contrast as contrast_module
+from cfdeconv.contrast import (
+    _GridTables,
+    contrast_empirical,
+    ecf_table_for_grid,
+    make_grid,
+    poly_tables,
+)
 from cfdeconv.ecf import SampleSet
-from cfdeconv.minimize import MinimizeConfig, MinimizeResult, contrast_gradient, minimize_contrast
+from cfdeconv.minimize import (
+    MinimizeConfig,
+    MinimizeResult,
+    _Evaluator,
+    contrast_gradient,
+    minimize_contrast,
+)
 from cfdeconv.multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,
@@ -71,6 +84,68 @@ class TestGradient:
             contrast_gradient(poly_11(2, {}), table, grid48)
 
 
+def seed_gradient(poly, table, grid):
+    """The contrast gradient with the defect, the weight outer product and
+    every temporary written inline, as the minimizer first computed it: the
+    fixed reference for the bits the evaluator must reproduce."""
+    gt = _GridTables.get(grid, poly.max_degree)
+    full_p, first_p, second_p = poly_tables(poly, grid)
+    A = full_p * (table.first[:, None] * table.second[None, :]) - table.full * (
+        first_p[:, None] * second_p[None, :]
+    )
+    B = (grid.w1[:, None] * grid.w2[None, :]) * np.conj(A)
+    T1 = gt.U.T @ (B * (table.first[:, None] * table.second[None, :])) @ gt.W
+    S1 = gt.U.T @ ((B * table.full) @ second_p)
+    S2 = gt.W.T @ ((B * table.full).T @ first_p)
+    phase = np.where(poly.orders % 2 == 0, 1.0 + 0.0j, 1.0j)
+    inner = T1[gt.p1, gt.p2]
+    inner = inner - np.where(gt.p2 == 0, S1[gt.p1], 0.0)
+    inner = inner - np.where(gt.p1 == 0, S2[gt.p2], 0.0)
+    grad = 2.0 * np.real(phase * inner)
+    grad[0] = 0.0
+    return grad
+
+
+class TestEvaluator:
+    # (2, 2) on 12 nodes gives 144 x 144 tables, above the size at which
+    # numpy reuses a temporary's buffer for the next product; that loop
+    # rounds differently, so hoisting an inline outer product changes bits
+    @pytest.mark.parametrize("dims, nodes", [((1, 1), 24), ((2, 2), 12)])
+    def test_bit_equal_to_public_functions(self, dims, nodes, rng):
+        grid = make_grid(1.0, dims, nodes)
+        d = dims[0] + dims[1]
+        table = ecf_table_for_grid(SampleSet(*dims, rng.normal(size=(300, d))), grid)
+        params = UpsilonParams(0.75, 1.5)
+        ev = _Evaluator(table, grid, 4)
+        for _ in range(5):
+            poly = random_member(params, dims, 4, rng)
+            pt = ev.point(poly)
+            assert pt.value == contrast_empirical(poly, table, grid)
+            grad = ev.gradient(pt)
+            assert np.array_equal(grad, contrast_gradient(poly, table, grid))
+            assert np.array_equal(grad, seed_gradient(poly, table, grid))
+
+    def test_hot_loop_does_no_hashing(self, monkeypatch, rng):
+        grid = make_grid(1.0, (1, 1), 24)
+        table = ecf_table_for_grid(SampleSet(1, 1, rng.normal(size=(100, 2))), grid)
+        grid.grid_id
+        calls = []
+        real = contrast_module.content_hash
+
+        def counting(*parts):
+            calls.append(parts[0])
+            return real(*parts)
+
+        monkeypatch.setattr(contrast_module, "content_hash", counting)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=1e-8,
+                                max_iters=20)
+        minimize_contrast(table, grid, config)
+        assert calls == []
+        assert grid.w1 is grid.w1
+        for arr in (grid.w1, grid.w2, grid.block1_points, grid.block2_points):
+            assert arr.flags.writeable is False
+
+
 class TestMinimize:
     def test_single_zero_sample(self, grid24):
         table = zero_sample_table(grid24)
@@ -79,6 +154,28 @@ class TestMinimize:
         assert isinstance(res, MinimizeResult)
         assert res.value <= 1e-20
         np.testing.assert_allclose(res.estimate.theta[1:], 0.0, atol=1e-9)
+        # the flat table's start is exact, so the gradient vanishes at once
+        assert res.reason == "grad_tol" and res.converged
+        assert res.trace.shape == (1,)
+
+    def test_reason_max_iters(self, grid24, rng):
+        s = SampleSet(1, 1, rng.normal(size=(200, 2)))
+        table = ecf_table_for_grid(s, grid24)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8,
+                                max_iters=1, seed=1)
+        res = minimize_contrast(table, grid24, config)
+        assert res.reason == "max_iters" and not res.converged
+        assert res.trace.shape == (2,)
+
+    def test_reason_stall(self, grid24, rng):
+        # any improvement is below this tolerance once the window has filled
+        s = SampleSet(1, 1, rng.normal(size=(200, 2)))
+        table = ecf_table_for_grid(s, grid24)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e3,
+                                stall_window=3, seed=1)
+        res = minimize_contrast(table, grid24, config)
+        assert res.reason == "stall" and res.converged
+        assert res.trace.shape == (4,)
 
     def test_trace_monotone(self, grid24, rng):
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))

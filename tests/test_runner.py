@@ -163,10 +163,6 @@ class TestRun:
         again = run(degenerate_plan(pointmass_repeated))
         assert rows_equal(degenerate_report.rows, again.rows)
 
-    def test_thread_pool_matches_serial(self, pointmass_repeated, degenerate_report):
-        threaded = run(degenerate_plan(pointmass_repeated, workers=3))
-        assert rows_equal(degenerate_report.rows, threaded.rows)
-
     def test_exhausted_budget_flags_timeout(self, pointmass_repeated):
         plan = degenerate_plan(pointmass_repeated, n_list=(12,), replicates=1,
                                cell_budget_s=0.0)
