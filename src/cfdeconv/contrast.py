@@ -112,7 +112,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48,
               rule: str = "gauss_legendre") -> QuadratureGrid:
-    """Build the box quadrature; Gauss-Legendre is exact to degree 2n-1."""
+    """Build the box quadrature; Gauss-Legendre is exact to degree 2n-1.
+
+    Both rules give axis nodes that satisfy x == -x[::-1] exactly."""
     if nu <= 0:
         raise ConfigError(f"nu must be positive, got {nu}")
     if nodes_per_axis < 2:
@@ -126,7 +128,10 @@ def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48,
         x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
         nodes, weights = nu * x, nu * w
     else:
-        nodes = np.linspace(-nu, nu, nodes_per_axis)
+        x = np.linspace(-nu, nu, nodes_per_axis)
+        # exactly antisymmetric like leggauss's, so ecf_on_grid's node sets
+        # need no closure under negation (moves a node by about 1 ulp of nu)
+        nodes = (x - x[::-1]) / 2
         h = 2.0 * nu / (nodes_per_axis - 1)
         weights = np.full(nodes_per_axis, h)
         weights[0] = weights[-1] = h / 2.0

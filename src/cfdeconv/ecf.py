@@ -4,11 +4,19 @@ Observations are rows Y = (Y1, Y2) with block dimensions (d1, d2); the
 empirical CF at t is the sample mean of exp(i t . Y).  Evaluation streams
 over fixed-size sample chunks with tree-merged partial sums, so results are
 bit-reproducible regardless of platform memory heuristics.
+
+Grid tables use the symmetry ecf(-t) = conj(ecf(t)).  On a tensor lattice
+whose axes are closed under negation (x == -x[::-1], as for every grid
+`contrast.make_grid` builds), negating t reverses the flattened lattice
+index, so only the leading half of the lattice is summed over the sample;
+the rest is the conjugate mirror, which makes every table exactly Hermitian.
+Other node lists are closed under negation first and gathered back after.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,14 +91,51 @@ def ecf_eval(samples: SampleSet, t) -> np.ndarray:
     return out.reshape(t.shape[:-1])
 
 
+def _axis_phases(y, nodes):
+    """exp(i y t) for samples y and nodes t as an (n, len(t)) complex array,
+    written as cos and sin into its real and imaginary parts."""
+    arg = np.outer(y, nodes)
+    out = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
 def _block_phases(block_data, axis_nodes):
-    """exp(i y.t) over the tensor lattice of the given per-axis node arrays,
-    flattened C-order (first axis slowest)."""
-    vals = np.ones((block_data.shape[0], 1), dtype=np.complex128)
-    for a, nodes in enumerate(axis_nodes):
-        e = np.exp(1j * np.outer(block_data[:, a], nodes))
+    """exp(i y.t) on a block's half lattice: the first ceil(G/2) nodes of the
+    first axis times every node of the other axes, flattened C-order (first
+    axis slowest).  With every axis closed under negation, `_mirrored`
+    extends it to the whole lattice."""
+    first = axis_nodes[0]
+    vals = _axis_phases(block_data[:, 0], first[: (len(first) + 1) // 2])
+    for a in range(1, len(axis_nodes)):
+        e = _axis_phases(block_data[:, a], axis_nodes[a])
         vals = (vals[:, :, None] * e[:, None, :]).reshape(block_data.shape[0], -1)
     return vals
+
+
+def _closed_under_negation(nodes):
+    """(node set closed under negation, with x == -x[::-1], and the index of
+    each requested node in it)."""
+    if np.array_equal(nodes, -nodes[::-1]):
+        return nodes, np.arange(len(nodes))
+    closed = np.unique(np.concatenate([nodes, -nodes]))
+    return closed, np.searchsorted(closed, nodes)
+
+
+def _mirrored(half, size):
+    """Values at all `size` points of a flattened lattice closed under
+    negation (the last axis of `half`) from those at its leading points:
+    negation reverses the flattened index, and f(-t) = conj(f(t)).  Only the
+    first ceil(size/2) values of `half` are read, so the result is exactly
+    Hermitian even where `half` holds more."""
+    keep, rest = size - size // 2, size // 2
+    return np.concatenate([half[..., :keep], np.conj(half[..., :rest][..., ::-1])], axis=-1)
+
+
+def _lattice_picks(closed, picks):
+    """Flattened positions of the requested lattice in the closed one."""
+    return np.ravel_multi_index(np.ix_(*picks), [len(c) for c in closed]).reshape(-1)
 
 
 def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
@@ -103,31 +148,44 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
     grid_id : str
         Identifier copied into the table for downstream consistency checks.
 
-    The per-axis complex exponentials are formed once per sample chunk and
-    tensored, which is the only O(n * grid) work.
+    Each axis's node set is closed under negation (a no-op for `make_grid`
+    axes).  Per sample chunk, block 1's phases are formed on its half lattice
+    (the first ceil(G/2) nodes of its first axis), block 2's on its own half
+    and mirrored to its full lattice, and one complex product of the two
+    gives half of `full`; this is the only O(n * grid) work.  The other half
+    of `full`, `first` and `second` is the conjugate mirror, and nodes the
+    closure added are dropped at the end.
     """
     if len(axis_nodes) != samples.d:
         raise ConfigError(f"expected {samples.d} axis node arrays, got {len(axis_nodes)}")
     nodes = [np.asarray(a, dtype=np.float64).reshape(-1) for a in axis_nodes]
-    nodes1, nodes2 = nodes[: samples.d1], nodes[samples.d1 :]
+    if not all(np.all(np.isfinite(a)) for a in nodes):
+        raise ConfigError("axis nodes must be finite")
+    closed, picks = zip(*(_closed_under_negation(a) for a in nodes))
+    nodes1, nodes2 = closed[: samples.d1], closed[samples.d1 :]
+    size1, size2 = math.prod(map(len, nodes1)), math.prod(map(len, nodes2))
     acc_full, acc_1, acc_2 = PairwiseAccumulator(), PairwiseAccumulator(), PairwiseAccumulator()
     data = samples.data
     for start in range(0, samples.n, CHUNK):
         block = data[start : start + CHUNK]
         b1 = _block_phases(block[:, : samples.d1], nodes1)
-        b2 = _block_phases(block[:, samples.d1 :], nodes2)
+        h2 = _block_phases(block[:, samples.d1 :], nodes2)
+        b2 = _mirrored(h2, size2)
         acc_full.add(b1.T @ b2)
         acc_1.add(b1.sum(axis=0))
-        acc_2.add(b2.sum(axis=0))
+        acc_2.add(h2.sum(axis=0))
     n = samples.n
+    full = _mirrored(acc_full.total().reshape(-1) / n, size1 * size2).reshape(size1, size2)
+    flat1 = _lattice_picks(nodes1, picks[: samples.d1])
+    flat2 = _lattice_picks(nodes2, picks[samples.d1 :])
     return EcfTable(
         grid_id=grid_id,
         n=n,
-        shape1=tuple(len(a) for a in nodes1),
-        shape2=tuple(len(a) for a in nodes2),
-        first=acc_1.total() / n,
-        second=acc_2.total() / n,
-        full=acc_full.total() / n,
+        shape1=tuple(map(len, picks[: samples.d1])),
+        shape2=tuple(map(len, picks[samples.d1 :])),
+        first=_mirrored(acc_1.total() / n, size1)[flat1],
+        second=_mirrored(acc_2.total() / n, size2)[flat2],
+        full=full[np.ix_(flat1, flat2)],
     )
 
 

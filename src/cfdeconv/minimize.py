@@ -21,7 +21,20 @@ from .contrast import QuadratureGrid, _GridTables, _defect, _empirical_value, _r
 # module attribute kept for callers that look it up here (perfbench/tracer.py)
 from .contrast import contrast_empirical  # noqa: F401
 from .ecf import EcfTable
-from .multiindex_taylor import TaylorPoly, UpsilonParams, _bound_vector, parity_phase, project_upsilon
+from .multiindex_taylor import (
+    TaylorPoly,
+    UpsilonParams,
+    _bound_vector,
+    _project_theta,
+    parity_phase,
+    project_upsilon,
+)
+
+# _ls_init refuses a dense design above this many bytes, before allocating
+# it; with its temporaries the fit peaks at about three times the design.
+# At d1=d2=2 and m_opt 4 the design takes 23 MB at 12 nodes per axis and
+# 6 GB at 48.
+LS_DESIGN_MAX_BYTES = 1 << 29
 
 
 @dataclass
@@ -60,7 +73,8 @@ class MinimizeResult:
     `reason` says why that restart stopped: "grad_tol" (gradient norm below
     grad_tol), "stall" (improvement over the stall window below tol),
     "no_descent" (no backtracked step met the Armijo condition) or
-    "max_iters".  `converged` is False only for "max_iters".
+    "max_iters".  `converged` is False only for "max_iters".  `reasons`
+    holds every restart's stop reason in restart order.
     """
 
     estimate: TaylorPoly
@@ -70,6 +84,7 @@ class MinimizeResult:
     converged: bool
     grad_norm: float
     reason: str
+    reasons: tuple
 
 
 class _Point(NamedTuple):
@@ -143,11 +158,20 @@ def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
 
     The real/imaginary parts are stacked so the parity-reduced coordinates
     stay real; the pinned zero coefficient is moved to the right-hand side.
+    The dense (grid points x coefficients) design is refused with a
+    ConfigError when it would exceed LS_DESIGN_MAX_BYTES.
     """
     d = grid.d
-    gt = _GridTables.get(grid, m_opt)
     phase = parity_phase(d, m_opt)
     n_idx = phase.shape[0]
+    design_bytes = 16 * grid.nodes_per_axis**d * n_idx
+    if design_bytes > LS_DESIGN_MAX_BYTES:
+        raise ConfigError(
+            f"the least-squares start needs a {design_bytes / 1e9:.2f} GB design "
+            f"({grid.nodes_per_axis}^{d} grid points x {n_idx} coefficients), over the "
+            f"{LS_DESIGN_MAX_BYTES / 1e9:.2f} GB limit; use fewer nodes per axis"
+        )
+    gt = _GridTables.get(grid, m_opt)
     design = (
         gt.U[:, gt.p1].reshape(gt.U.shape[0], 1, n_idx)
         * gt.W[:, gt.p2].reshape(1, gt.W.shape[0], n_idx)
@@ -170,7 +194,8 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     starts draw coefficients uniformly inside their modulus boxes.  Each
     accepted iterate is the projection of a backtracked gradient step
     (halving from step_init with an Armijo condition).  Every candidate is
-    evaluated once; an accepted one's gradient reuses that evaluation.
+    built once, from the projected step coordinates, and evaluated once; an
+    accepted one's gradient reuses that evaluation.
     Ties across restarts resolve to the earliest restart index.
     """
     bounds = _bound_vector(grid.d, config.m_opt, config.params)
@@ -180,11 +205,11 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     for _ in range(config.restarts - 1):
         theta = rng.uniform(-1.0, 1.0, size=bounds.shape[0])
         theta *= np.where(np.isfinite(bounds), bounds, 1.0)
-        cand = TaylorPoly(grid.dims, config.m_opt, theta, cf_candidate=True)
-        starts.append(project_upsilon(cand, config.params))
+        theta = _project_theta(theta, grid.d, config.m_opt, config.params)
+        starts.append(TaylorPoly(grid.dims, config.m_opt, theta))
 
     ev = _Evaluator(table, grid, config.m_opt)
-    best = None
+    best, reasons = None, []
     for r_idx, start in enumerate(starts):
         pt = ev.point(start)
         trace = [pt.value]
@@ -198,13 +223,9 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
             step = config.step_init
             accepted = None
             while step > 1e-14:
-                cand = TaylorPoly(
-                    grid.dims,
-                    config.m_opt,
-                    pt.poly.theta - step * grad,
-                    cf_candidate=pt.poly.cf_candidate,
-                )
-                cand_pt = ev.point(project_upsilon(cand, config.params))
+                theta = _project_theta(pt.poly.theta - step * grad, grid.d, config.m_opt,
+                                       config.params)
+                cand_pt = ev.point(TaylorPoly(grid.dims, config.m_opt, theta))
                 if cand_pt.value <= pt.value - config.armijo * step * gnorm**2:
                     accepted = cand_pt
                     break
@@ -219,6 +240,7 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
             if len(trace) > window and trace[-window - 1] - pt.value < config.tol:
                 reason = "stall"
                 break
+        reasons.append(reason)
         entry = (pt.value, r_idx, pt.poly, np.array(trace), reason, float(np.linalg.norm(grad)))
         if best is None or entry[0] < best[0]:
             best = entry
@@ -231,4 +253,5 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
         converged=reason != "max_iters",
         grad_norm=gnorm,
         reason=reason,
+        reasons=tuple(reasons),
     )

@@ -60,6 +60,15 @@ class TestMakeGrid:
         val = np.sum(grid.axis_weights * grid.axis_nodes**2)
         assert val == pytest.approx(2.0 / 3.0, abs=1e-3)
 
+    @pytest.mark.parametrize("rule", ["gauss_legendre", "trapezoid"])
+    @pytest.mark.parametrize("nodes", [5, 6, 11, 12, 47, 48, 64])
+    @pytest.mark.parametrize("nu", [1.0, 1.5])
+    def test_nodes_closed_under_negation(self, rule, nodes, nu):
+        x = make_grid(nu, (1, 1), nodes, rule=rule).axis_nodes
+        assert np.array_equal(x, -x[::-1])
+        if rule == "trapezoid":
+            assert x[0] == -nu and x[-1] == nu
+
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):
             make_grid(-1.0, (1, 1), 8)

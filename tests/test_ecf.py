@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cfdeconv import ConfigError
+from cfdeconv import ConfigError, ecf
+from cfdeconv._util import CHUNK
+from cfdeconv.contrast import make_grid
 from cfdeconv.ecf import SampleSet, ecf_eval, ecf_on_grid, export_csv, load_csv, second_moment
 
 
@@ -90,6 +92,92 @@ class TestEcfOnGrid:
         np.testing.assert_array_equal(t1.full, t2.full)
         np.testing.assert_array_equal(t1.first, t2.first)
         np.testing.assert_array_equal(t1.second, t2.second)
+
+
+def lattice(axis_nodes):
+    """Tensor lattice points of per-axis node arrays, flattened C-order."""
+    grids = np.meshgrid(*axis_nodes, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, len(axis_nodes))
+
+
+def assert_matches_pointwise(s, axis_nodes):
+    """ecf_on_grid's full, first and second tables equal ecf_eval at every
+    lattice point to within 1e-14."""
+    d1 = s.d1
+    pts1, pts2 = lattice(axis_nodes[:d1]), lattice(axis_nodes[d1:])
+    pairs = np.concatenate(
+        [np.repeat(pts1, len(pts2), axis=0), np.tile(pts2, (len(pts1), 1))], axis=1
+    )
+    zeros1, zeros2 = np.zeros((len(pts1), s.d2)), np.zeros((len(pts2), d1))
+    want = (
+        ecf_eval(s, pairs).reshape(len(pts1), len(pts2)),
+        ecf_eval(s, np.concatenate([pts1, zeros1], axis=1)),
+        ecf_eval(s, np.concatenate([zeros2, pts2], axis=1)),
+    )
+    table = ecf_on_grid(s, axis_nodes)
+    for got, ref in zip((table.full, table.first, table.second), want):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14
+    return table
+
+
+HALF_LATTICE_CASES = [
+    ((1, 1), 7), ((1, 1), 8), ((2, 1), 5), ((2, 1), 6),
+    ((1, 2), 5), ((1, 2), 6), ((2, 2), 5), ((2, 2), 6),
+]
+
+
+class TestHalfLattice:
+    """ecf_on_grid tabulates half the sign patterns and mirrors the rest."""
+
+    @pytest.mark.parametrize("dims, nodes", HALF_LATTICE_CASES)
+    def test_agreement_on_gauss_legendre(self, dims, nodes, rng):
+        s = make_samples(rng.normal(size=(CHUNK + 37, sum(dims))), *dims)
+        assert_matches_pointwise(s, [make_grid(1.5, dims, nodes).axis_nodes] * sum(dims))
+
+    @pytest.mark.parametrize("dims, nodes", HALF_LATTICE_CASES)
+    def test_exact_hermitian_mirror(self, dims, nodes, rng):
+        s = make_samples(rng.normal(size=(200, sum(dims))), *dims)
+        table = ecf_on_grid(s, [make_grid(1.0, dims, nodes).axis_nodes] * sum(dims))
+        assert np.array_equal(table.full[::-1, ::-1], np.conj(table.full))
+        assert np.array_equal(table.first[::-1], np.conj(table.first))
+        assert np.array_equal(table.second[::-1], np.conj(table.second))
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_hand_built_trapezoid_nodes(self, closed, rng):
+        x = np.linspace(-1.0, 1.0, 9)
+        x = (x - x[::-1]) / 2 if closed else x + 0.05
+        assert np.array_equal(x, -x[::-1]) == closed
+        s = make_samples(rng.normal(size=(90, 3)), d1=2, d2=1)
+        table = assert_matches_pointwise(s, [x, x[2:], x[::2]])
+        assert (table.shape1, table.shape2) == ((9, 7), (5,))
+
+    def test_nonfinite_nodes_rejected(self):
+        s = make_samples([[0.1, 0.2]])
+        with pytest.raises(ConfigError):
+            ecf_on_grid(s, [np.array([-1.0, np.nan, 1.0]), np.zeros(1)])
+
+    @pytest.mark.parametrize("dims, nodes", [((1, 1), 8), ((2, 1), 7), ((2, 2), 6)])
+    def test_block_one_tabulated_on_half_first_axis(self, dims, nodes, monkeypatch, rng):
+        calls = []
+        real = ecf._block_phases
+
+        def recording(block_data, axis_nodes):
+            out = real(block_data, axis_nodes)
+            calls.append((block_data.shape, [len(a) for a in axis_nodes], out.shape))
+            return out
+
+        monkeypatch.setattr(ecf, "_block_phases", recording)
+        d1, d2 = dims
+        s = make_samples(rng.normal(size=(2 * CHUNK + 5, d1 + d2)), d1, d2)
+        ecf_on_grid(s, [make_grid(1.0, dims, nodes).axis_nodes] * (d1 + d2))
+        assert len(calls) == 2 * 3
+        half = (nodes + 1) // 2
+        for (shape, sizes, out_shape) in calls[0::2]:
+            assert shape[1] == d1 and sizes == [nodes] * d1
+            assert out_shape == (shape[0], half * nodes ** (d1 - 1))
+        for (shape, _, out_shape) in calls[1::2]:
+            assert out_shape == (shape[0], half * nodes ** (d2 - 1))
 
 
 class TestSecondMoment:

@@ -14,9 +14,11 @@ from cfdeconv.contrast import (
 )
 from cfdeconv.ecf import SampleSet
 from cfdeconv.minimize import (
+    LS_DESIGN_MAX_BYTES,
     MinimizeConfig,
     MinimizeResult,
     _Evaluator,
+    _ls_init,
     contrast_gradient,
     minimize_contrast,
 )
@@ -177,6 +179,16 @@ class TestMinimize:
         assert res.reason == "stall" and res.converged
         assert res.trace.shape == (4,)
 
+    def test_every_restart_reason(self, grid24, rng):
+        s = SampleSet(1, 1, rng.normal(size=(200, 2)))
+        table = ecf_table_for_grid(s, grid24)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8,
+                                restarts=3, max_iters=30, seed=1)
+        res = minimize_contrast(table, grid24, config)
+        assert isinstance(res.reasons, tuple) and len(res.reasons) == config.restarts
+        assert res.reason in res.reasons
+        assert set(res.reasons) <= {"grad_tol", "stall", "no_descent", "max_iters"}
+
     def test_trace_monotone(self, grid24, rng):
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
@@ -250,3 +262,18 @@ class TestMinimize:
         )
         assert res.value <= best_val
         assert cf_box_error(res.estimate, model, grid) <= threshold
+
+
+class TestLsInitMemoryGuard:
+    def test_default_nodes_at_d4_refused(self):
+        # 48^4 grid points x 70 coefficients at m_opt 4: a 6 GB design; the
+        # guard fires before the table is read, so none is built here
+        grid = make_grid(1.0, (2, 2), 48)
+        with pytest.raises(ConfigError, match=r"5\.95 GB design.*fewer nodes"):
+            _ls_init(None, grid, 4)
+
+    def test_repeated_measurement_cell_size_allowed(self, rng):
+        grid = make_grid(1.0, (2, 2), 12)
+        assert 16 * 12**4 * index_table(4, 4)[0].shape[0] * 20 < LS_DESIGN_MAX_BYTES
+        table = ecf_table_for_grid(SampleSet(2, 2, rng.normal(size=(50, 4))), grid)
+        assert _ls_init(table, grid, 4).theta[0] == 1.0
