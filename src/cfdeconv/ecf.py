@@ -154,7 +154,9 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
     and mirrored to its full lattice, and one complex product of the two
     gives half of `full`; this is the only O(n * grid) work.  The other half
     of `full`, `first` and `second` is the conjugate mirror, and nodes the
-    closure added are dropped at the end.
+    closure added are dropped at the end.  The closure can double an axis,
+    so a node list far from closed under negation costs up to 2**d times the
+    time and memory of its requested lattice before that gather.
     """
     if len(axis_nodes) != samples.d:
         raise ConfigError(f"expected {samples.d} axis node arrays, got {len(axis_nodes)}")

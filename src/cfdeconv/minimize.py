@@ -31,10 +31,11 @@ from .multiindex_taylor import (
 )
 
 # _ls_init refuses a dense design above this many bytes, before allocating
-# it; with its temporaries the fit peaks at about three times the design.
-# At d1=d2=2 and m_opt 4 the design takes 23 MB at 12 nodes per axis and
-# 6 GB at 48.
-LS_DESIGN_MAX_BYTES = 1 << 29
+# it.  With its temporaries the fit's resident memory grows by 4.0 times the
+# design (measured at d1=d2=2, 16-24 nodes, m_opt 2 and 4), so the limit
+# keeps the peak near 6 GB, inside a 7 GB machine.  At d1=d2=2 and 48 nodes
+# per axis the design takes 1.27 GB at m_opt 2 and 5.95 GB at m_opt 4.
+LS_DESIGN_MAX_BYTES = 1_500_000_000
 
 
 @dataclass
@@ -153,6 +154,17 @@ def contrast_gradient(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -
     return ev.gradient(ev.point(poly))
 
 
+def _check_ls_design(grid: QuadratureGrid, n_idx: int) -> None:
+    """Raise ConfigError if _ls_init's dense design exceeds LS_DESIGN_MAX_BYTES."""
+    design_bytes = 16 * grid.nodes_per_axis**grid.d * n_idx
+    if design_bytes > LS_DESIGN_MAX_BYTES:
+        raise ConfigError(
+            f"the least-squares start needs a {design_bytes / 1e9:.2f} GB design "
+            f"({grid.nodes_per_axis}^{grid.d} grid points x {n_idx} coefficients), over the "
+            f"{LS_DESIGN_MAX_BYTES / 1e9:.2f} GB limit; use fewer nodes per axis"
+        )
+
+
 def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     """Weighted least-squares fit of the ECF on the full grid, then projection.
 
@@ -161,16 +173,9 @@ def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     The dense (grid points x coefficients) design is refused with a
     ConfigError when it would exceed LS_DESIGN_MAX_BYTES.
     """
-    d = grid.d
-    phase = parity_phase(d, m_opt)
+    phase = parity_phase(grid.d, m_opt)
     n_idx = phase.shape[0]
-    design_bytes = 16 * grid.nodes_per_axis**d * n_idx
-    if design_bytes > LS_DESIGN_MAX_BYTES:
-        raise ConfigError(
-            f"the least-squares start needs a {design_bytes / 1e9:.2f} GB design "
-            f"({grid.nodes_per_axis}^{d} grid points x {n_idx} coefficients), over the "
-            f"{LS_DESIGN_MAX_BYTES / 1e9:.2f} GB limit; use fewer nodes per axis"
-        )
+    _check_ls_design(grid, n_idx)
     gt = _GridTables.get(grid, m_opt)
     design = (
         gt.U[:, gt.p1].reshape(gt.U.shape[0], 1, n_idx)

@@ -17,6 +17,7 @@ from cfdeconv.minimize import (
     LS_DESIGN_MAX_BYTES,
     MinimizeConfig,
     MinimizeResult,
+    _check_ls_design,
     _Evaluator,
     _ls_init,
     contrast_gradient,
@@ -26,6 +27,7 @@ from cfdeconv.multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,
     index_table,
+    parity_phase,
     random_member,
     upsilon_bound,
 )
@@ -271,6 +273,13 @@ class TestLsInitMemoryGuard:
         grid = make_grid(1.0, (2, 2), 48)
         with pytest.raises(ConfigError, match=r"5\.95 GB design.*fewer nodes"):
             _ls_init(None, grid, 4)
+
+    @pytest.mark.parametrize("dims, m_opt", [((2, 2), 2), ((2, 1), 12)])
+    def test_default_nodes_fitting_in_memory_allowed(self, dims, m_opt):
+        # 1.27 GB at d=4, m_opt 2 and 0.81 GB at d=3, m_opt 12: checked
+        # without building the design
+        grid = make_grid(1.0, dims, 48)
+        _check_ls_design(grid, parity_phase(grid.d, m_opt).shape[0])
 
     def test_repeated_measurement_cell_size_allowed(self, rng):
         grid = make_grid(1.0, (2, 2), 12)

@@ -2,14 +2,16 @@
 
 For one source checkout, run each estimation workload of
 `perfbench/workloads.py` once and print, per workload, the SHA-256 of its
-report rows (the bytes `perfbench/run.py` compares across passes) and the
-SHA-256 of the concatenated `theta` bytes of every estimate, in call order.
+report rows and the SHA-256 of the concatenated `theta` bytes of every
+estimate, in call order.  The pass and both byte strings are those that
+`perfbench/run.py` compares across passes (`one_pass`, `rows_bytes`,
+`thetas`).
 Two checkouts whose lines match produce the same outputs to the bit:
 
     python3 tools/rows_digest.py                     # this checkout, seed 1
     python3 tools/rows_digest.py /path/to/other 1    # another checkout
 
-The library is imported from CHECKOUT/src and the workload definitions from
+The library is imported from CHECKOUT/src and the benchmark's modules from
 CHECKOUT/perfbench, both read-only; run one checkout per process.
 """
 
@@ -29,38 +31,36 @@ def _import_checkout(root: Path):
         sys.exit(f"rows_digest: {root} has no src/cfdeconv or perfbench/workloads.py")
     sys.path[:0] = [str(src), str(bench)]
     import cfdeconv
+    import run
     import tracer
     import workloads
 
     if Path(cfdeconv.__file__).resolve().parent != (src / "cfdeconv").resolve():
         sys.exit(f"rows_digest: cfdeconv was imported from {cfdeconv.__file__}, not {src}")
-    return cfdeconv, tracer, workloads
+    return cfdeconv, run, tracer, workloads
 
 
-def digests(cf, tracer, workloads, name: str, seed: int) -> tuple:
-    """(rows SHA-256, theta SHA-256, number of estimates) of one pass."""
+def digests(cf, run, tracer, workloads, name: str, seed: int) -> tuple:
+    """(rows SHA-256, theta SHA-256, number of estimates) of one untraced pass."""
     built = workloads.FACTORIES[name](cf, seed)
     capture = tracer.Capture(cf)
     try:
-        out = built.run()
-        outcomes = capture.take()
+        p = run.one_pass(cf, built, capture, traced=False)
     finally:
         capture.close()
-    rows = hashlib.sha256(repr(out["rows"]).encode()).hexdigest()
-    theta = hashlib.sha256(b"".join(o.result.estimate.theta.tobytes() for o in outcomes))
-    return rows, theta.hexdigest(), len(outcomes)
+    thetas = run.thetas(p)
+    rows = hashlib.sha256(run.rows_bytes(p)).hexdigest()
+    return rows, hashlib.sha256(b"".join(thetas)).hexdigest(), len(thetas)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
     ap.add_argument("seed", nargs="?", type=int, default=1)
-    ap.add_argument("--workload", action="append", choices=ESTIMATION_WORKLOADS,
-                    help="digest only this workload (repeatable; default: all three)")
     args = ap.parse_args(argv)
-    cf, tracer, workloads = _import_checkout(args.checkout.resolve())
-    for name in args.workload or ESTIMATION_WORKLOADS:
-        rows, theta, count = digests(cf, tracer, workloads, name, args.seed)
+    cf, run, tracer, workloads = _import_checkout(args.checkout.resolve())
+    for name in ESTIMATION_WORKLOADS:
+        rows, theta, count = digests(cf, run, tracer, workloads, name, args.seed)
         print(f"{name} seed={args.seed} rows={rows} theta={theta} estimates={count}", flush=True)
     return 0
 
