@@ -29,13 +29,11 @@ from .conjecture_lab import (
     census_protocol,
     grid_convolve,
     h_kappa_eval,
-    hermite_function,
     interval_census,
     lecam_value,
     make_instance,
     master_grid,
     mollifier_eval,
-    mollify,
     noise_g,
     norm_chain,
     scaled_profile,
@@ -44,7 +42,6 @@ from .contrast import (
     OracleModel,
     QuadratureGrid,
     contrast_empirical,
-    contrast_linearized,
     contrast_oracle,
     ecf_table_for_grid,
     make_grid,

@@ -1,5 +1,6 @@
-"""Small shared helpers: error types, deterministic reduction and
-elementary functions, hashing."""
+"""Small shared helpers: error types, config conversion, deterministic
+reduction and elementary functions, tensor lattices, inverse-CDF sampling,
+hashing."""
 
 from __future__ import annotations
 
@@ -19,6 +20,14 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """A computation produced non-finite or otherwise unusable values."""
+
+
+def as_type(value, kind, key: str):
+    """kind(value), with a failed conversion raised as a ConfigError naming key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}") from None
 
 
 class PairwiseAccumulator:
@@ -115,6 +124,29 @@ def det_log(x) -> np.ndarray:
 def det_pow(base, exponent) -> np.ndarray:
     """base ** exponent for base > 0 as det_exp(exponent * det_log(base))."""
     return det_exp(exponent * det_log(base))
+
+
+def tensor_points(axes) -> np.ndarray:
+    """All points of the tensor lattice of the 1-D `axes`, shape (N, len(axes)),
+    in C order (the last axis varies fastest)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def tensor_weights(axis_weights, d: int) -> np.ndarray:
+    """Product weights of d copies of one axis rule, in tensor_points order."""
+    w = np.ones(1)
+    for _ in range(d):
+        w = np.outer(w, axis_weights).reshape(-1)
+    return w
+
+
+def inverse_cdf_sampler(xs, dens):
+    """Sampler (n, rng) -> n draws from the density tabulated as dens on the
+    increasing nodes xs: a trapezoid CDF normalized to 1, inverted by linear
+    interpolation of one uniform per draw."""
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(xs))])
+    cdf /= cdf[-1]
+    return lambda n, rng: np.interp(rng.random(n), cdf, xs)
 
 
 def content_hash(*parts) -> str:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, fmt17
+from ._util import ConfigError, NumericalError, as_type, fmt17
 from . import ecf
 from .adaptive import sigma_rule
 from .conjecture_lab import (
@@ -35,7 +35,7 @@ from .contrast import make_grid
 from .legendre_bounds import bound_suite
 from .multiindex_taylor import from_json_record, to_json_record
 from .reconstruct import DensityGrid, LatticeSpec
-from .runner import ExperimentPlan, adapt_from_samples, estimate_once, run
+from .runner import ExperimentPlan, adapt_from_samples, default_lattice, estimate_once, run
 from .scenarios import (
     AxisNoise,
     ScenarioSpec,
@@ -62,49 +62,46 @@ def _require_keys(cfg: dict, allowed, required, where: str) -> None:
 
 
 def _as_kappa(value, key: str) -> float:
-    k = float(value)
+    k = as_type(value, float, key)
     if not (0.0 < k <= 1.0):
         raise ConfigError(f"{key} must lie in (0, 1], got {value}")
     return k
 
 
 def _as_pos(value, key: str) -> float:
-    x = float(value)
+    x = as_type(value, float, key)
     if not (x > 0):
         raise ConfigError(f"{key} must be positive, got {value}")
     return x
 
 
 def _as_int(value, key: str, minimum: int) -> int:
-    n = int(value)
+    n = as_type(value, int, key)
     if n < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return n
 
 
-def _as_nodes(value) -> int:
-    n = int(value)
-    if n < 2:
-        raise ConfigError(f"nodes must be >= 2, got {value}")
-    return n
-
-
 def _as_kappa_grid(value, key: str) -> tuple:
-    grid = tuple(_as_kappa(v, key) for v in value)
+    grid = tuple(_as_kappa(v, key) for v in as_type(value, tuple, key))
     if not grid:
         raise ConfigError(f"{key} must be a nonempty list")
     return grid
 
 
 def _lattice_from_config(cfg, d: int) -> LatticeSpec:
+    """The configured lattice, or the default one; either has dimension d."""
     if cfg is None:
-        return LatticeSpec(mins=(-4.0,) * d, maxs=(4.0,) * d, counts=(33,) * d)
+        return default_lattice(d)
     _require_keys(cfg, {"mins", "maxs", "counts"}, {"mins", "maxs", "counts"}, "lattice")
-    return LatticeSpec(
-        mins=tuple(float(v) for v in cfg["mins"]),
-        maxs=tuple(float(v) for v in cfg["maxs"]),
-        counts=tuple(int(v) for v in cfg["counts"]),
+    lattice = LatticeSpec(
+        mins=tuple(as_type(v, float, "lattice.mins") for v in cfg["mins"]),
+        maxs=tuple(as_type(v, float, "lattice.maxs") for v in cfg["maxs"]),
+        counts=tuple(as_type(v, int, "lattice.counts") for v in cfg["counts"]),
     )
+    if lattice.d != d:
+        raise ConfigError(f"lattice dimension {lattice.d} != data dimension {d}")
+    return lattice
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +205,7 @@ def load_poly(path):
 
 
 def save_density(grid: DensityGrid, csv_path, meta_path) -> None:
-    mesh = np.stack(np.meshgrid(*grid.lattice.axes(), indexing="ij"), axis=-1)
-    pts = mesh.reshape(-1, grid.lattice.d)
+    pts = grid.lattice.points()
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{a + 1}" for a in range(grid.lattice.d)] + ["value"])
@@ -427,7 +423,7 @@ def _cmd_simulate(cfg: dict, config_path) -> int:
     _require_keys(cfg, _SIM_KEYS, {"scenario", "n", "out_dir"}, "simulate")
     scenario = scenario_from_config(cfg["scenario"])
     n = _as_int(cfg["n"], "n", 1)
-    samples = scenario.sample(n, int(cfg.get("seed", 0)))
+    samples = scenario.sample(n, _as_int(cfg.get("seed", 0), "seed", 0))
     out = _open_run_dir(cfg, config_path)
     ecf.export_csv(samples, out / "samples.csv")
     _dump_json(
@@ -439,6 +435,24 @@ def _cmd_simulate(cfg: dict, config_path) -> int:
     return 0
 
 
+def _sample_inputs(cfg: dict) -> tuple:
+    """(samples, grid, lattice, options) shared by estimate and adapt, every
+    value checked before a run directory is opened."""
+    d1 = _as_int(cfg["d1"], "d1", 1)
+    d2 = _as_int(cfg["d2"], "d2", 1)
+    opts = {
+        "S": _as_pos(cfg["S"], "S"),
+        "nu": _as_pos(cfg.get("nu", 1.0), "nu"),
+        "c_kappa": None if cfg.get("c_kappa") is None else _as_pos(cfg["c_kappa"], "c_kappa"),
+        "restarts": _as_int(cfg.get("restarts", 4), "restarts", 1),
+        "seed": _as_int(cfg.get("seed", 0), "seed", 0),
+    }
+    nodes = _as_int(cfg.get("nodes", 48), "nodes", 2)
+    lattice = _lattice_from_config(cfg.get("lattice"), d1 + d2)
+    samples = ecf.load_csv(cfg["samples"], d1, d2)
+    return samples, make_grid(opts["nu"], (d1, d2), nodes), lattice, opts
+
+
 _EST_KEYS = {
     "samples", "d1", "d2", "kappa", "S", "nu", "nodes", "m_opt", "c_kappa",
     "restarts", "lattice", "seed", "out_dir",
@@ -448,21 +462,11 @@ _EST_KEYS = {
 def _cmd_estimate(cfg: dict, config_path) -> int:
     _require_keys(cfg, _EST_KEYS, {"samples", "d1", "d2", "kappa", "S", "out_dir"},
                   "estimate")
-    d1 = _as_int(cfg["d1"], "d1", 1)
-    d2 = _as_int(cfg["d2"], "d2", 1)
     kappa = _as_kappa(cfg["kappa"], "kappa")
-    S = _as_pos(cfg["S"], "S")
-    nu = _as_pos(cfg.get("nu", 1.0), "nu")
-    nodes = _as_nodes(cfg.get("nodes", 48))
-    lattice = _lattice_from_config(cfg.get("lattice"), d1 + d2)
-    samples = ecf.load_csv(cfg["samples"], d1, d2)
-    grid = make_grid(nu, (d1, d2), nodes)
+    m_opt = None if cfg.get("m_opt") is None else _as_int(cfg["m_opt"], "m_opt", 1)
+    samples, grid, lattice, opts = _sample_inputs(cfg)
     out = _open_run_dir(cfg, config_path)
-    outcome = estimate_once(
-        samples, grid, lattice, kappa=kappa, S=S, nu=nu,
-        m_opt=cfg.get("m_opt"), c_kappa=cfg.get("c_kappa"),
-        restarts=int(cfg.get("restarts", 4)), seed=int(cfg.get("seed", 0)),
-    )
+    outcome = estimate_once(samples, grid, lattice, kappa=kappa, m_opt=m_opt, **opts)
     record = to_json_record(outcome.result.estimate)
     _dump_json(record, out / "phi.json")
     save_density(outcome.density, out / "density.csv", out / "density_meta.json")
@@ -491,22 +495,12 @@ _ADAPT_KEYS = {
 def _cmd_adapt(cfg: dict, config_path) -> int:
     _require_keys(cfg, _ADAPT_KEYS,
                   {"samples", "d1", "d2", "kappa_grid", "S", "out_dir"}, "adapt")
-    d1 = _as_int(cfg["d1"], "d1", 1)
-    d2 = _as_int(cfg["d2"], "d2", 1)
     kappa_grid = _as_kappa_grid(cfg["kappa_grid"], "kappa_grid")
-    S = _as_pos(cfg["S"], "S")
-    nu = _as_pos(cfg.get("nu", 1.0), "nu")
     beta = _as_pos(cfg.get("beta", 1.0), "beta")
-    nodes = _as_nodes(cfg.get("nodes", 48))
-    lattice = _lattice_from_config(cfg.get("lattice"), d1 + d2)
-    samples = ecf.load_csv(cfg["samples"], d1, d2)
-    grid = make_grid(nu, (d1, d2), nodes)
+    samples, grid, lattice, opts = _sample_inputs(cfg)
     out = _open_run_dir(cfg, config_path)
-    outcome = adapt_from_samples(
-        samples, grid, lattice, kappa_grid=kappa_grid, S=S, beta=beta, nu=nu,
-        c_kappa=cfg.get("c_kappa"), restarts=int(cfg.get("restarts", 4)),
-        seed=int(cfg.get("seed", 0)),
-    )
+    outcome = adapt_from_samples(samples, grid, lattice, kappa_grid=kappa_grid,
+                                 beta=beta, **opts)
     save_density(outcome.chosen, out / "density.csv", out / "density_meta.json")
     _dump_json(
         {
@@ -552,7 +546,7 @@ def _cmd_conjecture(cfg: dict, config_path) -> int:
     if "panels" in cfg:
         basis_opts["panels"] = _as_int(cfg["panels"], "panels", 1)
     if "nodes" in cfg:
-        basis_opts["nodes"] = _as_nodes(cfg["nodes"])
+        basis_opts["nodes"] = _as_int(cfg["nodes"], "nodes", 2)
     if "cert_tol" in cfg:
         basis_opts["cert_tol"] = _as_pos(cfg["cert_tol"], "cert_tol")
     grids = {}
@@ -601,7 +595,7 @@ def _cmd_bounds_check(cfg: dict, config_path) -> int:
     d_list = [_as_int(d, "d_list entry", 1) for d in cfg.get("d_list", [1, 2])]
     n_members = _as_int(cfg.get("n_members", 25), "n_members", 1)
     member_degree = _as_int(cfg.get("member_degree", 30), "member_degree", 1)
-    seed = int(cfg.get("seed", 0))
+    seed = _as_int(cfg.get("seed", 0), "seed", 0)
     out = _open_run_dir(cfg, config_path)
     rows = []
     violations = 0
@@ -634,11 +628,15 @@ def _cmd_bounds_check(cfg: dict, config_path) -> int:
     return 0 if violations == 0 else 3
 
 
-_EXP_KEYS = {
-    "scenario", "n_list", "replicates", "kappa_grid", "S", "beta", "nu",
-    "nodes", "tuning", "c_kappa", "lattice", "align_window", "align_step",
-    "seed", "restarts", "cell_budget_s", "out_dir",
+# experiment config key -> ExperimentPlan field, which converts and checks it
+_EXP_FIELDS = {
+    "n_list": "n_list", "replicates": "replicates", "kappa_grid": "kappa_grid",
+    "S": "S", "beta": "beta", "nu": "nu", "nodes": "nodes_per_axis",
+    "c_kappa": "c_kappa", "align_window": "align_window",
+    "align_step": "align_step", "seed": "seed", "restarts": "restarts",
+    "cell_budget_s": "cell_budget_s",
 }
+_EXP_KEYS = set(_EXP_FIELDS) | {"scenario", "tuning", "lattice", "out_dir"}
 
 
 def _cmd_experiment(cfg: dict, config_path) -> int:
@@ -652,23 +650,10 @@ def _cmd_experiment(cfg: dict, config_path) -> int:
     _require_keys(tuning, {"mode", "m_opt"}, {"mode"}, "tuning")
     plan = ExperimentPlan(
         scenario=scenario,
-        n_list=tuple(cfg["n_list"]),
-        replicates=_as_int(cfg["replicates"], "replicates", 1),
-        kappa_grid=_as_kappa_grid(cfg["kappa_grid"], "kappa_grid"),
-        S=_as_pos(cfg["S"], "S"),
-        beta=_as_pos(cfg.get("beta", 1.0), "beta"),
-        nu=_as_pos(cfg.get("nu", 1.0), "nu"),
-        nodes_per_axis=_as_nodes(cfg.get("nodes", 48)),
         tuning_mode=tuning["mode"],
         m_opt=tuning.get("m_opt"),
-        c_kappa=cfg.get("c_kappa"),
-        lattice=_lattice_from_config(cfg.get("lattice"), scenario.d)
-        if cfg.get("lattice") is not None else None,
-        align_window=float(cfg.get("align_window", 0.5)),
-        align_step=float(cfg.get("align_step", 0.05)),
-        seed=int(cfg.get("seed", 0)),
-        restarts=_as_int(cfg.get("restarts", 4), "restarts", 1),
-        cell_budget_s=cfg.get("cell_budget_s"),
+        lattice=_lattice_from_config(cfg.get("lattice"), scenario.d),
+        **{field: cfg[key] for key, field in _EXP_FIELDS.items() if key in cfg},
     )
     out = _open_run_dir(cfg, config_path)
     report = run(plan)

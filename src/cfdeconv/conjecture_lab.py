@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from ._util import ConfigError, NumericalError, det_exp, det_pow
+from ._util import ConfigError, NumericalError, det_exp, det_pow, inverse_cdf_sampler, tensor_points
 
 _STEP = 2.0**-9
 _EXP_CUTOFF = 45.0  # weight treated as zero once the exponent exceeds this
@@ -324,18 +324,22 @@ def mollifier_eval(b: float, x) -> np.ndarray:
     return b * mollifier_constant() * _bump(b * x)
 
 
-def mollify(f: Callable, b: float, nodes: int = 64) -> Callable:
-    """Quadrature convolution x -> integral f(x - u) u_b(u) du.
-
-    The node weights are renormalized to unit total so constants are exact
-    fixed points of the smoothing.
-    """
+def mollifier_rule(b: float, nodes: int = 64) -> tuple:
+    """Gauss-Legendre nodes u on [-1/b, 1/b] and weights w proportional to
+    u_b(u), renormalized to unit total, so that sum w f(u) approximates the
+    integral of f u_b and reproduces constants exactly."""
     if b <= 0:
         raise ConfigError("b must be positive")
     base_x, base_w = np.polynomial.legendre.leggauss(nodes)
     u = base_x / b
     w = base_w / b * mollifier_eval(b, u)
-    w = w / float(np.sum(w))
+    return u, w / float(np.sum(w))
+
+
+def mollify(f: Callable, b: float, nodes: int = 64) -> Callable:
+    """Quadrature convolution x -> integral f(x - u) u_b(u) du on the
+    mollifier_rule nodes; constants are exact fixed points."""
+    u, w = mollifier_rule(b, nodes)
 
     def smoothed(x):
         x = np.asarray(x, dtype=np.float64)
@@ -602,13 +606,7 @@ def noise_g(c: float) -> NoisePack:
 
     # inverse-CDF table; cx out to 2000 keeps the two-sided tail below 1e-9
     xs = np.linspace(-2000.0 / c, 2000.0 / c, 2**16 + 1)
-    dens = density(xs)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(xs))])
-    cdf /= cdf[-1]
-
-    def sampler(size, rng):
-        return np.interp(rng.random(size), cdf, xs)
-
+    sampler = inverse_cdf_sampler(xs, density(xs))
     return NoisePack(c=float(c), density=density, cf=cf, sampler=sampler)
 
 
@@ -650,7 +648,7 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
         l2_sq = two_point.l2_sq
     else:
         grid = np.arange(-v_half, v_half + v_step / 2, v_step)
-        mesh = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        mesh = tensor_points([grid, grid])
         diff = two_point.f0(mesh) - two_point.fn(mesh)
         l2_sq = float(np.sum(diff**2) * v_step**2)
     v = np.arange(-v_half, v_half + v_step / 2, v_step)

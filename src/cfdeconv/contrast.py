@@ -28,9 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, content_hash
+from ._util import ConfigError, NumericalError, content_hash, tensor_points, tensor_weights
 from .ecf import EcfTable, SampleSet, ecf_on_grid
-from .multiindex_taylor import TaylorPoly, block_split, index_table
+from .multiindex_taylor import TaylorPoly, block_split, monomial_matrix
 
 _RULES = ("gauss_legendre", "trapezoid")
 
@@ -60,31 +60,21 @@ class QuadratureGrid:
     def grid_id(self) -> str:
         return content_hash("grid", self.rule, self.dims, self.nu, self.axis_nodes)
 
-    def _block_points(self, d_block):
-        grids = np.meshgrid(*([self.axis_nodes] * d_block), indexing="ij")
-        return _read_only(np.stack(grids, axis=-1).reshape(-1, d_block))
-
     @cached_property
     def block1_points(self) -> np.ndarray:
-        return self._block_points(self.dims[0])
+        return _read_only(tensor_points([self.axis_nodes] * self.dims[0]))
 
     @cached_property
     def block2_points(self) -> np.ndarray:
-        return self._block_points(self.dims[1])
-
-    def _block_weights(self, d_block):
-        w = np.ones(1)
-        for _ in range(d_block):
-            w = np.outer(w, self.axis_weights).reshape(-1)
-        return _read_only(w)
+        return _read_only(tensor_points([self.axis_nodes] * self.dims[1]))
 
     @cached_property
     def w1(self) -> np.ndarray:
-        return self._block_weights(self.dims[0])
+        return _read_only(tensor_weights(self.axis_weights, self.dims[0]))
 
     @cached_property
     def w2(self) -> np.ndarray:
-        return self._block_weights(self.dims[1])
+        return _read_only(tensor_weights(self.axis_weights, self.dims[1]))
 
     @cached_property
     def _pattern_memo(self) -> dict:
@@ -180,10 +170,8 @@ class _GridTables:
 
     def __init__(self, grid: QuadratureGrid, max_degree: int):
         d1, d2 = grid.dims
-        ent1, _, _ = index_table(d1, max_degree)
-        ent2, _, _ = index_table(d2, max_degree)
-        self.U = _monomials(grid.block1_points, ent1, max_degree)
-        self.W = _monomials(grid.block2_points, ent2, max_degree)
+        self.U = monomial_matrix(grid.block1_points, d1, max_degree)
+        self.W = monomial_matrix(grid.block2_points, d2, max_degree)
         self.p1, self.p2, self.n1, self.n2 = block_split((d1, d2), max_degree)
 
     @classmethod
@@ -192,14 +180,6 @@ class _GridTables:
         if max_degree not in memo:
             memo[max_degree] = cls(grid, max_degree)
         return memo[max_degree]
-
-
-def _monomials(points, entries, max_degree):
-    vals = np.ones((points.shape[0], entries.shape[0]))
-    for a in range(points.shape[1]):
-        powers = points[:, a, None] ** np.arange(max_degree + 1)
-        vals *= powers[:, entries[:, a]]
-    return vals
 
 
 def scatter_matrix(poly: TaylorPoly, tables: _GridTables) -> np.ndarray:

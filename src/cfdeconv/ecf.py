@@ -76,10 +76,10 @@ class EcfTable:
 def ecf_eval(samples: SampleSet, t) -> np.ndarray:
     """Empirical CF at points t of shape (..., d) (or a single point (d,))."""
     t = np.asarray(t, dtype=np.float64)
+    if t.ndim == 0 or t.shape[-1] != samples.d:
+        raise ConfigError(f"points have shape {t.shape}, expected (..., {samples.d})")
     scalar = t.ndim == 1
     pts = t.reshape(-1, samples.d)
-    if pts.shape[-1] != samples.d:
-        raise ConfigError(f"points have dimension {pts.shape[-1]}, expected {samples.d}")
     acc = PairwiseAccumulator()
     data = samples.data
     for start in range(0, samples.n, CHUNK):

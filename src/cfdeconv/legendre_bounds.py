@@ -21,7 +21,7 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from ._util import ConfigError, NumericalError
+from ._util import ConfigError, NumericalError, tensor_points
 from .multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,
@@ -286,9 +286,7 @@ class BoundReport:
 
 def _dense_box(nu: float, d: int) -> np.ndarray:
     per_axis = 801 if d == 1 else (101 if d == 2 else 31)
-    axis = np.linspace(-nu, nu, per_axis)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, d)
+    return tensor_points([np.linspace(-nu, nu, per_axis)] * d)
 
 
 def bound_suite(kappa: float, S: float, nu: float, d: int, m: int,

@@ -37,6 +37,13 @@ from .multiindex_taylor import (
 # per axis the design takes 1.27 GB at m_opt 2 and 5.95 GB at m_opt 4.
 LS_DESIGN_MAX_BYTES = 1_500_000_000
 
+# backtracking starts at this step length and halves it until the Armijo
+# condition (decrease >= ARMIJO * step * |grad|^2) holds; a restart stops
+# once the gradient norm falls below GRAD_TOL
+STEP_INIT = 1.0
+ARMIJO = 1e-4
+GRAD_TOL = 1e-9
+
 
 @dataclass
 class MinimizeConfig:
@@ -52,9 +59,6 @@ class MinimizeConfig:
     tol: float
     restarts: int = 4
     max_iters: int = 400
-    step_init: float = 1.0
-    armijo: float = 1e-4
-    grad_tol: float = 1e-9
     stall_window: int = 25
     seed: int = 0
 
@@ -72,7 +76,7 @@ class MinimizeResult:
     """The best restart's estimate, value and value trace.
 
     `reason` says why that restart stopped: "grad_tol" (gradient norm below
-    grad_tol), "stall" (improvement over the stall window below tol),
+    GRAD_TOL), "stall" (improvement over the stall window below tol),
     "no_descent" (no backtracked step met the Armijo condition) or
     "max_iters".  `converged` is False only for "max_iters".  `reasons`
     holds every restart's stop reason in restart order.
@@ -198,7 +202,7 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     Start 0 is the projected least-squares fit to the ECF; the remaining
     starts draw coefficients uniformly inside their modulus boxes.  Each
     accepted iterate is the projection of a backtracked gradient step
-    (halving from step_init with an Armijo condition).  Every candidate is
+    (halving from STEP_INIT with an Armijo condition).  Every candidate is
     built once, from the projected step coordinates, and evaluated once; an
     accepted one's gradient reuses that evaluation.
     Ties across restarts resolve to the earliest restart index.
@@ -222,16 +226,16 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
         reason = "max_iters"
         for it in range(config.max_iters):
             gnorm = float(np.linalg.norm(grad))
-            if gnorm < config.grad_tol:
+            if gnorm < GRAD_TOL:
                 reason = "grad_tol"
                 break
-            step = config.step_init
+            step = STEP_INIT
             accepted = None
             while step > 1e-14:
                 theta = _project_theta(pt.poly.theta - step * grad, grid.d, config.m_opt,
                                        config.params)
                 cand_pt = ev.point(TaylorPoly(grid.dims, config.m_opt, theta))
-                if cand_pt.value <= pt.value - config.armijo * step * gnorm**2:
+                if cand_pt.value <= pt.value - ARMIJO * step * gnorm**2:
                     accepted = cand_pt
                     break
                 step *= 0.5

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError
-from .multiindex_taylor import TaylorPoly, index_table
+from ._util import ConfigError, NumericalError, tensor_points, tensor_weights
+from .multiindex_taylor import TaylorPoly, evaluate, index_table
 
 # switch between the small-argument series and the boundary recurrence for
 # I_k; series cancellation stays below ~e^8 * eps, recurrence amplification
@@ -115,6 +115,10 @@ class LatticeSpec:
             np.linspace(lo, hi, c)
             for lo, hi, c in zip(self.mins, self.maxs, self.counts)
         ]
+
+    def points(self) -> np.ndarray:
+        """All lattice points, shape (prod(counts), d), in C order."""
+        return tensor_points(self.axes())
 
     @property
     def cell_volume(self) -> float:
@@ -303,16 +307,10 @@ def smoothness_integral(candidate, beta: float, nu: float, d: int,
     if nodes_per_axis**d > 2**22:
         raise ConfigError("quadrature grid too large; reduce nodes_per_axis")
     x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
-    nodes, weights = nu * x, nu * w
-    grids = np.meshgrid(*([nodes] * d), indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, d)
-    wt = np.ones(1)
-    for _ in range(d):
-        wt = np.outer(wt, weights).reshape(-1)
+    pts = tensor_points([nu * x] * d)
+    wt = tensor_weights(nu * w, d)
     if isinstance(candidate, TaylorPoly):
-        from .multiindex_taylor import evaluate as _eval
-
-        phi = _eval(candidate, pts)
+        phi = evaluate(candidate, pts)
     else:
         phi = np.asarray(candidate(pts), dtype=np.complex128)
     integrand = np.abs(phi) ** 2 * (1.0 + np.sum(pts * pts, axis=1)) ** beta

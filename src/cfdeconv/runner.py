@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError
+from ._util import ConfigError, NumericalError, as_type
 from .adaptive import pilot_c_sigma, select_kappa, sigma_rule
 from .contrast import OracleModel, QuadratureGrid, ecf_table_for_grid, make_grid, poly_tables
 from .ecf import SampleSet
@@ -62,24 +62,53 @@ class ExperimentPlan:
     cell_budget_s: Optional[float] = None
 
     def __post_init__(self):
-        self.n_list = tuple(int(n) for n in self.n_list)
-        self.kappa_grid = tuple(float(k) for k in self.kappa_grid)
+        """Convert every field to its type and check every range; a value
+        that fails either raises ConfigError naming the field."""
+        def each(name, kind):
+            return tuple(as_type(v, kind, name) for v in as_type(getattr(self, name), tuple, name))
+
+        self.n_list, self.kappa_grid = each("n_list", int), each("kappa_grid", float)
+        for name, kind in _PLAN_TYPES.items():
+            value = getattr(self, name)
+            if value is not None or name not in _PLAN_OPTIONAL:
+                setattr(self, name, as_type(value, kind, name))
         if not self.n_list or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError("n_list must be nonempty and strictly increasing")
         if min(self.n_list) < 12:
             raise ConfigError("sample sizes below 12 have no truncation rule")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
         if not self.kappa_grid or any(not (0 < k <= 1) for k in self.kappa_grid):
             raise ConfigError("kappa grid must be nonempty within (0, 1]")
-        if self.S <= 0 or self.nu <= 0:
-            raise ConfigError("S and nu must be positive")
+        for name in ("S", "beta", "nu", "c_kappa"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        for name, minimum in _PLAN_MINIMA.items():
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
+        if not self.align_window >= self.align_step > 0:
+            raise ConfigError("need align_window >= align_step > 0")
+        if self.cell_budget_s is not None and not self.cell_budget_s >= 0:
+            raise ConfigError(f"cell_budget_s must be >= 0, got {self.cell_budget_s}")
         if self.tuning_mode not in ("theoretical", "override"):
             raise ConfigError(f"unknown tuning mode {self.tuning_mode!r}")
         if self.tuning_mode == "override" and (self.m_opt is None or self.m_opt < 2):
             raise ConfigError("override tuning needs m_opt >= 2")
         if self.lattice is None:
             self.lattice = default_lattice(self.scenario.d)
+        elif self.lattice.d != self.scenario.d:
+            raise ConfigError(
+                f"lattice dimension {self.lattice.d} != scenario dimension {self.scenario.d}"
+            )
+
+
+# ExperimentPlan field -> type; the optional fields may also be None
+_PLAN_TYPES = {
+    "replicates": int, "S": float, "beta": float, "nu": float, "nodes_per_axis": int,
+    "tuning_mode": str, "m_opt": int, "c_kappa": float, "align_window": float,
+    "align_step": float, "seed": int, "restarts": int, "cell_budget_s": float,
+}
+_PLAN_OPTIONAL = {"m_opt", "c_kappa", "cell_budget_s"}
+_PLAN_MINIMA = {"replicates": 1, "nodes_per_axis": 2, "restarts": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -126,11 +155,17 @@ def resolve_degrees(plan: ExperimentPlan, n: int, kappa: float) -> tuple:
     twice the truncation degree so the mass beyond the kept block is
     estimated rather than aliased.
     """
-    if plan.tuning_mode == "override":
-        m_opt = int(plan.m_opt)
-        return max(m_opt // 2, 1), m_opt
-    m_trunc = max(m_rule(n, kappa), 1)
-    return m_trunc, 2 * m_trunc
+    return _degrees(n, kappa, plan.m_opt if plan.tuning_mode == "override" else None)
+
+
+def _degrees(n: int, kappa: float, m_opt: Optional[int]) -> tuple:
+    """(m_trunc, m_opt): the rule's degree (at least 1) and twice it, or
+    half the given m_opt (at least 1) and m_opt."""
+    if m_opt is None:
+        m_trunc = max(m_rule(n, kappa), 1)
+        return m_trunc, 2 * m_trunc
+    m_opt = int(m_opt)
+    return max(m_opt // 2, 1), m_opt
 
 
 def cf_box_error(poly: TaylorPoly, model: OracleModel, grid: QuadratureGrid) -> float:
@@ -145,8 +180,7 @@ def _truth_on_lattice(scenario: ScenarioSpec, lattice: LatticeSpec):
     truth = scenario.true_density()
     if truth is None:
         return None, None
-    mesh = np.stack(np.meshgrid(*lattice.axes(), indexing="ij"), axis=-1)
-    vals = np.asarray(truth(mesh.reshape(-1, lattice.d)), dtype=np.float64)
+    vals = np.asarray(truth(lattice.points()), dtype=np.float64)
     return truth, DensityGrid(lattice=lattice, values=vals.reshape(lattice.counts))
 
 
@@ -170,12 +204,7 @@ def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     twice the truncation).  A precomputed ECF table for the same grid can
     be passed to avoid recomputing it across kappa values.
     """
-    if m_opt is None:
-        m_trunc = max(m_rule(samples.n, kappa), 1)
-        m_opt = 2 * m_trunc
-    else:
-        m_opt = int(m_opt)
-        m_trunc = max(m_opt // 2, 1)
+    m_trunc, m_opt = _degrees(samples.n, kappa, m_opt)
     if table is None:
         table = ecf_table_for_grid(samples, grid)
     config = MinimizeConfig(

@@ -21,13 +21,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import ConfigError
+from ._util import ConfigError, inverse_cdf_sampler, tensor_points
 from .conjecture_lab import (
     GridFunction,
     NoisePack,
     TwoPoint,
     h_kappa_eval,
     mollifier_eval,
+    mollifier_rule,
     noise_g,
     WeightSpec,
 )
@@ -78,14 +79,12 @@ class SignalSpec:
             return lambda n, rng: np.full(n, float(x0))
         if self.kind == "compact_bump":
             w, b = self.params
-            table = _bump_cdf_table(float(b))
-            return lambda n, rng: rng.uniform(-w, w, size=n) + np.interp(
-                rng.random(n), table[0], table[1]
-            )
+            xs = np.linspace(-1.0 / b, 1.0 / b, 4097)
+            bump = inverse_cdf_sampler(xs, mollifier_eval(b, xs))
+            return lambda n, rng: rng.uniform(-w, w, size=n) + bump(n, rng)
         if self.kind == "h_kappa":
             kappa, x0 = self.params
-            table = _h_kappa_cdf_table(float(kappa), float(x0))
-            return lambda n, rng: np.interp(rng.random(n), table[0], table[1])
+            return inverse_cdf_sampler(*_h_kappa_grid(float(kappa), float(x0)))
         return self.custom["sampler"]
 
     def cf(self) -> Callable:
@@ -137,27 +136,20 @@ class SignalSpec:
         return float(self.custom.get("support", 10.0))
 
 
-@lru_cache(maxsize=8)
-def _bump_cdf_table(b: float):
-    xs = np.linspace(-1.0 / b, 1.0 / b, 4097)
-    dens = mollifier_eval(b, xs)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(xs))])
-    cdf /= cdf[-1]
-    return cdf, xs
+def _atoms_cf(xs: np.ndarray, weights: np.ndarray) -> Callable:
+    """CF of the discrete measure with the given atoms and weights."""
+    weights = weights.astype(np.complex128)
+
+    def cf(t):
+        t = np.asarray(t, dtype=np.float64)
+        return np.exp(1j * t[..., None] * xs) @ weights
+
+    return cf
 
 
 @lru_cache(maxsize=8)
 def _bump_cf(b: float) -> Callable:
-    base_x, base_w = np.polynomial.legendre.leggauss(64)
-    u = base_x / b
-    w = base_w / b * mollifier_eval(b, u)
-    w = w / float(np.sum(w))
-
-    def cf(t):
-        t = np.asarray(t, dtype=np.float64)
-        return np.exp(1j * t[..., None] * u) @ w.astype(np.complex128)
-
-    return cf
+    return _atoms_cf(*mollifier_rule(b, 64))
 
 
 @lru_cache(maxsize=8)
@@ -168,24 +160,11 @@ def _h_kappa_grid(kappa: float, x0: float):
     return xs, h_kappa_eval(spec, xs)
 
 
-@lru_cache(maxsize=8)
-def _h_kappa_cdf_table(kappa: float, x0: float):
-    xs, dens = _h_kappa_grid(kappa, x0)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(xs))])
-    cdf /= cdf[-1]
-    return cdf, xs
-
-
 def _grid_cf(xs: np.ndarray, dens: np.ndarray) -> Callable:
+    """CF of the density tabulated on the uniform grid xs, as atoms."""
     step = xs[1] - xs[0]
     mass = float(np.sum(dens) * step)
-
-    def cf(t):
-        t = np.asarray(t, dtype=np.float64)
-        phases = np.exp(1j * t[..., None] * xs)
-        return phases @ (dens * step / mass).astype(np.complex128)
-
-    return cf
+    return _atoms_cf(xs, dens * step / mass)
 
 
 @lru_cache(maxsize=8)
@@ -318,9 +297,7 @@ class ScenarioSpec:
             ])
             data = s @ self.mixing.T + np.hstack([e1, e2])
         elif self.variant == "two_point":
-            zeta = self.two_point.zeta_n if self.perturbed else self.two_point.zeta0
-            grids = [zeta] + [self.two_point.zeta0] * (self.d - 1)
-            s = np.column_stack([_grid_draw(g, n, rng_sig) for g in grids])
+            s = np.column_stack([_grid_draw(g, n, rng_sig) for g in self._two_point_grids()])
             data = s @ self.two_point.instance.matrix().T + np.hstack([e1, e2])
         else:
             raise ConfigError(f"unknown variant {self.variant!r}")
@@ -342,32 +319,15 @@ class ScenarioSpec:
         if self.variant == "eiv":
             return _eiv_cf(self.signal, _LINKS[self.link_name])
         if self.variant == "ica":
-            cfs = [src.cf() for src in self.sources]
-            A = self.mixing
+            return _mixed_cf([src.cf() for src in self.sources], self.mixing)
+        return _mixed_cf([_grid_cf(g.xs, g.values) for g in self._two_point_grids()],
+                         self.two_point.instance.matrix())
 
-            def phi(t):
-                t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-                args = t @ A
-                out = np.ones(t.shape[0], dtype=np.complex128)
-                for j, cf in enumerate(cfs):
-                    out = out * cf(args[:, j])
-                return out
-
-            return phi
+    def _two_point_grids(self) -> list:
+        """Per-source densities of the two-point signal: the (perturbed)
+        first source, then zeta_0 for the others."""
         zeta = self.two_point.zeta_n if self.perturbed else self.two_point.zeta0
-        grids = [zeta] + [self.two_point.zeta0] * (self.d - 1)
-        cfs = [_grid_cf(g.xs, g.values) for g in grids]
-        A = self.two_point.instance.matrix()
-
-        def phi(t):
-            t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-            args = t @ A
-            out = np.ones(t.shape[0], dtype=np.complex128)
-            for j, cf in enumerate(cfs):
-                out = out * cf(args[:, j])
-            return out
-
-        return phi
+        return [zeta] + [self.two_point.zeta0] * (self.d - 1)
 
     def oracle(self):
         from .contrast import OracleModel
@@ -402,11 +362,25 @@ class ScenarioSpec:
         return None
 
 
+def _mixed_cf(cfs: list, A: np.ndarray) -> Callable:
+    """CF of A S on points (n, d) for independent sources S_j with CFs cfs."""
+
+    def phi(t):
+        t = np.atleast_2d(np.asarray(t, dtype=np.float64))
+        args = t @ A
+        out = np.ones(t.shape[0], dtype=np.complex128)
+        for j, cf in enumerate(cfs):
+            out = out * cf(args[:, j])
+        return out
+
+    return phi
+
+
 def _grid_draw(g: GridFunction, n: int, rng) -> np.ndarray:
-    dens = np.clip(g.values, 0.0, None)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5) * g.step])
-    cdf /= cdf[-1]
-    return np.interp(rng.random(n), cdf, g.xs)
+    # The CDF scales each trapezoid term by its node spacing before summing.
+    # On the dyadic two-point grids (step 2^-9) the spacing is an exact power
+    # of two, so this gives the same bits as scaling the sum once by g.step.
+    return inverse_cdf_sampler(g.xs, np.clip(g.values, 0.0, None))(n, rng)
 
 
 def _eiv_cf(signal: SignalSpec, link: Callable) -> Callable:
@@ -442,8 +416,8 @@ def _eiv_cf(signal: SignalSpec, link: Callable) -> Callable:
 
 def _h2_probe(phi: Callable, d1: int, d2: int) -> float:
     """min over probe z1 of max over probe z2 of |Phi_R(z1, z2)|."""
-    g1 = np.stack(np.meshgrid(*([_PROBE_AXIS] * d1), indexing="ij"), axis=-1).reshape(-1, d1)
-    g2 = np.stack(np.meshgrid(*([_PROBE_AXIS] * d2), indexing="ij"), axis=-1).reshape(-1, d2)
+    g1 = tensor_points([_PROBE_AXIS] * d1)
+    g2 = tensor_points([_PROBE_AXIS] * d2)
     worst = math.inf
     for z1 in g1:
         pts = np.hstack([np.tile(z1, (g2.shape[0], 1)), g2])
@@ -559,15 +533,12 @@ def translation_align(estimate: DensityGrid, truth: Callable,
     if shift_window < step or step <= 0:
         raise ConfigError("need shift_window >= step > 0")
     lat = estimate.lattice
-    axes = lat.axes()
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lat.d)
+    mesh = lat.points()
     n_steps = int(math.floor(shift_window / step + 1e-9))
     shifts_1d = np.arange(-n_steps, n_steps + 1) * step
     vol = lat.cell_volume
     best = (math.inf, None)
-    for shift in np.stack(
-        np.meshgrid(*([shifts_1d] * lat.d), indexing="ij"), axis=-1
-    ).reshape(-1, lat.d):
+    for shift in tensor_points([shifts_1d] * lat.d):
         truth_vals = np.asarray(truth(mesh - shift), dtype=np.float64)
         err = math.sqrt(float(np.sum((estimate.values.reshape(-1) - truth_vals) ** 2) * vol))
         if err < best[0] - 1e-15:

@@ -189,6 +189,34 @@ class TestExitCodes:
         assert rc == 2
         assert "header" in err
 
+    @pytest.mark.parametrize("extra", [
+        {"S": "abc"}, {"c_kappa": "x"}, {"m_opt": "x"}, {"restarts": "x"},
+        {"seed": -1}, {"lattice": {"mins": [-1.0], "maxs": [1.0], "counts": [5]}},
+    ])
+    def test_estimate_bad_value_opens_no_run_dir(self, tmp_path, extra):
+        cfg = write_config(tmp_path, "c.json", dict({
+            "samples": zero_samples(tmp_path, 12), "d1": 1, "d2": 1,
+            "kappa": 0.75, "S": 1.5, "out_dir": str(tmp_path / "out"),
+        }, **extra))
+        rc, err = run_cli(["estimate", cfg])
+        assert rc == 2
+        assert err.startswith("config error") and next(iter(extra)) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [
+        {"S": "abc"}, {"cell_budget_s": "x"}, {"nodes": 1}, {"align_step": 0},
+        {"lattice": {"mins": [-1.0], "maxs": [1.0], "counts": [5]}},
+    ])
+    def test_experiment_bad_value_opens_no_run_dir(self, tmp_path, extra):
+        cfg = write_config(tmp_path, "exp.json", dict({
+            "scenario": POINTMASS_SCENARIO, "n_list": [12], "replicates": 1,
+            "kappa_grid": [0.75], "S": 1.5, "out_dir": str(tmp_path / "out"),
+        }, **extra))
+        rc, err = run_cli(["experiment", cfg])
+        assert rc == 2
+        assert err.startswith("config error")
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # an impossible orthonormality certificate fails the basis build
         cfg = write_config(tmp_path, "c.json", {

@@ -48,6 +48,17 @@ class TestEcfEval:
         with pytest.raises(ConfigError):
             make_samples([[np.nan, 0.0]])
 
+    @pytest.mark.parametrize("t", [
+        np.array([0.1, 0.2, 0.3, 0.4]),  # reshapes to two d=2 points
+        np.array([0.1, 0.2, 0.3]),
+        np.zeros((5, 3)),
+        np.float64(0.1),
+    ])
+    def test_wrong_point_dimension_rejected(self, t):
+        s = make_samples([[0.5, -0.5], [1.0, 0.0]])
+        with pytest.raises(ConfigError, match="expected"):
+            ecf_eval(s, t)
+
 
 class TestEcfOnGrid:
     def test_degenerate_origin_grid(self):

@@ -98,6 +98,30 @@ class TestPlanValidation:
         plan = degenerate_plan(pointmass_repeated, tuning_mode="override", m_opt=4)
         assert plan.m_opt == 4
 
+    @pytest.mark.parametrize("field, value", [
+        ("S", "abc"), ("beta", "x"), ("cell_budget_s", "x"), ("n_list", 5),
+        ("n_list", ("12", "many")), ("kappa_grid", (0.5, "x")), ("seed", None),
+    ])
+    def test_unconvertible_values(self, pointmass_repeated, field, value):
+        with pytest.raises(ConfigError, match=field):
+            degenerate_plan(pointmass_repeated, **{field: value})
+
+    def test_fields_converted(self, pointmass_repeated):
+        plan = degenerate_plan(pointmass_repeated, n_list=["12", 24.0], S="1.5",
+                               nodes_per_axis="24", cell_budget_s=3, seed=np.int64(5))
+        assert plan.n_list == (12, 24) and plan.S == 1.5 and plan.nodes_per_axis == 24
+        assert type(plan.cell_budget_s) is float and type(plan.seed) is int
+        assert plan.m_opt is None and plan.c_kappa is None
+
+    @pytest.mark.parametrize("overrides", [
+        {"beta": 0.0}, {"c_kappa": -1.0}, {"nodes_per_axis": 1}, {"restarts": 0},
+        {"seed": -1}, {"align_step": 0.0}, {"align_window": 0.01, "align_step": 0.05},
+        {"cell_budget_s": -1.0}, {"lattice": default_lattice(1)},
+    ])
+    def test_ranges(self, pointmass_repeated, overrides):
+        with pytest.raises(ConfigError):
+            degenerate_plan(pointmass_repeated, **overrides)
+
     def test_default_lattice_filled(self, pointmass_repeated):
         plan = degenerate_plan(pointmass_repeated, lattice=None)
         assert plan.lattice.counts == (33, 33)

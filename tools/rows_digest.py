@@ -1,11 +1,13 @@
-"""Print bit-identity digests of the benchmark's estimation workloads.
+"""Print bit-identity digests of the benchmark's workloads.
 
-For one source checkout, run each estimation workload of
-`perfbench/workloads.py` once and print, per workload, the SHA-256 of its
-report rows and the SHA-256 of the concatenated `theta` bytes of every
-estimate, in call order.  The pass and both byte strings are those that
-`perfbench/run.py` compares across passes (`one_pass`, `rows_bytes`,
-`thetas`).
+For one source checkout, run each workload of `perfbench/workloads.py` once
+(the three estimation workloads and the lower-bound lab) and print, per
+workload, the SHA-256 of its report rows and the SHA-256 of the
+concatenated `theta` bytes of every estimate, in call order.  The lab
+makes no estimates: its theta digest is that of no bytes, and its rows
+carry the basis, census, two-point, Le Cam and bound-suite values.  The
+pass and both byte strings are those that `perfbench/run.py` compares
+across passes (`one_pass`, `rows_bytes`, `thetas`).
 Two checkouts whose lines match produce the same outputs to the bit:
 
     python3 tools/rows_digest.py                     # this checkout, seed 1
@@ -22,7 +24,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-ESTIMATION_WORKLOADS = ("cells-ica2d", "adapt-ica2d-1m", "cell-rm4d")
+WORKLOADS = ("cells-ica2d", "adapt-ica2d-1m", "cell-rm4d", "lab-lowerbound")
 
 
 def _import_checkout(root: Path):
@@ -59,7 +61,7 @@ def main(argv=None) -> int:
     ap.add_argument("seed", nargs="?", type=int, default=1)
     args = ap.parse_args(argv)
     cf, run, tracer, workloads = _import_checkout(args.checkout.resolve())
-    for name in ESTIMATION_WORKLOADS:
+    for name in WORKLOADS:
         rows, theta, count = digests(cf, run, tracer, workloads, name, args.seed)
         print(f"{name} seed={args.seed} rows={rows} theta={theta} estimates={count}", flush=True)
     return 0
