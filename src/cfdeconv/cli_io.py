@@ -89,16 +89,19 @@ def _as_kappa_grid(value, key: str) -> tuple:
     return grid
 
 
+def _as_scaling_grid(value, key: str) -> tuple:
+    items = as_type(value, tuple, key)
+    if len(items) != 3:
+        raise ConfigError(f"{key} must be [lo, hi, count], got {value!r}")
+    return as_type(items[0], float, key), as_type(items[1], float, key), _as_int(items[2], key, 1)
+
+
 def _lattice_from_config(cfg, d: int) -> LatticeSpec:
     """The configured lattice, or the default one; either has dimension d."""
     if cfg is None:
         return default_lattice(d)
     _require_keys(cfg, {"mins", "maxs", "counts"}, {"mins", "maxs", "counts"}, "lattice")
-    lattice = LatticeSpec(
-        mins=tuple(as_type(v, float, "lattice.mins") for v in cfg["mins"]),
-        maxs=tuple(as_type(v, float, "lattice.maxs") for v in cfg["maxs"]),
-        counts=tuple(as_type(v, int, "lattice.counts") for v in cfg["counts"]),
-    )
+    lattice = LatticeSpec(mins=cfg["mins"], maxs=cfg["maxs"], counts=cfg["counts"])
     if lattice.d != d:
         raise ConfigError(f"lattice dimension {lattice.d} != data dimension {d}")
     return lattice
@@ -117,7 +120,9 @@ _SCENARIO_KEYS = {
 
 def _signal_from_config(cfg: dict) -> SignalSpec:
     _require_keys(cfg, _SIGNAL_KEYS, {"kind"}, "signal")
-    return SignalSpec(kind=cfg["kind"], params=tuple(cfg.get("params", ())))
+    params = as_type(cfg.get("params", ()), tuple, "signal.params")
+    params = tuple(as_type(p, float, "signal.params") for p in params)
+    return SignalSpec(kind=cfg["kind"], params=params)
 
 
 def _noise_from_config(cfg, d: int):
@@ -126,7 +131,7 @@ def _noise_from_config(cfg, d: int):
     _require_keys(cfg, _NOISE_KEYS, {"kind"}, "noise")
     return AxisNoise(
         kind=cfg["kind"],
-        param=float(cfg.get("param", 1.0)),
+        param=as_type(cfg.get("param", 1.0), float, "noise.param"),
         centered=bool(cfg.get("centered", True)),
     )
 
@@ -140,16 +145,13 @@ def _two_point_from_config(cfg: dict):
     _require_keys(cfg, _TWO_POINT_KEYS, {"kappa", "n"}, "two_point")
     spec = WeightSpec(
         kappa=_as_kappa(cfg["kappa"], "two_point.kappa"),
-        x0=float(cfg.get("x0", 1.0)),
+        x0=as_type(cfg.get("x0", 1.0), float, "two_point.x0"),
     )
-    basis = build_weighted_basis(spec, K_max=int(cfg.get("K_max", 16)))
+    basis = build_weighted_basis(spec, K_max=_as_int(cfg.get("K_max", 16), "two_point.K_max", 0))
+    defaults = {"a": 0.4, "beta": 1.0, "c_K": 1.0, "c_b": 4.0, "c_mass": 1e-8}
     inst = make_instance(
         basis, _as_int(cfg["n"], "two_point.n", 3),
-        a=float(cfg.get("a", 0.4)),
-        beta=float(cfg.get("beta", 1.0)),
-        c_K=float(cfg.get("c_K", 1.0)),
-        c_b=float(cfg.get("c_b", 4.0)),
-        c_mass=float(cfg.get("c_mass", 1e-8)),
+        **{k: as_type(cfg.get(k, v), float, "two_point." + k) for k, v in defaults.items()},
     )
     return build_two_point(inst, basis)
 
@@ -223,11 +225,7 @@ def save_density(grid: DensityGrid, csv_path, meta_path) -> None:
 def load_density(csv_path, meta_path) -> DensityGrid:
     with open(meta_path) as fh:
         meta = json.load(fh)
-    lattice = LatticeSpec(
-        mins=tuple(float(v) for v in meta["mins"]),
-        maxs=tuple(float(v) for v in meta["maxs"]),
-        counts=tuple(int(v) for v in meta["counts"]),
-    )
+    lattice = LatticeSpec(mins=meta["mins"], maxs=meta["maxs"], counts=meta["counts"])
     vals = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -549,13 +547,8 @@ def _cmd_conjecture(cfg: dict, config_path) -> int:
         basis_opts["nodes"] = _as_int(cfg["nodes"], "nodes", 2)
     if "cert_tol" in cfg:
         basis_opts["cert_tol"] = _as_pos(cfg["cert_tol"], "cert_tol")
-    grids = {}
-    if "stretch_grid" in cfg:
-        lo, hi, count = cfg["stretch_grid"]
-        grids["stretch"] = (float(lo), float(hi), int(count))
-    if "squeeze_grid" in cfg:
-        lo, hi, count = cfg["squeeze_grid"]
-        grids["squeeze"] = (float(lo), float(hi), int(count))
+    grids = {s: _as_scaling_grid(cfg[s + "_grid"], s + "_grid")
+             for s in _SCALING_GRIDS if s + "_grid" in cfg}
     out = _open_run_dir(cfg, config_path)
     panels = build_profile_panels(kappa_list, K_list, scalings,
                                   basis_opts=basis_opts, grids=grids)

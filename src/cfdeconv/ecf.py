@@ -191,6 +191,15 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
     )
 
 
+def pooled(a: EcfTable, b: EcfTable) -> EcfTable:
+    """The union of two samples' tables on one grid: each field's n-weighted
+    mean, which is exactly Hermitian and equals the union's up to rounding."""
+    n = a.n + b.n
+    first, second, full = ((a.n * x + b.n * y) / n for x, y in
+                           ((a.first, b.first), (a.second, b.second), (a.full, b.full)))
+    return EcfTable(a.grid_id, n, a.shape1, a.shape2, first, second, full)
+
+
 def second_moment(samples: SampleSet) -> float:
     """Mean squared Euclidean norm of the observations."""
     acc = PairwiseAccumulator()

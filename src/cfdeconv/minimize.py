@@ -1,12 +1,12 @@
-"""Projected multi-start minimization of the empirical contrast.
+"""Multi-start L-BFGS-B minimization of the empirical contrast.
 
 The decision variable is the real parity-reduced coefficient vector of a
-TaylorPoly; feasibility (pinned unit value at zero, per-order modulus caps)
-is restored by projection after every accepted step.  The gradient is exact:
-the contrast is a quadratic form of the candidate's grid tables, which factor
-through the pattern matrices, so each partial derivative reduces to entries
-of three small matrix products.  A candidate's tables and defect are built
-once and serve both its value and, when the step is accepted, its gradient.
+TaylorPoly; the admissible class is a box in it (pinned unit value at zero,
+per-order modulus caps), the bounds of scipy's L-BFGS-B.  The gradient is
+exact: the contrast is a quadratic form of the candidate's grid tables, which
+factor through the pattern matrices, so each partial derivative reduces to
+entries of three small matrix products.  A candidate's tables and defect are
+built once and serve both its value and its gradient.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import optimize
 
 from ._util import ConfigError, NumericalError
 from .contrast import QuadratureGrid, _GridTables, _defect, _empirical_value, _ref_tables, poly_tables
@@ -25,9 +26,9 @@ from .multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,
     _bound_vector,
-    _project_theta,
     parity_phase,
     project_upsilon,
+    random_member,
 )
 
 # _ls_init refuses a dense design above this many bytes, before allocating
@@ -37,21 +38,21 @@ from .multiindex_taylor import (
 # per axis the design takes 1.27 GB at m_opt 2 and 5.95 GB at m_opt 4.
 LS_DESIGN_MAX_BYTES = 1_500_000_000
 
-# backtracking starts at this step length and halves it until the Armijo
-# condition (decrease >= ARMIJO * step * |grad|^2) holds; a restart stops
-# once the gradient norm falls below GRAD_TOL
-STEP_INIT = 1.0
-ARMIJO = 1e-4
-GRAD_TOL = 1e-9
+# the truth's own contrast is O(1/n), so minimizing below RESOLUTION / n
+# fits sampling noise; FTOL is L-BFGS-B's relative-reduction stop on
+# contrast / tol, for starts that cannot reach that resolution
+RESOLUTION = 0.01
+FTOL = 1e-3
 
 
 @dataclass
 class MinimizeConfig:
-    """Knobs for the projected-gradient search.
+    """Knobs for the multi-start L-BFGS-B search.
 
-    tol is the absolute improvement below which the run is considered
-    stalled (checked over a 25-iteration window); callers typically set it
-    to 1/n for a sample of size n.
+    tol is the sample's resolution (estimate_once sets RESOLUTION / n): a
+    start stops at its first iterate with contrast <= tol, else on FTOL or
+    after max_iters iterations.  Another start runs only after an
+    unconverged one, up to `restarts` starts.
     """
 
     params: UpsilonParams
@@ -59,7 +60,6 @@ class MinimizeConfig:
     tol: float
     restarts: int = 4
     max_iters: int = 400
-    stall_window: int = 25
     seed: int = 0
 
     def __post_init__(self):
@@ -73,13 +73,13 @@ class MinimizeConfig:
 
 @dataclass
 class MinimizeResult:
-    """The best restart's estimate, value and value trace.
+    """The best start's estimate, value and value trace (start, iterates).
 
-    `reason` says why that restart stopped: "grad_tol" (gradient norm below
-    GRAD_TOL), "stall" (improvement over the stall window below tol),
-    "no_descent" (no backtracked step met the Armijo condition) or
-    "max_iters".  `converged` is False only for "max_iters".  `reasons`
-    holds every restart's stop reason in restart order.
+    `reason` says why it stopped: "resolution" (contrast <= tol), "ftol" or
+    "gtol" (scipy status 0), "max_iters" (iteration or evaluation limit) or
+    "abnormal" (failed line search); `converged` is True iff it is one of
+    the first three.  `reasons` holds every start's, in order: each but the
+    last is unconverged, since only those lead to another start.
     """
 
     estimate: TaylorPoly
@@ -87,7 +87,6 @@ class MinimizeResult:
     trace: np.ndarray
     restarts_used: int
     converged: bool
-    grad_norm: float
     reason: str
     reasons: tuple
 
@@ -196,71 +195,74 @@ def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     return TaylorPoly(grid.dims, m_opt, theta, cf_candidate=True)
 
 
-def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeConfig) -> MinimizeResult:
-    """Multi-start projected gradient descent on the empirical contrast.
+_CONVERGED = ("resolution", "ftol", "gtol")
 
-    Start 0 is the projected least-squares fit to the ECF; the remaining
-    starts draw coefficients uniformly inside their modulus boxes.  Each
-    accepted iterate is the projection of a backtracked gradient step
-    (halving from STEP_INIT with an Armijo condition).  Every candidate is
-    built once, from the projected step coordinates, and evaluated once; an
-    accepted one's gradient reuses that evaluation.
-    Ties across restarts resolve to the earliest restart index.
+
+def _descend(ev: _Evaluator, start: TaylorPoly, box, config: MinimizeConfig) -> tuple:
+    """(final iterate, contrast trace, stop reason) of L-BFGS-B on contrast / tol
+    from `start`; the last evaluated point is kept for the callback's iterate."""
+    tol = config.tol
+    pt = ev.point(start)
+    trace = [pt.value]
+    if pt.value <= tol:
+        return pt, trace, "resolution"
+    last = [pt, ev.gradient(pt)]
+
+    def evaluate(x):
+        if not np.array_equal(x, last[0].poly.theta):
+            pt = ev.point(TaylorPoly(start.dims, start.max_degree, x))
+            last[:] = pt, ev.gradient(pt)
+        return last
+
+    def fun(x):
+        pt, grad = evaluate(x)
+        return pt.value / tol, grad / tol
+
+    def callback(intermediate_result):
+        trace.append(evaluate(intermediate_result.x)[0].value)
+        if trace[-1] <= tol:
+            raise StopIteration
+
+    res = optimize.minimize(fun, start.theta, jac=True, method="L-BFGS-B", bounds=box,
+                            callback=callback, options={"maxiter": config.max_iters, "ftol": FTOL})
+    # res.x is the last iterate, also after a failed line search
+    pt = evaluate(res.x)[0]
+    if pt.value <= tol:
+        reason = "resolution"
+    elif res.status == 0:
+        reason = "gtol" if "PGTOL" in res.message else "ftol"
+    else:
+        reason = "max_iters" if res.status == 1 else "abnormal"
+    return pt, trace, reason
+
+
+def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeConfig) -> MinimizeResult:
+    """Multi-start L-BFGS-B on the empirical contrast over Upsilon.
+
+    Start 0 is the projected least-squares fit to the ECF.  A start stops at
+    its first iterate (the start included) with contrast <= tol, on
+    L-BFGS-B's FTOL or projected-gradient test, or after max_iters
+    iterations.  A start drawn uniformly in Upsilon runs only after an
+    unconverged one, up to config.restarts starts.  The lowest contrast
+    wins, the earliest start on ties.
     """
     bounds = _bound_vector(grid.d, config.m_opt, config.params)
+    capped = np.isfinite(bounds)
+    box = optimize.Bounds(np.where(capped, -bounds, 1.0), np.where(capped, bounds, 1.0))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-
-    starts = [project_upsilon(_ls_init(table, grid, config.m_opt), config.params)]
-    for _ in range(config.restarts - 1):
-        theta = rng.uniform(-1.0, 1.0, size=bounds.shape[0])
-        theta *= np.where(np.isfinite(bounds), bounds, 1.0)
-        theta = _project_theta(theta, grid.d, config.m_opt, config.params)
-        starts.append(TaylorPoly(grid.dims, config.m_opt, theta))
-
     ev = _Evaluator(table, grid, config.m_opt)
-    best, reasons = None, []
-    for r_idx, start in enumerate(starts):
-        pt = ev.point(start)
-        trace = [pt.value]
-        grad = ev.gradient(pt)
-        reason = "max_iters"
-        for it in range(config.max_iters):
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < GRAD_TOL:
-                reason = "grad_tol"
-                break
-            step = STEP_INIT
-            accepted = None
-            while step > 1e-14:
-                theta = _project_theta(pt.poly.theta - step * grad, grid.d, config.m_opt,
-                                       config.params)
-                cand_pt = ev.point(TaylorPoly(grid.dims, config.m_opt, theta))
-                if cand_pt.value <= pt.value - ARMIJO * step * gnorm**2:
-                    accepted = cand_pt
-                    break
-                step *= 0.5
-            if accepted is None:
-                reason = "no_descent"
-                break
-            pt = accepted
-            trace.append(pt.value)
-            grad = ev.gradient(pt)
-            window = config.stall_window
-            if len(trace) > window and trace[-window - 1] - pt.value < config.tol:
-                reason = "stall"
-                break
-        reasons.append(reason)
-        entry = (pt.value, r_idx, pt.poly, np.array(trace), reason, float(np.linalg.norm(grad)))
-        if best is None or entry[0] < best[0]:
-            best = entry
-    value, r_idx, poly, trace, reason, gnorm = best
+    runs = []
+    while len(runs) < config.restarts and (not runs or runs[-1][2] not in _CONVERGED):
+        start = (random_member(config.params, grid.dims, config.m_opt, rng) if runs
+                 else _ls_init(table, grid, config.m_opt))
+        runs.append(_descend(ev, project_upsilon(start, config.params), box, config))
+    pt, trace, reason = min(runs, key=lambda run: run[0].value)
     return MinimizeResult(
-        estimate=poly,
-        value=value,
-        trace=trace,
-        restarts_used=len(starts),
-        converged=reason != "max_iters",
-        grad_norm=gnorm,
+        estimate=pt.poly,
+        value=pt.value,
+        trace=np.array(trace),
+        restarts_used=len(runs),
+        converged=reason in _CONVERGED,
         reason=reason,
-        reasons=tuple(reasons),
+        reasons=tuple(run[2] for run in runs),
     )

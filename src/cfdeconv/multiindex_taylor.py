@@ -247,19 +247,11 @@ def _bound_vector(d: int, max_degree: int, params: UpsilonParams) -> np.ndarray:
     return b
 
 
-def _project_theta(theta: np.ndarray, d: int, max_degree: int, params: UpsilonParams) -> np.ndarray:
-    """The coordinates of `project_upsilon`, as a new array, without
-    building the candidate."""
-    bounds = _bound_vector(d, max_degree, params)
-    out = np.clip(theta, -bounds, bounds)
-    out[0] = 1.0
-    return out
-
-
 def project_upsilon(poly: TaylorPoly, params: UpsilonParams) -> TaylorPoly:
     """Project onto the admissible class: pin c_0 = 1, clamp coefficient
     moduli to their order bound preserving sign.  Idempotent."""
-    theta = _project_theta(poly.theta, poly.d, poly.max_degree, params)
+    bounds = _bound_vector(poly.d, poly.max_degree, params)
+    theta = np.clip(poly.theta, -bounds, bounds)
     return TaylorPoly(poly.dims, poly.max_degree, theta, cf_candidate=True)
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, tensor_points, tensor_weights
+from ._util import ConfigError, NumericalError, as_type, tensor_points, tensor_weights
 from .multiindex_taylor import TaylorPoly, evaluate, index_table
 
 # switch between the small-argument series and the boundary recurrence for
@@ -91,14 +91,16 @@ class LatticeSpec:
     counts: tuple
 
     def __post_init__(self):
+        # convert before comparing: string bounds would compare as text
+        for name, kind in (("mins", float), ("maxs", float), ("counts", int)):
+            key = "lattice." + name
+            values = tuple(as_type(v, kind, key) for v in as_type(getattr(self, name), tuple, key))
+            object.__setattr__(self, name, values)
         if not (len(self.mins) == len(self.maxs) == len(self.counts)):
             raise ConfigError("lattice mins/maxs/counts must have equal length")
         for lo, hi, c in zip(self.mins, self.maxs, self.counts):
             if not (hi > lo) or c < 2:
                 raise ConfigError("each axis needs max > min and >= 2 points")
-        object.__setattr__(self, "mins", tuple(float(v) for v in self.mins))
-        object.__setattr__(self, "maxs", tuple(float(v) for v in self.maxs))
-        object.__setattr__(self, "counts", tuple(int(v) for v in self.counts))
 
     @property
     def d(self) -> int:

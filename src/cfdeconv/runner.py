@@ -20,8 +20,8 @@ import numpy as np
 from ._util import ConfigError, NumericalError, as_type
 from .adaptive import pilot_c_sigma, select_kappa, sigma_rule
 from .contrast import OracleModel, QuadratureGrid, ecf_table_for_grid, make_grid, poly_tables
-from .ecf import SampleSet
-from .minimize import MinimizeConfig, minimize_contrast
+from .ecf import SampleSet, pooled
+from .minimize import RESOLUTION, MinimizeConfig, minimize_contrast
 from .multiindex_taylor import TaylorPoly, UpsilonParams, truncate
 from .reconstruct import (
     DensityGrid,
@@ -203,17 +203,16 @@ def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     the sample size (truncation clamped to at least 1, optimization at
     twice the truncation).  A precomputed ECF table for the same grid can
     be passed to avoid recomputing it across kappa values.
+
+    A start stops at resolution (contrast <= RESOLUTION / n) or on FTOL; a
+    random restart runs only after an unconverged start.  `result.converged`
+    is True iff the chosen start stopped at resolution or scipy status 0.
     """
     m_trunc, m_opt = _degrees(samples.n, kappa, m_opt)
     if table is None:
         table = ecf_table_for_grid(samples, grid)
-    config = MinimizeConfig(
-        params=UpsilonParams(kappa=kappa, S=S),
-        m_opt=m_opt,
-        tol=1e-12,
-        restarts=restarts,
-        seed=seed,
-    )
+    config = MinimizeConfig(params=UpsilonParams(kappa=kappa, S=S), m_opt=m_opt,
+                            tol=RESOLUTION / samples.n, restarts=restarts, seed=seed)
     result = minimize_contrast(table, grid, config)
     rules = TuningRules(kappa=kappa, S=S, nu_est=nu, d=samples.d,
                         c_kappa=c_kappa)
@@ -403,8 +402,9 @@ def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
 
     The penalty scale comes from a split pilot: each half of the sample
     yields a reconstruction per candidate kappa, and the largest rescaled
-    half-vs-half distance calibrates c_sigma.  Full-sample reconstructions
-    then feed the pairwise-comparison selector.
+    half-vs-half distance calibrates c_sigma.  Full-sample reconstructions,
+    from the pooled half-sample tables, then feed the pairwise-comparison
+    selector.
     """
     kappa_grid = tuple(float(k) for k in kappa_grid)
     if not kappa_grid:
@@ -415,7 +415,7 @@ def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     half2 = SampleSet(d1=samples.d1, d2=samples.d2, data=samples.data[half:])
     table1 = ecf_table_for_grid(half1, grid)
     table2 = ecf_table_for_grid(half2, grid)
-    table_full = ecf_table_for_grid(samples, grid)
+    table_full = pooled(table1, table2)
     pilot_rows = []
     full_grids = {}
     for kappa in kappa_grid:

@@ -217,6 +217,35 @@ class TestExitCodes:
         assert err.startswith("config error")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scenario, key", [
+        (dict(POINTMASS_SCENARIO, noise1={"kind": "point_mass", "param": "x"}),
+         "noise.param"),
+        (dict(POINTMASS_SCENARIO, signal={"kind": "point_mass", "params": ["x"]}),
+         "signal.params"),
+        ({"variant": "two_point", "two_point": {"kappa": 0.75, "n": 1000, "c_b": "x"},
+          "noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"}},
+         "two_point.c_b"),
+    ])
+    def test_non_numeric_scenario_value(self, tmp_path, scenario, key):
+        cfg = write_config(tmp_path, "sim.json", {
+            "scenario": scenario, "n": 5, "out_dir": str(tmp_path / "out"),
+        })
+        rc, err = run_cli(["simulate", cfg])
+        assert rc == 2
+        assert err.startswith("config error") and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", [["a", 1, 3], [-1.0, 1.0, "x"], [-1.0, 1.0]])
+    def test_non_numeric_profile_grid(self, tmp_path, grid):
+        cfg = write_config(tmp_path, "conj.json", {
+            "kappa_list": [0.75], "K_list": [2], "K_max": 8, "stretch_grid": grid,
+            "out_dir": str(tmp_path / "out"),
+        })
+        rc, err = run_cli(["conjecture", cfg])
+        assert rc == 2
+        assert err.startswith("config error") and "stretch_grid" in err
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_is_exit_3(self, tmp_path):
         # an impossible orthonormality certificate fails the basis build
         cfg = write_config(tmp_path, "c.json", {

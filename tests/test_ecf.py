@@ -154,6 +154,22 @@ class TestHalfLattice:
         assert np.array_equal(table.first[::-1], np.conj(table.first))
         assert np.array_equal(table.second[::-1], np.conj(table.second))
 
+    @pytest.mark.parametrize("dims, nodes", [((1, 1), 8), ((2, 1), 5)])
+    def test_pooled_halves_match_union(self, dims, nodes, rng):
+        # the n-weighted mean of two tables is the union's table up to
+        # rounding, and stays exactly Hermitian
+        data = rng.normal(size=(2 * CHUNK + 301, sum(dims)))
+        axes = [make_grid(1.0, dims, nodes).axis_nodes] * sum(dims)
+        half = data.shape[0] // 2
+        table = ecf.pooled(ecf_on_grid(make_samples(data[:half], *dims), axes),
+                           ecf_on_grid(make_samples(data[half:], *dims), axes))
+        union = ecf_on_grid(make_samples(data, *dims), axes)
+        assert table.n == union.n and (table.shape1, table.shape2) == (union.shape1, union.shape2)
+        for got, ref in zip((table.full, table.first, table.second),
+                            (union.full, union.first, union.second)):
+            assert np.max(np.abs(got - ref)) <= 1e-14
+            assert np.array_equal(got[::-1, ::-1] if got.ndim == 2 else got[::-1], np.conj(got))
+
     @pytest.mark.parametrize("closed", [True, False])
     def test_hand_built_trapezoid_nodes(self, closed, rng):
         x = np.linspace(-1.0, 1.0, 9)

@@ -1,10 +1,14 @@
-"""Projected-gradient minimization of the empirical contrast."""
+"""Multi-start L-BFGS-B minimization of the empirical contrast."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from cfdeconv import ConfigError
 from cfdeconv import contrast as contrast_module
+from cfdeconv import minimize as minimize_module
 from cfdeconv.contrast import (
     _GridTables,
     contrast_empirical,
@@ -158,9 +162,9 @@ class TestMinimize:
         assert isinstance(res, MinimizeResult)
         assert res.value <= 1e-20
         np.testing.assert_allclose(res.estimate.theta[1:], 0.0, atol=1e-9)
-        # the flat table's start is exact, so the gradient vanishes at once
-        assert res.reason == "grad_tol" and res.converged
-        assert res.trace.shape == (1,)
+        # the flat table's start is exact, so it is at resolution already
+        assert res.reason == "resolution" and res.converged
+        assert res.trace.shape == (1,) and res.restarts_used == 1
 
     def test_reason_max_iters(self, grid24, rng):
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
@@ -171,15 +175,18 @@ class TestMinimize:
         assert res.reason == "max_iters" and not res.converged
         assert res.trace.shape == (2,)
 
-    def test_reason_stall(self, grid24, rng):
-        # any improvement is below this tolerance once the window has filled
+    def test_resolution_stop_value(self, grid24, rng):
+        # a tol between the start's contrast and the reachable minimum stops
+        # the run at the first iterate at or below it
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e3,
-                                stall_window=3, seed=1)
-        res = minimize_contrast(table, grid24, config)
-        assert res.reason == "stall" and res.converged
-        assert res.trace.shape == (4,)
+        params = UpsilonParams(0.75, 2.0)
+        deep = minimize_contrast(table, grid24, MinimizeConfig(params, 4, tol=1e-30, seed=1))
+        tol = math.sqrt(deep.trace[0] * deep.value)
+        res = minimize_contrast(table, grid24, MinimizeConfig(params, 4, tol=tol, seed=1))
+        assert res.reason == "resolution" and res.converged
+        assert res.value <= tol and res.trace[-1] == res.value
+        assert np.all(res.trace[:-1] > tol)
 
     def test_every_restart_reason(self, grid24, rng):
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
@@ -187,9 +194,41 @@ class TestMinimize:
         config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8,
                                 restarts=3, max_iters=30, seed=1)
         res = minimize_contrast(table, grid24, config)
-        assert isinstance(res.reasons, tuple) and len(res.reasons) == config.restarts
+        assert isinstance(res.reasons, tuple) and len(res.reasons) == res.restarts_used
         assert res.reason in res.reasons
-        assert set(res.reasons) <= {"grad_tol", "stall", "no_descent", "max_iters"}
+        assert set(res.reasons) <= {"resolution", "ftol", "gtol", "max_iters", "abnormal"}
+
+    @pytest.mark.parametrize("max_iters, tol, used", [(1, 1e-8, 3), (400, 1e3, 1)])
+    def test_restart_only_after_unconverged(self, grid24, rng, max_iters, tol, used):
+        s = SampleSet(1, 1, rng.normal(size=(200, 2)))
+        table = ecf_table_for_grid(s, grid24)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=tol,
+                                restarts=3, max_iters=max_iters, seed=1)
+        res = minimize_contrast(table, grid24, config)
+        assert res.restarts_used == used == len(res.reasons)
+        assert all(r in ("max_iters", "abnormal") for r in res.reasons[:-1])
+
+    @pytest.mark.parametrize("status, message, reason", [
+        (0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH", "ftol"),
+        (0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL", "gtol"),
+        (1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT", "max_iters"),
+        (2, "ABNORMAL: ", "abnormal"),
+    ])
+    def test_converged_iff_status_zero(self, grid24, rng, monkeypatch, status, message,
+                                       reason):
+        # scipy's status alone decides when no iterate reached resolution
+        def stopped(fun, x0, **kwargs):
+            return OptimizeResult(x=x0, status=status, message=message)
+
+        monkeypatch.setattr(minimize_module.optimize, "minimize", stopped)
+        s = SampleSet(1, 1, rng.normal(size=(200, 2)))
+        table = ecf_table_for_grid(s, grid24)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-12,
+                                restarts=2, seed=1)
+        res = minimize_contrast(table, grid24, config)
+        assert res.reason == reason
+        assert res.converged == (status == 0)
+        assert res.restarts_used == (1 if status == 0 else 2)
 
     def test_trace_monotone(self, grid24, rng):
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
@@ -197,7 +236,7 @@ class TestMinimize:
         config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8, seed=1)
         res = minimize_contrast(table, grid24, config)
         assert np.all(np.diff(res.trace) <= 1e-15)
-        assert res.trace[-1] <= res.trace[0]
+        assert res.trace[-1] == res.value <= res.trace[0]
 
     def test_value_consistent_with_estimate(self, grid24, rng):
         s = SampleSet(1, 1, rng.normal(size=(150, 2)))

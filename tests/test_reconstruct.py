@@ -23,6 +23,19 @@ def poly_d1(coeff_theta):
     return TaylorPoly((1, 0), theta.shape[0] - 1, theta)
 
 
+class TestLatticeSpec:
+    def test_bounds_converted_before_comparing(self):
+        # as text "10" < "9"; as numbers the axis is reversed
+        with pytest.raises(ConfigError, match="max > min"):
+            LatticeSpec(mins=("10",), maxs=("9",), counts=(3,))
+        lattice = LatticeSpec(mins=("9",), maxs=("10",), counts=("3",))
+        assert (lattice.mins, lattice.maxs, lattice.counts) == ((9.0,), (10.0,), (3,))
+
+    def test_non_numeric_value(self):
+        with pytest.raises(ConfigError, match="lattice.maxs"):
+            LatticeSpec(mins=(0.0,), maxs=("x",), counts=(3,))
+
+
 class TestMRule:
     def test_synthetic_huge_n(self):
         # formula value 2.7225936751858713 floors to 2
