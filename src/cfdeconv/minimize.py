@@ -31,13 +31,6 @@ from .multiindex_taylor import (
     random_member,
 )
 
-# _ls_init refuses a dense design above this many bytes, before allocating
-# it.  With its temporaries the fit's resident memory grows by 4.0 times the
-# design (measured at d1=d2=2, 16-24 nodes, m_opt 2 and 4), so the limit
-# keeps the peak near 6 GB, inside a 7 GB machine.  At d1=d2=2 and 48 nodes
-# per axis the design takes 1.27 GB at m_opt 2 and 5.95 GB at m_opt 4.
-LS_DESIGN_MAX_BYTES = 1_500_000_000
-
 # the truth's own contrast is O(1/n), so minimizing below RESOLUTION / n
 # fits sampling noise; FTOL is L-BFGS-B's relative-reduction stop on
 # contrast / tol, for starts that cannot reach that resolution
@@ -157,37 +150,30 @@ def contrast_gradient(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -
     return ev.gradient(ev.point(poly))
 
 
-def _check_ls_design(grid: QuadratureGrid, n_idx: int) -> None:
-    """Raise ConfigError if _ls_init's dense design exceeds LS_DESIGN_MAX_BYTES."""
-    design_bytes = 16 * grid.nodes_per_axis**grid.d * n_idx
-    if design_bytes > LS_DESIGN_MAX_BYTES:
-        raise ConfigError(
-            f"the least-squares start needs a {design_bytes / 1e9:.2f} GB design "
-            f"({grid.nodes_per_axis}^{grid.d} grid points x {n_idx} coefficients), over the "
-            f"{LS_DESIGN_MAX_BYTES / 1e9:.2f} GB limit; use fewer nodes per axis"
-        )
-
-
 def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     """Weighted least-squares fit of the ECF on the full grid, then projection.
 
-    The real/imaginary parts are stacked so the parity-reduced coordinates
-    stay real; the pinned zero coefficient is moved to the right-hand side.
-    The dense (grid points x coefficients) design is refused with a
-    ConfigError when it would exceed LS_DESIGN_MAX_BYTES.
+    The weighted design is kron(sqrt(w1) U, sqrt(w2) W) restricted to the
+    (p1, p2) pattern pairs and phased.  With reduced QRs sqrt(w1) U = Q1 R1
+    and sqrt(w2) W = Q2 R2 it is kron(Q1, Q2) times the small design
+    R1[:, p1] * R2[:, p2] * phase.  kron(Q1, Q2) has orthonormal real
+    columns, so the small design keeps the full one's singular values (a
+    Gram matrix would square its condition number), and the fit to the ECF
+    projected onto those columns has the same minimizers, the minimum-norm
+    one included.  The grid-sized design is never formed.  Real and
+    imaginary parts are stacked so the parity-reduced coordinates stay
+    real.  The pinned zero coefficient's column is the constant 1; it is
+    subtracted from the table before projecting, so a flat table fits
+    exactly.
     """
-    phase = parity_phase(grid.d, m_opt)
-    n_idx = phase.shape[0]
-    _check_ls_design(grid, n_idx)
     gt = _GridTables.get(grid, m_opt)
-    design = (
-        gt.U[:, gt.p1].reshape(gt.U.shape[0], 1, n_idx)
-        * gt.W[:, gt.p2].reshape(1, gt.W.shape[0], n_idx)
-    ).reshape(-1, n_idx) * phase
-    sqw = np.sqrt(np.outer(grid.w1, grid.w2)).reshape(-1)
-    target = table.full.reshape(-1) - design[:, 0]
-    lhs = design[:, 1:] * sqw[:, None]
-    rhs = target * sqw
+    sqw1, sqw2 = np.sqrt(grid.w1)[:, None], np.sqrt(grid.w2)[:, None]
+    Q1, R1 = np.linalg.qr(sqw1 * gt.U)
+    Q2, R2 = np.linalg.qr(sqw2 * gt.W)
+    phase = parity_phase(grid.d, m_opt)
+    design = (R1[:, None, gt.p1] * R2[None, :, gt.p2]).reshape(-1, phase.shape[0]) * phase
+    rhs = ((sqw1 * Q1).T @ (table.full - 1.0) @ (sqw2 * Q2)).reshape(-1)
+    lhs = design[:, 1:]
     stacked = np.concatenate([lhs.real, lhs.imag], axis=0)
     stacked_rhs = np.concatenate([rhs.real, rhs.imag])
     theta_rest, *_ = np.linalg.lstsq(stacked, stacked_rhs, rcond=None)

@@ -1,6 +1,7 @@
 """Multi-start L-BFGS-B minimization of the empirical contrast."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,8 @@ from cfdeconv.contrast import (
 )
 from cfdeconv.ecf import SampleSet
 from cfdeconv.minimize import (
-    LS_DESIGN_MAX_BYTES,
     MinimizeConfig,
     MinimizeResult,
-    _check_ls_design,
     _Evaluator,
     _ls_init,
     contrast_gradient,
@@ -305,23 +304,58 @@ class TestMinimize:
         assert cf_box_error(res.estimate, model, grid) <= threshold
 
 
-class TestLsInitMemoryGuard:
-    def test_default_nodes_at_d4_refused(self):
-        # 48^4 grid points x 70 coefficients at m_opt 4: a 6 GB design; the
-        # guard fires before the table is read, so none is built here
-        grid = make_grid(1.0, (2, 2), 48)
-        with pytest.raises(ConfigError, match=r"5\.95 GB design.*fewer nodes"):
-            _ls_init(None, grid, 4)
+def _dense_ls_theta(table, grid, m_opt):
+    """Reference fit: lstsq on the dense (grid points x coefficients) design."""
+    phase = parity_phase(grid.d, m_opt)
+    n_idx = phase.shape[0]
+    gt = _GridTables.get(grid, m_opt)
+    design = (
+        gt.U[:, gt.p1].reshape(gt.U.shape[0], 1, n_idx)
+        * gt.W[:, gt.p2].reshape(1, gt.W.shape[0], n_idx)
+    ).reshape(-1, n_idx) * phase
+    sqw = np.sqrt(np.outer(grid.w1, grid.w2)).reshape(-1)
+    lhs = design[:, 1:] * sqw[:, None]
+    rhs = (table.full.reshape(-1) - design[:, 0]) * sqw
+    theta_rest, *_ = np.linalg.lstsq(
+        np.concatenate([lhs.real, lhs.imag]), np.concatenate([rhs.real, rhs.imag]), rcond=None
+    )
+    return np.concatenate([[1.0], theta_rest])
 
-    @pytest.mark.parametrize("dims, m_opt", [((2, 2), 2), ((2, 1), 12)])
-    def test_default_nodes_fitting_in_memory_allowed(self, dims, m_opt):
-        # 1.27 GB at d=4, m_opt 2 and 0.81 GB at d=3, m_opt 12: checked
-        # without building the design
-        grid = make_grid(1.0, dims, 48)
-        _check_ls_design(grid, parity_phase(grid.d, m_opt).shape[0])
 
-    def test_repeated_measurement_cell_size_allowed(self, rng):
+class TestLsInit:
+    @pytest.mark.parametrize(
+        "dims, nodes, rule, m_opt",
+        [
+            ((1, 1), 48, "gauss_legendre", 12),
+            ((2, 1), 24, "gauss_legendre", 8),
+            ((1, 2), 12, "trapezoid", 6),
+            ((2, 2), 12, "gauss_legendre", 4),
+            ((1, 1), 6, "gauss_legendre", 12),  # fewer grid points than coefficients
+        ],
+    )
+    def test_matches_dense_design(self, dims, nodes, rule, m_opt, rng):
+        grid = make_grid(1.0, dims, nodes, rule)
+        samples = SampleSet(dims[0], dims[1], rng.uniform(-1.0, 1.0, size=(400, sum(dims))))
+        table = ecf_table_for_grid(samples, grid)
+        theta = _ls_init(table, grid, m_opt).theta
+        ref = _dense_ls_theta(table, grid, m_opt)
+        assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_zero_sample_exact(self):
         grid = make_grid(1.0, (2, 2), 12)
-        assert 16 * 12**4 * index_table(4, 4)[0].shape[0] * 20 < LS_DESIGN_MAX_BYTES
+        table = ecf_table_for_grid(SampleSet(2, 2, np.zeros((1, 4))), grid)
+        theta = _ls_init(table, grid, 4).theta
+        np.testing.assert_array_equal(theta, np.eye(1, theta.shape[0])[0])
+
+    def test_default_grid_at_d4(self, rng):
+        # 48^4 grid points x 70 coefficients: a dense design would take 5.95 GB
+        grid = make_grid(1.0, (2, 2), 48)
         table = ecf_table_for_grid(SampleSet(2, 2, rng.normal(size=(50, 4))), grid)
-        assert _ls_init(table, grid, 4).theta[0] == 1.0
+        tracemalloc.start()
+        try:
+            poly = _ls_init(table, grid, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert poly.theta[0] == 1.0 and np.all(np.isfinite(poly.theta))
+        assert peak < 400e6
