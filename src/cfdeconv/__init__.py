@@ -50,7 +50,6 @@ from .contrast import (
 from .ecf import EcfTable, SampleSet, ecf_eval, ecf_on_grid, second_moment
 from .legendre_bounds import (
     BoundReport,
-    LegendreBasis,
     bound_suite,
     change_of_basis,
     class_sup_bound,
@@ -58,7 +57,6 @@ from .legendre_bounds import (
     legendre_eval,
     psi_sum,
     sigma1_bound,
-    sigma1_power_iteration,
     truncation_sup_bound,
 )
 from .minimize import MinimizeConfig, MinimizeResult, contrast_gradient, minimize_contrast

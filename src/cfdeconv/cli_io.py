@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import shutil
 import sys
@@ -22,7 +23,6 @@ import numpy as np
 
 from ._util import ConfigError, NumericalError, as_type, fmt17
 from . import ecf
-from .adaptive import sigma_rule
 from .conjecture_lab import (
     WeightSpec,
     build_two_point,
@@ -82,6 +82,13 @@ def _as_int(value, key: str, minimum: int) -> int:
     return n
 
 
+def _as_bool(value, key: str) -> bool:
+    """A JSON true/false; anything else (0, "no", null) is a ConfigError."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _as_kappa_grid(value, key: str) -> tuple:
     grid = tuple(_as_kappa(v, key) for v in as_type(value, tuple, key))
     if not grid:
@@ -132,7 +139,7 @@ def _noise_from_config(cfg, d: int):
     return AxisNoise(
         kind=cfg["kind"],
         param=as_type(cfg.get("param", 1.0), float, "noise.param"),
-        centered=bool(cfg.get("centered", True)),
+        centered=_as_bool(cfg.get("centered", True), "noise.centered"),
     )
 
 
@@ -192,7 +199,8 @@ def scenario_from_config(cfg: dict) -> ScenarioSpec:
             tp,
             _noise_from_config(cfg["noise1"], tp.instance.d1),
             _noise_from_config(cfg["noise2"], tp.instance.d2),
-            perturbed=bool(cfg.get("perturbed", False)), nu=nu, c_nu=c_nu,
+            perturbed=_as_bool(cfg.get("perturbed", False), "scenario.perturbed"),
+            nu=nu, c_nu=c_nu,
         )
     raise ConfigError(f"unknown scenario variant {variant!r}")
 
@@ -531,13 +539,15 @@ def _cmd_conjecture(cfg: dict, config_path) -> int:
     K_list = [
         _as_int(K, "K_list entry", 1) for K in cfg.get("K_list", range(1, K_max + 1))
     ]
+    if not K_list:
+        raise ConfigError("K_list must be a nonempty list")
     if max(K_list) > K_max:
         raise ConfigError("K_list exceeds K_max")
     scalings = list(cfg.get("scalings", ["stretch", "squeeze"]))
     for s in scalings:
         if s not in _SCALING_GRIDS:
             raise ConfigError(f"unknown scaling {s!r}")
-    census = bool(cfg.get("census", False))
+    census = _as_bool(cfg.get("census", False), "census")
     if census and K_max < 16:
         raise ConfigError("census needs K_max >= 16 to cover its holdout range")
     basis_opts = {}
@@ -592,24 +602,16 @@ def _cmd_bounds_check(cfg: dict, config_path) -> int:
     out = _open_run_dir(cfg, config_path)
     rows = []
     violations = 0
-    for kappa in kappa_list:
-        for S in S_list:
-            for nu in nu_list:
-                for d in d_list:
-                    for m in m_list:
-                        reports = bound_suite(
-                            kappa, S, nu, d, m, n_members=n_members,
-                            seed=seed, member_degree=member_degree,
-                        )
-                        for rep in reports:
-                            ok = rep.holds()
-                            violations += 0 if ok else 1
-                            rows.append([
-                                rep.name, fmt17(kappa), fmt17(S), fmt17(nu),
-                                str(d), str(m), fmt17(rep.bound),
-                                fmt17(rep.measured), fmt17(rep.slack),
-                                str(int(ok)),
-                            ])
+    for kappa, S, nu, d, m in itertools.product(kappa_list, S_list, nu_list, d_list, m_list):
+        reports = bound_suite(kappa, S, nu, d, m, n_members=n_members,
+                              seed=seed, member_degree=member_degree)
+        for rep in reports:
+            ok = rep.holds()
+            violations += 0 if ok else 1
+            rows.append([
+                rep.name, fmt17(kappa), fmt17(S), fmt17(nu), str(d), str(m),
+                fmt17(rep.bound), fmt17(rep.measured), fmt17(rep.slack), str(int(ok)),
+            ])
     with open(out / "bounds.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "kappa", "S", "nu", "d", "m", "bound",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -49,9 +49,6 @@ class WeightSpec:
     kappa: float
     x0: float = 1.0
     c_h: float = field(init=False, default=0.0)
-    limit_note: str = field(
-        init=False, default="kappa=1 is the uniform density on [-x0, x0]"
-    )
 
     def __post_init__(self):
         if not (0 < self.kappa <= 1) or self.x0 <= 0:
@@ -105,7 +102,7 @@ class WeightedBasis:
 
     alpha/beta are the three-term recurrence coefficients
     beta[k+1] P_{k+1}(x) = (x - alpha[k]) P_k(x) - beta[k] P_{k-1}(x),
-    with P_0 = 1/beta[0]; coeff_table[K] holds the monomial coefficients.
+    with P_0 = 1/beta[0]; eval_poly evaluates P_K by running it.
     cert records the independent-quadrature orthonormality check.
     """
 
@@ -113,7 +110,6 @@ class WeightedBasis:
     K_max: int
     alpha: np.ndarray
     beta: np.ndarray
-    coeff_table: np.ndarray
     cert: dict
 
     def eval_poly(self, K: int, x) -> np.ndarray:
@@ -164,22 +160,11 @@ def build_weighted_basis(spec: WeightSpec, K_max: int, panels: int = 24,
             raise NumericalError(f"degenerate recurrence at K={k + 1}")
         vals[k + 1] = q / beta[k + 1]
         prev = cur
-    # monomial coefficient table through the same recurrence
-    coeff = np.zeros((K_max + 1, K_max + 2))
-    coeff[0, 0] = 1.0 / beta[0]
-    for k in range(K_max):
-        shifted = np.roll(coeff[k], 1)
-        shifted[0] = 0.0
-        nxt = shifted - alpha[k] * coeff[k]
-        if k > 0:
-            nxt = nxt - beta[k] * coeff[k - 1]
-        coeff[k + 1] = nxt / beta[k + 1]
     basis = WeightedBasis(
         weight=spec,
         K_max=K_max,
         alpha=alpha[:max(K_max, 1)],
         beta=beta[: K_max + 1],
-        coeff_table=coeff[:, : K_max + 1],
         cert={},
     )
     cx, cw = _panel_rule(-cut, cut, panels + 13, nodes + 17)
@@ -254,15 +239,10 @@ def interval_census(basis: WeightedBasis, K: int, c1: float, c2: float) -> Censu
     xs = np.arange(-1.0, 1.0 + step / 2.0, step)
     vals = np.abs(basis.eval_ph(K, xs))
     mask = vals >= c2 * K ** ((kappa - 1.0) / 2.0)
-    intervals = []
-    start = None
-    for idx, flag in enumerate(np.append(mask, False)):
-        if flag and start is None:
-            start = idx
-        elif not flag and start is not None:
-            if (idx - 1 - start) * step >= min_len:
-                intervals.append((float(xs[start]), float(xs[idx - 1])))
-            start = None
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    intervals = [(float(xs[a]), float(xs[b])) for a, b in zip(starts, stops)
+                 if (b - a) * step >= min_len]
     return CensusResult(
         count=len(intervals),
         intervals=tuple(intervals),
@@ -419,8 +399,7 @@ def envelope_values(basis: WeightedBasis, xs: np.ndarray, window: int = 5) -> np
         np.maximum(env, K ** ((1.0 - kappa) / 2.0) * np.abs(basis.eval_poly(K, xs)) * h, out=env)
     if window > 0:
         padded = np.pad(env, window, mode="edge")
-        stacked = np.stack([padded[i:i + env.shape[0]] for i in range(2 * window + 1)])
-        env = stacked.max(axis=0)
+        env = np.lib.stride_tricks.sliding_window_view(padded, 2 * window + 1).max(axis=1)
     return env
 
 

@@ -235,6 +235,24 @@ class TestExitCodes:
         assert err.startswith("config error") and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("simulate", {"scenario": dict(POINTMASS_SCENARIO, noise1={
+            "kind": "point_mass", "centered": "no"}), "n": 5}, "noise.centered"),
+        ("simulate", {"scenario": {
+            "variant": "two_point", "two_point": {"kappa": 0.75, "n": 1000},
+            "noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"},
+            "perturbed": 1}, "n": 5}, "scenario.perturbed"),
+        ("conjecture", {"kappa_list": [0.75], "K_list": [2], "K_max": 16,
+                        "census": "no"}, "census"),
+    ])
+    def test_non_boolean_flag(self, tmp_path, command, cfg, key):
+        # bool("no") is True: only JSON true/false may switch a flag
+        path = write_config(tmp_path, "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
+        rc, err = run_cli([command, path])
+        assert rc == 2
+        assert err.startswith("config error") and f"{key} must be true or false" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("grid", [["a", 1, 3], [-1.0, 1.0, "x"], [-1.0, 1.0]])
     def test_non_numeric_profile_grid(self, tmp_path, grid):
         cfg = write_config(tmp_path, "conj.json", {
@@ -473,6 +491,16 @@ class TestConjecture:
         assert rc == 2
         assert "K_max >= 16" in err
         assert not out.exists()  # rejected before any artifact is written
+
+    def test_empty_k_list(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "conj.json", {
+            "kappa_list": [0.75], "K_list": [], "K_max": 8, "out_dir": str(out),
+        })
+        rc, err = run_cli(["conjecture", cfg])
+        assert rc == 2
+        assert err.startswith("config error") and "K_list must be a nonempty list" in err
+        assert not out.exists()
 
     def test_k_list_exceeds_k_max(self, tmp_path):
         cfg = write_config(tmp_path, "conj.json", {

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -166,15 +167,6 @@ class TestWeightedBasis:
             corr = abs(float(np.sum(a * b))) / math.sqrt(float(np.sum(a * a) * np.sum(b * b)))
             assert corr > 0.999
 
-    def test_coeff_table_agrees_with_recurrence(self, basis_cache):
-        basis = basis_cache(0.75)
-        xs = np.linspace(-1, 1, 40)
-        for K in (1, 3, 6):
-            powers = np.stack([xs**j for j in range(basis.K_max + 1)], axis=1)
-            np.testing.assert_allclose(
-                powers @ basis.coeff_table[K], basis.eval_poly(K, xs), rtol=1e-9, atol=1e-9
-            )
-
     def test_degree_range_enforced(self, basis_cache):
         basis = basis_cache(0.75)
         with pytest.raises(ConfigError):
@@ -252,6 +244,41 @@ class TestIntervalCensus:
     def test_validation(self, basis_cache):
         with pytest.raises(ConfigError):
             interval_census(basis_cache(0.75), 4, 0.0, 0.3)
+
+    @pytest.mark.parametrize("kappa", [0.55, 0.75])
+    def test_runs_match_a_scan_loop(self, basis_cache, kappa):
+        basis = basis_cache(kappa)
+        for K in (4, 9, 16):
+            result = interval_census(basis, K, 0.8, 0.3)
+            step = result.min_length / 20.0
+            xs = np.arange(-1.0, 1.0 + step / 2.0, step)
+            mask = np.abs(basis.eval_ph(K, xs)) >= result.threshold
+            expected, start = [], None
+            for idx, flag in enumerate(np.append(mask, False)):
+                if flag and start is None:
+                    start = idx
+                elif not flag and start is not None:
+                    if (idx - 1 - start) * step >= result.min_length:
+                        expected.append((float(xs[start]), float(xs[idx - 1])))
+                    start = None
+            assert result.intervals == tuple(expected)
+
+    def test_runs_at_both_ends_and_short_run_dropped(self):
+        # kappa = 1, K = 1: bar c2, min length c1, scan step c1 / 20 over 201 points
+        scanned = []
+
+        def eval_ph(K, xs):
+            scanned.append(xs)
+            idx = np.arange(xs.shape[0])
+            return ((idx < 30) | ((idx >= 90) & (idx < 95)) | (idx >= 160)).astype(float)
+
+        basis = SimpleNamespace(weight=SimpleNamespace(kappa=1.0), eval_ph=eval_ph)
+        result = interval_census(basis, 1, 0.2, 0.5)
+        xs = scanned[0]
+        assert xs.shape == (201,) and result.min_length == 0.2
+        # the 5-point run in the middle spans 0.04 < 0.2 and is dropped
+        assert result.intervals == ((xs[0], xs[29]), (xs[160], xs[-1]))
+        assert result.count == 2
 
 
 class TestMollifier:

@@ -1,6 +1,7 @@
 """Normalized Legendre systems and the quantitative envelope checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,22 +9,20 @@ import pytest
 from cfdeconv import ConfigError, NumericalError
 from cfdeconv.legendre_bounds import (
     BoundReport,
-    LegendreBasis,
     bound_suite,
     change_of_basis,
     class_sup_bound,
     f_kappa,
     f_kappa_bound,
     legendre_eval,
-    legendre_eval_multi,
     psi_sum,
     psi_sum_bound,
     sigma1_bound,
-    sigma1_power_iteration,
     truncation_sup_bound,
     x_zero,
 )
-from cfdeconv.multiindex_taylor import index_table
+from cfdeconv._util import tensor_points
+from cfdeconv.multiindex_taylor import UpsilonParams, index_table, monomial_matrix, random_member
 
 
 class TestLegendreEval:
@@ -57,16 +56,6 @@ class TestLegendreEval:
         with pytest.raises(ConfigError):
             legendre_eval(0, 0.0, 0.0)
 
-    def test_multi_is_axis_product(self, rng):
-        pts = rng.uniform(-1, 1, size=(40, 2))
-        vals = legendre_eval_multi((2, 3), 1.0, pts)
-        expected = legendre_eval(2, 1.0, pts[:, 0]) * legendre_eval(3, 1.0, pts[:, 1])
-        np.testing.assert_allclose(vals, expected, rtol=1e-13)
-
-    def test_multi_dim_mismatch(self):
-        with pytest.raises(ConfigError):
-            legendre_eval_multi((1, 2, 0), 1.0, np.zeros((5, 2)))
-
 
 class TestChangeOfBasis:
     def test_first_rows_d1(self):
@@ -85,23 +74,16 @@ class TestChangeOfBasis:
                 if j > i or (i - j) % 2 == 1:
                     assert mat[i, j] == 0.0
 
-    def test_rows_reproduce_evaluation_d2(self, rng):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_reproduce_evaluation(self, rng, d):
         m, nu = 4, 1.3
-        entries, _, _ = index_table(2, m)
-        mat = change_of_basis(m, nu, 2)
-        pts = rng.uniform(-nu, nu, size=(60, 2))
-        mono = np.stack([pts[:, 0] ** e[0] * pts[:, 1] ** e[1] for e in entries], axis=1)
+        entries, _, _ = index_table(d, m)
+        mat = change_of_basis(m, nu, d)
+        pts = rng.uniform(-nu, nu, size=(60, d))
+        mono = np.stack([np.prod(pts**e, axis=1) for e in entries], axis=1)
         for row, idx in enumerate(entries):
-            direct = legendre_eval_multi(idx, nu, pts)
+            direct = np.prod([legendre_eval(int(i), nu, pts[:, a]) for a, i in enumerate(idx)], axis=0)
             np.testing.assert_allclose(mono @ mat[row], direct, rtol=1e-11, atol=1e-11)
-
-    def test_basis_object_consistency(self):
-        basis = LegendreBasis(nu=2.0, max_index=5)
-        np.testing.assert_allclose(basis.coeff_table, change_of_basis(5, 2.0, 1))
-        xs = np.linspace(-2, 2, 9)
-        np.testing.assert_allclose(basis.eval(3, xs), legendre_eval(3, 2.0, xs))
-        with pytest.raises(ConfigError):
-            basis.eval(6, 0.0)
 
 
 class TestSeriesAndEnvelopes:
@@ -160,16 +142,12 @@ class TestSigma1:
         # nu = 0.5: 0.5^(-1/2) * 2 * 16 * 2^2
         assert sigma1_bound(2, 0.5, 1) == pytest.approx(math.sqrt(2) * 128, rel=1e-13)
 
-    def test_power_iteration_diagonal(self):
-        assert sigma1_power_iteration(np.diag([3.0, 1.0, 0.5])) == pytest.approx(3.0, rel=1e-12)
-
-    def test_power_iteration_matches_svd(self, rng):
-        mat = rng.standard_normal((12, 12))
-        top = float(np.linalg.svd(mat, compute_uv=False)[0])
-        assert sigma1_power_iteration(mat) == pytest.approx(top, rel=1e-9)
-
-    def test_power_iteration_zero_matrix(self):
-        assert sigma1_power_iteration(np.zeros((4, 4))) == 0.0
+    @pytest.mark.parametrize("m, nu, d", [(4, 1.0, 2), (6, 0.5, 1), (3, 2.0, 3)])
+    def test_suite_row_is_top_singular_value(self, m, nu, d):
+        row = bound_suite(0.75, 1.0, nu, d, m, n_members=2, member_degree=6)[-1]
+        top = np.linalg.svd(change_of_basis(m, nu, d), compute_uv=False)[0]
+        assert row.name == "sigma1"
+        assert row.measured == pytest.approx(top, rel=1e-12)
 
 
 class TestBoundSuite:
@@ -184,6 +162,32 @@ class TestBoundSuite:
     def test_truncation_row_dropped_when_degree_low(self):
         reports = bound_suite(0.6, 1.0, 1.0, 2, 1, n_members=4, seed=5)
         assert [r.name for r in reports] == ["class_sup", "psi_sum", "sigma1"]
+
+    def test_sup_rows_match_one_dense_product(self):
+        # the suite evaluates CHUNK points at a time; one product over the
+        # whole 101 x 101 box must give the same maxima to the bit
+        kappa, S, nu, d, m, degree = 0.75, 1.5, 1.0, 2, 4, 12
+        rng = np.random.default_rng(3)
+        params = UpsilonParams(kappa=kappa, S=S)
+        members = [random_member(params, (1, 1), degree, rng) for _ in range(5)]
+        coeffs = np.stack([p.coeffs for p in members])
+        grid = np.linspace(-nu, nu, 101)
+        mono = monomial_matrix(tensor_points([grid, grid]), d, degree)
+        tail = members[0].orders > m
+        rows = {r.name: r.measured for r in
+                bound_suite(kappa, S, nu, d, m, n_members=5, seed=3, member_degree=degree)}
+        assert rows["class_sup"] == float(np.max(np.abs(mono @ coeffs.T)))
+        assert rows["truncation_sup"] == float(np.max(np.abs(mono[:, tail] @ coeffs[:, tail].T)))
+
+    def test_memory_does_not_scale_with_the_box(self):
+        # 31^3 points x 455 monomials is 108 MB as one dense matrix
+        tracemalloc.start()
+        try:
+            bound_suite(0.75, 1.0, 1.0, 3, 4, member_degree=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_report_slack_sign(self):
         good = BoundReport(name="x", inputs={}, bound=2.0, measured=1.5)
