@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -35,7 +36,8 @@ from .contrast import make_grid
 from .legendre_bounds import bound_suite
 from .multiindex_taylor import from_json_record, to_json_record
 from .reconstruct import DensityGrid, LatticeSpec
-from .runner import ExperimentPlan, adapt_from_samples, default_lattice, estimate_once, run
+from .runner import (CellResult, ExperimentPlan, adapt_from_samples, default_lattice,
+                     estimate_once, run)
 from .scenarios import (
     AxisNoise,
     ScenarioSpec,
@@ -53,6 +55,8 @@ _SCHEMA_VERSION = 1
 # schema helpers
 
 def _require_keys(cfg: dict, allowed, required, where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {cfg!r}")
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown config keys in {where}: {', '.join(unknown)}")
@@ -118,10 +122,14 @@ def _lattice_from_config(cfg, d: int) -> LatticeSpec:
 # scenario configuration
 
 _SIGNAL_KEYS = {"kind", "params"}
-_NOISE_KEYS = {"kind", "param", "centered"}
-_SCENARIO_KEYS = {
-    "variant", "d1", "signal", "noise1", "noise2", "link", "sources",
-    "mixing", "nu", "c_nu", "two_point", "perturbed",
+_NOISE_KEYS = {"kind", "param"}
+_SCENARIO_KEYS = {"variant", "nu", "c_nu"}
+# scenario variant -> (required keys, optional keys), besides _SCENARIO_KEYS
+_VARIANT_KEYS = {
+    "repeated": ({"signal", "noise1", "noise2"}, {"d1"}),
+    "eiv": ({"signal", "noise1", "noise2"}, {"link"}),
+    "ica": ({"sources", "mixing", "noise1", "noise2"}, {"d1"}),
+    "two_point": ({"two_point", "noise1", "noise2"}, {"perturbed"}),
 }
 
 
@@ -132,15 +140,18 @@ def _signal_from_config(cfg: dict) -> SignalSpec:
     return SignalSpec(kind=cfg["kind"], params=params)
 
 
-def _noise_from_config(cfg, d: int):
+def _noise_from_config(cfg):
     if isinstance(cfg, list):
-        return [_noise_from_config(item, d) for item in cfg]
+        return [_noise_from_config(item) for item in cfg]
     _require_keys(cfg, _NOISE_KEYS, {"kind"}, "noise")
-    return AxisNoise(
-        kind=cfg["kind"],
-        param=as_type(cfg.get("param", 1.0), float, "noise.param"),
-        centered=_as_bool(cfg.get("centered", True), "noise.centered"),
-    )
+    return AxisNoise(kind=cfg["kind"], param=as_type(cfg.get("param", 1.0), float, "noise.param"))
+
+
+def _as_matrix(value, key: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a matrix of numbers, got {value!r}") from None
 
 
 _TWO_POINT_KEYS = {
@@ -164,45 +175,32 @@ def _two_point_from_config(cfg: dict):
 
 
 def scenario_from_config(cfg: dict) -> ScenarioSpec:
-    _require_keys(cfg, _SCENARIO_KEYS, {"variant"}, "scenario")
+    # an object naming its variant; the variant fixes the other keys
+    _require_keys(cfg, cfg, {"variant"}, "scenario")
     variant = cfg["variant"]
+    if not isinstance(variant, str) or variant not in _VARIANT_KEYS:
+        raise ConfigError(f"unknown scenario variant {variant!r}")
+    required, optional = _VARIANT_KEYS[variant]
+    _require_keys(cfg, _SCENARIO_KEYS | required | optional, required, f"{variant} scenario")
     nu = _as_pos(cfg.get("nu", 1.0), "scenario.nu")
     c_nu = _as_pos(cfg.get("c_nu", 1e-3), "scenario.c_nu")
+    noise1, noise2 = _noise_from_config(cfg["noise1"]), _noise_from_config(cfg["noise2"])
     if variant == "repeated":
         d1 = _as_int(cfg.get("d1", 1), "scenario.d1", 1)
-        return make_repeated(
-            _signal_from_config(cfg["signal"]),
-            _noise_from_config(cfg["noise1"], d1),
-            _noise_from_config(cfg["noise2"], d1),
-            d1=d1, nu=nu, c_nu=c_nu,
-        )
+        return make_repeated(_signal_from_config(cfg["signal"]), noise1, noise2,
+                             d1=d1, nu=nu, c_nu=c_nu)
     if variant == "eiv":
-        return make_eiv(
-            _signal_from_config(cfg["signal"]),
-            _noise_from_config(cfg["noise1"], 1),
-            _noise_from_config(cfg["noise2"], 1),
-            link=cfg.get("link", "cubic_plus_x"), nu=nu, c_nu=c_nu,
-        )
+        link = as_type(cfg.get("link", "cubic_plus_x"), str, "scenario.link")
+        return make_eiv(_signal_from_config(cfg["signal"]), noise1, noise2,
+                        link=link, nu=nu, c_nu=c_nu)
     if variant == "ica":
-        sources = [_signal_from_config(s) for s in cfg["sources"]]
-        d = len(sources)
-        d1 = _as_int(cfg.get("d1", 1), "scenario.d1", 1)
-        return make_ica(
-            sources, np.asarray(cfg["mixing"], dtype=np.float64),
-            _noise_from_config(cfg["noise1"], d1),
-            _noise_from_config(cfg["noise2"], d - d1),
-            d1=d1, nu=nu, c_nu=c_nu,
-        )
-    if variant == "two_point":
-        tp = _two_point_from_config(cfg["two_point"])
-        return make_two_point(
-            tp,
-            _noise_from_config(cfg["noise1"], tp.instance.d1),
-            _noise_from_config(cfg["noise2"], tp.instance.d2),
-            perturbed=_as_bool(cfg.get("perturbed", False), "scenario.perturbed"),
-            nu=nu, c_nu=c_nu,
-        )
-    raise ConfigError(f"unknown scenario variant {variant!r}")
+        sources = as_type(cfg["sources"], list, "scenario.sources")
+        sources = [_signal_from_config(s) for s in sources]
+        return make_ica(sources, _as_matrix(cfg["mixing"], "scenario.mixing"), noise1, noise2,
+                        d1=_as_int(cfg.get("d1", 1), "scenario.d1", 1), nu=nu, c_nu=c_nu)
+    perturbed = _as_bool(cfg.get("perturbed", False), "scenario.perturbed")
+    return make_two_point(_two_point_from_config(cfg["two_point"]), noise1, noise2,
+                          perturbed=perturbed, nu=nu, c_nu=c_nu)
 
 
 # ---------------------------------------------------------------------------
@@ -247,56 +245,35 @@ def load_density(csv_path, meta_path) -> DensityGrid:
                        imag_residue=float(meta["imag_residue"]))
 
 
+# CellResult field type -> (its report.csv text, the value parsed back)
+_REPORT_CODECS = {
+    "int": (str, int),
+    "float": (fmt17, float),
+    "str": (str, str),
+    "bool": (lambda v: str(int(v)), lambda text: bool(int(text))),
+    "tuple": (lambda v: ";".join(fmt17(s) for s in v),
+              lambda text: tuple(float(s) for s in text.split(";"))),
+}
+
+
 def save_report(report, csv_path, json_path) -> None:
-    fields = [
-        "n", "kappa", "replicate", "seed", "status", "contrast_value",
-        "cf_box_error", "l2_raw", "l2_aligned", "shift", "m_trunc",
-        "m_opt", "omega", "no_density_truth", "converged", "message",
-    ]
+    """report.csv has one column per CellResult field, in field order."""
+    fields = dataclasses.fields(CellResult)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow([f.name for f in fields])
         for row in report.rows:
-            rec = []
-            for name in fields:
-                val = getattr(row, name)
-                if name == "shift":
-                    rec.append(";".join(fmt17(s) for s in val))
-                elif isinstance(val, bool):
-                    rec.append(str(int(val)))
-                elif isinstance(val, float):
-                    rec.append(fmt17(val))
-                else:
-                    rec.append(str(val))
-            writer.writerow(rec)
+            writer.writerow([_REPORT_CODECS[f.type][0](getattr(row, f.name)) for f in fields])
     _dump_json(
         {"plan": report.plan_summary, "aggregates": report.aggregates}, json_path
     )
 
 
 def load_report_rows(csv_path) -> list:
-    from .runner import CellResult
-
-    rows = []
     with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(CellResult(
-                n=int(rec["n"]), kappa=float(rec["kappa"]),
-                replicate=int(rec["replicate"]), seed=int(rec["seed"]),
-                status=rec["status"],
-                contrast_value=float(rec["contrast_value"]),
-                cf_box_error=float(rec["cf_box_error"]),
-                l2_raw=float(rec["l2_raw"]),
-                l2_aligned=float(rec["l2_aligned"]),
-                shift=tuple(float(s) for s in rec["shift"].split(";")),
-                m_trunc=int(rec["m_trunc"]), m_opt=int(rec["m_opt"]),
-                omega=float(rec["omega"]),
-                no_density_truth=bool(int(rec["no_density_truth"])),
-                converged=bool(int(rec["converged"])),
-                message=rec["message"],
-            ))
-    return rows
+        return [CellResult(**{f.name: _REPORT_CODECS[f.type][1](rec[f.name])
+                              for f in dataclasses.fields(CellResult)})
+                for rec in csv.DictReader(fh)]
 
 
 def _dump_json(obj, path) -> None:
@@ -493,8 +470,7 @@ def _cmd_estimate(cfg: dict, config_path) -> int:
 
 _ADAPT_KEYS = {
     "samples", "d1", "d2", "kappa_grid", "S", "beta", "nu", "nodes",
-    "c_kappa", "restarts", "lattice", "align_window", "align_step", "seed",
-    "out_dir",
+    "c_kappa", "restarts", "lattice", "seed", "out_dir",
 }
 
 

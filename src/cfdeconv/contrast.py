@@ -4,10 +4,10 @@ The empirical contrast integrates, over the box [-nu, nu]^d,
 
     | phi(t) ecf(t1, 0) ecf(0, t2)  -  ecf(t) phi(t1, 0) phi(0, t2) |^2
 
-against the quadrature weights.  It vanishes exactly when phi factorizes the
-observed CF the same way the truth does; its population analogue weights the
-integrand by the squared moduli of the per-block noise CFs instead of using
-empirical tables.  A linearized form around phi is provided for curvature
+against tensor Gauss-Legendre weights (`make_grid`, the one quadrature built
+here).  It vanishes exactly when phi factorizes the observed CF the same way
+the truth does; its population analogue weights the integrand by the squared
+moduli of the per-block noise CFs instead of using empirical tables.  A linearized form around phi is provided for curvature
 diagnostics.
 
 Candidate values on a grid factor through per-block pattern matrices: with
@@ -32,12 +32,11 @@ from ._util import ConfigError, NumericalError, content_hash, tensor_points, ten
 from .ecf import EcfTable, SampleSet, ecf_on_grid
 from .multiindex_taylor import TaylorPoly, block_split, monomial_matrix
 
-_RULES = ("gauss_legendre", "trapezoid")
-
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor quadrature on the box [-nu, nu]^(d1+d2).
+    """Tensor quadrature on the box [-nu, nu]^(d1+d2); `make_grid` builds
+    the Gauss-Legendre one.
 
     One shared axis rule (nodes, weights) is tensored over all coordinates;
     block point lists are flattened C-order, matching `ecf.ecf_on_grid`.
@@ -47,7 +46,6 @@ class QuadratureGrid:
 
     nu: float
     nodes_per_axis: int
-    rule: str
     dims: tuple
     axis_nodes: np.ndarray
     axis_weights: np.ndarray
@@ -58,7 +56,7 @@ class QuadratureGrid:
 
     @cached_property
     def grid_id(self) -> str:
-        return content_hash("grid", self.rule, self.dims, self.nu, self.axis_nodes)
+        return content_hash("grid", self.dims, self.nu, self.axis_nodes)
 
     @cached_property
     def block1_points(self) -> np.ndarray:
@@ -100,37 +98,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48,
-              rule: str = "gauss_legendre") -> QuadratureGrid:
-    """Build the box quadrature; Gauss-Legendre is exact to degree 2n-1.
+def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48) -> QuadratureGrid:
+    """Build the box's Gauss-Legendre quadrature, exact to degree 2n-1.
 
-    Both rules give axis nodes that satisfy x == -x[::-1] exactly."""
+    The axis nodes satisfy x == -x[::-1] exactly, as `ecf.ecf_on_grid`
+    requires."""
     if nu <= 0:
         raise ConfigError(f"nu must be positive, got {nu}")
     if nodes_per_axis < 2:
         raise ConfigError(f"need at least 2 nodes per axis, got {nodes_per_axis}")
-    if rule not in _RULES:
-        raise ConfigError(f"unknown rule {rule!r}, expected one of {_RULES}")
     d1, d2 = dims
     if d1 < 1 or d2 < 1:
         raise ConfigError(f"both blocks need dimension >= 1, got {dims}")
-    if rule == "gauss_legendre":
-        x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
-        nodes, weights = nu * x, nu * w
-    else:
-        x = np.linspace(-nu, nu, nodes_per_axis)
-        # exactly antisymmetric like leggauss's, so ecf_on_grid's node sets
-        # need no closure under negation (moves a node by about 1 ulp of nu)
-        nodes = (x - x[::-1]) / 2
-        h = 2.0 * nu / (nodes_per_axis - 1)
-        weights = np.full(nodes_per_axis, h)
-        weights[0] = weights[-1] = h / 2.0
+    x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
+    nodes, weights = nu * x, nu * w
     total = weights.sum()
     if abs(total - 2.0 * nu) > 1e-12 * max(1.0, 2.0 * nu):
         raise NumericalError(f"axis weights sum to {total}, expected {2.0 * nu}")
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureGrid(float(nu), int(nodes_per_axis), rule, (d1, d2), nodes, weights)
+    return QuadratureGrid(float(nu), int(nodes_per_axis), (d1, d2), nodes, weights)
 
 
 def ecf_table_for_grid(samples: SampleSet, grid: QuadratureGrid) -> EcfTable:

@@ -5,12 +5,11 @@ empirical CF at t is the sample mean of exp(i t . Y).  Evaluation streams
 over fixed-size sample chunks with tree-merged partial sums, so results are
 bit-reproducible regardless of platform memory heuristics.
 
-Grid tables use the symmetry ecf(-t) = conj(ecf(t)).  On a tensor lattice
-whose axes are closed under negation (x == -x[::-1], as for every grid
-`contrast.make_grid` builds), negating t reverses the flattened lattice
-index, so only the leading half of the lattice is summed over the sample;
-the rest is the conjugate mirror, which makes every table exactly Hermitian.
-Other node lists are closed under negation first and gathered back after.
+Grid tables use the symmetry ecf(-t) = conj(ecf(t)).  Every axis must be
+closed under negation (x == -x[::-1], as for every grid `contrast.make_grid`
+builds); then negating t reverses the flattened lattice index, so only the
+leading half of the lattice is summed over the sample and the rest is the
+conjugate mirror, which makes every table exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ class EcfTable:
 
     grid_id: str
     n: int
-    shape1: tuple
-    shape2: tuple
     first: np.ndarray
     second: np.ndarray
     full: np.ndarray
@@ -114,15 +111,6 @@ def _block_phases(block_data, axis_nodes):
     return vals
 
 
-def _closed_under_negation(nodes):
-    """(node set closed under negation, with x == -x[::-1], and the index of
-    each requested node in it)."""
-    if np.array_equal(nodes, -nodes[::-1]):
-        return nodes, np.arange(len(nodes))
-    closed = np.unique(np.concatenate([nodes, -nodes]))
-    return closed, np.searchsorted(closed, nodes)
-
-
 def _mirrored(half, size):
     """Values at all `size` points of a flattened lattice closed under
     negation (the last axis of `half`) from those at its leading points:
@@ -133,38 +121,31 @@ def _mirrored(half, size):
     return np.concatenate([half[..., :keep], np.conj(half[..., :rest][..., ::-1])], axis=-1)
 
 
-def _lattice_picks(closed, picks):
-    """Flattened positions of the requested lattice in the closed one."""
-    return np.ravel_multi_index(np.ix_(*picks), [len(c) for c in closed]).reshape(-1)
-
-
 def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
     """Tabulate the empirical CF on a tensor grid.
 
     Parameters
     ----------
     axis_nodes : sequence of d arrays
-        Node list per coordinate; the first d1 belong to block 1.
+        Node list per coordinate, each closed under negation
+        (x == -x[::-1] exactly); the first d1 belong to block 1.
     grid_id : str
         Identifier copied into the table for downstream consistency checks.
 
-    Each axis's node set is closed under negation (a no-op for `make_grid`
-    axes).  Per sample chunk, block 1's phases are formed on its half lattice
-    (the first ceil(G/2) nodes of its first axis), block 2's on its own half
-    and mirrored to its full lattice, and one complex product of the two
-    gives half of `full`; this is the only O(n * grid) work.  The other half
-    of `full`, `first` and `second` is the conjugate mirror, and nodes the
-    closure added are dropped at the end.  The closure can double an axis,
-    so a node list far from closed under negation costs up to 2**d times the
-    time and memory of its requested lattice before that gather.
+    Per sample chunk, block 1's phases are formed on its half lattice (the
+    first ceil(G/2) nodes of its first axis), block 2's on its own half and
+    mirrored to its full lattice, and one complex product of the two gives
+    half of `full`; this is the only O(n * grid) work.  The other half of
+    `full`, `first` and `second` is the conjugate mirror.
     """
     if len(axis_nodes) != samples.d:
         raise ConfigError(f"expected {samples.d} axis node arrays, got {len(axis_nodes)}")
     nodes = [np.asarray(a, dtype=np.float64).reshape(-1) for a in axis_nodes]
     if not all(np.all(np.isfinite(a)) for a in nodes):
         raise ConfigError("axis nodes must be finite")
-    closed, picks = zip(*(_closed_under_negation(a) for a in nodes))
-    nodes1, nodes2 = closed[: samples.d1], closed[samples.d1 :]
+    if not all(np.array_equal(a, -a[::-1]) for a in nodes):
+        raise ConfigError("axis nodes must be closed under negation (x == -x[::-1])")
+    nodes1, nodes2 = nodes[: samples.d1], nodes[samples.d1 :]
     size1, size2 = math.prod(map(len, nodes1)), math.prod(map(len, nodes2))
     acc_full, acc_1, acc_2 = PairwiseAccumulator(), PairwiseAccumulator(), PairwiseAccumulator()
     data = samples.data
@@ -177,17 +158,12 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
         acc_1.add(b1.sum(axis=0))
         acc_2.add(h2.sum(axis=0))
     n = samples.n
-    full = _mirrored(acc_full.total().reshape(-1) / n, size1 * size2).reshape(size1, size2)
-    flat1 = _lattice_picks(nodes1, picks[: samples.d1])
-    flat2 = _lattice_picks(nodes2, picks[samples.d1 :])
     return EcfTable(
         grid_id=grid_id,
         n=n,
-        shape1=tuple(map(len, picks[: samples.d1])),
-        shape2=tuple(map(len, picks[samples.d1 :])),
-        first=_mirrored(acc_1.total() / n, size1)[flat1],
-        second=_mirrored(acc_2.total() / n, size2)[flat2],
-        full=full[np.ix_(flat1, flat2)],
+        first=_mirrored(acc_1.total() / n, size1),
+        second=_mirrored(acc_2.total() / n, size2),
+        full=_mirrored(acc_full.total().reshape(-1) / n, size1 * size2).reshape(size1, size2),
     )
 
 
@@ -197,7 +173,7 @@ def pooled(a: EcfTable, b: EcfTable) -> EcfTable:
     n = a.n + b.n
     first, second, full = ((a.n * x + b.n * y) / n for x, y in
                            ((a.first, b.first), (a.second, b.second), (a.full, b.full)))
-    return EcfTable(a.grid_id, n, a.shape1, a.shape2, first, second, full)
+    return EcfTable(a.grid_id, n, first, second, full)
 
 
 def second_moment(samples: SampleSet) -> float:
@@ -219,12 +195,22 @@ def export_csv(samples: SampleSet, path) -> None:
 
 
 def load_csv(path, d1: int, d2: int) -> SampleSet:
-    """Read a CSV written by export_csv back into a SampleSet."""
+    """Read a CSV written by export_csv back into a SampleSet; a wrong header,
+    row length or non-numeric cell is a ConfigError naming file and line."""
+    expected = [f"y{k + 1}" for k in range(d1 + d2)]
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expected = [f"y{k + 1}" for k in range(d1 + d2)]
+        header = next(reader, None)
         if header != expected:
-            raise ConfigError(f"unexpected CSV header {header}, expected {expected}")
-        rows = [[float(v) for v in row] for row in reader if row]
+            raise ConfigError(f"{path}: unexpected CSV header {header}, expected {expected}")
+        for row in filter(None, reader):
+            if len(row) != len(expected):
+                raise ConfigError(f"{path}, line {reader.line_num}: {len(row)} values, "
+                                  f"expected {len(expected)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise ConfigError(f"{path}, line {reader.line_num}: non-numeric value "
+                                  f"in {row}") from None
     return SampleSet(d1=d1, d2=d2, data=np.array(rows, dtype=np.float64))

@@ -33,9 +33,11 @@ from .multiindex_taylor import (
 
 # the truth's own contrast is O(1/n), so minimizing below RESOLUTION / n
 # fits sampling noise; FTOL is L-BFGS-B's relative-reduction stop on
-# contrast / tol, for starts that cannot reach that resolution
+# contrast / tol, for starts that cannot reach that resolution, and
+# MAX_ITERS its iteration limit per start
 RESOLUTION = 0.01
 FTOL = 1e-3
+MAX_ITERS = 400
 
 
 @dataclass
@@ -44,7 +46,7 @@ class MinimizeConfig:
 
     tol is the sample's resolution (estimate_once sets RESOLUTION / n): a
     start stops at its first iterate with contrast <= tol, else on FTOL or
-    after max_iters iterations.  Another start runs only after an
+    after MAX_ITERS iterations.  Another start runs only after an
     unconverged one, up to `restarts` starts.
     """
 
@@ -52,7 +54,6 @@ class MinimizeConfig:
     m_opt: int
     tol: float
     restarts: int = 4
-    max_iters: int = 400
     seed: int = 0
 
     def __post_init__(self):
@@ -60,8 +61,8 @@ class MinimizeConfig:
             raise ConfigError(f"m_opt must be >= 1, got {self.m_opt}")
         if self.restarts < 1:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ConfigError("tol must be positive and max_iters >= 1")
+        if self.tol <= 0:
+            raise ConfigError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -210,7 +211,7 @@ def _descend(ev: _Evaluator, start: TaylorPoly, box, config: MinimizeConfig) -> 
             raise StopIteration
 
     res = optimize.minimize(fun, start.theta, jac=True, method="L-BFGS-B", bounds=box,
-                            callback=callback, options={"maxiter": config.max_iters, "ftol": FTOL})
+                            callback=callback, options={"maxiter": MAX_ITERS, "ftol": FTOL})
     # res.x is the last iterate, also after a failed line search
     pt = evaluate(res.x)[0]
     if pt.value <= tol:
@@ -227,7 +228,7 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
 
     Start 0 is the projected least-squares fit to the ECF.  A start stops at
     its first iterate (the start included) with contrast <= tol, on
-    L-BFGS-B's FTOL or projected-gradient test, or after max_iters
+    L-BFGS-B's FTOL or projected-gradient test, or after MAX_ITERS
     iterations.  A start drawn uniformly in Upsilon runs only after an
     unconverged one, up to config.restarts starts.  The lowest contrast
     wins, the earliest start on ties.

@@ -27,25 +27,6 @@ from ._util import ConfigError
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """A tuple of nonnegative integer exponents, one per coordinate."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        if not all(isinstance(e, (int, np.integer)) and e >= 0 for e in self.entries):
-            raise ConfigError(f"multi-index entries must be nonnegative integers: {self.entries}")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-
-    @property
-    def order(self) -> int:
-        return sum(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class UpsilonParams:
     """Decay parameters (kappa, S) of the admissible coefficient class."""
 
@@ -176,8 +157,7 @@ class TaylorPoly:
         return self.theta * parity_phase(self.d, self.max_degree)
 
     def coeff(self, index) -> complex:
-        entries = tuple(index.entries if isinstance(index, MultiIndex) else index)
-        pos = index_table(self.d, self.max_degree)[2][entries]
+        pos = index_table(self.d, self.max_degree)[2][tuple(index)]
         return complex(self.coeffs[pos])
 
     def copy(self) -> "TaylorPoly":
@@ -218,17 +198,13 @@ def evaluate(poly: TaylorPoly, t) -> np.ndarray:
 
 
 def upsilon_bound(index, params: UpsilonParams) -> float:
-    """Admissible modulus S^k k^(-kappa k) at total order k = |index|_1.
+    """Admissible modulus S^k k^(-kappa k) at total order k = |index|_1, for
+    a multi-index tuple or an order given as an int.
 
     The zero index carries the pinned coefficient 1 and has no decay bound;
     asking for it is an error.
     """
-    if isinstance(index, MultiIndex):
-        k = index.order
-    elif isinstance(index, (int, np.integer)):
-        k = int(index)
-    else:
-        k = int(sum(index))
+    k = int(index) if isinstance(index, (int, np.integer)) else int(sum(index))
     if k == 0:
         raise ConfigError("the zero index is pinned to 1 and has no modulus bound")
     return float(params.S**k * float(k) ** (-params.kappa * k))

@@ -241,22 +241,15 @@ def _box_pair_integral(pa: TaylorPoly, pb: TaylorPoly, omega: float) -> complex:
     return complex(ca @ prod @ np.conj(cb))
 
 
-def l2_distance(a: DensityGrid, b: DensityGrid, method: str = "auto") -> float:
+def l2_distance(a: DensityGrid, b: DensityGrid) -> float:
     """L2 distance between two reconstructions.
 
-    "spectral" uses the Plancherel identity on the truncated spectra (exact
-    polynomial moments over the two inversion boxes, intersection handled by
-    the smaller box); "lattice" is the Riemann sum on a shared lattice;
-    "auto" prefers spectral when both spectra are available.
+    When both grids carry spectra it is the Plancherel identity on the
+    truncated spectra (exact polynomial moments over the two inversion
+    boxes, intersection handled by the smaller box); otherwise it is the
+    Riemann sum on their shared lattice.
     """
-    if method not in ("auto", "spectral", "lattice"):
-        raise ConfigError(f"unknown method {method!r}")
-    spectral_ok = a.spectrum is not None and b.spectrum is not None
-    if method == "auto":
-        method = "spectral" if spectral_ok else "lattice"
-    if method == "spectral":
-        if not spectral_ok:
-            raise ConfigError("spectral distance requires inversion metadata on both grids")
+    if a.spectrum is not None and b.spectrum is not None:
         pa, wa = a.spectrum
         pb, wb = b.spectrum
         if pa.d != pb.d:
@@ -274,15 +267,10 @@ def l2_distance(a: DensityGrid, b: DensityGrid, method: str = "auto") -> float:
     return float(np.sqrt(np.sum(diff * diff) * a.lattice.cell_volume))
 
 
-def l2_norm(a: DensityGrid, method: str = "auto") -> float:
-    """L2 norm of a reconstruction (spectral when metadata is available)."""
-    if method not in ("auto", "spectral", "lattice"):
-        raise ConfigError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "spectral" if a.spectrum is not None else "lattice"
-    if method == "spectral":
-        if a.spectrum is None:
-            raise ConfigError("spectral norm requires inversion metadata")
+def l2_norm(a: DensityGrid) -> float:
+    """L2 norm of a reconstruction: spectral when it carries a spectrum,
+    else the Riemann sum on its lattice."""
+    if a.spectrum is not None:
         poly, omega = a.spectrum
         sq = _box_pair_integral(poly, poly, omega).real / (2.0 * math.pi) ** poly.d
         return float(math.sqrt(max(sq, 0.0)))

@@ -240,7 +240,7 @@ def _run_cell(plan, model, grid, truth, truth_grid, n_idx, k_idx, rep) -> CellRe
             l2_raw, l2_aligned = float("nan"), float("nan")
             shift = (0.0,) * plan.scenario.d
         else:
-            l2_raw = l2_distance(density, truth_grid, method="lattice")
+            l2_raw = l2_distance(density, truth_grid)
             shift, l2_aligned = translation_align(
                 density, truth, plan.align_window, plan.align_step
             )

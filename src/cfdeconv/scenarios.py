@@ -50,25 +50,37 @@ _LINKS = {"cubic_plus_x": cubic_plus_x, "identity": lambda x: x}
 # 1-D building blocks
 
 
+# signal kind -> its parameter names, in order
+_SIGNAL_PARAMS = {
+    "uniform": ("half_width",),
+    "point_mass": ("location",),
+    "compact_bump": ("half_width", "b"),
+    "h_kappa": ("kappa", "x0"),
+}
+
+
 @dataclass(frozen=True)
 class SignalSpec:
     """One-dimensional signal law with sampler, CF, and optional density.
 
     kind: uniform(half_width), point_mass(location), compact_bump
-    (half_width, b), h_kappa(kappa, x0), or custom (callables supplied).
-    Class membership parameters (kappa, S) may be recorded for reporting.
+    (half_width, b) or h_kappa(kappa, x0); half_width and b must be
+    positive.
     """
 
     kind: str
     params: tuple = ()
-    upsilon: Optional[tuple] = None
-    custom: Optional[dict] = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "point_mass", "compact_bump", "h_kappa", "custom"):
+        if self.kind not in _SIGNAL_PARAMS:
             raise ConfigError(f"unknown signal kind {self.kind!r}")
-        if self.kind == "custom" and not self.custom:
-            raise ConfigError("custom signal needs sampler/cf callables")
+        names = _SIGNAL_PARAMS[self.kind]
+        if len(self.params) != len(names):
+            raise ConfigError(f"{self.kind} signal needs params ({', '.join(names)}), "
+                              f"got {len(self.params)} values")
+        for name, value in zip(names, self.params):
+            if name in ("half_width", "b") and not value > 0:
+                raise ConfigError(f"{self.kind} signal {name} must be positive, got {value}")
 
     def sampler(self) -> Callable:
         if self.kind == "uniform":
@@ -82,10 +94,8 @@ class SignalSpec:
             xs = np.linspace(-1.0 / b, 1.0 / b, 4097)
             bump = inverse_cdf_sampler(xs, mollifier_eval(b, xs))
             return lambda n, rng: rng.uniform(-w, w, size=n) + bump(n, rng)
-        if self.kind == "h_kappa":
-            kappa, x0 = self.params
-            return inverse_cdf_sampler(*_h_kappa_grid(float(kappa), float(x0)))
-        return self.custom["sampler"]
+        kappa, x0 = self.params
+        return inverse_cdf_sampler(*_h_kappa_grid(float(kappa), float(x0)))
 
     def cf(self) -> Callable:
         if self.kind == "uniform":
@@ -102,10 +112,8 @@ class SignalSpec:
             return lambda t: (
                 np.sinc(w * np.asarray(t, dtype=np.float64) / math.pi) * bump_cf(t)
             ).astype(np.complex128)
-        if self.kind == "h_kappa":
-            kappa, x0 = self.params
-            return _grid_cf(*_h_kappa_grid(float(kappa), float(x0)))
-        return self.custom["cf"]
+        kappa, x0 = self.params
+        return _grid_cf(*_h_kappa_grid(float(kappa), float(x0)))
 
     def density(self) -> Optional[Callable]:
         if self.kind == "uniform":
@@ -119,8 +127,6 @@ class SignalSpec:
             w, b = self.params
             xs, dens = _bump_uniform_density(float(w), float(b))
             return lambda x: np.interp(np.asarray(x, dtype=np.float64), xs, dens, left=0.0, right=0.0)
-        if self.kind == "custom":
-            return self.custom.get("density")
         return None  # point mass has no density
 
     def support_halfwidth(self) -> float:
@@ -130,10 +136,8 @@ class SignalSpec:
             return abs(float(self.params[0])) + 1e-9
         if self.kind == "compact_bump":
             return float(self.params[0]) + 1.0 / float(self.params[1])
-        if self.kind == "h_kappa":
-            kappa, x0 = self.params
-            return WeightSpec(kappa=float(kappa), x0=float(x0)).cutoff()
-        return float(self.custom.get("support", 10.0))
+        kappa, x0 = self.params
+        return WeightSpec(kappa=float(kappa), x0=float(x0)).cutoff()
 
 
 def _atoms_cf(xs: np.ndarray, weights: np.ndarray) -> Callable:
@@ -183,12 +187,10 @@ def _bump_uniform_density(w: float, b: float):
 class AxisNoise:
     """One noise coordinate: kind in {g_density, uniform, laplace,
     point_mass, gaussian}, with its scalar parameter.  All kinds are
-    symmetric so the block is mean-zero by construction; `centered` is
-    recorded for the model contract."""
+    symmetric so the block is mean-zero by construction."""
 
     kind: str
     param: float = 1.0
-    centered: bool = True
 
     def __post_init__(self):
         if self.kind not in ("g_density", "uniform", "laplace", "point_mass", "gaussian"):

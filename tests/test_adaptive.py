@@ -55,7 +55,7 @@ class TestSelectKappa:
         # hand-set distance D: spread at the larger kappa is max(0, D - sigma0)
         g_lo, g_hi = flat_grid(0.0), flat_grid(3.0)
         n, beta, c_sigma = 10**4, 1.0, 0.5
-        D = l2_distance(g_lo, g_hi, method="lattice")
+        D = l2_distance(g_lo, g_hi)
         s0 = sigma_rule(n, 0.55, beta, c_sigma)
         report = select_kappa({0.55: g_lo, 1.0: g_hi}, n, beta, c_sigma)
         row_hi = report.rows[1]
@@ -110,8 +110,8 @@ class TestPilotCSigma:
             (0.6, flat_grid(0.0), flat_grid(1.0)),
             (0.9, flat_grid(0.0), flat_grid(0.5)),
         ]
-        d1 = l2_distance(rows[0][1], rows[0][2], method="lattice")
-        d2 = l2_distance(rows[1][1], rows[1][2], method="lattice")
+        d1 = l2_distance(rows[0][1], rows[0][2])
+        d2 = l2_distance(rows[1][1], rows[1][2])
         expected = max(d1 * base ** (0.6 * beta), d2 * base ** (0.9 * beta))
         assert pilot_c_sigma(rows, n, beta) == pytest.approx(expected, rel=1e-13)
 
@@ -124,7 +124,7 @@ class TestPilotCSigma:
             rows.append((k, flat_grid(rng.uniform(0, 1)), flat_grid(rng.uniform(0, 1))))
         c = pilot_c_sigma(rows, n, beta)
         for k, g1, g2 in rows:
-            assert sigma_rule(n, k, beta, c) >= l2_distance(g1, g2, method="lattice") - 1e-12
+            assert sigma_rule(n, k, beta, c) >= l2_distance(g1, g2) - 1e-12
 
     def test_validation(self):
         with pytest.raises(ConfigError):

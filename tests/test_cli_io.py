@@ -7,6 +7,7 @@ byte-stability contract of the written artifacts.
 
 import contextlib
 import csv
+import dataclasses
 import filecmp
 import hashlib
 import io
@@ -236,8 +237,11 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, cfg, key", [
-        ("simulate", {"scenario": dict(POINTMASS_SCENARIO, noise1={
-            "kind": "point_mass", "centered": "no"}), "n": 5}, "noise.centered"),
+        ("experiment", {"scenario": {
+            "variant": "two_point", "two_point": {"kappa": 0.75, "n": 1000},
+            "noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"},
+            "perturbed": "no"}, "n_list": [12], "replicates": 1, "kappa_grid": [0.75],
+            "S": 1.5}, "scenario.perturbed"),
         ("simulate", {"scenario": {
             "variant": "two_point", "two_point": {"kappa": 0.75, "n": 1000},
             "noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"},
@@ -251,6 +255,93 @@ class TestExitCodes:
         rc, err = run_cli([command, path])
         assert rc == 2
         assert err.startswith("config error") and f"{key} must be true or false" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, section, key", [
+        ("simulate", {"scenario": dict(POINTMASS_SCENARIO, noise1={
+            "kind": "point_mass", "centered": True}), "n": 5}, "noise", "centered"),
+        ("adapt", {"samples": "unread.csv", "d1": 1, "d2": 1, "kappa_grid": [0.75],
+                   "S": 1.5, "align_window": 0.5}, "adapt", "align_window"),
+        ("adapt", {"samples": "unread.csv", "d1": 1, "d2": 1, "kappa_grid": [0.75],
+                   "S": 1.5, "align_step": 0.05}, "adapt", "align_step"),
+        # each scenario variant takes only its own keys
+        ("simulate", {"scenario": dict(POINTMASS_SCENARIO, mixing=[[1.0]]), "n": 5},
+         "repeated scenario", "mixing"),
+        ("simulate", {"scenario": dict(POINTMASS_SCENARIO, sources=[], link="identity"),
+                      "n": 5}, "repeated scenario", "link, sources"),
+        ("simulate", {"scenario": dict(POINTMASS_SCENARIO, variant="eiv", d1=1), "n": 5},
+         "eiv scenario", "d1"),
+    ])
+    def test_key_nothing_reads_is_rejected(self, tmp_path, command, cfg, section, key):
+        path = write_config(tmp_path, "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
+        rc, err = run_cli([command, path])
+        assert rc == 2
+        assert f"unknown config keys in {section}: {key}\n" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, message", [
+        (dict(POINTMASS_SCENARIO, signal=5), "signal must be a JSON object"),
+        (dict(POINTMASS_SCENARIO, noise1="uniform"), "noise must be a JSON object"),
+        (dict(POINTMASS_SCENARIO, noise2=[{"kind": "point_mass"}, 3]),
+         "noise must be a JSON object"),
+        ("repeated", "scenario must be a JSON object"),
+        ({k: v for k, v in POINTMASS_SCENARIO.items() if k != "signal"},
+         "missing config keys in repeated scenario: signal"),
+        ({"d1": 1}, "missing config keys in scenario: variant"),
+        (dict(POINTMASS_SCENARIO, variant=["repeated"]), "unknown scenario variant"),
+        (dict(POINTMASS_SCENARIO, signal={"kind": "point_mass", "params": []}),
+         "point_mass signal needs params (location), got 0 values"),
+        (dict(POINTMASS_SCENARIO, signal={"kind": "compact_bump", "params": [1.0]}),
+         "compact_bump signal needs params (half_width, b), got 1 values"),
+        (dict(POINTMASS_SCENARIO, signal={"kind": "uniform", "params": [-1.0]}),
+         "uniform signal half_width must be positive"),
+        (dict(POINTMASS_SCENARIO, signal={"kind": "compact_bump", "params": [1.0, 0.0]}),
+         "compact_bump signal b must be positive"),
+        (dict(POINTMASS_SCENARIO, signal={"kind": "uniform", "params": 5}),
+         "signal.params must be a tuple"),
+        ({"variant": "ica", "sources": [{"kind": "uniform", "params": [1.0]}] * 2,
+          "mixing": [[1.0, "a"], [0.5, 1.0]],
+          "noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"}},
+         "scenario.mixing must be a matrix of numbers"),
+        ({"variant": "ica", "sources": [{"kind": "uniform", "params": [1.0]}] * 2,
+          "mixing": [[1.0, 0.5], [0.5]],
+          "noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"}},
+         "scenario.mixing must be a matrix of numbers"),
+        ({"variant": "ica", "sources": 5, "mixing": [[1.0]],
+          "noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"}},
+         "scenario.sources must be a list"),
+        ({"variant": "eiv", "signal": {"kind": "uniform", "params": [1.0]},
+          "noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"},
+          "link": ["identity"]}, "unknown link"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_malformed_scenario(self, tmp_path, command, scenario, message):
+        # a bad scenario stops the command before its run directory opens,
+        # with exit 2 and no traceback
+        cfg = {"scenario": scenario, "out_dir": str(tmp_path / "out")}
+        cfg.update({"n": 5} if command == "simulate" else
+                   {"n_list": [12], "replicates": 1, "kappa_grid": [0.75], "S": 1.5})
+        rc, err = run_cli([command, write_config(tmp_path, "c.json", cfg)])
+        assert rc == 2
+        assert err.startswith("config error") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("y1,y2\n0,0\n0,abc\n", "line 3: non-numeric value in ['0', 'abc']"),
+        ("y1,y2\n0,0\n0,0,1\n", "line 3: 3 values, expected 2"),
+        ("y1,y2\n0\n", "line 2: 1 values, expected 2"),
+        ("", "unexpected CSV header None"),
+    ], ids=["non-numeric", "long-row", "short-row", "empty"])
+    @pytest.mark.parametrize("command", ["estimate", "adapt"])
+    def test_malformed_samples_csv(self, tmp_path, command, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        cfg = {"samples": str(path), "d1": 1, "d2": 1, "S": 1.5,
+               "out_dir": str(tmp_path / "out")}
+        cfg.update({"kappa": 0.75} if command == "estimate" else {"kappa_grid": [0.75]})
+        rc, err = run_cli([command, write_config(tmp_path, "c.json", cfg)])
+        assert rc == 2
+        assert err.startswith("config error") and str(path) in err and message in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("grid", [["a", 1, 3], [-1.0, 1.0, "x"], [-1.0, 1.0]])
@@ -666,6 +757,15 @@ class TestPersistence:
         assert rows_equal(back, list(rows))
         # commas in messages survive the CSV layer
         assert back[1].message == "solver exploded, twice"
+
+
+    def test_report_columns_are_the_cell_fields(self, tmp_path):
+        report = ExperimentReport(plan_summary={}, rows=(make_row(12),))
+        save_report(report, tmp_path / "r.csv", tmp_path / "r.json")
+        with open(tmp_path / "r.csv", newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert header == [f.name for f in dataclasses.fields(CellResult)]
+        assert len(row) == len(header)
 
 
 class TestFigureData:

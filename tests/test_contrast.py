@@ -6,6 +6,7 @@ import pytest
 from cfdeconv import ConfigError
 from cfdeconv.contrast import (
     OracleModel,
+    QuadratureGrid,
     contrast_empirical,
     contrast_linearized,
     contrast_oracle,
@@ -13,24 +14,32 @@ from cfdeconv.contrast import (
     make_grid,
     poly_tables,
 )
-from cfdeconv.ecf import EcfTable, SampleSet
+from cfdeconv.ecf import EcfTable, SampleSet, ecf_on_grid
 from cfdeconv.multiindex_taylor import TaylorPoly, UpsilonParams, random_member
 
+from test_ecf import closed
 from test_multiindex_taylor import poly_11
 
 
 def table_from_poly(poly, grid):
     """EcfTable whose values are the candidate's own grid tables."""
     full, first, second = poly_tables(poly, grid)
-    return EcfTable(
-        grid_id=grid.grid_id,
-        n=1,
-        shape1=first.shape,
-        shape2=second.shape,
-        first=first,
-        second=second,
-        full=full,
-    )
+    return EcfTable(grid_id=grid.grid_id, n=1, first=first, second=second, full=full)
+
+
+def trapezoid_nodes(nu, count):
+    """Equispaced nodes on [-nu, nu], closed under negation exactly
+    (np.linspace can miss it by an ulp)."""
+    return closed(np.linspace(-nu, nu, count))
+
+
+def trapezoid_grid(nu, dims, count):
+    """A QuadratureGrid built by hand on the trapezoid rule: a box rule
+    other than make_grid's Gauss-Legendre one."""
+    h = 2.0 * nu / (count - 1)
+    weights = np.full(count, h)
+    weights[0] = weights[-1] = h / 2.0
+    return QuadratureGrid(nu, count, dims, trapezoid_nodes(nu, count), weights)
 
 
 def zero_sample_table(grid):
@@ -54,28 +63,25 @@ class TestMakeGrid:
         val = np.sum(grid.axis_weights * grid.axis_nodes**6)
         assert val == pytest.approx(2.0 * 2.0**7 / 7.0, rel=1e-12)
 
-    def test_trapezoid_rule(self):
-        grid = make_grid(1.0, (1, 1), 101, rule="trapezoid")
-        assert grid.axis_weights.sum() == pytest.approx(2.0, abs=1e-12)
-        val = np.sum(grid.axis_weights * grid.axis_nodes**2)
-        assert val == pytest.approx(2.0 / 3.0, abs=1e-3)
-
     @pytest.mark.parametrize("rule", ["gauss_legendre", "trapezoid"])
     @pytest.mark.parametrize("nodes", [5, 6, 11, 12, 47, 48, 64])
     @pytest.mark.parametrize("nu", [1.0, 1.5])
     def test_nodes_closed_under_negation(self, rule, nodes, nu):
-        x = make_grid(nu, (1, 1), nodes, rule=rule).axis_nodes
-        assert np.array_equal(x, -x[::-1])
-        if rule == "trapezoid":
+        # make_grid's nodes, and the hand-built trapezoid nodes the tests use
+        if rule == "gauss_legendre":
+            x = make_grid(nu, (1, 1), nodes).axis_nodes
+        else:
+            x = trapezoid_nodes(nu, nodes)
             assert x[0] == -nu and x[-1] == nu
+        assert np.array_equal(x, -x[::-1])
+        table = ecf_on_grid(SampleSet(1, 1, np.zeros((1, 2))), [x, x])
+        assert np.all(table.full == 1.0)
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):
             make_grid(-1.0, (1, 1), 8)
         with pytest.raises(ConfigError):
             make_grid(1.0, (1, 1), 1)
-        with pytest.raises(ConfigError):
-            make_grid(1.0, (1, 1), 8, rule="simpson")
         with pytest.raises(ConfigError):
             make_grid(1.0, (0, 1), 8)
 
@@ -215,15 +221,7 @@ class TestEmpiricalToOracle:
         # tables built from the true CF: M_n degenerates to weighted M
         model = uniform_repeated.oracle()
         full, first, second = model.tables(grid24)
-        table = EcfTable(
-            grid_id=grid24.grid_id,
-            n=10**9,
-            shape1=first.shape,
-            shape2=second.shape,
-            first=first,
-            second=second,
-            full=full,
-        )
+        table = EcfTable(grid_id=grid24.grid_id, n=10**9, first=first, second=second, full=full)
         truthlike = poly_11(2, {})
         emp = contrast_empirical(truthlike, table, grid24)
         assert emp > 0.0

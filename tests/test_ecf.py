@@ -13,6 +13,13 @@ def make_samples(rows, d1=1, d2=1):
     return SampleSet(d1, d2, np.asarray(rows, dtype=np.float64))
 
 
+def closed(x):
+    """x averaged with its mirror, so that x == -x[::-1] holds exactly (as
+    ecf_on_grid requires of every axis)."""
+    x = np.asarray(x, dtype=np.float64)
+    return (x - x[::-1]) / 2
+
+
 class TestEcfEval:
     def test_single_zero_sample(self):
         s = make_samples([[0.0, 0.0]])
@@ -70,7 +77,7 @@ class TestEcfOnGrid:
 
     def test_agreement_with_pointwise(self, rng):
         s = make_samples(rng.normal(size=(37, 2)))
-        nodes = [np.sort(rng.uniform(-2, 2, 10)), np.sort(rng.uniform(-2, 2, 5))]
+        nodes = [closed(np.sort(rng.uniform(-2, 2, 10))), closed(np.sort(rng.uniform(-2, 2, 5)))]
         table = ecf_on_grid(s, nodes)
         for i, t1 in enumerate(nodes[0]):
             for j, t2 in enumerate(nodes[1]):
@@ -97,7 +104,7 @@ class TestEcfOnGrid:
 
     def test_determinism(self, rng):
         data = rng.normal(size=(51, 2))
-        nodes = [np.linspace(-1, 1, 7), np.linspace(-2, 2, 6)]
+        nodes = [closed(np.linspace(-1, 1, 7)), closed(np.linspace(-2, 2, 6))]
         t1 = ecf_on_grid(make_samples(data), nodes)
         t2 = ecf_on_grid(make_samples(data.copy()), nodes)
         np.testing.assert_array_equal(t1.full, t2.full)
@@ -164,20 +171,25 @@ class TestHalfLattice:
         table = ecf.pooled(ecf_on_grid(make_samples(data[:half], *dims), axes),
                            ecf_on_grid(make_samples(data[half:], *dims), axes))
         union = ecf_on_grid(make_samples(data, *dims), axes)
-        assert table.n == union.n and (table.shape1, table.shape2) == (union.shape1, union.shape2)
+        assert table.n == union.n
         for got, ref in zip((table.full, table.first, table.second),
                             (union.full, union.first, union.second)):
             assert np.max(np.abs(got - ref)) <= 1e-14
             assert np.array_equal(got[::-1, ::-1] if got.ndim == 2 else got[::-1], np.conj(got))
 
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_hand_built_trapezoid_nodes(self, closed, rng):
-        x = np.linspace(-1.0, 1.0, 9)
-        x = (x - x[::-1]) / 2 if closed else x + 0.05
-        assert np.array_equal(x, -x[::-1]) == closed
+    @pytest.mark.parametrize("is_closed", [True, False])
+    def test_hand_built_trapezoid_nodes(self, is_closed, rng):
+        # a different closed node list per axis is tabulated; a node list
+        # that is not closed under negation is rejected
+        x = closed(np.linspace(-1.0, 1.0, 9))
+        axes = [x, x[1:-1], x[::2]] if is_closed else [x, x[2:], x[::2]]
         s = make_samples(rng.normal(size=(90, 3)), d1=2, d2=1)
-        table = assert_matches_pointwise(s, [x, x[2:], x[::2]])
-        assert (table.shape1, table.shape2) == ((9, 7), (5,))
+        if not is_closed:
+            with pytest.raises(ConfigError, match="closed under negation"):
+                ecf_on_grid(s, axes)
+            return
+        table = assert_matches_pointwise(s, axes)
+        assert table.full.shape == (9 * 7, 5)
 
     def test_nonfinite_nodes_rejected(self):
         s = make_samples([[0.1, 0.2]])
@@ -230,6 +242,18 @@ class TestCsvRoundTrip:
         back = load_csv(path, 2, 1)
         assert (back.d1, back.d2) == (2, 1)
         np.testing.assert_array_equal(back.data, s.data)
+
+    @pytest.mark.parametrize("text, message", [
+        ("y1,y2\n1,2\n\n3,x\n", ", line 4: non-numeric value in ['3', 'x']"),
+        ("y1,y2\n1,2\n3,4,5\n", ", line 3: 3 values, expected 2"),
+        ("y1,y2\n1\n", ", line 2: 1 values, expected 2"),
+    ], ids=["non-numeric", "long-row", "short-row"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_csv(path, 1, 1)
+        assert str(err.value).startswith(str(path) + message)
 
     def test_dimension_mismatch_on_load(self, tmp_path, rng):
         s = make_samples(rng.normal(size=(5, 2)))

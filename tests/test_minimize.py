@@ -36,7 +36,7 @@ from cfdeconv.multiindex_taylor import (
 )
 from cfdeconv.runner import cf_box_error
 
-from test_contrast import zero_sample_table
+from test_contrast import trapezoid_grid, zero_sample_table
 from test_multiindex_taylor import poly_11
 
 
@@ -144,8 +144,8 @@ class TestEvaluator:
             return real(*parts)
 
         monkeypatch.setattr(contrast_module, "content_hash", counting)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=1e-8,
-                                max_iters=20)
+        monkeypatch.setattr(minimize_module, "MAX_ITERS", 20)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=1e-8)
         minimize_contrast(table, grid, config)
         assert calls == []
         assert grid.w1 is grid.w1
@@ -165,11 +165,11 @@ class TestMinimize:
         assert res.reason == "resolution" and res.converged
         assert res.trace.shape == (1,) and res.restarts_used == 1
 
-    def test_reason_max_iters(self, grid24, rng):
+    def test_reason_max_iters(self, grid24, rng, monkeypatch):
+        monkeypatch.setattr(minimize_module, "MAX_ITERS", 1)
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8,
-                                max_iters=1, seed=1)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8, seed=1)
         res = minimize_contrast(table, grid24, config)
         assert res.reason == "max_iters" and not res.converged
         assert res.trace.shape == (2,)
@@ -187,22 +187,25 @@ class TestMinimize:
         assert res.value <= tol and res.trace[-1] == res.value
         assert np.all(res.trace[:-1] > tol)
 
-    def test_every_restart_reason(self, grid24, rng):
+    def test_every_restart_reason(self, grid24, rng, monkeypatch):
+        monkeypatch.setattr(minimize_module, "MAX_ITERS", 30)
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
         config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8,
-                                restarts=3, max_iters=30, seed=1)
+                                restarts=3, seed=1)
         res = minimize_contrast(table, grid24, config)
         assert isinstance(res.reasons, tuple) and len(res.reasons) == res.restarts_used
         assert res.reason in res.reasons
         assert set(res.reasons) <= {"resolution", "ftol", "gtol", "max_iters", "abnormal"}
 
     @pytest.mark.parametrize("max_iters, tol, used", [(1, 1e-8, 3), (400, 1e3, 1)])
-    def test_restart_only_after_unconverged(self, grid24, rng, max_iters, tol, used):
+    def test_restart_only_after_unconverged(self, grid24, rng, monkeypatch, max_iters, tol,
+                                            used):
+        monkeypatch.setattr(minimize_module, "MAX_ITERS", max_iters)
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
         config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=tol,
-                                restarts=3, max_iters=max_iters, seed=1)
+                                restarts=3, seed=1)
         res = minimize_contrast(table, grid24, config)
         assert res.restarts_used == used == len(res.reasons)
         assert all(r in ("max_iters", "abnormal") for r in res.reasons[:-1])
@@ -334,7 +337,10 @@ class TestLsInit:
         ],
     )
     def test_matches_dense_design(self, dims, nodes, rule, m_opt, rng):
-        grid = make_grid(1.0, dims, nodes, rule)
+        if rule == "gauss_legendre":
+            grid = make_grid(1.0, dims, nodes)
+        else:
+            grid = trapezoid_grid(1.0, dims, nodes)
         samples = SampleSet(dims[0], dims[1], rng.uniform(-1.0, 1.0, size=(400, sum(dims))))
         table = ecf_table_for_grid(samples, grid)
         theta = _ls_init(table, grid, m_opt).theta

@@ -5,7 +5,6 @@ import pytest
 
 from cfdeconv import ConfigError
 from cfdeconv.multiindex_taylor import (
-    MultiIndex,
     TaylorPoly,
     UpsilonParams,
     evaluate,
@@ -42,10 +41,6 @@ class TestIndexTable:
         for d in (1, 2, 3):
             entries, _, _ = index_table(d, 4)
             assert tuple(entries[0]) == (0,) * d
-
-    def test_multiindex_rejects_negative(self):
-        with pytest.raises(ConfigError):
-            MultiIndex((1, -2))
 
 
 class TestUpsilonBound:

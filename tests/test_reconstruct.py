@@ -165,12 +165,18 @@ class TestInvert:
         assert omega == 0.5
 
 
+def without_spectrum(grid):
+    """The same density values with no spectrum: l2_distance and l2_norm
+    then use the lattice sum."""
+    return DensityGrid(grid.lattice, grid.values)
+
+
 class TestL2Distance:
     def test_identical_is_zero(self):
         lattice = LatticeSpec((-2.0,), (2.0,), (21,))
         a = invert(poly_d1([1.0, 0.1]), 0.5, lattice)
         assert l2_distance(a, a) == 0.0
-        assert l2_distance(a, a, method="lattice") == 0.0
+        assert l2_distance(without_spectrum(a), without_spectrum(a)) == 0.0
 
     def test_constant_box_gap(self):
         # indicator spectra of widths w1 < w2: squared gap 2(w2-w1)/(2 pi)
@@ -178,24 +184,26 @@ class TestL2Distance:
         a = invert(poly_d1([1.0]), 0.5, lattice)
         b = invert(poly_d1([1.0]), 0.9, lattice)
         expected = np.sqrt((0.9 - 0.5) / np.pi)
-        assert l2_distance(a, b, method="spectral") == pytest.approx(expected, rel=1e-12)
+        assert l2_distance(a, b) == pytest.approx(expected, rel=1e-12)
 
     def test_spectral_vs_lattice_agreement(self):
         # the inverse decays like 1/x, so the Riemann window must be wide
         lattice = LatticeSpec((-200.0,), (200.0,), (20001,))
         a = invert(poly_d1([1.0, 0.2, -0.1]), 0.6, lattice)
         b = invert(poly_d1([1.0, -0.15, 0.05]), 0.6, lattice)
-        spectral = l2_distance(a, b, method="spectral")
-        lattice_val = l2_distance(a, b, method="lattice")
+        spectral = l2_distance(a, b)
+        lattice_val = l2_distance(without_spectrum(a), without_spectrum(b))
         assert lattice_val == pytest.approx(spectral, rel=0.02)
 
     def test_incompatible_lattices(self):
         a = DensityGrid(LatticeSpec((-1.0,), (1.0,), (5,)), np.zeros(5))
         b = DensityGrid(LatticeSpec((-2.0,), (2.0,), (5,)), np.zeros(5))
-        with pytest.raises(ConfigError):
-            l2_distance(a, b, method="lattice")
-        with pytest.raises(ConfigError):
-            l2_distance(a, b, method="spectral")
+        with pytest.raises(ConfigError, match="identical lattices"):
+            l2_distance(a, b)
+        # a spectrum on one side only also falls back to the lattice sum
+        c = invert(poly_d1([1.0]), 0.5, b.lattice)
+        with pytest.raises(ConfigError, match="identical lattices"):
+            l2_distance(a, c)
 
     def test_norm_matches_plancherel(self):
         omega = 0.5
@@ -204,7 +212,9 @@ class TestL2Distance:
         nodes, weights = np.polynomial.legendre.leggauss(64)
         ts, ws = omega * nodes, omega * weights
         expected = np.sqrt(float(ws @ np.abs(1.0 + 0.3j * ts) ** 2) / (2.0 * np.pi))
-        assert l2_norm(a, method="spectral") == pytest.approx(expected, rel=1e-10)
+        assert l2_norm(a) == pytest.approx(expected, rel=1e-10)
+        bare = without_spectrum(a)
+        assert l2_norm(bare) == l2_distance(bare, DensityGrid(lattice, np.zeros(33)))
 
 
 class TestSmoothness:
@@ -252,4 +262,4 @@ class TestPlancherelConsistency:
         dq = (-0.05 - 0.02) * ts**2
         diff2 = np.abs(dp + dq) ** 2
         expected = np.sqrt(np.trapezoid(diff2, ts) / (2.0 * np.pi))
-        assert l2_distance(a, b, method="spectral") == pytest.approx(expected, rel=1e-8)
+        assert l2_distance(a, b) == pytest.approx(expected, rel=1e-8)

@@ -51,6 +51,17 @@ class TestSignalSpec:
         with pytest.raises(ConfigError):
             SignalSpec("custom")
 
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform", ()), ("uniform", (1.0, 2.0)), ("point_mass", ()),
+        ("compact_bump", (1.0,)), ("h_kappa", (0.75,)),
+        ("uniform", (-1.0,)), ("uniform", (0.0,)), ("uniform", (float("nan"),)),
+        ("compact_bump", (1.0, -4.0)), ("compact_bump", (0.0, 4.0)),
+    ])
+    def test_bad_params_rejected_at_construction(self, kind, params):
+        # caught here, not when the first sample is drawn
+        with pytest.raises(ConfigError, match=f"{kind} signal"):
+            SignalSpec(kind, params)
+
 
 class TestAxisNoise:
     def test_cf_closed_forms(self):

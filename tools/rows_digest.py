@@ -7,8 +7,12 @@ concatenated `theta` bytes of every estimate, in call order.  The lab
 makes no estimates: its theta digest is that of no bytes, and its rows
 carry the basis, census, two-point, Le Cam and bound-suite values.  The
 pass and both byte strings are those that `perfbench/run.py` compares
-across passes (`one_pass`, `rows_bytes`, `thetas`).
-Two checkouts whose lines match produce the same outputs to the bit:
+across passes (`one_pass`, `rows_bytes`, `thetas`).  A last line runs the
+`experiment` subcommand of the checkout's CLI on one small fixed config
+(plan seed = the seed argument) in a temporary directory and prints the
+SHA-256 of its report.csv and report.json, so the CLI's artifacts are
+compared too.  Two checkouts whose lines match produce the same outputs to
+the bit:
 
     python3 tools/rows_digest.py                     # this checkout, seed 1
     python3 tools/rows_digest.py /path/to/other 1    # another checkout
@@ -21,10 +25,26 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("cells-ica2d", "adapt-ica2d-1m", "cell-rm4d", "lab-lowerbound")
+
+# a small ICA experiment with a density truth, so every report column is set
+EXPERIMENT = {
+    "scenario": {
+        "variant": "ica", "d1": 1,
+        "sources": [{"kind": "uniform", "params": [1.0]}, {"kind": "uniform", "params": [0.5]}],
+        "mixing": [[1.0, 0.5], [0.5, 1.0]],
+        "noise1": {"kind": "laplace", "param": 0.3}, "noise2": {"kind": "laplace", "param": 0.3},
+    },
+    "n_list": [500, 1000], "replicates": 2, "kappa_grid": [0.6, 0.9], "S": 1.5,
+    "nodes": 16, "tuning": {"mode": "override", "m_opt": 4},
+    "lattice": {"mins": [-3, -3], "maxs": [3, 3], "counts": [9, 9]},
+}
 
 
 def _import_checkout(root: Path):
@@ -55,6 +75,19 @@ def digests(cf, run, tracer, workloads, name: str, seed: int) -> tuple:
     return rows, hashlib.sha256(b"".join(thetas)).hexdigest(), len(thetas)
 
 
+def experiment_digests(seed: int) -> tuple:
+    """(report.csv SHA-256, report.json SHA-256) of the EXPERIMENT config run
+    through the CLI with plan seed `seed`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, config = Path(tmp) / "run", Path(tmp) / "config.json"
+        config.write_text(json.dumps(dict(EXPERIMENT, seed=seed, out_dir=str(out))))
+        code = importlib.import_module("cfdeconv.cli_io").cli(["experiment", str(config)])
+        if code != 0:
+            sys.exit(f"rows_digest: the experiment config exited {code}")
+        return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("report.csv", "report.json"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
@@ -64,6 +97,8 @@ def main(argv=None) -> int:
     for name in WORKLOADS:
         rows, theta, count = digests(cf, run, tracer, workloads, name, args.seed)
         print(f"{name} seed={args.seed} rows={rows} theta={theta} estimates={count}", flush=True)
+    report_csv, report_json = experiment_digests(args.seed)
+    print(f"experiment-cli seed={args.seed} report.csv={report_csv} report.json={report_json}")
     return 0
 
 
