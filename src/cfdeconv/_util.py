@@ -23,8 +23,11 @@ class NumericalError(RuntimeError):
 
 
 def as_type(value, kind, key: str):
-    """kind(value), with a failed conversion raised as a ConfigError naming key."""
+    """kind(value), with a failed conversion raised as a ConfigError naming key;
+    a str, bytes or dict is no list or tuple ("48" is not [4, 8])."""
     try:
+        if kind in (list, tuple) and isinstance(value, (str, bytes, dict)):
+            raise TypeError(value)
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}") from None

@@ -25,6 +25,7 @@ import numpy as np
 from ._util import ConfigError, NumericalError, as_type, fmt17
 from . import ecf
 from .conjecture_lab import (
+    HOLDOUT_K,
     WeightSpec,
     build_two_point,
     build_weighted_basis,
@@ -79,7 +80,7 @@ def _as_pos(value, key: str) -> float:
     return x
 
 
-def _as_int(value, key: str, minimum: int) -> int:
+def _as_int(value, key: str, minimum: int = 1) -> int:
     n = as_type(value, int, key)
     if n < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
@@ -93,18 +94,19 @@ def _as_bool(value, key: str) -> bool:
     return value
 
 
-def _as_kappa_grid(value, key: str) -> tuple:
-    grid = tuple(_as_kappa(v, key) for v in as_type(value, tuple, key))
-    if not grid:
+def _as_list(value, key: str, convert) -> tuple:
+    """A nonempty list-valued key, each item checked by convert(item, key)."""
+    items = tuple(convert(v, key) for v in as_type(value, tuple, key))
+    if not items:
         raise ConfigError(f"{key} must be a nonempty list")
-    return grid
+    return items
 
 
 def _as_scaling_grid(value, key: str) -> tuple:
     items = as_type(value, tuple, key)
     if len(items) != 3:
         raise ConfigError(f"{key} must be [lo, hi, count], got {value!r}")
-    return as_type(items[0], float, key), as_type(items[1], float, key), _as_int(items[2], key, 1)
+    return as_type(items[0], float, key), as_type(items[1], float, key), _as_int(items[2], key)
 
 
 def _lattice_from_config(cfg, d: int) -> LatticeSpec:
@@ -186,7 +188,7 @@ def scenario_from_config(cfg: dict) -> ScenarioSpec:
     c_nu = _as_pos(cfg.get("c_nu", 1e-3), "scenario.c_nu")
     noise1, noise2 = _noise_from_config(cfg["noise1"]), _noise_from_config(cfg["noise2"])
     if variant == "repeated":
-        d1 = _as_int(cfg.get("d1", 1), "scenario.d1", 1)
+        d1 = _as_int(cfg.get("d1", 1), "scenario.d1")
         return make_repeated(_signal_from_config(cfg["signal"]), noise1, noise2,
                              d1=d1, nu=nu, c_nu=c_nu)
     if variant == "eiv":
@@ -197,7 +199,7 @@ def scenario_from_config(cfg: dict) -> ScenarioSpec:
         sources = as_type(cfg["sources"], list, "scenario.sources")
         sources = [_signal_from_config(s) for s in sources]
         return make_ica(sources, _as_matrix(cfg["mixing"], "scenario.mixing"), noise1, noise2,
-                        d1=_as_int(cfg.get("d1", 1), "scenario.d1", 1), nu=nu, c_nu=c_nu)
+                        d1=_as_int(cfg.get("d1", 1), "scenario.d1"), nu=nu, c_nu=c_nu)
     perturbed = _as_bool(cfg.get("perturbed", False), "scenario.perturbed")
     return make_two_point(_two_point_from_config(cfg["two_point"]), noise1, noise2,
                           perturbed=perturbed, nu=nu, c_nu=c_nu)
@@ -405,7 +407,7 @@ _SIM_KEYS = {"scenario", "n", "seed", "out_dir"}
 def _cmd_simulate(cfg: dict, config_path) -> int:
     _require_keys(cfg, _SIM_KEYS, {"scenario", "n", "out_dir"}, "simulate")
     scenario = scenario_from_config(cfg["scenario"])
-    n = _as_int(cfg["n"], "n", 1)
+    n = _as_int(cfg["n"], "n")
     samples = scenario.sample(n, _as_int(cfg.get("seed", 0), "seed", 0))
     out = _open_run_dir(cfg, config_path)
     ecf.export_csv(samples, out / "samples.csv")
@@ -421,13 +423,13 @@ def _cmd_simulate(cfg: dict, config_path) -> int:
 def _sample_inputs(cfg: dict) -> tuple:
     """(samples, grid, lattice, options) shared by estimate and adapt, every
     value checked before a run directory is opened."""
-    d1 = _as_int(cfg["d1"], "d1", 1)
-    d2 = _as_int(cfg["d2"], "d2", 1)
+    d1 = _as_int(cfg["d1"], "d1")
+    d2 = _as_int(cfg["d2"], "d2")
     opts = {
         "S": _as_pos(cfg["S"], "S"),
         "nu": _as_pos(cfg.get("nu", 1.0), "nu"),
         "c_kappa": None if cfg.get("c_kappa") is None else _as_pos(cfg["c_kappa"], "c_kappa"),
-        "restarts": _as_int(cfg.get("restarts", 4), "restarts", 1),
+        "restarts": _as_int(cfg.get("restarts", 4), "restarts"),
         "seed": _as_int(cfg.get("seed", 0), "seed", 0),
     }
     nodes = _as_int(cfg.get("nodes", 48), "nodes", 2)
@@ -446,7 +448,7 @@ def _cmd_estimate(cfg: dict, config_path) -> int:
     _require_keys(cfg, _EST_KEYS, {"samples", "d1", "d2", "kappa", "S", "out_dir"},
                   "estimate")
     kappa = _as_kappa(cfg["kappa"], "kappa")
-    m_opt = None if cfg.get("m_opt") is None else _as_int(cfg["m_opt"], "m_opt", 1)
+    m_opt = None if cfg.get("m_opt") is None else _as_int(cfg["m_opt"], "m_opt")
     samples, grid, lattice, opts = _sample_inputs(cfg)
     out = _open_run_dir(cfg, config_path)
     outcome = estimate_once(samples, grid, lattice, kappa=kappa, m_opt=m_opt, **opts)
@@ -477,7 +479,7 @@ _ADAPT_KEYS = {
 def _cmd_adapt(cfg: dict, config_path) -> int:
     _require_keys(cfg, _ADAPT_KEYS,
                   {"samples", "d1", "d2", "kappa_grid", "S", "out_dir"}, "adapt")
-    kappa_grid = _as_kappa_grid(cfg["kappa_grid"], "kappa_grid")
+    kappa_grid = _as_list(cfg["kappa_grid"], "kappa_grid", _as_kappa)
     beta = _as_pos(cfg.get("beta", 1.0), "beta")
     samples, grid, lattice, opts = _sample_inputs(cfg)
     out = _open_run_dir(cfg, config_path)
@@ -510,25 +512,21 @@ _CONJ_KEYS = {
 
 def _cmd_conjecture(cfg: dict, config_path) -> int:
     _require_keys(cfg, _CONJ_KEYS, {"kappa_list", "out_dir"}, "conjecture")
-    kappa_list = _as_kappa_grid(cfg["kappa_list"], "kappa_list")
-    K_max = _as_int(cfg.get("K_max", 16), "K_max", 1)
-    K_list = [
-        _as_int(K, "K_list entry", 1) for K in cfg.get("K_list", range(1, K_max + 1))
-    ]
-    if not K_list:
-        raise ConfigError("K_list must be a nonempty list")
+    kappa_list = _as_list(cfg["kappa_list"], "kappa_list", _as_kappa)
+    K_max = _as_int(cfg.get("K_max", 16), "K_max")
+    K_list = _as_list(cfg.get("K_list", range(1, K_max + 1)), "K_list", _as_int)
     if max(K_list) > K_max:
         raise ConfigError("K_list exceeds K_max")
-    scalings = list(cfg.get("scalings", ["stretch", "squeeze"]))
+    scalings = as_type(cfg.get("scalings", ["stretch", "squeeze"]), list, "scalings")
     for s in scalings:
-        if s not in _SCALING_GRIDS:
+        if not isinstance(s, str) or s not in _SCALING_GRIDS:
             raise ConfigError(f"unknown scaling {s!r}")
     census = _as_bool(cfg.get("census", False), "census")
-    if census and K_max < 16:
-        raise ConfigError("census needs K_max >= 16 to cover its holdout range")
+    if census and K_max < max(HOLDOUT_K):
+        raise ConfigError(f"census needs K_max >= {max(HOLDOUT_K)} to cover its holdout range")
     basis_opts = {}
     if "panels" in cfg:
-        basis_opts["panels"] = _as_int(cfg["panels"], "panels", 1)
+        basis_opts["panels"] = _as_int(cfg["panels"], "panels")
     if "nodes" in cfg:
         basis_opts["nodes"] = _as_int(cfg["nodes"], "nodes", 2)
     if "cert_tol" in cfg:
@@ -566,14 +564,13 @@ _BOUNDS_KEYS = {
 
 def _cmd_bounds_check(cfg: dict, config_path) -> int:
     _require_keys(cfg, _BOUNDS_KEYS, {"out_dir"}, "bounds-check")
-    kappa_list = _as_kappa_grid(cfg.get("kappa_list", [0.55, 0.75, 1.0]),
-                                "kappa_list")
-    S_list = [_as_pos(s, "S_list entry") for s in cfg.get("S_list", [0.5, 1.0, 2.0])]
-    nu_list = [_as_pos(v, "nu_list entry") for v in cfg.get("nu_list", [0.5, 1.0])]
-    m_list = [_as_int(m, "m_list entry", 1) for m in cfg.get("m_list", [2, 3, 4, 5, 6])]
-    d_list = [_as_int(d, "d_list entry", 1) for d in cfg.get("d_list", [1, 2])]
-    n_members = _as_int(cfg.get("n_members", 25), "n_members", 1)
-    member_degree = _as_int(cfg.get("member_degree", 30), "member_degree", 1)
+    kappa_list = _as_list(cfg.get("kappa_list", [0.55, 0.75, 1.0]), "kappa_list", _as_kappa)
+    S_list = _as_list(cfg.get("S_list", [0.5, 1.0, 2.0]), "S_list", _as_pos)
+    nu_list = _as_list(cfg.get("nu_list", [0.5, 1.0]), "nu_list", _as_pos)
+    m_list = _as_list(cfg.get("m_list", [2, 3, 4, 5, 6]), "m_list", _as_int)
+    d_list = _as_list(cfg.get("d_list", [1, 2]), "d_list", _as_int)
+    n_members = _as_int(cfg.get("n_members", 25), "n_members")
+    member_degree = _as_int(cfg.get("member_degree", 30), "member_degree")
     seed = _as_int(cfg.get("seed", 0), "seed", 0)
     out = _open_run_dir(cfg, config_path)
     rows = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,6 +32,12 @@ from ._util import ConfigError, NumericalError, det_exp, det_pow, inverse_cdf_sa
 _STEP = 2.0**-9
 _EXP_CUTOFF = 45.0  # weight treated as zero once the exponent exceeds this
 _K_STABLE = 16
+FIT_K, HOLDOUT_K = range(4, 11), range(11, _K_STABLE + 1)  # census degrees
+_MOLLIFIER_NODES = 64  # Gauss-Legendre nodes of mollifier_rule
+_GRID_PAD = 1.0  # master grid margin beyond the weight support plus 1/b
+_ENVELOPE_WINDOW = 5  # half-width of envelope_values' running max
+# lecam_value's v and w grids: [-half, half] at the given step
+_V_HALF, _V_STEP, _W_HALF, _W_STEP = 40.0, 0.1, 60.0, 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +257,8 @@ def interval_census(basis: WeightedBasis, K: int, c1: float, c2: float) -> Censu
     )
 
 
-def census_protocol(basis: WeightedBasis, c1: float, c2: float,
-                    fit_K: Sequence[int] = tuple(range(4, 11)),
-                    holdout_K: Sequence[int] = tuple(range(11, 17))):
-    """Fit the count constant on small K, test it on held-out larger K.
+def census_protocol(basis: WeightedBasis, c1: float, c2: float):
+    """Fit the count constant on FIT_K, test it on the larger HOLDOUT_K.
 
     c0 is the largest constant consistent with every fit-range count
     (min over K of count / K^kappa); the holdout passes when each count
@@ -262,13 +266,13 @@ def census_protocol(basis: WeightedBasis, c1: float, c2: float,
     (K, count, required) for the holdout range.
     """
     kappa = basis.weight.kappa
-    counts_fit = {K: interval_census(basis, K, c1, c2).count for K in fit_K}
+    counts_fit = {K: interval_census(basis, K, c1, c2).count for K in FIT_K}
     if min(counts_fit.values()) == 0:
-        return 0.0, tuple((K, interval_census(basis, K, c1, c2).count, 0) for K in holdout_K), False
+        return 0.0, tuple((K, interval_census(basis, K, c1, c2).count, 0) for K in HOLDOUT_K), False
     c0 = min(cnt / K**kappa for K, cnt in counts_fit.items())
     rows = []
     ok = True
-    for K in holdout_K:
+    for K in HOLDOUT_K:
         cnt = interval_census(basis, K, c1, c2).count
         need = math.ceil(c0 * K**kappa)
         rows.append((K, cnt, need))
@@ -304,22 +308,22 @@ def mollifier_eval(b: float, x) -> np.ndarray:
     return b * mollifier_constant() * _bump(b * x)
 
 
-def mollifier_rule(b: float, nodes: int = 64) -> tuple:
+def mollifier_rule(b: float) -> tuple:
     """Gauss-Legendre nodes u on [-1/b, 1/b] and weights w proportional to
     u_b(u), renormalized to unit total, so that sum w f(u) approximates the
     integral of f u_b and reproduces constants exactly."""
     if b <= 0:
         raise ConfigError("b must be positive")
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+    base_x, base_w = np.polynomial.legendre.leggauss(_MOLLIFIER_NODES)
     u = base_x / b
     w = base_w / b * mollifier_eval(b, u)
     return u, w / float(np.sum(w))
 
 
-def mollify(f: Callable, b: float, nodes: int = 64) -> Callable:
+def mollify(f: Callable, b: float) -> Callable:
     """Quadrature convolution x -> integral f(x - u) u_b(u) du on the
     mollifier_rule nodes; constants are exact fixed points."""
-    u, w = mollifier_rule(b, nodes)
+    u, w = mollifier_rule(b)
 
     def smoothed(x):
         x = np.asarray(x, dtype=np.float64)
@@ -351,11 +355,10 @@ class GridFunction:
         return float(np.sum(self.values**2) * self.step)
 
 
-def master_grid(spec: WeightSpec, b: float, pad: float = 1.0,
-                step: float = _STEP) -> np.ndarray:
-    """Dyadic symmetric grid covering the weight support plus 1/b plus pad."""
-    half = int(math.ceil((spec.cutoff() + 1.0 / b + pad) / step))
-    return np.arange(-half, half + 1) * step
+def master_grid(spec: WeightSpec, b: float) -> np.ndarray:
+    """Dyadic symmetric grid covering the weight support plus 1/b plus a pad."""
+    half = int(math.ceil((spec.cutoff() + 1.0 / b + _GRID_PAD) / _STEP))
+    return np.arange(-half, half + 1) * _STEP
 
 
 def _mollifier_taps(b: float, step: float) -> np.ndarray:
@@ -375,32 +378,30 @@ def grid_convolve(values: np.ndarray, taps: np.ndarray, step: float) -> np.ndarr
     return np.convolve(values, taps, mode="same") * step
 
 
-def norm_chain(basis: WeightedBasis, K: int, b: float,
-               step: float = _STEP) -> tuple:
+def norm_chain(basis: WeightedBasis, K: int, b: float) -> tuple:
     """Squared L2 norms of P_K h^2 before and after u_b smoothing.
 
     Both sums run on the same master grid, so smoothed <= plain is the
     discrete Young inequality verbatim; b -> infinity degenerates the taps
     to an identity and the ratio to exactly 1.
     """
-    xs = master_grid(basis.weight, b, step=step)
+    xs = master_grid(basis.weight, b)
     vals = basis.eval_poly(K, xs) * h_kappa_eval(basis.weight, xs) ** 2
-    plain = float(np.sum(vals**2) * step)
-    smoothed = grid_convolve(vals, _mollifier_taps(b, step), step)
-    return plain, float(np.sum(smoothed**2) * step)
+    plain = float(np.sum(vals**2) * _STEP)
+    smoothed = grid_convolve(vals, _mollifier_taps(b, _STEP), _STEP)
+    return plain, float(np.sum(smoothed**2) * _STEP)
 
 
-def envelope_values(basis: WeightedBasis, xs: np.ndarray, window: int = 5) -> np.ndarray:
+def envelope_values(basis: WeightedBasis, xs: np.ndarray) -> np.ndarray:
     """Empirical envelope max_K K^((1-kappa)/2) |P_K h| with a running max."""
     kappa = basis.weight.kappa
     h = h_kappa_eval(basis.weight, xs)
     env = np.zeros_like(xs)
     for K in range(1, basis.K_max + 1):
         np.maximum(env, K ** ((1.0 - kappa) / 2.0) * np.abs(basis.eval_poly(K, xs)) * h, out=env)
-    if window > 0:
-        padded = np.pad(env, window, mode="edge")
-        env = np.lib.stride_tricks.sliding_window_view(padded, 2 * window + 1).max(axis=1)
-    return env
+    padded = np.pad(env, _ENVELOPE_WINDOW, mode="edge")
+    return np.lib.stride_tricks.sliding_window_view(
+        padded, 2 * _ENVELOPE_WINDOW + 1).max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +416,6 @@ class LowerBoundInstance:
     d1: int
     d2: int
     a: float
-    c: float
     beta: float
     K_n: int
     b_n: float
@@ -436,7 +436,7 @@ class LowerBoundInstance:
 
 
 def make_instance(basis: WeightedBasis, n: int, *, d1: int = 1, d2: int = 1,
-                  a: float = 0.4, c: float = 2.0, beta: float = 1.0,
+                  a: float = 0.4, beta: float = 1.0,
                   c_K: float = 1.0, c_b: float = 4.0,
                   c_mass: float = 1e-8) -> LowerBoundInstance:
     """Resolve the (K_n, b_n, alpha_n) schedule for one sample size.
@@ -463,7 +463,7 @@ def make_instance(basis: WeightedBasis, n: int, *, d1: int = 1, d2: int = 1,
     norm_ph2 = math.sqrt(float(np.sum(ph2**2) * (xs[1] - xs[0])))
     mass_cap = math.sqrt(c_mass) * b_n**-beta / norm_ph2
     return LowerBoundInstance(
-        n=int(n), d1=d1, d2=d2, a=float(a), c=float(c), beta=float(beta),
+        n=int(n), d1=d1, d2=d2, a=float(a), beta=float(beta),
         K_n=K_n, b_n=float(b_n), alpha_n=float(min(sup_cap, mass_cap)),
         c_K=float(c_K), c_b=float(c_b), c_mass=float(c_mass),
     )
@@ -495,7 +495,7 @@ def build_two_point(instance: LowerBoundInstance, basis: WeightedBasis) -> TwoPo
     and a violation means alpha_n was too large.
     """
     step = _STEP
-    xs = master_grid(basis.weight, instance.b_n, step=step)
+    xs = master_grid(basis.weight, instance.b_n)
     taps = _mollifier_taps(instance.b_n, step)
     env_density = envelope_values(basis, xs) * h_kappa_eval(basis.weight, xs)
     total = float(np.sum(env_density) * step)
@@ -604,8 +604,6 @@ class LeCamReport:
 
 
 def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
-                v_half: float = 40.0, v_step: float = 0.1,
-                w_half: float = 60.0, w_step: float = 0.05,
                 l2_method: str = "exact") -> LeCamReport:
     """Testing-risk lower bound 0.25 ||f0 - fn||^2 (1 - L1/2)_+^n.
 
@@ -626,12 +624,12 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
     if l2_method == "exact":
         l2_sq = two_point.l2_sq
     else:
-        grid = np.arange(-v_half, v_half + v_step / 2, v_step)
+        grid = np.arange(-_V_HALF, _V_HALF + _V_STEP / 2, _V_STEP)
         mesh = tensor_points([grid, grid])
         diff = two_point.f0(mesh) - two_point.fn(mesh)
-        l2_sq = float(np.sum(diff**2) * v_step**2)
-    v = np.arange(-v_half, v_half + v_step / 2, v_step)
-    w = np.arange(-w_half, w_half + w_step / 2, w_step)
+        l2_sq = float(np.sum(diff**2) * _V_STEP**2)
+    v = np.arange(-_V_HALF, _V_HALF + _V_STEP / 2, _V_STEP)
+    w = np.arange(-_W_HALF, _W_HALF + _W_STEP / 2, _W_STEP)
     a, det = inst.a, abs(float(np.linalg.det(inst.matrix())))
     g = noise.density
     # pushforward of the product noise through A, a density in w
@@ -639,7 +637,7 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
     Gmat = two_point.pert(v[:, None] - w[None, :])
     Zmat = two_point.zeta0(v[:, None] - w[None, :])
     C2 = (Gmat @ QA) @ Zmat.T
-    l1 = float(inst.alpha_n * np.sum(np.abs(C2)) * w_step**2 * v_step**2)
+    l1 = float(inst.alpha_n * np.sum(np.abs(C2)) * _W_STEP**2 * _V_STEP**2)
     if not np.isfinite(l1):
         raise NumericalError("L1 quadrature diverged")
     if n == 0:

@@ -7,10 +7,13 @@ integrals
 
     I_k(x) = integral_{-omega}^{omega} t^k e^{-itx} dt,
 
-computed in closed form (no quadrature in t).  I_k is real for even k and
-purely imaginary for odd k; combined with the coefficient parity the
-reconstruction is exactly real up to float roundoff, and the leftover
-imaginary residue is tracked as a diagnostic.
+computed in closed form (no quadrature in t): with t = omega u, u^k in
+Legendre polynomials P_l and integral_{-1}^{1} P_l(u) e^{-izu} du =
+2 (-i)^l j_l(z), each moment is a finite sum of spherical Bessel values
+j_l(omega x), with no branch on omega x and no degree limit.  I_k is real
+for even k and purely imaginary for odd k; combined with the coefficient
+parity the reconstruction is exactly real up to float roundoff, and the
+leftover imaginary residue is tracked as a diagnostic.
 """
 
 from __future__ import annotations
@@ -20,15 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import spherical_jn
 
 from ._util import ConfigError, NumericalError, as_type, tensor_points, tensor_weights
 from .multiindex_taylor import TaylorPoly, evaluate, index_table
-
-# switch between the small-argument series and the boundary recurrence for
-# I_k; series cancellation stays below ~e^8 * eps, recurrence amplification
-# (k / (omega x))^k stays harmless for k <= 16 once omega*x >= 8
-_SERIES_CUTOFF = 8.0
-_SERIES_MAX_TERMS = 80
 
 
 @dataclass(frozen=True)
@@ -151,42 +149,23 @@ class DensityGrid:
 
 
 def _axis_moments(x: np.ndarray, omega: float, kmax: int) -> np.ndarray:
-    """Matrix of I_k(x) for k = 0..kmax, shape (len(x), kmax+1), complex."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((x.shape[0], kmax + 1), dtype=np.complex128)
-    small = np.abs(omega * x) < _SERIES_CUTOFF
-    if np.any(small):
-        xs = x[small]
-        block = np.zeros((xs.shape[0], kmax + 1), dtype=np.complex128)
-        for k in range(kmax + 1):
-            acc = np.zeros(xs.shape[0], dtype=np.complex128)
-            term_pow = (-1j * xs) ** (k % 2)
-            j = k % 2
-            while j <= _SERIES_MAX_TERMS:
-                coeff = 2.0 * omega ** (k + j + 1) / (math.factorial(j) * (k + j + 1))
-                term = coeff * term_pow
-                acc += term
-                if np.max(np.abs(term)) < 1e-18 * max(np.max(np.abs(acc)), 1e-300):
-                    break
-                term_pow = term_pow * (-1j * xs) ** 2
-                j += 2
-            block[:, k] = acc
-        out[small] = block
-    large = ~small
-    if np.any(large):
-        xl = x[large]
-        block = np.empty((xl.shape[0], kmax + 1), dtype=np.complex128)
-        sin_wx = np.sin(omega * xl)
-        cos_wx = np.cos(omega * xl)
-        block[:, 0] = 2.0 * sin_wx / xl
-        for k in range(1, kmax + 1):
-            if k % 2 == 0:
-                boundary = 2.0 * omega**k * sin_wx / xl
-            else:
-                boundary = 2.0j * omega**k * cos_wx / xl
-            block[:, k] = boundary - (1j * k / xl) * block[:, k - 1]
-        out[large] = block
-    return out
+    """Matrix of I_k(x) for k = 0..kmax, shape (len(x), kmax+1), complex.
+
+    I_k(x) = omega^(k+1) sum_l c_kl 2 (-i)^l j_l(omega x), from u^k =
+    sum_l c_kl P_l(u) (row k of c is poly2leg of the monomial) and
+    integral_{-1}^{1} P_l(u) e^{-izu} du = 2 (-i)^l j_l(z).  The c_kl are
+    nonnegative with sum 1 and |j_l| <= 1, so the rounding error is a few
+    ulps of 2 omega^(k+1) whatever omega x is.
+    """
+    z = omega * np.asarray(x, dtype=np.float64)
+    ls = np.arange(kmax + 1)
+    # j_l has the parity of l: evaluate at |z|, restore the sign for odd l
+    jl = spherical_jn(ls, np.abs(z)[:, None]) * np.where(ls % 2, np.sign(z)[:, None], 1.0)
+    c = np.zeros((kmax + 1, kmax + 1))
+    for k in range(kmax + 1):
+        c[k, : k + 1] = np.polynomial.legendre.poly2leg([0] * k + [1])
+    phases = np.array([1, -1j, -1, 1j])[ls % 4]
+    return (2.0 * phases * jl) @ c.T * omega ** (ls + 1.0)
 
 
 def invert(poly: TaylorPoly, omega: float, lattice: LatticeSpec) -> DensityGrid:

@@ -225,16 +225,15 @@ def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
 def _run_cell(plan, model, grid, truth, truth_grid, n_idx, k_idx, rep) -> CellResult:
     n, kappa = plan.n_list[n_idx], plan.kappa_grid[k_idx]
     seed = cell_seed(plan.seed, n_idx, k_idx, rep)
+    m_trunc, m_opt = resolve_degrees(plan, n, kappa)
     start = time.monotonic()
     try:
         samples = plan.scenario.sample(n, seed)
         out = estimate_once(
             samples, grid, plan.lattice, kappa=kappa, S=plan.S, nu=plan.nu,
-            m_opt=plan.m_opt if plan.tuning_mode == "override" else None,
-            c_kappa=plan.c_kappa, restarts=plan.restarts, seed=seed,
+            m_opt=m_opt, c_kappa=plan.c_kappa, restarts=plan.restarts, seed=seed,
         )
         result, density = out.result, out.density
-        m_trunc, m_opt, omega = out.m_trunc, out.m_opt, out.omega
         cf_err = cf_box_error(result.estimate, model, grid)
         if truth is None:
             l2_raw, l2_aligned = float("nan"), float("nan")
@@ -251,11 +250,10 @@ def _run_cell(plan, model, grid, truth, truth_grid, n_idx, k_idx, rep) -> CellRe
             n=n, kappa=kappa, replicate=rep, seed=seed, status=status,
             contrast_value=result.value, cf_box_error=cf_err,
             l2_raw=l2_raw, l2_aligned=l2_aligned, shift=tuple(shift),
-            m_trunc=m_trunc, m_opt=m_opt, omega=omega,
+            m_trunc=m_trunc, m_opt=m_opt, omega=out.omega,
             no_density_truth=truth is None, converged=result.converged,
         )
     except (ConfigError, NumericalError) as exc:
-        m_trunc, m_opt = resolve_degrees(plan, n, kappa)
         return CellResult(
             n=n, kappa=kappa, replicate=rep, seed=seed,
             status="error", contrast_value=float("nan"),

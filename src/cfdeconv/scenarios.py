@@ -153,7 +153,7 @@ def _atoms_cf(xs: np.ndarray, weights: np.ndarray) -> Callable:
 
 @lru_cache(maxsize=8)
 def _bump_cf(b: float) -> Callable:
-    return _atoms_cf(*mollifier_rule(b, 64))
+    return _atoms_cf(*mollifier_rule(b))
 
 
 @lru_cache(maxsize=8)

@@ -72,6 +72,20 @@ POINTMASS_SCENARIO = {
 
 SMALL_LATTICE = {"mins": [-2.0, -2.0], "maxs": [2.0, 2.0], "counts": [9, 9]}
 
+# lattice values as strings; split into characters they read as a 2-D lattice
+STRING_LATTICE = {"mins": "00", "maxs": "11", "counts": "22"}
+
+# the smallest valid config of each command, without samples and out_dir
+LIST_KEY_BASE = {
+    "simulate": {},
+    "experiment": {"scenario": POINTMASS_SCENARIO, "n_list": [12], "replicates": 1,
+                   "kappa_grid": [0.75], "S": 1.5},
+    "estimate": {"d1": 1, "d2": 1, "kappa": 0.75, "S": 1.5},
+    "adapt": {"d1": 1, "d2": 1, "kappa_grid": [0.75], "S": 1.5},
+    "conjecture": {"kappa_list": [0.75], "K_list": [2], "K_max": 8},
+    "bounds-check": {"m_list": [2], "d_list": [1], "n_members": 2, "member_degree": 4},
+}
+
 
 def write_config(tmp_path, name, cfg):
     path = tmp_path / name
@@ -353,6 +367,39 @@ class TestExitCodes:
         rc, err = run_cli(["conjecture", cfg])
         assert rc == 2
         assert err.startswith("config error") and "stretch_grid" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("simulate", {"scenario": dict(POINTMASS_SCENARIO, signal={
+            "kind": "compact_bump", "params": "14"}), "n": 5}, "signal.params"),
+        ("simulate", {"scenario": {
+            "variant": "ica", "sources": "ab", "mixing": [[1.0, 0.5], [0.5, 1.0]],
+            "noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"}}, "n": 5},
+         "scenario.sources"),
+        ("experiment", {"n_list": "12"}, "n_list"),
+        ("experiment", {"kappa_grid": "1"}, "kappa_grid"),
+        ("experiment", {"lattice": STRING_LATTICE}, "lattice.mins"),
+        ("estimate", {"lattice": STRING_LATTICE}, "lattice.mins"),
+        ("adapt", {"kappa_grid": "1"}, "kappa_grid"),
+        ("conjecture", {"kappa_list": "1"}, "kappa_list"),
+        ("conjecture", {"K_list": "48"}, "K_list"),
+        ("conjecture", {"scalings": "stretch"}, "scalings"),
+        ("conjecture", {"scalings": {"stretch": 1}}, "scalings"),
+        ("conjecture", {"stretch_grid": "113"}, "stretch_grid"),
+        ("bounds-check", {"kappa_list": "1"}, "kappa_list"),
+        ("bounds-check", {"S_list": "1"}, "S_list"),
+        ("bounds-check", {"nu_list": "1"}, "nu_list"),
+        ("bounds-check", {"m_list": "2"}, "m_list"),
+        ("bounds-check", {"d_list": "1"}, "d_list"),
+    ])
+    def test_string_for_list_key(self, tmp_path, command, cfg, key):
+        # a string is not split into its characters: "48" is no [4, 8]
+        cfg = dict(LIST_KEY_BASE[command], **cfg, out_dir=str(tmp_path / "out"))
+        if command in ("estimate", "adapt"):
+            cfg["samples"] = zero_samples(tmp_path, 12)
+        rc, err = run_cli([command, write_config(tmp_path, "c.json", cfg)])
+        assert rc == 2
+        assert err.startswith("config error") and f"{key} must be a" in err
         assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_is_exit_3(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tuning rules, Fourier inversion, L2 geometry, smoothness diagnostics."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from cfdeconv.reconstruct import (
     DensityGrid,
     LatticeSpec,
     TuningRules,
+    _axis_moments,
     invert,
     l2_distance,
     l2_norm,
@@ -87,6 +89,36 @@ class TestOmegaRule:
         rules = TuningRules(kappa=1.0, S=1.0, nu_est=1.0, d=2)
         with pytest.raises(ConfigError):
             omega_rule(0, rules)
+
+
+def moment_reference(omega, x, kmax):
+    """I_k(x) for k = 0..kmax from the power series of e^{-itx} at 60 digits:
+    omega^(k+1) times the sum over j with k + j even of
+    2 (-i omega x)^j / (j! (k + j + 1)), cut at j = 240 (|omega x| <= 40)."""
+    with mp.workdps(60):
+        z = mp.mpf(omega) * mp.mpf(x)
+        powers = [mp.mpc(1)]
+        for j in range(1, 241):
+            powers.append(powers[-1] * (-1j * z) / j)
+        return np.array([
+            complex(mp.mpf(omega) ** (k + 1) * sum(
+                2 * powers[j] / (k + j + 1) for j in range(k % 2, 241, 2)))
+            for k in range(kmax + 1)
+        ])
+
+
+class TestAxisMoments:
+    @pytest.mark.parametrize("omega", [0.5, 1.5])
+    def test_matches_series_reference(self, omega):
+        # both sides of |omega x| = 8, both signs, degrees up to 40
+        kmax = 40
+        z = np.array([1e-9, 1e-3, 0.5, 3.0, 7.99, 8.01, 15.0, 40.0])
+        x = np.concatenate([z, -z]) / omega
+        got = _axis_moments(x, omega, kmax)
+        scale = 2.0 * omega ** (np.arange(kmax + 1) + 1.0)
+        for row, xi in zip(got, x):
+            err = np.abs(row - moment_reference(omega, xi, kmax)) / scale
+            assert err.max() <= 1e-15, (xi, int(err.argmax()), err.max())
 
 
 class TestInvert:

@@ -2,12 +2,15 @@
 
 For one source checkout, run each workload of `perfbench/workloads.py` once
 (the three estimation workloads and the lower-bound lab) and print, per
-workload, the SHA-256 of its report rows and the SHA-256 of the
-concatenated `theta` bytes of every estimate, in call order.  The lab
-makes no estimates: its theta digest is that of no bytes, and its rows
-carry the basis, census, two-point, Le Cam and bound-suite values.  The
-pass and both byte strings are those that `perfbench/run.py` compares
-across passes (`one_pass`, `rows_bytes`, `thetas`).  A last line runs the
+workload, the SHA-256 of its report rows, the SHA-256 of the concatenated
+`theta` bytes of every estimate, and the SHA-256 of the concatenated
+`density.values` bytes of every estimate, both in call order.  The density
+digest sees changes to the inversion that the rows' L2 columns hide when
+the truth dominates them.  The lab makes no estimates: its theta and
+density digests are those of no bytes, and its rows carry the basis,
+census, two-point, Le Cam and bound-suite values.  The pass and the rows
+and theta byte strings are those that `perfbench/run.py` compares across
+passes (`one_pass`, `rows_bytes`, `thetas`).  A last line runs the
 `experiment` subcommand of the checkout's CLI on one small fixed config
 (plan seed = the seed argument) in a temporary directory and prints the
 SHA-256 of its report.csv and report.json, so the CLI's artifacts are
@@ -63,7 +66,8 @@ def _import_checkout(root: Path):
 
 
 def digests(cf, run, tracer, workloads, name: str, seed: int) -> tuple:
-    """(rows SHA-256, theta SHA-256, number of estimates) of one untraced pass."""
+    """(rows SHA-256, theta SHA-256, density SHA-256, number of estimates) of
+    one untraced pass."""
     built = workloads.FACTORIES[name](cf, seed)
     capture = tracer.Capture(cf)
     try:
@@ -72,7 +76,9 @@ def digests(cf, run, tracer, workloads, name: str, seed: int) -> tuple:
         capture.close()
     thetas = run.thetas(p)
     rows = hashlib.sha256(run.rows_bytes(p)).hexdigest()
-    return rows, hashlib.sha256(b"".join(thetas)).hexdigest(), len(thetas)
+    density = hashlib.sha256(b"".join(o.density.values.tobytes() for o in p.outcomes))
+    return (rows, hashlib.sha256(b"".join(thetas)).hexdigest(), density.hexdigest(),
+            len(thetas))
 
 
 def experiment_digests(seed: int) -> tuple:
@@ -95,8 +101,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     cf, run, tracer, workloads = _import_checkout(args.checkout.resolve())
     for name in WORKLOADS:
-        rows, theta, count = digests(cf, run, tracer, workloads, name, args.seed)
-        print(f"{name} seed={args.seed} rows={rows} theta={theta} estimates={count}", flush=True)
+        rows, theta, density, count = digests(cf, run, tracer, workloads, name, args.seed)
+        print(f"{name} seed={args.seed} rows={rows} theta={theta} density={density} "
+              f"estimates={count}", flush=True)
     report_csv, report_json = experiment_digests(args.seed)
     print(f"experiment-cli seed={args.seed} report.csv={report_csv} report.json={report_json}")
     return 0
