@@ -38,6 +38,7 @@ _GRID_PAD = 1.0  # master grid margin beyond the weight support plus 1/b
 _ENVELOPE_WINDOW = 5  # half-width of envelope_values' running max
 # lecam_value's v and w grids: [-half, half] at the given step
 _V_HALF, _V_STEP, _W_HALF, _W_STEP = 40.0, 0.1, 60.0, 0.05
+_V_BLOCK = 64  # v rows per block of lecam_value's support-window products
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +190,6 @@ def build_weighted_basis(spec: WeightSpec, K_max: int, panels: int = 24,
         "rule": f"panels={panels + 13} nodes={nodes + 17} on [-{cut:.6g}, {cut:.6g}]",
     }
     return basis
-
-
-def hermite_function(k: int, x) -> np.ndarray:
-    """L2-normalized Hermite function, the kappa=1/2 comparison oracle."""
-    x = np.asarray(x, dtype=np.float64)
-    cur = math.pi**-0.25 * np.exp(-0.5 * x * x)
-    if k == 0:
-        return cur
-    prev = np.zeros_like(x)
-    for j in range(k):
-        prev, cur = cur, math.sqrt(2.0 / (j + 1)) * x * cur - math.sqrt(j / (j + 1.0)) * prev
-    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +350,22 @@ def master_grid(spec: WeightSpec, b: float) -> np.ndarray:
     return np.arange(-half, half + 1) * _STEP
 
 
-def _mollifier_taps(b: float, step: float) -> np.ndarray:
-    """Discrete u_b taps renormalized so step * sum == 1 exactly."""
-    m = int(math.floor(1.0 / (b * step)))
-    offsets = np.arange(-m, m + 1) * step
+def _mollifier_taps(b: float) -> np.ndarray:
+    """Discrete u_b taps renormalized so _STEP * sum == 1 exactly."""
+    m = int(math.floor(1.0 / (b * _STEP)))
+    offsets = np.arange(-m, m + 1) * _STEP
     raw = mollifier_eval(b, offsets)
-    total = float(np.sum(raw) * step)
+    total = float(np.sum(raw) * _STEP)
     if total <= 0:
         raise NumericalError("empty mollifier taps")
     return raw / total
 
 
-def grid_convolve(values: np.ndarray, taps: np.ndarray, step: float) -> np.ndarray:
+def grid_convolve(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Convolution of master-grid values with taps, as a Riemann sum."""
     if taps.shape[0] > values.shape[0]:
         raise ConfigError("mollifier support wider than the grid")
-    return np.convolve(values, taps, mode="same") * step
+    return np.convolve(values, taps, mode="same") * _STEP
 
 
 def norm_chain(basis: WeightedBasis, K: int, b: float) -> tuple:
@@ -388,7 +378,7 @@ def norm_chain(basis: WeightedBasis, K: int, b: float) -> tuple:
     xs = master_grid(basis.weight, b)
     vals = basis.eval_poly(K, xs) * h_kappa_eval(basis.weight, xs) ** 2
     plain = float(np.sum(vals**2) * _STEP)
-    smoothed = grid_convolve(vals, _mollifier_taps(b, _STEP), _STEP)
+    smoothed = grid_convolve(vals, _mollifier_taps(b))
     return plain, float(np.sum(smoothed**2) * _STEP)
 
 
@@ -494,17 +484,16 @@ def build_two_point(instance: LowerBoundInstance, basis: WeightedBasis) -> TwoPo
     precision), so zeta_n keeps unit mass; nonnegativity is checked densely
     and a violation means alpha_n was too large.
     """
-    step = _STEP
     xs = master_grid(basis.weight, instance.b_n)
-    taps = _mollifier_taps(instance.b_n, step)
+    taps = _mollifier_taps(instance.b_n)
     env_density = envelope_values(basis, xs) * h_kappa_eval(basis.weight, xs)
-    total = float(np.sum(env_density) * step)
+    total = float(np.sum(env_density) * _STEP)
     if total <= 0:
         raise NumericalError("degenerate envelope density")
     env_density /= total
-    zeta0_vals = grid_convolve(env_density, taps, step)
+    zeta0_vals = grid_convolve(env_density, taps)
     ph2 = basis.eval_ph(instance.K_n, xs) * h_kappa_eval(basis.weight, xs)
-    pert_vals = grid_convolve(ph2, taps, step)
+    pert_vals = grid_convolve(ph2, taps)
     zeta_n_vals = zeta0_vals + instance.alpha_n * pert_vals
     zmin = float(zeta_n_vals.min())
     if zmin < -1e-12:
@@ -544,10 +533,18 @@ def build_two_point(instance: LowerBoundInstance, basis: WeightedBasis) -> TwoPo
 
 @dataclass(frozen=True)
 class NoisePack:
+    """A noise law: scale c, density, CF and sampler.
+
+    _kernel holds lecam_value's pushforward kernel on its w-grid, one
+    read-only 2401 x 2401 float64 array (about 46 MB) keyed by (a, det), so
+    repeated Le Cam values under one noise evaluate the density once.
+    """
+
     c: float
     density: Callable
     cf: Callable
     sampler: Callable
+    _kernel: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def noise_g(c: float) -> NoisePack:
@@ -566,11 +563,10 @@ def noise_g(c: float) -> NoisePack:
 
     def density(x):
         y = np.abs(np.asarray(x, dtype=np.float64)) * c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (1.0 + np.cos(y)) / (math.pi**2 - y**2) ** 2
         eps = y - math.pi
         near = np.abs(eps) < 0.5
-        out = np.empty_like(y)
-        ys = y[~near]
-        out[~near] = (1.0 + np.cos(ys)) / (math.pi**2 - ys**2) ** 2
         es = eps[near]
         # 1 + cos(pi + e) = 2 sin^2(e/2); (pi^2 - y^2)^2 = e^2 (2pi + e)^2
         half = np.sinc(es / (2.0 * math.pi)) / 2.0
@@ -603,6 +599,36 @@ class LeCamReport:
     alpha_n: float
 
 
+def _noise_kernel(noise: NoisePack, a: float, det: float, w: np.ndarray) -> np.ndarray:
+    """Pushforward of the product noise through A, a density on w x w.
+
+    g(a w_i + w_j) is the transpose of M = g(w_i + a w_j) bit for bit, so
+    one density evaluation builds det * g(w_i + a w_j) * g(a w_i + w_j).
+    """
+    key = (a, det)
+    QA = noise._kernel.get(key)
+    if QA is None:
+        M = noise.density(w[:, None] + a * w[None, :])
+        QA = det * M
+        QA *= M.T
+        QA.flags.writeable = False
+        noise._kernel.clear()
+        noise._kernel[key] = QA
+    return QA
+
+
+def _support_product(f: GridFunction, v: np.ndarray, w: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
+    """f(v_i - w_k) @ right, skipping the w columns where f is zero."""
+    out = np.empty((v.shape[0], right.shape[1]))
+    for start in range(0, v.shape[0], _V_BLOCK):
+        rows = v[start:start + _V_BLOCK]
+        lo = np.searchsorted(w, rows[0] - f.xs[-1], side="left")
+        hi = np.searchsorted(w, rows[-1] - f.xs[0], side="right")
+        out[start:start + rows.shape[0]] = f(rows[:, None] - w[None, lo:hi]) @ right[lo:hi]
+    return out
+
+
 def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
                 l2_method: str = "exact") -> LeCamReport:
     """Testing-risk lower bound 0.25 ||f0 - fn||^2 (1 - L1/2)_+^n.
@@ -610,9 +636,13 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
     L1 is the single-observation total variation distance between the two
     noise-convolved models, computed by factoring the convolution through
     the mixing matrix: with Delta(v) = alpha G(v_1) zeta0(v_2) ... the
-    integrand is G-row times noise-kernel times zeta0-column, three dense
-    matrix products on tensor grids.  n = 0 turns the bracket into 1 and is
-    only a formula check.
+    integrand is G-row times noise-kernel times zeta0-column, C2 =
+    (G @ QA) @ Z^T on tensor grids.  The kernel is QA = det M * M^T with
+    M = g(w_i + a w_j), one density evaluation, and is kept on the noise
+    (NoisePack._kernel) for the next call with the same a.  G and Z vanish
+    off the two-point's master grid, so both products run one block of v
+    rows at a time over the w window where v - w lies on that grid.
+    n = 0 turns the bracket into 1 and is only a formula check.
     """
     inst = two_point.instance
     if inst.d != 2:
@@ -630,14 +660,10 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
         l2_sq = float(np.sum(diff**2) * _V_STEP**2)
     v = np.arange(-_V_HALF, _V_HALF + _V_STEP / 2, _V_STEP)
     w = np.arange(-_W_HALF, _W_HALF + _W_STEP / 2, _W_STEP)
-    a, det = inst.a, abs(float(np.linalg.det(inst.matrix())))
-    g = noise.density
-    # pushforward of the product noise through A, a density in w
-    QA = det * g(w[:, None] + a * w[None, :]) * g(a * w[:, None] + w[None, :])
-    Gmat = two_point.pert(v[:, None] - w[None, :])
-    Zmat = two_point.zeta0(v[:, None] - w[None, :])
-    C2 = (Gmat @ QA) @ Zmat.T
-    l1 = float(inst.alpha_n * np.sum(np.abs(C2)) * _W_STEP**2 * _V_STEP**2)
+    QA = _noise_kernel(noise, inst.a, abs(float(np.linalg.det(inst.matrix()))), w)
+    GQ = _support_product(two_point.pert, v, w, QA)
+    C2T = _support_product(two_point.zeta0, v, w, GQ.T)  # Z @ (G @ QA)^T = C2^T
+    l1 = float(inst.alpha_n * np.sum(np.abs(C2T)) * _W_STEP**2 * _V_STEP**2)
     if not np.isfinite(l1):
         raise NumericalError("L1 quadrature diverged")
     if n == 0:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -12,12 +13,16 @@ from scipy.integrate import quad
 from cfdeconv import ConfigError, NumericalError
 from cfdeconv._util import det_exp, det_log
 from cfdeconv.conjecture_lab import (
+    _V_HALF,
+    _V_STEP,
+    _W_HALF,
+    _W_STEP,
+    NoisePack,
     WeightSpec,
     build_two_point,
     build_weighted_basis,
     census_protocol,
     h_kappa_eval,
-    hermite_function,
     interval_census,
     lecam_value,
     make_instance,
@@ -33,6 +38,46 @@ from cfdeconv.legendre_bounds import legendre_eval
 
 def quad_scalar(fn, lo, hi):
     return quad(lambda x: float(fn(np.array([x]))[0]), lo, hi, limit=300)[0]
+
+
+def hermite_function(k: int, x) -> np.ndarray:
+    """L2-normalized Hermite function, the kappa=1/2 comparison oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    cur = math.pi**-0.25 * np.exp(-0.5 * x * x)
+    if k == 0:
+        return cur
+    prev = np.zeros_like(x)
+    for j in range(k):
+        prev, cur = cur, math.sqrt(2.0 / (j + 1)) * x * cur - math.sqrt(j / (j + 1.0)) * prev
+    return cur
+
+
+def masked_g_density(c: float, x) -> np.ndarray:
+    """noise_g's density as first written: far formula gathered off the band."""
+    y = np.abs(np.asarray(x, dtype=np.float64)) * c
+    eps = y - math.pi
+    near = np.abs(eps) < 0.5
+    out = np.empty_like(y)
+    ys = y[~near]
+    out[~near] = (1.0 + np.cos(ys)) / (math.pi**2 - ys**2) ** 2
+    es = eps[near]
+    half = np.sinc(es / (2.0 * math.pi)) / 2.0
+    out[near] = half**2 / (2.0 * math.pi + es) ** 2 * 2.0
+    return 2.0 * math.pi * c * out
+
+
+def lecam_w_grid():
+    return np.arange(-_W_HALF, _W_HALF + _W_STEP / 2, _W_STEP)
+
+
+def dense_l1(two_point, QA) -> float:
+    """Single-observation L1 from the dense (G @ QA) @ Z^T on the full grids."""
+    v = np.arange(-_V_HALF, _V_HALF + _V_STEP / 2, _V_STEP)
+    w = lecam_w_grid()
+    G = two_point.pert(v[:, None] - w[None, :])
+    Z = two_point.zeta0(v[:, None] - w[None, :])
+    C2 = (G @ QA) @ Z.T
+    return float(two_point.instance.alpha_n * np.sum(np.abs(C2)) * _W_STEP**2 * _V_STEP**2)
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +459,21 @@ class TestNoisePack:
         with pytest.raises(ConfigError):
             noise_g(0.0)
 
+    def test_density_matches_masked_formula(self, g_noise):
+        c = g_noise.c
+        marks = [math.pi / c, (math.pi - 0.5) / c, (math.pi + 0.5) / c]
+        near = [np.nextafter(m, m + s * np.inf) for m in marks for s in (-1, 1)]
+        xs = np.concatenate([np.linspace(-30.0, 30.0, 6001), marks, near])
+        xs = np.concatenate([xs, -xs, [0.0]])
+        # both band edges |y - pi| = 0.5 and the singularity y = pi are hit exactly
+        eps = np.abs(xs) * c - math.pi
+        assert np.count_nonzero(eps == 0.5) == 2 and np.count_nonzero(eps == -0.5) == 2
+        assert np.count_nonzero(eps == 0.0) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = g_noise.density(xs)
+        np.testing.assert_array_equal(got, masked_g_density(c, xs))
+
 
 class TestLeCam:
     def test_positive_value(self, two_point, g_noise):
@@ -450,3 +510,51 @@ class TestLeCam:
     def test_negative_n_rejected(self, two_point, g_noise):
         with pytest.raises(ConfigError):
             lecam_value(two_point, g_noise, -1)
+
+
+class TestLeCamKernel:
+    @pytest.fixture(scope="class")
+    def dense_kernel(self, tp_instance, g_noise):
+        # the pushforward kernel as two separate density evaluations
+        w, a, c = lecam_w_grid(), tp_instance.a, g_noise.c
+        det = abs(float(np.linalg.det(tp_instance.matrix())))
+        return det * masked_g_density(c, w[:, None] + a * w[None, :]) * \
+            masked_g_density(c, a * w[:, None] + w[None, :])
+
+    @pytest.mark.parametrize("kappa", [0.55, 0.75])
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    def test_support_products_match_dense(self, kappa, n, basis_cache, g_noise, dense_kernel):
+        basis = basis_cache(kappa)
+        two = build_two_point(make_instance(basis, n), basis)
+        report = lecam_value(two, g_noise, n)
+        assert report.l1_single == pytest.approx(dense_l1(two, dense_kernel), rel=1e-12, abs=0)
+
+    def test_kernel_bits_match_two_evaluations(self, two_point, g_noise, dense_kernel):
+        lecam_value(two_point, g_noise, 10**4)
+        (kernel,) = g_noise._kernel.values()
+        np.testing.assert_array_equal(kernel, dense_kernel)
+
+    def test_density_evaluated_once_per_a(self, tp_instance, two_point, g_noise, basis_cache):
+        calls = []
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return g_noise.density(x)
+
+        noise = NoisePack(c=g_noise.c, density=counting, cf=g_noise.cf, sampler=g_noise.sampler)
+        first = lecam_value(two_point, noise, 10**4)
+        again = lecam_value(two_point, noise, 10**6)
+        assert len(calls) == 1
+        assert again.l1_single == first.l1_single
+        (key,) = noise._kernel
+        assert key[0] == tp_instance.a
+        assert not noise._kernel[key].flags.writeable
+        with pytest.raises(ValueError):
+            noise._kernel[key][0, 0] = 1.0
+
+        other = build_two_point(dataclasses.replace(tp_instance, a=0.3), basis_cache(0.75))
+        lecam_value(other, noise, 10**4)
+        assert len(calls) == 2
+        (new_key,) = noise._kernel
+        assert new_key[0] == 0.3
+        assert not noise._kernel[new_key].flags.writeable

@@ -14,8 +14,10 @@ passes (`one_pass`, `rows_bytes`, `thetas`).  A last line runs the
 `experiment` subcommand of the checkout's CLI on one small fixed config
 (plan seed = the seed argument) in a temporary directory and prints the
 SHA-256 of its report.csv and report.json, so the CLI's artifacts are
-compared too.  Two checkouts whose lines match produce the same outputs to
-the bit:
+compared too.  A `lab-lecam` line prints the repr of every Le Cam
+`l1_single` and `value` of the lab pass, in call order, so the size of a
+last-bit change that moves the lab's rows hash can be read off.  Two
+checkouts whose lines match produce the same outputs to the bit:
 
     python3 tools/rows_digest.py                     # this checkout, seed 1
     python3 tools/rows_digest.py /path/to/other 1    # another checkout
@@ -27,6 +29,7 @@ CHECKOUT/perfbench, both read-only; run one checkout per process.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -66,8 +69,8 @@ def _import_checkout(root: Path):
 
 
 def digests(cf, run, tracer, workloads, name: str, seed: int) -> tuple:
-    """(rows SHA-256, theta SHA-256, density SHA-256, number of estimates) of
-    one untraced pass."""
+    """(rows SHA-256, theta SHA-256, density SHA-256, number of estimates,
+    report rows) of one untraced pass."""
     built = workloads.FACTORIES[name](cf, seed)
     capture = tracer.Capture(cf)
     try:
@@ -78,7 +81,16 @@ def digests(cf, run, tracer, workloads, name: str, seed: int) -> tuple:
     rows = hashlib.sha256(run.rows_bytes(p)).hexdigest()
     density = hashlib.sha256(b"".join(o.density.values.tobytes() for o in p.outcomes))
     return (rows, hashlib.sha256(b"".join(thetas)).hexdigest(), density.hexdigest(),
-            len(thetas))
+            len(thetas), p.out["rows"])
+
+
+def lecam_line(cf, rows, seed: int) -> str:
+    """The l1_single and value of every ("lecam", ..., report values) lab row."""
+    names = [f.name for f in dataclasses.fields(cf.LeCamReport)]
+    reports = [dict(zip(names, row[-1])) for row in rows if row[0] == "lecam"]
+    l1 = ", ".join(repr(r["l1_single"]) for r in reports)
+    value = ", ".join(repr(r["value"]) for r in reports)
+    return f"lab-lecam seed={seed} l1_single=[{l1}] value=[{value}]"
 
 
 def experiment_digests(seed: int) -> tuple:
@@ -101,9 +113,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     cf, run, tracer, workloads = _import_checkout(args.checkout.resolve())
     for name in WORKLOADS:
-        rows, theta, density, count = digests(cf, run, tracer, workloads, name, args.seed)
+        rows, theta, density, count, out_rows = digests(cf, run, tracer, workloads, name,
+                                                        args.seed)
         print(f"{name} seed={args.seed} rows={rows} theta={theta} density={density} "
               f"estimates={count}", flush=True)
+        if name == "lab-lowerbound":
+            print(lecam_line(cf, out_rows, args.seed), flush=True)
     report_csv, report_json = experiment_digests(args.seed)
     print(f"experiment-cli seed={args.seed} report.csv={report_csv} report.json={report_json}")
     return 0
