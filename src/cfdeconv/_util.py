@@ -24,12 +24,17 @@ class NumericalError(RuntimeError):
 
 def as_type(value, kind, key: str):
     """kind(value), with a failed conversion raised as a ConfigError naming key;
-    a str, bytes or dict is no list or tuple ("48" is not [4, 8])."""
+    a str, bytes or dict is no list or tuple ("48" is not [4, 8]), and a
+    bool, a fraction, NaN or an infinity is no int (a numeric string is)."""
     try:
         if kind in (list, tuple) and isinstance(value, (str, bytes, dict)):
             raise TypeError(value)
-        return kind(value)
-    except (TypeError, ValueError):
+        converted = kind(value)
+        if kind is int and not isinstance(value, (str, bytes)) and (
+                isinstance(value, (bool, np.bool_)) or converted != value):
+            raise TypeError(value)
+        return converted
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}") from None
 
 

@@ -1,11 +1,11 @@
 """Command-line surface: config schema, run directories, persistence.
 
-Every subcommand reads one JSON config file, validates it against a closed
-key schema (unknown keys are errors), and writes its outputs into a run
-directory containing a copy of the config, a MANIFEST with content hashes,
-and the artifact files.  All floats are printed with 17 significant digits
-so reruns are byte-identical.  Exit codes: 0 success, 2 config error,
-3 numerical failure.
+Every subcommand reads one JSON config file, checks all of it against its
+key table (unknown keys are errors) before any work, and, once its results
+are computed, writes them into a run directory containing a copy of the
+config, a MANIFEST with content hashes, and the artifact files.  All floats
+are printed with 17 significant digits so reruns are byte-identical.  Exit
+codes: 0 success, 2 config error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,13 +16,15 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, as_type, fmt17
+from ._util import ConfigError, NumericalError, fmt17
 from . import ecf
 from .conjecture_lab import (
     HOLDOUT_K,
@@ -40,6 +42,7 @@ from .reconstruct import DensityGrid, LatticeSpec
 from .runner import (CellResult, ExperimentPlan, adapt_from_samples, default_lattice,
                      estimate_once, run)
 from .scenarios import (
+    _LINKS,
     AxisNoise,
     ScenarioSpec,
     SignalSpec,
@@ -53,156 +56,178 @@ _SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# config schema
+#
+# Every command, scenario variant and nested section has one table mapping
+# each of its keys to a _Key, and one validator, _section, reads them all.
+# A table states the ranges that nothing checks before work starts; the
+# library constructors that run first (SignalSpec, AxisNoise, LatticeSpec,
+# ExperimentPlan) check their own.
 
-def _require_keys(cfg: dict, allowed, required, where: str) -> None:
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """One config key.  kind is number, integer, bool, string, grid ([lo,
+    hi, count]), a section (scenario or a _SECTIONS name; a noise key also
+    takes a list of noise objects, one per axis), or "<tuple|list|matrix> of
+    <kind>s".  range is "" (any), a _RANGES entry or a tuple of the allowed
+    strings, and applies to each item of a tuple.  A key without a default is
+    required; one whose default is None also takes null.  A tuple or list is
+    nonempty unless its default is empty."""
+
+    kind: str
+    range: object = ""
+    default: object = _REQUIRED
+
+
+_RANGES = {"> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0, ">= 1": lambda x: x >= 1,
+           ">= 2": lambda x: x >= 2, ">= 3": lambda x: x >= 3,
+           "in (0, 1)": lambda x: 0 < x < 1, "in (0, 1]": lambda x: 0 < x <= 1}
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false are no numbers."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# scalar kind -> (its conversion, its test, what a value of it must be)
+_SCALARS = {
+    "bool": (bool, lambda v: isinstance(v, bool), "true or false"),
+    "string": (str, lambda v: isinstance(v, str), "a string"),
+    "number": (float, _is_number, "a number"),
+    "integer": (int, lambda v: _is_number(v) and v == int(v), "an integer"),
+}
+
+
+def _section(cfg, table: dict, where: str, prefix: str = "") -> dict:
+    """cfg checked against table: no unknown key, no missing required key,
+    every value converted by _value; an absent key takes its default."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a JSON object, got {cfg!r}")
-    unknown = sorted(set(cfg) - set(allowed))
+    unknown = sorted(set(cfg) - set(table))
     if unknown:
         raise ConfigError(f"unknown config keys in {where}: {', '.join(unknown)}")
-    missing = sorted(set(required) - set(cfg))
+    missing = sorted(k for k, key in table.items() if key.default is _REQUIRED and k not in cfg)
     if missing:
         raise ConfigError(f"missing config keys in {where}: {', '.join(missing)}")
+    return {k: _value(cfg.get(k, key.default), key, prefix + k) for k, key in table.items()}
 
 
-def _as_kappa(value, key: str) -> float:
-    k = as_type(value, float, key)
-    if not (0.0 < k <= 1.0):
-        raise ConfigError(f"{key} must lie in (0, 1], got {value}")
-    return k
-
-
-def _as_pos(value, key: str) -> float:
-    x = as_type(value, float, key)
-    if not (x > 0):
-        raise ConfigError(f"{key} must be positive, got {value}")
-    return x
-
-
-def _as_int(value, key: str, minimum: int = 1) -> int:
-    n = as_type(value, int, key)
-    if n < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return n
-
-
-def _as_bool(value, key: str) -> bool:
-    """A JSON true/false; anything else (0, "no", null) is a ConfigError."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
+def _value(value, key: _Key, name: str):
+    """value checked against its key's kind and range, as Python values."""
+    kind, rng = key.kind, key.range
+    if value is None and key.default is None:
+        return None
+    outer, _, items = kind.partition(" of ")
+    if items:
+        if not isinstance(value, (list, tuple)) or outer == "matrix" and not (
+                value and all(isinstance(row, (list, tuple)) and len(row) == len(value[0])
+                              and all(map(_is_number, row)) for row in value)):
+            raise ConfigError(f"{name} must be a {kind}, got {value!r}")
+        if not value and key.default != ():
+            raise ConfigError(f"{name} must be a nonempty list")
+        if outer == "matrix":
+            return tuple(tuple(map(float, row)) for row in value)
+        values = [_value(v, _Key(items[:-1], rng), name) for v in value]
+        return values if outer == "list" else tuple(values)
+    if isinstance(rng, tuple):
+        if not isinstance(value, str) or value not in rng:
+            raise ConfigError(f"unknown {name.rpartition('.')[2]} {value!r}, "
+                              f"expected one of: {', '.join(rng)}")
+        return value
+    if kind == "scenario":
+        return _scenario_section(value)
+    if kind == "noise" and isinstance(value, list):
+        return [_section(v, _NOISE, "noise", "noise.") for v in value]
+    if kind in _SECTIONS:
+        return _section(value, _SECTIONS[kind], kind, kind + ".")
+    if kind == "grid":
+        if not isinstance(value, (list, tuple)) or len(value) != 3:
+            raise ConfigError(f"{name} must be a grid [lo, hi, count], got {value!r}")
+        return (_value(value[0], _Key("number"), name), _value(value[1], _Key("number"), name),
+                _value(value[2], _Key("integer", ">= 1"), name))
+    convert, test, words = _SCALARS[kind]
+    if not test(value):
+        raise ConfigError(f"{name} must be {words}, got {value!r}")
+    value = convert(value)
+    if rng and not _RANGES[rng](value):
+        raise ConfigError(f"{name} must be {rng}, got {value!r}")
     return value
 
 
-def _as_list(value, key: str, convert) -> tuple:
-    """A nonempty list-valued key, each item checked by convert(item, key)."""
-    items = tuple(convert(v, key) for v in as_type(value, tuple, key))
-    if not items:
-        raise ConfigError(f"{key} must be a nonempty list")
-    return items
+def _scenario_section(cfg) -> dict:
+    """A scenario object: its variant names the table its other keys follow."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"scenario must be a JSON object, got {cfg!r}")
+    if "variant" not in cfg:
+        raise ConfigError("missing config keys in scenario: variant")
+    variant = cfg["variant"]
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise ConfigError(f"unknown scenario variant {variant!r}")
+    return _section(cfg, _VARIANTS[variant], f"{variant} scenario", "scenario.")
 
 
-def _as_scaling_grid(value, key: str) -> tuple:
-    items = as_type(value, tuple, key)
-    if len(items) != 3:
-        raise ConfigError(f"{key} must be [lo, hi, count], got {value!r}")
-    return as_type(items[0], float, key), as_type(items[1], float, key), _as_int(items[2], key)
+_NOISE = {"kind": _Key("string"), "param": _Key("number", default=1.0)}
+_SECTIONS = {
+    "signal": {"kind": _Key("string"), "params": _Key("tuple of numbers", default=())},
+    "noise": _NOISE,
+    "two_point": {
+        "kappa": _Key("number", "in (0, 1]"), "n": _Key("integer", ">= 3"),
+        "x0": _Key("number", "> 0", 1.0), "K_max": _Key("integer", ">= 0", 16),
+        "a": _Key("number", "in (0, 1)", 0.4), "beta": _Key("number", "> 0", 1.0),
+        "c_K": _Key("number", "> 0", 1.0), "c_b": _Key("number", "> 0", 4.0),
+        "c_mass": _Key("number", "> 0", 1e-8),
+    },
+    "lattice": {"mins": _Key("tuple of numbers"), "maxs": _Key("tuple of numbers"),
+                "counts": _Key("tuple of integers")},
+    "tuning": {"mode": _Key("string"), "m_opt": _Key("integer", default=None)},
+}
 
-
-def _lattice_from_config(cfg, d: int) -> LatticeSpec:
-    """The configured lattice, or the default one; either has dimension d."""
-    if cfg is None:
-        return default_lattice(d)
-    _require_keys(cfg, {"mins", "maxs", "counts"}, {"mins", "maxs", "counts"}, "lattice")
-    lattice = LatticeSpec(mins=cfg["mins"], maxs=cfg["maxs"], counts=cfg["counts"])
-    if lattice.d != d:
-        raise ConfigError(f"lattice dimension {lattice.d} != data dimension {d}")
-    return lattice
-
-
-# ---------------------------------------------------------------------------
-# scenario configuration
-
-_SIGNAL_KEYS = {"kind", "params"}
-_NOISE_KEYS = {"kind", "param"}
-_SCENARIO_KEYS = {"variant", "nu", "c_nu"}
-# scenario variant -> (required keys, optional keys), besides _SCENARIO_KEYS
-_VARIANT_KEYS = {
-    "repeated": ({"signal", "noise1", "noise2"}, {"d1"}),
-    "eiv": ({"signal", "noise1", "noise2"}, {"link"}),
-    "ica": ({"sources", "mixing", "noise1", "noise2"}, {"d1"}),
-    "two_point": ({"two_point", "noise1", "noise2"}, {"perturbed"}),
+_SCENARIO = {"variant": _Key("string"), "nu": _Key("number", "> 0", 1.0),
+             "c_nu": _Key("number", "> 0", 1e-3), "noise1": _Key("noise"),
+             "noise2": _Key("noise")}
+_VARIANTS = {
+    "repeated": dict(_SCENARIO, signal=_Key("signal"), d1=_Key("integer", ">= 1", 1)),
+    "eiv": dict(_SCENARIO, signal=_Key("signal"),
+                link=_Key("string", tuple(_LINKS), "cubic_plus_x")),
+    "ica": dict(_SCENARIO, sources=_Key("list of signals"), mixing=_Key("matrix of numbers"),
+                d1=_Key("integer", ">= 1", 1)),
+    "two_point": dict(_SCENARIO, two_point=_Key("two_point"),
+                      perturbed=_Key("bool", default=False)),
 }
 
 
-def _signal_from_config(cfg: dict) -> SignalSpec:
-    _require_keys(cfg, _SIGNAL_KEYS, {"kind"}, "signal")
-    params = as_type(cfg.get("params", ()), tuple, "signal.params")
-    params = tuple(as_type(p, float, "signal.params") for p in params)
-    return SignalSpec(kind=cfg["kind"], params=params)
+def _noise(cfg):
+    return [AxisNoise(**item) for item in cfg] if isinstance(cfg, list) else AxisNoise(**cfg)
 
 
-def _noise_from_config(cfg):
-    if isinstance(cfg, list):
-        return [_noise_from_config(item) for item in cfg]
-    _require_keys(cfg, _NOISE_KEYS, {"kind"}, "noise")
-    return AxisNoise(kind=cfg["kind"], param=as_type(cfg.get("param", 1.0), float, "noise.param"))
-
-
-def _as_matrix(value, key: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a matrix of numbers, got {value!r}") from None
-
-
-_TWO_POINT_KEYS = {
-    "kappa", "x0", "K_max", "n", "a", "c_K", "c_b", "c_mass", "beta",
-}
-
-
-def _two_point_from_config(cfg: dict):
-    _require_keys(cfg, _TWO_POINT_KEYS, {"kappa", "n"}, "two_point")
-    spec = WeightSpec(
-        kappa=_as_kappa(cfg["kappa"], "two_point.kappa"),
-        x0=as_type(cfg.get("x0", 1.0), float, "two_point.x0"),
-    )
-    basis = build_weighted_basis(spec, K_max=_as_int(cfg.get("K_max", 16), "two_point.K_max", 0))
-    defaults = {"a": 0.4, "beta": 1.0, "c_K": 1.0, "c_b": 4.0, "c_mass": 1e-8}
-    inst = make_instance(
-        basis, _as_int(cfg["n"], "two_point.n", 3),
-        **{k: as_type(cfg.get(k, v), float, "two_point." + k) for k, v in defaults.items()},
-    )
-    return build_two_point(inst, basis)
+def _scenario(cfg: dict) -> ScenarioSpec:
+    """The scenario of a checked scenario section."""
+    variant, noise1, noise2 = cfg["variant"], _noise(cfg["noise1"]), _noise(cfg["noise2"])
+    common = {"nu": cfg["nu"], "c_nu": cfg["c_nu"]}
+    if variant == "repeated":
+        return make_repeated(SignalSpec(**cfg["signal"]), noise1, noise2, d1=cfg["d1"], **common)
+    if variant == "eiv":
+        return make_eiv(SignalSpec(**cfg["signal"]), noise1, noise2, link=cfg["link"], **common)
+    if variant == "ica":
+        return make_ica([SignalSpec(**s) for s in cfg["sources"]], cfg["mixing"], noise1, noise2,
+                        d1=cfg["d1"], **common)
+    point = cfg["two_point"]
+    basis = build_weighted_basis(WeightSpec(kappa=point["kappa"], x0=point["x0"]),
+                                 K_max=point["K_max"])
+    inst = make_instance(basis, point["n"],
+                         **{k: point[k] for k in ("a", "beta", "c_K", "c_b", "c_mass")})
+    return make_two_point(build_two_point(inst, basis), noise1, noise2,
+                          perturbed=cfg["perturbed"], **common)
 
 
 def scenario_from_config(cfg: dict) -> ScenarioSpec:
-    # an object naming its variant; the variant fixes the other keys
-    _require_keys(cfg, cfg, {"variant"}, "scenario")
-    variant = cfg["variant"]
-    if not isinstance(variant, str) or variant not in _VARIANT_KEYS:
-        raise ConfigError(f"unknown scenario variant {variant!r}")
-    required, optional = _VARIANT_KEYS[variant]
-    _require_keys(cfg, _SCENARIO_KEYS | required | optional, required, f"{variant} scenario")
-    nu = _as_pos(cfg.get("nu", 1.0), "scenario.nu")
-    c_nu = _as_pos(cfg.get("c_nu", 1e-3), "scenario.c_nu")
-    noise1, noise2 = _noise_from_config(cfg["noise1"]), _noise_from_config(cfg["noise2"])
-    if variant == "repeated":
-        d1 = _as_int(cfg.get("d1", 1), "scenario.d1")
-        return make_repeated(_signal_from_config(cfg["signal"]), noise1, noise2,
-                             d1=d1, nu=nu, c_nu=c_nu)
-    if variant == "eiv":
-        link = as_type(cfg.get("link", "cubic_plus_x"), str, "scenario.link")
-        return make_eiv(_signal_from_config(cfg["signal"]), noise1, noise2,
-                        link=link, nu=nu, c_nu=c_nu)
-    if variant == "ica":
-        sources = as_type(cfg["sources"], list, "scenario.sources")
-        sources = [_signal_from_config(s) for s in sources]
-        return make_ica(sources, _as_matrix(cfg["mixing"], "scenario.mixing"), noise1, noise2,
-                        d1=_as_int(cfg.get("d1", 1), "scenario.d1"), nu=nu, c_nu=c_nu)
-    perturbed = _as_bool(cfg.get("perturbed", False), "scenario.perturbed")
-    return make_two_point(_two_point_from_config(cfg["two_point"]), noise1, noise2,
-                          perturbed=perturbed, nu=nu, c_nu=c_nu)
+    return _scenario(_scenario_section(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +347,8 @@ def _write_manifest(out_dir: Path, subcommand: str) -> None:
     )
 
 
-def _open_run_dir(cfg: dict, config_path) -> Path:
-    if "out_dir" not in cfg:
-        raise ConfigError("missing config keys: out_dir")
-    out = Path(cfg["out_dir"])
+def _open_run_dir(out_dir: str, config_path) -> Path:
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(config_path, out / "config.json")
     return out
@@ -400,19 +423,21 @@ def build_profile_panels(kappa_list, K_list, scalings, basis_opts=None,
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each command receives its config checked against its table, and opens its
+# run directory only once its results are computed.
 
-_SIM_KEYS = {"scenario", "n", "seed", "out_dir"}
+_SIMULATE = {"scenario": _Key("scenario"), "n": _Key("integer", ">= 1"),
+             "seed": _Key("integer", ">= 0", 0), "out_dir": _Key("string")}
 
 
 def _cmd_simulate(cfg: dict, config_path) -> int:
-    _require_keys(cfg, _SIM_KEYS, {"scenario", "n", "out_dir"}, "simulate")
-    scenario = scenario_from_config(cfg["scenario"])
-    n = _as_int(cfg["n"], "n")
-    samples = scenario.sample(n, _as_int(cfg.get("seed", 0), "seed", 0))
-    out = _open_run_dir(cfg, config_path)
+    scenario = _scenario(cfg["scenario"])
+    samples = scenario.sample(cfg["n"], cfg["seed"])
+    out = _open_run_dir(cfg["out_dir"], config_path)
     ecf.export_csv(samples, out / "samples.csv")
     _dump_json(
-        {"variant": scenario.variant, "n": n, "d1": scenario.d1,
+        {"variant": scenario.variant, "n": cfg["n"], "d1": scenario.d1,
          "d2": scenario.d2, "diagnostics": scenario.diagnostics},
         out / "summary.json",
     )
@@ -420,38 +445,36 @@ def _cmd_simulate(cfg: dict, config_path) -> int:
     return 0
 
 
-def _sample_inputs(cfg: dict) -> tuple:
-    """(samples, grid, lattice, options) shared by estimate and adapt, every
-    value checked before a run directory is opened."""
-    d1 = _as_int(cfg["d1"], "d1")
-    d2 = _as_int(cfg["d2"], "d2")
-    opts = {
-        "S": _as_pos(cfg["S"], "S"),
-        "nu": _as_pos(cfg.get("nu", 1.0), "nu"),
-        "c_kappa": None if cfg.get("c_kappa") is None else _as_pos(cfg["c_kappa"], "c_kappa"),
-        "restarts": _as_int(cfg.get("restarts", 4), "restarts"),
-        "seed": _as_int(cfg.get("seed", 0), "seed", 0),
-    }
-    nodes = _as_int(cfg.get("nodes", 48), "nodes", 2)
-    lattice = _lattice_from_config(cfg.get("lattice"), d1 + d2)
-    samples = ecf.load_csv(cfg["samples"], d1, d2)
-    return samples, make_grid(opts["nu"], (d1, d2), nodes), lattice, opts
-
-
-_EST_KEYS = {
-    "samples", "d1", "d2", "kappa", "S", "nu", "nodes", "m_opt", "c_kappa",
-    "restarts", "lattice", "seed", "out_dir",
+# the keys estimate and adapt share
+_SAMPLE_INPUTS = {
+    "samples": _Key("string"), "d1": _Key("integer", ">= 1"), "d2": _Key("integer", ">= 1"),
+    "S": _Key("number", "> 0"), "nu": _Key("number", "> 0", 1.0),
+    "nodes": _Key("integer", ">= 2", 48), "c_kappa": _Key("number", "> 0", None),
+    "restarts": _Key("integer", ">= 1", 4), "lattice": _Key("lattice", default=None),
+    "seed": _Key("integer", ">= 0", 0), "out_dir": _Key("string"),
 }
 
 
+def _sample_inputs(cfg: dict) -> tuple:
+    """(samples, grid, lattice, options) shared by estimate and adapt."""
+    d1, d2 = cfg["d1"], cfg["d2"]
+    lattice = default_lattice(d1 + d2) if cfg["lattice"] is None else LatticeSpec(**cfg["lattice"])
+    if lattice.d != d1 + d2:
+        raise ConfigError(f"lattice dimension {lattice.d} != data dimension {d1 + d2}")
+    samples = ecf.load_csv(cfg["samples"], d1, d2)
+    opts = {k: cfg[k] for k in ("S", "nu", "c_kappa", "restarts", "seed")}
+    return samples, make_grid(cfg["nu"], (d1, d2), cfg["nodes"]), lattice, opts
+
+
+_ESTIMATE = dict(_SAMPLE_INPUTS, kappa=_Key("number", "in (0, 1]"),
+                 m_opt=_Key("integer", ">= 1", None))
+
+
 def _cmd_estimate(cfg: dict, config_path) -> int:
-    _require_keys(cfg, _EST_KEYS, {"samples", "d1", "d2", "kappa", "S", "out_dir"},
-                  "estimate")
-    kappa = _as_kappa(cfg["kappa"], "kappa")
-    m_opt = None if cfg.get("m_opt") is None else _as_int(cfg["m_opt"], "m_opt")
     samples, grid, lattice, opts = _sample_inputs(cfg)
-    out = _open_run_dir(cfg, config_path)
-    outcome = estimate_once(samples, grid, lattice, kappa=kappa, m_opt=m_opt, **opts)
+    outcome = estimate_once(samples, grid, lattice, kappa=cfg["kappa"], m_opt=cfg["m_opt"],
+                            **opts)
+    out = _open_run_dir(cfg["out_dir"], config_path)
     record = to_json_record(outcome.result.estimate)
     _dump_json(record, out / "phi.json")
     save_density(outcome.density, out / "density.csv", out / "density_meta.json")
@@ -470,21 +493,15 @@ def _cmd_estimate(cfg: dict, config_path) -> int:
     return 0
 
 
-_ADAPT_KEYS = {
-    "samples", "d1", "d2", "kappa_grid", "S", "beta", "nu", "nodes",
-    "c_kappa", "restarts", "lattice", "seed", "out_dir",
-}
+_ADAPT = dict(_SAMPLE_INPUTS, kappa_grid=_Key("tuple of numbers", "in (0, 1]"),
+              beta=_Key("number", "> 0", 1.0))
 
 
 def _cmd_adapt(cfg: dict, config_path) -> int:
-    _require_keys(cfg, _ADAPT_KEYS,
-                  {"samples", "d1", "d2", "kappa_grid", "S", "out_dir"}, "adapt")
-    kappa_grid = _as_list(cfg["kappa_grid"], "kappa_grid", _as_kappa)
-    beta = _as_pos(cfg.get("beta", 1.0), "beta")
     samples, grid, lattice, opts = _sample_inputs(cfg)
-    out = _open_run_dir(cfg, config_path)
-    outcome = adapt_from_samples(samples, grid, lattice, kappa_grid=kappa_grid,
-                                 beta=beta, **opts)
+    outcome = adapt_from_samples(samples, grid, lattice, kappa_grid=cfg["kappa_grid"],
+                                 beta=cfg["beta"], **opts)
+    out = _open_run_dir(cfg["out_dir"], config_path)
     save_density(outcome.chosen, out / "density.csv", out / "density_meta.json")
     _dump_json(
         {
@@ -503,81 +520,68 @@ def _cmd_adapt(cfg: dict, config_path) -> int:
     return 0
 
 
-_CONJ_KEYS = {
-    "kappa_list", "K_list", "K_max", "scalings", "panels", "nodes",
-    "cert_tol", "c1", "c2", "census", "stretch_grid", "squeeze_grid",
-    "out_dir",
+# K_list null means 1..K_max; panels, nodes and cert_tol null mean
+# build_weighted_basis's defaults
+_CONJECTURE = {
+    "kappa_list": _Key("tuple of numbers", "in (0, 1]"),
+    "K_list": _Key("tuple of integers", ">= 1", None), "K_max": _Key("integer", ">= 1", 16),
+    "scalings": _Key("tuple of strings", tuple(_SCALING_GRIDS), tuple(_SCALING_GRIDS)),
+    "panels": _Key("integer", ">= 1", None), "nodes": _Key("integer", ">= 2", None),
+    "cert_tol": _Key("number", "> 0", None), "c1": _Key("number", "> 0", 0.8),
+    "c2": _Key("number", "> 0", 0.3), "census": _Key("bool", default=False),
+    "stretch_grid": _Key("grid", default=_SCALING_GRIDS["stretch"]),
+    "squeeze_grid": _Key("grid", default=_SCALING_GRIDS["squeeze"]),
+    "out_dir": _Key("string"),
 }
 
 
 def _cmd_conjecture(cfg: dict, config_path) -> int:
-    _require_keys(cfg, _CONJ_KEYS, {"kappa_list", "out_dir"}, "conjecture")
-    kappa_list = _as_list(cfg["kappa_list"], "kappa_list", _as_kappa)
-    K_max = _as_int(cfg.get("K_max", 16), "K_max")
-    K_list = _as_list(cfg.get("K_list", range(1, K_max + 1)), "K_list", _as_int)
+    kappa_list, K_max = cfg["kappa_list"], cfg["K_max"]
+    K_list = cfg["K_list"] or tuple(range(1, K_max + 1))
     if max(K_list) > K_max:
         raise ConfigError("K_list exceeds K_max")
-    scalings = as_type(cfg.get("scalings", ["stretch", "squeeze"]), list, "scalings")
-    for s in scalings:
-        if not isinstance(s, str) or s not in _SCALING_GRIDS:
-            raise ConfigError(f"unknown scaling {s!r}")
-    census = _as_bool(cfg.get("census", False), "census")
-    if census and K_max < max(HOLDOUT_K):
+    if cfg["census"] and K_max < max(HOLDOUT_K):
         raise ConfigError(f"census needs K_max >= {max(HOLDOUT_K)} to cover its holdout range")
-    basis_opts = {}
-    if "panels" in cfg:
-        basis_opts["panels"] = _as_int(cfg["panels"], "panels")
-    if "nodes" in cfg:
-        basis_opts["nodes"] = _as_int(cfg["nodes"], "nodes", 2)
-    if "cert_tol" in cfg:
-        basis_opts["cert_tol"] = _as_pos(cfg["cert_tol"], "cert_tol")
-    grids = {s: _as_scaling_grid(cfg[s + "_grid"], s + "_grid")
-             for s in _SCALING_GRIDS if s + "_grid" in cfg}
-    out = _open_run_dir(cfg, config_path)
-    panels = build_profile_panels(kappa_list, K_list, scalings,
-                                  basis_opts=basis_opts, grids=grids)
-    emit_figure_data(panels, out / "figures")
+    basis_opts = {k: cfg[k] for k in ("panels", "nodes", "cert_tol") if cfg[k] is not None}
+    panels = build_profile_panels(kappa_list, K_list, cfg["scalings"], basis_opts=basis_opts,
+                                  grids={s: cfg[s + "_grid"] for s in _SCALING_GRIDS})
     summary = {"kappa_list": list(kappa_list), "K_max": K_max,
                "n_panels": len(panels), "census": {}}
-    if census:
-        c1 = _as_pos(cfg.get("c1", 0.8), "c1")
-        c2 = _as_pos(cfg.get("c2", 0.3), "c2")
+    if cfg["census"]:
         for kappa in kappa_list:
             basis = build_weighted_basis(WeightSpec(kappa=kappa), K_max=K_max,
                                          **basis_opts)
-            c0, rows, ok = census_protocol(basis, c1, c2)
+            c0, rows, ok = census_protocol(basis, cfg["c1"], cfg["c2"])
             summary["census"][fmt17(kappa)] = {
                 "c0": c0, "ok": ok,
                 "rows": [{"K": K, "count": cnt, "need": need}
                          for K, cnt, need in rows],
             }
+    out = _open_run_dir(cfg["out_dir"], config_path)
+    emit_figure_data(panels, out / "figures")
     _dump_json(summary, out / "summary.json")
     _write_manifest(out, "conjecture")
     return 0
 
 
-_BOUNDS_KEYS = {
-    "kappa_list", "S_list", "nu_list", "m_list", "d_list", "n_members",
-    "member_degree", "seed", "out_dir",
+_BOUNDS_CHECK = {
+    "kappa_list": _Key("tuple of numbers", "in (0, 1]", (0.55, 0.75, 1.0)),
+    "S_list": _Key("tuple of numbers", "> 0", (0.5, 1.0, 2.0)),
+    "nu_list": _Key("tuple of numbers", "> 0", (0.5, 1.0)),
+    "m_list": _Key("tuple of integers", ">= 1", (2, 3, 4, 5, 6)),
+    "d_list": _Key("tuple of integers", ">= 1", (1, 2)),
+    "n_members": _Key("integer", ">= 1", 25), "member_degree": _Key("integer", ">= 1", 30),
+    "seed": _Key("integer", ">= 0", 0), "out_dir": _Key("string"),
 }
 
 
 def _cmd_bounds_check(cfg: dict, config_path) -> int:
-    _require_keys(cfg, _BOUNDS_KEYS, {"out_dir"}, "bounds-check")
-    kappa_list = _as_list(cfg.get("kappa_list", [0.55, 0.75, 1.0]), "kappa_list", _as_kappa)
-    S_list = _as_list(cfg.get("S_list", [0.5, 1.0, 2.0]), "S_list", _as_pos)
-    nu_list = _as_list(cfg.get("nu_list", [0.5, 1.0]), "nu_list", _as_pos)
-    m_list = _as_list(cfg.get("m_list", [2, 3, 4, 5, 6]), "m_list", _as_int)
-    d_list = _as_list(cfg.get("d_list", [1, 2]), "d_list", _as_int)
-    n_members = _as_int(cfg.get("n_members", 25), "n_members")
-    member_degree = _as_int(cfg.get("member_degree", 30), "member_degree")
-    seed = _as_int(cfg.get("seed", 0), "seed", 0)
-    out = _open_run_dir(cfg, config_path)
     rows = []
     violations = 0
-    for kappa, S, nu, d, m in itertools.product(kappa_list, S_list, nu_list, d_list, m_list):
-        reports = bound_suite(kappa, S, nu, d, m, n_members=n_members,
-                              seed=seed, member_degree=member_degree)
+    for kappa, S, nu, d, m in itertools.product(cfg["kappa_list"], cfg["S_list"],
+                                                cfg["nu_list"], cfg["d_list"], cfg["m_list"]):
+        reports = bound_suite(kappa, S, nu, d, m, n_members=cfg["n_members"],
+                              seed=cfg["seed"], member_degree=cfg["member_degree"])
         for rep in reports:
             ok = rep.holds()
             violations += 0 if ok else 1
@@ -585,6 +589,7 @@ def _cmd_bounds_check(cfg: dict, config_path) -> int:
                 rep.name, fmt17(kappa), fmt17(S), fmt17(nu), str(d), str(m),
                 fmt17(rep.bound), fmt17(rep.measured), fmt17(rep.slack), str(int(ok)),
             ])
+    out = _open_run_dir(cfg["out_dir"], config_path)
     with open(out / "bounds.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "kappa", "S", "nu", "d", "m", "bound",
@@ -596,47 +601,46 @@ def _cmd_bounds_check(cfg: dict, config_path) -> int:
     return 0 if violations == 0 else 3
 
 
-# experiment config key -> ExperimentPlan field, which converts and checks it
-_EXP_FIELDS = {
-    "n_list": "n_list", "replicates": "replicates", "kappa_grid": "kappa_grid",
-    "S": "S", "beta": "beta", "nu": "nu", "nodes": "nodes_per_axis",
-    "c_kappa": "c_kappa", "align_window": "align_window",
-    "align_step": "align_step", "seed": "seed", "restarts": "restarts",
-    "cell_budget_s": "cell_budget_s",
+# ExperimentPlan checks the ranges of its fields, so these keys state only
+# their kind; the defaults are the plan's
+_PLAN = {f.name: f.default for f in dataclasses.fields(ExperimentPlan)}
+_EXPERIMENT = {
+    "scenario": _Key("scenario"), "n_list": _Key("tuple of integers"),
+    "replicates": _Key("integer"), "kappa_grid": _Key("tuple of numbers"), "S": _Key("number"),
+    **{k: _Key(kind, default=_PLAN[k]) for k, kind in (
+        ("beta", "number"), ("nu", "number"), ("c_kappa", "number"), ("align_window", "number"),
+        ("align_step", "number"), ("seed", "integer"), ("restarts", "integer"),
+        ("cell_budget_s", "number"))},
+    "nodes": _Key("integer", default=_PLAN["nodes_per_axis"]),
+    "tuning": _Key("tuning", default={"mode": _PLAN["tuning_mode"]}),
+    "lattice": _Key("lattice", default=None), "out_dir": _Key("string"),
 }
-_EXP_KEYS = set(_EXP_FIELDS) | {"scenario", "tuning", "lattice", "out_dir"}
 
 
 def _cmd_experiment(cfg: dict, config_path) -> int:
-    _require_keys(
-        cfg, _EXP_KEYS,
-        {"scenario", "n_list", "replicates", "kappa_grid", "S", "out_dir"},
-        "experiment",
-    )
-    scenario = scenario_from_config(cfg["scenario"])
-    tuning = cfg.get("tuning", {"mode": "theoretical"})
-    _require_keys(tuning, {"mode", "m_opt"}, {"mode"}, "tuning")
+    scenario = _scenario(cfg["scenario"])
     plan = ExperimentPlan(
-        scenario=scenario,
-        tuning_mode=tuning["mode"],
-        m_opt=tuning.get("m_opt"),
-        lattice=_lattice_from_config(cfg.get("lattice"), scenario.d),
-        **{field: cfg[key] for key, field in _EXP_FIELDS.items() if key in cfg},
+        scenario=scenario, nodes_per_axis=cfg["nodes"], tuning_mode=cfg["tuning"]["mode"],
+        m_opt=cfg["tuning"]["m_opt"], lattice=cfg["lattice"] and LatticeSpec(**cfg["lattice"]),
+        # the other keys are the plan fields of the same name
+        **{k: v for k, v in cfg.items()
+           if k not in ("scenario", "nodes", "tuning", "lattice", "out_dir")},
     )
-    out = _open_run_dir(cfg, config_path)
     report = run(plan)
+    out = _open_run_dir(cfg["out_dir"], config_path)
     save_report(report, out / "report.csv", out / "report.json")
     _write_manifest(out, "experiment")
     return 0
 
 
+# command -> (its key table, its function)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "adapt": _cmd_adapt,
-    "conjecture": _cmd_conjecture,
-    "bounds-check": _cmd_bounds_check,
-    "experiment": _cmd_experiment,
+    "simulate": (_SIMULATE, _cmd_simulate),
+    "estimate": (_ESTIMATE, _cmd_estimate),
+    "adapt": (_ADAPT, _cmd_adapt),
+    "conjecture": (_CONJECTURE, _cmd_conjecture),
+    "bounds-check": (_BOUNDS_CHECK, _cmd_bounds_check),
+    "experiment": (_EXPERIMENT, _cmd_experiment),
 }
 
 
@@ -660,20 +664,13 @@ def cli(argv=None) -> int:
     except FileNotFoundError:
         print(f"config error: no such file {args.config}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON in {args.config}: {exc}",
-              file=sys.stderr)
+    except (OSError, ValueError) as exc:  # a directory, not UTF-8, not JSON
+        print(f"config error: invalid JSON in {args.config}: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(cfg, dict):
-        print("config error: top-level config must be a JSON object",
-              file=sys.stderr)
-        return 2
+    table, command = _COMMANDS[args.subcommand]
     try:
-        return _COMMANDS[args.subcommand](cfg, args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return command(_section(cfg, table, args.subcommand), args.config)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -7,8 +7,7 @@ The empirical contrast integrates, over the box [-nu, nu]^d,
 against tensor Gauss-Legendre weights (`make_grid`, the one quadrature built
 here).  It vanishes exactly when phi factorizes the observed CF the same way
 the truth does; its population analogue weights the integrand by the squared
-moduli of the per-block noise CFs instead of using empirical tables.  A linearized form around phi is provided for curvature
-diagnostics.
+moduli of the per-block noise CFs instead of using empirical tables.
 
 Candidate values on a grid factor through per-block pattern matrices: with
 U[g1, q] the block-1 monomials and W[g2, r] the block-2 monomials, the full
@@ -258,21 +257,4 @@ def contrast_oracle(candidate, model: OracleModel, grid: QuadratureGrid) -> floa
     val = float((grid.w1 * q1) @ (np.abs(A) ** 2) @ (grid.w2 * q2))
     if not np.isfinite(val):
         raise NumericalError("oracle contrast evaluated to a non-finite value")
-    return val
-
-
-def contrast_linearized(direction, candidate, grid: QuadratureGrid) -> float:
-    """Quadratic form of the contrast linearization at `candidate` applied to
-    the perturbation `direction` (both TaylorPoly or callable), integrated
-    over the bare box."""
-    full_h, first_h, second_h = _tables_for(direction, grid)
-    full_p, first_p, second_p = _tables_for(candidate, grid)
-    A = (
-        full_h * (first_p[:, None] * second_p[None, :])
-        - full_p * (first_h[:, None] * second_p[None, :])
-        - full_p * (first_p[:, None] * second_h[None, :])
-    )
-    val = float(grid.w1 @ (np.abs(A) ** 2) @ grid.w2)
-    if not np.isfinite(val):
-        raise NumericalError("linearized contrast evaluated to a non-finite value")
     return val

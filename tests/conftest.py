@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cfdeconv import (
     AxisNoise,
@@ -16,6 +17,12 @@ from cfdeconv import (
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# hypothesis draws the same bounded set of examples on every run, with no
+# per-example deadline and no example database on disk
+settings.register_profile("cfdeconv", derandomize=True, max_examples=20, deadline=None,
+                          database=None)
+settings.load_profile("cfdeconv")
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ byte-stability contract of the written artifacts.
 """
 
 import contextlib
+import copy
 import csv
 import dataclasses
 import filecmp
@@ -14,12 +15,15 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cfdeconv
 from cfdeconv import cli_io
@@ -77,7 +81,7 @@ STRING_LATTICE = {"mins": "00", "maxs": "11", "counts": "22"}
 
 # the smallest valid config of each command, without samples and out_dir
 LIST_KEY_BASE = {
-    "simulate": {},
+    "simulate": {"scenario": POINTMASS_SCENARIO, "n": 5},
     "experiment": {"scenario": POINTMASS_SCENARIO, "n_list": [12], "replicates": 1,
                    "kappa_grid": [0.75], "S": 1.5},
     "estimate": {"d1": 1, "d2": 1, "kappa": 0.75, "S": 1.5},
@@ -143,6 +147,17 @@ class TestExitCodes:
         rc, err = run_cli(["estimate", str(path)])
         assert rc == 2
         assert "invalid JSON" in err
+
+    @pytest.mark.parametrize("name, content", [("dir", None), ("latin1.json", b"\xff\xfe{")])
+    def test_unreadable_config(self, tmp_path, name, content):
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        rc, err = run_cli(["simulate", str(path)])
+        assert rc == 2
+        assert err.startswith("config error") and "invalid JSON" in err
 
     def test_non_object_config(self, tmp_path):
         path = tmp_path / "arr.json"
@@ -411,6 +426,7 @@ class TestExitCodes:
         rc, err = run_cli(["conjecture", cfg])
         assert rc == 3
         assert "numerical failure" in err and "orthonormality lost" in err
+        assert not (tmp_path / "out").exists()  # nothing is written for a failed run
 
 
 class TestScenarioConfig:
@@ -896,3 +912,221 @@ class TestManifest:
             blob = (out / entry["path"]).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
             assert len(blob) == entry["bytes"]
+
+
+class TestBoundsCheckViolations:
+    def test_violations_still_write_artifacts(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass
+        class Report:
+            name: str = "class_sup"
+            bound: float = 1.0
+            measured: float = 2.0
+            slack: float = -1.0
+
+            def holds(self):
+                return False
+
+        monkeypatch.setattr(cli_io, "bound_suite", lambda *args, **kwargs: [Report()])
+        out = tmp_path / "bc"
+        cfg = dict(LIST_KEY_BASE["bounds-check"], kappa_list=[0.75], S_list=[1.5],
+                   nu_list=[1.0], out_dir=str(out))
+        rc, err = run_cli(["bounds-check", write_config(tmp_path, "bc.json", cfg)])
+        assert rc == 3 and err == ""
+        assert json.loads((out / "summary.json").read_text()) == {"rows": 1, "violations": 1}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "MANIFEST.json", "bounds.csv", "config.json", "summary.json",
+        ]
+
+
+# configs that crashed, were truncated or left a run directory behind; each
+# is (command, key, JSON text of its value) on top of LIST_KEY_BASE
+REPORTED_HOLES = [
+    ("simulate", "seed", "Infinity"),
+    ("simulate", "n", "2.7"),
+    ("simulate", "n", "true"),
+    ("bounds-check", "member_degree", "Infinity"),
+    ("conjecture", "stretch_grid", "[NaN, 1, 3]"),
+    ("simulate", "scenario", '{"variant": "two_point", "two_point": {"kappa": 0.75, "n": 1000, '
+                             '"x0": NaN}, "noise1": {"kind": "point_mass"}, '
+                             '"noise2": {"kind": "point_mass"}}'),
+    ("simulate", "scenario", '{"variant": "repeated", "signal": {"kind": "uniform", '
+                             '"params": [1.0]}, "noise1": {"kind": "laplace", "param": NaN}, '
+                             '"noise2": {"kind": "point_mass"}}'),
+    ("experiment", "replicates", "1.9"),
+    ("experiment", "tuning", '{"mode": "override", "m_opt": 2.5}'),
+    ("experiment", "align_window", "Infinity"),
+    ("simulate", "out_dir", "5"),
+    ("simulate", "out_dir", "null"),
+    ("estimate", "samples", "7"),
+    ("experiment", "lattice", '{"mins": [-2, -2], "maxs": [2, 2], "counts": [3.7, 3]}'),
+    ("experiment", "lattice", '{"mins": [-2, -2], "maxs": [2, Infinity], "counts": [9, 9]}'),
+    ("estimate", "S", "Infinity"),
+    ("simulate", "scenario", '{"variant": "repeated", "signal": {"kind": ["uniform"], '
+                             '"params": [1.0]}, "noise1": {"kind": "point_mass"}, '
+                             '"noise2": {"kind": "point_mass"}}'),
+]
+
+# a valid object of each section, for a section the base config lacks
+SECTION_EXAMPLES = {
+    "signal": {"kind": "uniform", "params": [1.0]},
+    "noise": {"kind": "point_mass"},
+    "two_point": {"kappa": 0.75, "n": 1000},
+    "lattice": SMALL_LATTICE,
+    "tuning": {"mode": "theoretical"},
+}
+POINT_MASS_NOISE = {"noise1": {"kind": "point_mass"}, "noise2": {"kind": "point_mass"}}
+VARIANT_EXAMPLES = {
+    "repeated": POINTMASS_SCENARIO,
+    "eiv": dict(POINT_MASS_NOISE, variant="eiv", signal=SECTION_EXAMPLES["signal"]),
+    "ica": dict(POINT_MASS_NOISE, variant="ica", sources=[SECTION_EXAMPLES["signal"]] * 2,
+                mixing=[[1.0, 0.5], [0.5, 1.0]]),
+    "two_point": dict(POINT_MASS_NOISE, variant="two_point",
+                      two_point=SECTION_EXAMPLES["two_point"]),
+}
+
+# JSON texts outside each range of the key tables
+OUT_OF_RANGE = {
+    "": [], "> 0": ["0", "-1"], ">= 0": ["-1"], ">= 1": ["0"], ">= 2": ["1"], ">= 3": ["2"],
+    "in (0, 1)": ["0", "1"], "in (0, 1]": ["0", "1.5"],
+}
+NOT_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]
+
+
+def bad_values(key) -> list:
+    """JSON texts of values that key must refuse: each other JSON kind, NaN,
+    infinities, fractions for integers, and values outside its range."""
+    kind, rng = key.kind, key.range
+    outer, _, items = kind.partition(" of ")
+    if outer == "matrix":
+        texts = ['"x"', "5", "[]", "[1, 2]", "[[1, 0.5], [0.5]]", '[[1, "a"], [0.5, 1]]',
+                 "[[NaN, 0.5], [0.5, 1]]", "[[true, 0.5], [0.5, 1]]"]
+    elif items:
+        item = cli_io._Key(items[:-1], rng)
+        texts = ['"1"', "5", "true", "{}"] + ([] if key.default == () else ["[]"])
+        texts += [f"[{text}]" for text in bad_values(item)]
+    elif kind == "grid":
+        texts = ['"113"', "[1, 2]", "[-1, 1, 3, 4]", "[NaN, 1, 3]", "[-1, Infinity, 3]",
+                 "[-1, 1, 2.5]", "[-1, 1, 0]", "[-1, 1, true]"]
+    elif kind in ("number", "integer"):
+        texts = ["true", '"1"', "[1]", "{}"] + NOT_FINITE + OUT_OF_RANGE[rng]
+        texts += ["2.5"] if kind == "integer" else []
+    elif kind == "bool":
+        texts = ["0", "1", '"yes"', "[]", "{}"]
+    elif kind == "string":
+        texts = ["5", "true", '["x"]', "{}"] + (['"bogus"'] if rng else [])
+    else:  # a section
+        texts = ["5", '"x"', "true", "{}", "[1]"]
+    return texts + ([] if key.default is None else ["null"])
+
+
+def get_at(cfg, path):
+    for step in path:
+        cfg = cfg[step]
+    return cfg
+
+
+def set_at(cfg, path, value):
+    """A copy of cfg with value at path."""
+    cfg = copy.deepcopy(cfg)
+    get_at(cfg, path[:-1])[path[-1]] = value
+    return cfg
+
+
+def walk(cfg, table, path=(), label=""):
+    """(label, valid config, path, key) for each key of table and of each
+    section under it, a scenario once per variant."""
+    for name, key in table.items():
+        at = path + (name,)
+        yield label + name, cfg, at, key
+        if key.kind == "scenario":
+            for variant, example in VARIANT_EXAMPLES.items():
+                yield from walk(set_at(cfg, at, example), cli_io._VARIANTS[variant], at,
+                                f"{label}{name}[{variant}].")
+        elif key.kind in cli_io._SECTIONS:
+            section = get_at(cfg, path).get(name) or SECTION_EXAMPLES[key.kind]
+            yield from walk(set_at(cfg, at, section), cli_io._SECTIONS[key.kind], at,
+                            f"{label}{name}.")
+        elif key.kind == "list of signals":
+            yield from walk(cfg, cli_io._SECTIONS["signal"], at + (0,), f"{label}{name}[0].")
+
+
+def with_paths(command, cfg, samples, out):
+    """cfg with the samples path (where the command reads one) and out_dir."""
+    cfg = dict(cfg, samples=samples, out_dir=out)
+    return cfg if command in ("estimate", "adapt") else {k: v for k, v in cfg.items()
+                                                          if k != "samples"}
+
+
+BAD_KEY_CASES = [
+    pytest.param(command, cfg, path, key, id=f"{command}:{label}")
+    for command, (table, _) in cli_io._COMMANDS.items()
+    for label, cfg, path, key in walk(with_paths(command, LIST_KEY_BASE[command], "", ""),
+                                      table)
+]
+
+
+@pytest.fixture(scope="module")
+def sample_file(tmp_path_factory):
+    return zero_samples(tmp_path_factory.mktemp("samples"), 12)
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command, key, text", REPORTED_HOLES)
+    def test_reported_holes_exit_2(self, tmp_path, sample_file, command, key, text):
+        cfg = dict(LIST_KEY_BASE[command], samples=sample_file, out_dir=str(tmp_path / "out"))
+        cfg[key] = "BAD"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg).replace('"BAD"', text))
+        rc, err = run_cli([command, str(path)])
+        assert rc == 2
+        assert err.startswith("config error")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, owner, name", [
+        ("simulate", cli_io.ScenarioSpec, "sample"), ("estimate", cli_io, "estimate_once"),
+        ("adapt", cli_io, "adapt_from_samples"), ("conjecture", cli_io, "build_profile_panels"),
+        ("bounds-check", cli_io, "bound_suite"), ("experiment", cli_io, "run"),
+    ])
+    def test_failed_computation_opens_no_run_dir(self, tmp_path, monkeypatch, sample_file,
+                                                 command, owner, name):
+        def fail(*args, **kwargs):
+            raise cfdeconv.NumericalError("diverged")
+
+        monkeypatch.setattr(owner, name, fail)
+        cfg = with_paths(command, LIST_KEY_BASE[command], sample_file, str(tmp_path / "out"))
+        rc, err = run_cli([command, write_config(tmp_path, "c.json", cfg)])
+        assert rc == 3 and "diverged" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_base_config_is_valid(self, tmp_path, sample_file):
+        # the configs the bad values are put into pass, with their sections
+        for command, cfg, _, _ in (case.values for case in BAD_KEY_CASES):
+            cfg = with_paths(command, cfg, sample_file, str(tmp_path))
+            cli_io._section(cfg, cli_io._COMMANDS[command][0], command)
+
+    @pytest.mark.parametrize("command, cfg, path, key", BAD_KEY_CASES)
+    @given(data=st.data())
+    def test_bad_value_exits_2_before_any_work(self, sample_file, command, cfg, path, key,
+                                               data):
+        text = data.draw(st.sampled_from(bad_values(key)), label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            cfg = set_at(with_paths(command, cfg, sample_file, str(out)), path, "BAD")
+            config = Path(tmp) / "c.json"
+            config.write_text(json.dumps(cfg).replace('"BAD"', text))
+            rc, err = run_cli([command, str(config)])
+            assert rc == 2, err
+            assert err.startswith("config error")
+            assert not out.exists()
+
+    def test_readme_lists_every_table_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for block in section.split("\n### ")[1:]:
+            name, _, body = block.partition("\n")
+            documented[name.strip()] = {m for m in re.findall(r"^\| `([^`]+)` \|", body, re.M)}
+        tables = {name: table for name, (table, _) in cli_io._COMMANDS.items()}
+        tables.update({f"{v} scenario": t for v, t in cli_io._VARIANTS.items()})
+        tables.update(cli_io._SECTIONS)
+        assert documented == {name: set(table) for name, table in tables.items()}

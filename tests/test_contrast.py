@@ -8,7 +8,6 @@ from cfdeconv.contrast import (
     OracleModel,
     QuadratureGrid,
     contrast_empirical,
-    contrast_linearized,
     contrast_oracle,
     ecf_table_for_grid,
     make_grid,
@@ -190,30 +189,6 @@ class TestContrastOracle:
         at32 = contrast_oracle(poly, model, make_grid(1.0, (1, 1), 32))
         at64 = contrast_oracle(poly, model, make_grid(1.0, (1, 1), 64))
         assert abs(at64 - at32) < 1e-8
-
-
-class TestContrastLinearized:
-    def test_zero_direction(self, grid24):
-        phi = poly_11(2, {(1, 1): 0.3})
-        h = poly_11(2, {}, cf_candidate=False)
-        h.theta[:] = 0.0
-        assert contrast_linearized(h, phi, grid24) == 0.0
-
-    def test_mixed_direction_closed_form(self, grid24):
-        # phi = 1, h = a t1 t2 with vanishing slices: integral of |h|^2
-        a = 0.7
-        h = poly_11(2, {(1, 1): a}, cf_candidate=False)
-        h.theta[0] = 0.0
-        phi = poly_11(2, {})
-        val = contrast_linearized(h, phi, grid24)
-        assert val == pytest.approx(a**2 * (2.0 / 3.0) ** 2, rel=1e-11)
-
-    def test_nonnegated_on_random_pairs(self, grid24, rng):
-        params = UpsilonParams(0.8, 1.2)
-        for _ in range(30):
-            phi = random_member(params, (1, 1), 3, rng)
-            h = random_member(params, (1, 1), 3, rng)
-            assert contrast_linearized(h, phi, grid24) >= 0.0
 
 
 class TestEmpiricalToOracle:

@@ -37,6 +37,12 @@ class TestLatticeSpec:
         with pytest.raises(ConfigError, match="lattice.maxs"):
             LatticeSpec(mins=(0.0,), maxs=("x",), counts=(3,))
 
+    @pytest.mark.parametrize("count", [3.7, True, float("inf"), float("nan")])
+    def test_non_integer_count(self, count):
+        # counts are not truncated: 3.7 is no 3
+        with pytest.raises(ConfigError, match="lattice.counts"):
+            LatticeSpec(mins=(0.0, 0.0), maxs=(1.0, 1.0), counts=(count, 3))
+
 
 class TestMRule:
     def test_synthetic_huge_n(self):

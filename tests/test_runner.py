@@ -103,6 +103,9 @@ class TestPlanValidation:
     @pytest.mark.parametrize("field, value", [
         ("S", "abc"), ("beta", "x"), ("cell_budget_s", "x"), ("n_list", 5),
         ("n_list", ("12", "many")), ("kappa_grid", (0.5, "x")), ("seed", None),
+        # an int field takes no bool, fraction, NaN or infinity
+        ("replicates", 1.9), ("replicates", True), ("n_list", (12.5, 24)),
+        ("seed", float("inf")), ("restarts", float("nan")), ("nodes_per_axis", np.float64(2.5)),
     ])
     def test_unconvertible_values(self, pointmass_repeated, field, value):
         with pytest.raises(ConfigError, match=field):
