@@ -47,7 +47,7 @@ from .contrast import (
     make_grid,
     poly_tables,
 )
-from .ecf import EcfTable, SampleSet, ecf_eval, ecf_on_grid, second_moment
+from .ecf import EcfTable, SampleSet, ecf_eval, ecf_on_grid
 from .legendre_bounds import (
     BoundReport,
     bound_suite,
@@ -67,7 +67,6 @@ from .multiindex_taylor import (
     from_json_record,
     project_upsilon,
     random_member,
-    slice_block,
     to_json_record,
     truncate,
     upsilon_bound,

@@ -25,13 +25,14 @@ class NumericalError(RuntimeError):
 def as_type(value, kind, key: str):
     """kind(value), with a failed conversion raised as a ConfigError naming key;
     a str, bytes or dict is no list or tuple ("48" is not [4, 8]), and a
-    bool, a fraction, NaN or an infinity is no int (a numeric string is)."""
+    bool is no int or float, and a fraction, NaN or an infinity is no int (a
+    numeric string is)."""
     try:
-        if kind in (list, tuple) and isinstance(value, (str, bytes, dict)):
+        if (kind in (list, tuple) and isinstance(value, (str, bytes, dict))
+                or kind in (int, float) and isinstance(value, (bool, np.bool_))):
             raise TypeError(value)
         converted = kind(value)
-        if kind is int and not isinstance(value, (str, bytes)) and (
-                isinstance(value, (bool, np.bool_)) or converted != value):
+        if kind is int and not isinstance(value, (str, bytes)) and converted != value:
             raise TypeError(value)
         return converted
     except (TypeError, ValueError, OverflowError):

@@ -520,13 +520,11 @@ def _cmd_adapt(cfg: dict, config_path) -> int:
     return 0
 
 
-# K_list null means 1..K_max; panels, nodes and cert_tol null mean
-# build_weighted_basis's defaults
+# K_list null means 1..K_max; cert_tol null means build_weighted_basis's default
 _CONJECTURE = {
     "kappa_list": _Key("tuple of numbers", "in (0, 1]"),
     "K_list": _Key("tuple of integers", ">= 1", None), "K_max": _Key("integer", ">= 1", 16),
     "scalings": _Key("tuple of strings", tuple(_SCALING_GRIDS), tuple(_SCALING_GRIDS)),
-    "panels": _Key("integer", ">= 1", None), "nodes": _Key("integer", ">= 2", None),
     "cert_tol": _Key("number", "> 0", None), "c1": _Key("number", "> 0", 0.8),
     "c2": _Key("number", "> 0", 0.3), "census": _Key("bool", default=False),
     "stretch_grid": _Key("grid", default=_SCALING_GRIDS["stretch"]),
@@ -542,7 +540,7 @@ def _cmd_conjecture(cfg: dict, config_path) -> int:
         raise ConfigError("K_list exceeds K_max")
     if cfg["census"] and K_max < max(HOLDOUT_K):
         raise ConfigError(f"census needs K_max >= {max(HOLDOUT_K)} to cover its holdout range")
-    basis_opts = {k: cfg[k] for k in ("panels", "nodes", "cert_tol") if cfg[k] is not None}
+    basis_opts = {} if cfg["cert_tol"] is None else {"cert_tol": cfg["cert_tol"]}
     panels = build_profile_panels(kappa_list, K_list, cfg["scalings"], basis_opts=basis_opts,
                                   grids={s: cfg[s + "_grid"] for s in _SCALING_GRIDS})
     summary = {"kappa_list": list(kappa_list), "K_max": K_max,
@@ -608,8 +606,7 @@ _EXPERIMENT = {
     "scenario": _Key("scenario"), "n_list": _Key("tuple of integers"),
     "replicates": _Key("integer"), "kappa_grid": _Key("tuple of numbers"), "S": _Key("number"),
     **{k: _Key(kind, default=_PLAN[k]) for k, kind in (
-        ("beta", "number"), ("nu", "number"), ("c_kappa", "number"), ("align_window", "number"),
-        ("align_step", "number"), ("seed", "integer"), ("restarts", "integer"),
+        ("nu", "number"), ("c_kappa", "number"), ("seed", "integer"), ("restarts", "integer"),
         ("cell_budget_s", "number"))},
     "nodes": _Key("integer", default=_PLAN["nodes_per_axis"]),
     "tuning": _Key("tuning", default={"mode": _PLAN["tuning_mode"]}),

@@ -27,11 +27,12 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from ._util import ConfigError, NumericalError, det_exp, det_pow, inverse_cdf_sampler, tensor_points
+from ._util import ConfigError, NumericalError, det_exp, det_pow, inverse_cdf_sampler
 
 _STEP = 2.0**-9
 _EXP_CUTOFF = 45.0  # weight treated as zero once the exponent exceeds this
 _K_STABLE = 16
+_PANELS, _NODES = 24, 40  # build_weighted_basis's panel Gauss rule
 FIT_K, HOLDOUT_K = range(4, 11), range(11, _K_STABLE + 1)  # census degrees
 _MOLLIFIER_NODES = 64  # Gauss-Legendre nodes of mollifier_rule
 _GRID_PAD = 1.0  # master grid margin beyond the weight support plus 1/b
@@ -135,8 +136,8 @@ class WeightedBasis:
         return self.eval_poly(K, x) * h_kappa_eval(self.weight, x)
 
 
-def build_weighted_basis(spec: WeightSpec, K_max: int, panels: int = 24,
-                         nodes: int = 40, cert_tol: float = 1e-6) -> WeightedBasis:
+def build_weighted_basis(spec: WeightSpec, K_max: int,
+                         cert_tol: float = 1e-6) -> WeightedBasis:
     """Stieltjes construction of the h^2-orthonormal polynomials.
 
     Recurrence coefficients come from inner products of the running
@@ -148,7 +149,7 @@ def build_weighted_basis(spec: WeightSpec, K_max: int, panels: int = 24,
     if not (0 <= K_max <= _K_STABLE):
         raise ConfigError(f"K_max must lie in 0..{_K_STABLE}")
     cut = spec.cutoff()
-    x, w = _panel_rule(-cut, cut, panels, nodes)
+    x, w = _panel_rule(-cut, cut, _PANELS, _NODES)
     wgt = w * h_kappa_eval(spec, x) ** 2
     alpha = np.zeros(max(K_max, 1))
     beta = np.zeros(K_max + 2)
@@ -174,7 +175,7 @@ def build_weighted_basis(spec: WeightSpec, K_max: int, panels: int = 24,
         beta=beta[: K_max + 1],
         cert={},
     )
-    cx, cw = _panel_rule(-cut, cut, panels + 13, nodes + 17)
+    cx, cw = _panel_rule(-cut, cut, _PANELS + 13, _NODES + 17)
     cwgt = cw * h_kappa_eval(spec, cx) ** 2
     table = np.stack([basis.eval_poly(k, cx) for k in range(K_max + 1)])
     gram = (table * cwgt) @ table.T
@@ -187,7 +188,7 @@ def build_weighted_basis(spec: WeightSpec, K_max: int, panels: int = 24,
         )
     basis.cert = {
         "gram_error": worst,
-        "rule": f"panels={panels + 13} nodes={nodes + 17} on [-{cut:.6g}, {cut:.6g}]",
+        "rule": f"panels={_PANELS + 13} nodes={_NODES + 17} on [-{cut:.6g}, {cut:.6g}]",
     }
     return basis
 
@@ -307,19 +308,6 @@ def mollifier_rule(b: float) -> tuple:
     u = base_x / b
     w = base_w / b * mollifier_eval(b, u)
     return u, w / float(np.sum(w))
-
-
-def mollify(f: Callable, b: float) -> Callable:
-    """Quadrature convolution x -> integral f(x - u) u_b(u) du on the
-    mollifier_rule nodes; constants are exact fixed points."""
-    u, w = mollifier_rule(b)
-
-    def smoothed(x):
-        x = np.asarray(x, dtype=np.float64)
-        pts = x[..., None] - u
-        return np.asarray(f(pts.reshape(-1)), dtype=np.float64).reshape(pts.shape) @ w
-
-    return smoothed
 
 
 @dataclass(frozen=True)
@@ -629,9 +617,9 @@ def _support_product(f: GridFunction, v: np.ndarray, w: np.ndarray,
     return out
 
 
-def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
-                l2_method: str = "exact") -> LeCamReport:
-    """Testing-risk lower bound 0.25 ||f0 - fn||^2 (1 - L1/2)_+^n.
+def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int) -> LeCamReport:
+    """Testing-risk lower bound 0.25 ||f0 - fn||^2 (1 - L1/2)_+^n, with
+    ||f0 - fn||^2 the two-point's closed-form l2_sq.
 
     L1 is the single-observation total variation distance between the two
     noise-convolved models, computed by factoring the convolution through
@@ -649,15 +637,6 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
         raise ConfigError("the L1 reduction is implemented for d = 2")
     if n < 0:
         raise ConfigError("n must be >= 0")
-    if l2_method not in ("exact", "quadrature"):
-        raise ConfigError(f"unknown l2_method {l2_method!r}")
-    if l2_method == "exact":
-        l2_sq = two_point.l2_sq
-    else:
-        grid = np.arange(-_V_HALF, _V_HALF + _V_STEP / 2, _V_STEP)
-        mesh = tensor_points([grid, grid])
-        diff = two_point.f0(mesh) - two_point.fn(mesh)
-        l2_sq = float(np.sum(diff**2) * _V_STEP**2)
     v = np.arange(-_V_HALF, _V_HALF + _V_STEP / 2, _V_STEP)
     w = np.arange(-_W_HALF, _W_HALF + _W_STEP / 2, _W_STEP)
     QA = _noise_kernel(noise, inst.a, abs(float(np.linalg.det(inst.matrix()))), w)
@@ -673,8 +652,8 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int, *,
     else:
         bracket = math.exp(n * math.log1p(-l1 / 2.0))
     return LeCamReport(
-        value=0.25 * l2_sq * bracket,
-        l2_sq=float(l2_sq),
+        value=0.25 * two_point.l2_sq * bracket,
+        l2_sq=float(two_point.l2_sq),
         l1_single=l1,
         n=int(n),
         K_n=inst.K_n,

@@ -176,15 +176,6 @@ def pooled(a: EcfTable, b: EcfTable) -> EcfTable:
     return EcfTable(a.grid_id, n, first, second, full)
 
 
-def second_moment(samples: SampleSet) -> float:
-    """Mean squared Euclidean norm of the observations."""
-    acc = PairwiseAccumulator()
-    for start in range(0, samples.n, CHUNK):
-        block = samples.data[start : start + CHUNK]
-        acc.add((block * block).sum())
-    return float(acc.total() / samples.n)
-
-
 def export_csv(samples: SampleSet, path) -> None:
     """Write observations as CSV with header y1..yd, 17 significant digits."""
     with open(path, "w", newline="") as fh:

@@ -26,6 +26,7 @@ from .multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,
     _bound_vector,
+    index_table,
     parity_phase,
     project_upsilon,
     random_member,
@@ -234,8 +235,8 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     wins, the earliest start on ties.
     """
     bounds = _bound_vector(grid.d, config.m_opt, config.params)
-    capped = np.isfinite(bounds)
-    box = optimize.Bounds(np.where(capped, -bounds, 1.0), np.where(capped, bounds, 1.0))
+    pinned = index_table(grid.d, config.m_opt)[1] == 0
+    box = optimize.Bounds(np.where(pinned, 1.0, -bounds), np.where(pinned, 1.0, bounds))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     ev = _Evaluator(table, grid, config.m_opt)
     runs = []

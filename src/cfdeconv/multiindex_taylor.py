@@ -18,6 +18,7 @@ moduli by S^k k^(-kappa k) at order k; see `upsilon_bound`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -213,11 +214,15 @@ def upsilon_bound(index, params: UpsilonParams) -> float:
 @lru_cache(maxsize=256)
 def _bound_vector(d: int, max_degree: int, params: UpsilonParams) -> np.ndarray:
     """Read-only modulus cap per index_table(d, max_degree) row; the zero
-    index is uncapped."""
+    index is uncapped.  A cap whose S^k overflows (inf, or nan once k^(-kappa
+    k) also underflows) is recomputed in log space; it stays inf only when
+    the cap itself exceeds the float range."""
     orders = index_table(d, max_degree)[1]
     k = orders.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         b = params.S**k * np.where(k > 0, k, 1.0) ** (-params.kappa * k)
+        bad = ~np.isfinite(b)
+        b[bad] = np.exp(k[bad] * (math.log(params.S) - params.kappa * np.log(k[bad])))
     b[orders == 0] = np.inf
     b.setflags(write=False)
     return b
@@ -241,32 +246,13 @@ def truncate(poly: TaylorPoly, m: int) -> TaylorPoly:
     return TaylorPoly(poly.dims, m, poly.theta[:n_keep].copy(), poly.cf_candidate)
 
 
-def slice_block(poly: TaylorPoly, block: int) -> TaylorPoly:
-    """Restriction to one block: block 1 gives t -> poly(t, 0), block 2 gives
-    t -> poly(0, t).  The result is a single-block candidate of the same
-    degree in d_block coordinates."""
-    if block not in (1, 2):
-        raise ConfigError("block must be 1 or 2")
-    d1, d2 = poly.dims
-    d_keep = d1 if block == 1 else d2
-    if d_keep == 0:
-        raise ConfigError(f"block {block} has dimension 0")
-    entries, _, _ = index_table(poly.d, poly.max_degree)
-    other = entries[:, d1:] if block == 1 else entries[:, :d1]
-    keep = other.sum(axis=1) == 0
-    kept_entries = (entries[:, :d1] if block == 1 else entries[:, d1:])[keep]
-    _, _, pos = index_table(d_keep, poly.max_degree)
-    theta = np.zeros(len(pos))
-    rows = np.array([pos[tuple(r)] for r in kept_entries], dtype=np.int64)
-    theta[rows] = poly.theta[keep]
-    return TaylorPoly((d_keep, 0), poly.max_degree, theta, poly.cf_candidate)
-
-
 def random_member(params: UpsilonParams, dims: tuple, max_degree: int, rng) -> TaylorPoly:
     """Draw an admissible candidate with each coefficient uniform on its
     modulus interval [-bound, bound]."""
-    bounds = _bound_vector(dims[0] + dims[1], max_degree, params)
-    theta = rng.uniform(-1.0, 1.0, size=bounds.shape[0]) * np.where(np.isfinite(bounds), bounds, 1.0)
+    d = dims[0] + dims[1]
+    bounds = _bound_vector(d, max_degree, params)
+    pinned = index_table(d, max_degree)[1] == 0
+    theta = rng.uniform(-1.0, 1.0, size=bounds.shape[0]) * np.where(pinned, 1.0, bounds)
     return TaylorPoly(dims, max_degree, theta, cf_candidate=True)
 
 

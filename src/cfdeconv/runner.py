@@ -39,6 +39,10 @@ def default_lattice(d: int, half: float = 4.0, count: int = 33) -> LatticeSpec:
     return LatticeSpec(mins=(-half,) * d, maxs=(half,) * d, counts=(count,) * d)
 
 
+# translation_align's shift window and step: shifts up to 0.5 per axis, 0.05 apart
+ALIGN_WINDOW, ALIGN_STEP = 0.5, 0.05
+
+
 @dataclass
 class ExperimentPlan:
     """Declarative description of a replicated estimation experiment."""
@@ -55,8 +59,6 @@ class ExperimentPlan:
     m_opt: Optional[int] = None
     c_kappa: Optional[float] = None
     lattice: Optional[LatticeSpec] = None
-    align_window: float = 0.5
-    align_step: float = 0.05
     seed: int = 0
     restarts: int = 4
     cell_budget_s: Optional[float] = None
@@ -85,14 +87,14 @@ class ExperimentPlan:
         for name, minimum in _PLAN_MINIMA.items():
             if getattr(self, name) < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
-        if not self.align_window >= self.align_step > 0:
-            raise ConfigError("need align_window >= align_step > 0")
         if self.cell_budget_s is not None and not self.cell_budget_s >= 0:
             raise ConfigError(f"cell_budget_s must be >= 0, got {self.cell_budget_s}")
         if self.tuning_mode not in ("theoretical", "override"):
             raise ConfigError(f"unknown tuning mode {self.tuning_mode!r}")
         if self.tuning_mode == "override" and (self.m_opt is None or self.m_opt < 2):
             raise ConfigError("override tuning needs m_opt >= 2")
+        if self.tuning_mode == "theoretical" and self.m_opt is not None:
+            raise ConfigError("theoretical tuning takes no m_opt; use override tuning")
         if self.lattice is None:
             self.lattice = default_lattice(self.scenario.d)
         elif self.lattice.d != self.scenario.d:
@@ -104,8 +106,8 @@ class ExperimentPlan:
 # ExperimentPlan field -> type; the optional fields may also be None
 _PLAN_TYPES = {
     "replicates": int, "S": float, "beta": float, "nu": float, "nodes_per_axis": int,
-    "tuning_mode": str, "m_opt": int, "c_kappa": float, "align_window": float,
-    "align_step": float, "seed": int, "restarts": int, "cell_budget_s": float,
+    "tuning_mode": str, "m_opt": int, "c_kappa": float, "seed": int, "restarts": int,
+    "cell_budget_s": float,
 }
 _PLAN_OPTIONAL = {"m_opt", "c_kappa", "cell_budget_s"}
 _PLAN_MINIMA = {"replicates": 1, "nodes_per_axis": 2, "restarts": 1, "seed": 0}
@@ -155,7 +157,7 @@ def resolve_degrees(plan: ExperimentPlan, n: int, kappa: float) -> tuple:
     twice the truncation degree so the mass beyond the kept block is
     estimated rather than aliased.
     """
-    return _degrees(n, kappa, plan.m_opt if plan.tuning_mode == "override" else None)
+    return _degrees(n, kappa, plan.m_opt)
 
 
 def _degrees(n: int, kappa: float, m_opt: Optional[int]) -> tuple:
@@ -240,9 +242,7 @@ def _run_cell(plan, model, grid, truth, truth_grid, n_idx, k_idx, rep) -> CellRe
             shift = (0.0,) * plan.scenario.d
         else:
             l2_raw = l2_distance(density, truth_grid)
-            shift, l2_aligned = translation_align(
-                density, truth, plan.align_window, plan.align_step
-            )
+            shift, l2_aligned = translation_align(density, truth, ALIGN_WINDOW, ALIGN_STEP)
         status = "ok"
         if plan.cell_budget_s is not None and time.monotonic() - start > plan.cell_budget_s:
             status = "timeout"
@@ -460,9 +460,7 @@ def adaptive_run(plan: ExperimentPlan, n: int, seed: int) -> AdaptiveCell:
     if truth is None:
         aligned, shift = float("nan"), (0.0,) * scenario.d
     else:
-        shift, aligned = translation_align(
-            outcome.chosen, truth, plan.align_window, plan.align_step
-        )
+        shift, aligned = translation_align(outcome.chosen, truth, ALIGN_WINDOW, ALIGN_STEP)
     return AdaptiveCell(
         n=n, seed=seed, kappa_hat=outcome.kappa_hat, c_sigma=outcome.c_sigma,
         sigma_at=outcome.sigma_at, aligned_error=aligned, shift=tuple(shift),

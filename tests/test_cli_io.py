@@ -234,7 +234,8 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", [
-        {"S": "abc"}, {"cell_budget_s": "x"}, {"nodes": 1}, {"align_step": 0},
+        {"S": "abc"}, {"cell_budget_s": "x"}, {"nodes": 1},
+        {"tuning": {"mode": "theoretical", "m_opt": 6}},
         {"lattice": {"mins": [-1.0], "maxs": [1.0], "counts": [5]}},
     ])
     def test_experiment_bad_value_opens_no_run_dir(self, tmp_path, extra):
@@ -300,6 +301,12 @@ class TestExitCodes:
                       "n": 5}, "repeated scenario", "link, sources"),
         ("simulate", {"scenario": dict(POINTMASS_SCENARIO, variant="eiv", d1=1), "n": 5},
          "eiv scenario", "d1"),
+        # keys of implementation constants: the alignment grid, an experiment's
+        # beta (only adapt reads one) and the basis's panel rule
+        *[("experiment", dict(LIST_KEY_BASE["experiment"], **{key: value}), "experiment", key)
+          for key, value in (("align_window", 0.5), ("align_step", 0.05), ("beta", 1.0))],
+        *[("conjecture", dict(LIST_KEY_BASE["conjecture"], **{key: value}), "conjecture", key)
+          for key, value in (("panels", 24), ("nodes", 40))],
     ])
     def test_key_nothing_reads_is_rejected(self, tmp_path, command, cfg, section, key):
         path = write_config(tmp_path, "c.json", dict(cfg, out_dir=str(tmp_path / "out")))
@@ -954,7 +961,6 @@ REPORTED_HOLES = [
                              '"noise2": {"kind": "point_mass"}}'),
     ("experiment", "replicates", "1.9"),
     ("experiment", "tuning", '{"mode": "override", "m_opt": 2.5}'),
-    ("experiment", "align_window", "Infinity"),
     ("simulate", "out_dir", "5"),
     ("simulate", "out_dir", "null"),
     ("estimate", "samples", "7"),

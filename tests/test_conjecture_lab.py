@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from cfdeconv import ConfigError, NumericalError
-from cfdeconv._util import det_exp, det_log
+from cfdeconv._util import det_exp, det_log, tensor_points
 from cfdeconv.conjecture_lab import (
     _V_HALF,
     _V_STEP,
@@ -28,7 +28,6 @@ from cfdeconv.conjecture_lab import (
     make_instance,
     mollifier_constant,
     mollifier_eval,
-    mollify,
     noise_g,
     norm_chain,
     scaled_profile,
@@ -339,15 +338,9 @@ class TestMollifier:
         mass = quad_scalar(lambda x: mollifier_eval(2.0, x), -0.5, 0.5)
         assert mass == pytest.approx(1.0, abs=1e-10)
 
-    def test_constants_are_fixed_points(self):
-        smoothed = mollify(lambda x: np.ones_like(x), 0.5)
-        np.testing.assert_allclose(smoothed(np.array([-3.0, 0.3, 11.0])), 1.0, rtol=1e-15)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             mollifier_eval(0.0, 0.1)
-        with pytest.raises(ConfigError):
-            mollify(lambda x: x, -1.0)
 
 
 class TestNormChain:
@@ -496,10 +489,14 @@ class TestLeCam:
         half = lecam_value(halved, g_noise, 10**4)
         assert half.value / full.value == pytest.approx(0.25, abs=0.05 * 0.25)
 
-    def test_quadrature_l2_agrees_with_closed_form(self, two_point, g_noise):
-        exact = lecam_value(two_point, g_noise, 10**4)
-        quadrature = lecam_value(two_point, g_noise, 10**4, l2_method="quadrature")
-        assert quadrature.l2_sq == pytest.approx(exact.l2_sq, rel=1e-3)
+    def test_lattice_l2_agrees_with_closed_form(self, two_point, g_noise):
+        # the lattice sum of (f0 - fn)^2 on lecam_value's v grid
+        grid = np.arange(-_V_HALF, _V_HALF + _V_STEP / 2, _V_STEP)
+        mesh = tensor_points([grid, grid])
+        lattice = float(np.sum((two_point.f0(mesh) - two_point.fn(mesh)) ** 2) * _V_STEP**2)
+        report = lecam_value(two_point, g_noise, 10**4)
+        assert report.l2_sq == two_point.l2_sq
+        assert lattice == pytest.approx(two_point.l2_sq, rel=1e-3)
 
     def test_dimension_guard(self, tp_instance, g_noise, basis_cache):
         wide = dataclasses.replace(tp_instance, d2=2)

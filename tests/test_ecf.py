@@ -6,7 +6,7 @@ import pytest
 from cfdeconv import ConfigError, ecf
 from cfdeconv._util import CHUNK
 from cfdeconv.contrast import make_grid
-from cfdeconv.ecf import SampleSet, ecf_eval, ecf_on_grid, export_csv, load_csv, second_moment
+from cfdeconv.ecf import SampleSet, ecf_eval, ecf_on_grid, export_csv, load_csv
 
 
 def make_samples(rows, d1=1, d2=1):
@@ -217,19 +217,6 @@ class TestHalfLattice:
             assert out_shape == (shape[0], half * nodes ** (d1 - 1))
         for (shape, _, out_shape) in calls[1::2]:
             assert out_shape == (shape[0], half * nodes ** (d2 - 1))
-
-
-class TestSecondMoment:
-    def test_all_zero(self):
-        assert second_moment(make_samples([[0.0, 0.0], [0.0, 0.0]])) == 0.0
-
-    def test_unit_rows(self):
-        assert second_moment(make_samples([[1.0, 0.0], [0.0, 1.0]])) == pytest.approx(1.0)
-
-    def test_law_of_large_numbers(self):
-        rng = np.random.default_rng(11)
-        s = make_samples(rng.normal(size=(100_000, 2)))
-        assert second_moment(s) == pytest.approx(2.0, abs=0.05)
 
 
 class TestCsvRoundTrip:

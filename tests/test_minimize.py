@@ -154,6 +154,24 @@ class TestEvaluator:
 
 
 class TestMinimize:
+    # S^4 overflows at both; the order-4 cap S^4 4^-4 is 6.25e306 at S = 2e77
+    # and beyond the float range at S = 1e200, where the box is open
+    @pytest.mark.parametrize("S", [2e77, 1e200])
+    def test_box_pins_only_the_zero_index(self, grid24, monkeypatch, S):
+        boxes = []
+        real = minimize_module.optimize.Bounds
+        monkeypatch.setattr(minimize_module.optimize, "Bounds",
+                            lambda lo, hi: boxes.append((lo, hi)) or real(lo, hi))
+        config = MinimizeConfig(params=UpsilonParams(1.0, S), m_opt=4, tol=1e-10, seed=0)
+        minimize_contrast(zero_sample_table(grid24), grid24, config)
+        (lo, hi), = boxes
+        orders = index_table(2, 4)[1]
+        assert lo[0] == hi[0] == 1.0
+        with np.errstate(over="ignore"):
+            cap = np.exp(4.0 * (math.log(S) - math.log(4.0)))
+        np.testing.assert_allclose(hi[orders == 4], cap, rtol=1e-12)
+        np.testing.assert_array_equal(lo[1:], -hi[1:])
+
     def test_single_zero_sample(self, grid24):
         table = zero_sample_table(grid24)
         config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=3, tol=1e-10, seed=0)

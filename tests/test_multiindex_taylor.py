@@ -1,4 +1,6 @@
-"""Coefficient bookkeeping: index order, class projection, slices."""
+"""Coefficient bookkeeping: index order, class projection, truncation."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,13 +9,13 @@ from cfdeconv import ConfigError
 from cfdeconv.multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,
+    _bound_vector,
     evaluate,
     from_json_record,
     index_table,
     monomial_matrix,
     project_upsilon,
     random_member,
-    slice_block,
     to_json_record,
     truncate,
     upsilon_bound,
@@ -54,6 +56,28 @@ class TestUpsilonBound:
         assert upsilon_bound((2, 1), params) == pytest.approx(
             0.55083776422502765, rel=1e-14
         )
+
+    @pytest.mark.parametrize("degree, kappa, S", [
+        (70, 0.5, 1e5),  # S^k overflows from order 62
+        (160, 1.0, 100.0),  # S^k overflows and k^(-k) underflows: nan from order 155
+    ])
+    def test_caps_past_float_range_of_S_power(self, degree, kappa, S):
+        orders = index_table(2, degree)[1]
+        caps = _bound_vector(2, degree, UpsilonParams(kappa, S))
+        k = orders[orders * math.log(S) > math.log(np.finfo(np.float64).max)].astype(np.float64)
+        assert k.size and np.all(np.isfinite(caps[1:]))
+        np.testing.assert_allclose(np.log(caps[-k.size:]), k * (math.log(S) - kappa * np.log(k)),
+                                   rtol=1e-12)
+        assert caps[0] == np.inf
+
+    def test_random_member_draws_within_large_caps(self, rng):
+        params = UpsilonParams(0.5, 1e5)
+        orders = index_table(2, 70)[1]
+        theta = random_member(params, (1, 1), 70, rng).theta
+        caps = _bound_vector(2, 70, params)
+        assert theta[0] == 1.0 and np.all(np.abs(theta[1:]) <= caps[1:])
+        # caps near 1e254 and above, not the pinned coefficient's 1
+        assert np.all(np.abs(theta[orders >= 62]) > 1.0)
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):
@@ -134,41 +158,6 @@ class TestTruncate:
         once = truncate(poly, 2)
         twice = truncate(once, 2)
         np.testing.assert_array_equal(once.theta, twice.theta)
-
-
-class TestSliceBlock:
-    def test_mixed_term_vanishes(self):
-        poly = poly_11(2, {(1, 1): 0.6})
-        out = slice_block(poly, 1)
-        assert out.dims == (1, 0)
-        np.testing.assert_array_equal(out.theta[1:], 0.0)
-
-    def test_pure_first_block_kept(self):
-        poly = poly_11(1, {(1, 0): 0.3})
-        out = slice_block(poly, 1)
-        assert out.coeff((1,)) == pytest.approx(0.3j)
-
-    def test_slice_evaluate_commutes(self, rng):
-        params = UpsilonParams(0.8, 1.5)
-        for _ in range(25):
-            poly = random_member(params, (1, 1), 4, rng)
-            t1 = rng.uniform(-1, 1, size=(4, 1))
-            sl = slice_block(poly, 1)
-            embedded = np.concatenate([t1, np.zeros_like(t1)], axis=1)
-            np.testing.assert_allclose(
-                evaluate(sl, t1), evaluate(poly, embedded), rtol=1e-13, atol=1e-15
-            )
-            t2 = rng.uniform(-1, 1, size=(4, 1))
-            sl2 = slice_block(poly, 2)
-            embedded2 = np.concatenate([np.zeros_like(t2), t2], axis=1)
-            np.testing.assert_allclose(
-                evaluate(sl2, t2), evaluate(poly, embedded2), rtol=1e-13, atol=1e-15
-            )
-
-    def test_zero_block_rejected(self):
-        poly = TaylorPoly((1, 0), 1, np.array([1.0, 0.1]))
-        with pytest.raises(ConfigError):
-            slice_block(poly, 2)
 
 
 class TestEvaluate:

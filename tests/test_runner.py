@@ -106,6 +106,8 @@ class TestPlanValidation:
         # an int field takes no bool, fraction, NaN or infinity
         ("replicates", 1.9), ("replicates", True), ("n_list", (12.5, 24)),
         ("seed", float("inf")), ("restarts", float("nan")), ("nodes_per_axis", np.float64(2.5)),
+        # nor does a float field
+        ("S", True), ("beta", np.bool_(True)),
     ])
     def test_unconvertible_values(self, pointmass_repeated, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -120,8 +122,9 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("overrides", [
         {"beta": 0.0}, {"c_kappa": -1.0}, {"nodes_per_axis": 1}, {"restarts": 0},
-        {"seed": -1}, {"align_step": 0.0}, {"align_window": 0.01, "align_step": 0.05},
-        {"cell_budget_s": -1.0}, {"lattice": default_lattice(1)},
+        {"seed": -1}, {"cell_budget_s": -1.0}, {"lattice": default_lattice(1)},
+        # theoretical tuning would ignore m_opt, yet the report would echo it
+        {"m_opt": 6},
     ])
     def test_ranges(self, pointmass_repeated, overrides):
         with pytest.raises(ConfigError):

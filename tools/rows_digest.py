@@ -14,7 +14,10 @@ passes (`one_pass`, `rows_bytes`, `thetas`).  A last line runs the
 `experiment` subcommand of the checkout's CLI on one small fixed config
 (plan seed = the seed argument) in a temporary directory and prints the
 SHA-256 of its report.csv and report.json, so the CLI's artifacts are
-compared too.  A `lab-lecam` line prints the repr of every Le Cam
+compared too.  An `estimate-cli` line does the same for the `estimate`
+subcommand: `simulate` writes one small fixed sample (seed = the seed
+argument), `estimate` fits it, and the line prints the SHA-256 of its
+phi.json, density.csv and summary.json.  A `lab-lecam` line prints the repr of every Le Cam
 `l1_single` and `value` of the lab pass, in call order, so the size of a
 last-bit change that moves the lab's rows hash can be read off.  Two
 checkouts whose lines match produce the same outputs to the bit:
@@ -51,6 +54,12 @@ EXPERIMENT = {
     "nodes": 16, "tuning": {"mode": "override", "m_opt": 4},
     "lattice": {"mins": [-3, -3], "maxs": [3, 3], "counts": [9, 9]},
 }
+
+# one estimate on a small sample of the same scenario
+SIMULATE = {"scenario": EXPERIMENT["scenario"], "n": 2000}
+ESTIMATE = {"d1": 1, "d2": 1, "kappa": 0.75, "S": 1.5, "nodes": 16, "m_opt": 4,
+            "lattice": EXPERIMENT["lattice"]}
+ESTIMATE_FILES = ("phi.json", "density.csv", "summary.json")
 
 
 def _import_checkout(root: Path):
@@ -93,17 +102,37 @@ def lecam_line(cf, rows, seed: int) -> str:
     return f"lab-lecam seed={seed} l1_single=[{l1}] value=[{value}]"
 
 
+def _cli_run(tmp: Path, command: str, cfg: dict) -> Path:
+    """The run directory of the checkout's CLI `command` on cfg; a nonzero
+    exit ends the script."""
+    out, config = tmp / command, tmp / f"{command}.json"
+    config.write_text(json.dumps(dict(cfg, out_dir=str(out))))
+    code = importlib.import_module("cfdeconv.cli_io").cli([command, str(config)])
+    if code != 0:
+        sys.exit(f"rows_digest: the {command} config exited {code}")
+    return out
+
+
+def _file_digests(out: Path, names) -> tuple:
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names)
+
+
 def experiment_digests(seed: int) -> tuple:
     """(report.csv SHA-256, report.json SHA-256) of the EXPERIMENT config run
     through the CLI with plan seed `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
-        out, config = Path(tmp) / "run", Path(tmp) / "config.json"
-        config.write_text(json.dumps(dict(EXPERIMENT, seed=seed, out_dir=str(out))))
-        code = importlib.import_module("cfdeconv.cli_io").cli(["experiment", str(config)])
-        if code != 0:
-            sys.exit(f"rows_digest: the experiment config exited {code}")
-        return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                     for name in ("report.csv", "report.json"))
+        out = _cli_run(Path(tmp), "experiment", dict(EXPERIMENT, seed=seed))
+        return _file_digests(out, ("report.csv", "report.json"))
+
+
+def estimate_digests(seed: int) -> tuple:
+    """SHA-256 of each ESTIMATE_FILES artifact of the ESTIMATE config, run
+    with seed `seed` on the SIMULATE sample drawn with seed `seed`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sim = _cli_run(Path(tmp), "simulate", dict(SIMULATE, seed=seed))
+        out = _cli_run(Path(tmp), "estimate",
+                       dict(ESTIMATE, samples=str(sim / "samples.csv"), seed=seed))
+        return _file_digests(out, ESTIMATE_FILES)
 
 
 def main(argv=None) -> int:
@@ -120,7 +149,11 @@ def main(argv=None) -> int:
         if name == "lab-lowerbound":
             print(lecam_line(cf, out_rows, args.seed), flush=True)
     report_csv, report_json = experiment_digests(args.seed)
-    print(f"experiment-cli seed={args.seed} report.csv={report_csv} report.json={report_json}")
+    print(f"experiment-cli seed={args.seed} report.csv={report_csv} report.json={report_json}",
+          flush=True)
+    estimate = " ".join(f"{name}={digest}" for name, digest in
+                        zip(ESTIMATE_FILES, estimate_digests(args.seed)))
+    print(f"estimate-cli seed={args.seed} {estimate}")
     return 0
 
 
