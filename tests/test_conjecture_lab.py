@@ -1,6 +1,7 @@
 """Weighted polynomial systems, two-point constructions, testing-risk values."""
 
 import dataclasses
+import inspect
 import math
 import warnings
 from types import SimpleNamespace
@@ -225,6 +226,12 @@ class TestWeightedBasis:
     def test_unreachable_certificate_raises(self):
         with pytest.raises(NumericalError, match="orthonormality lost"):
             build_weighted_basis(WeightSpec(kappa=0.75), 8, cert_tol=1e-30)
+
+    def test_certificate_tolerance_is_the_only_default(self):
+        # the panel rule is fixed; gram_error is checked against cert_tol's default
+        params = inspect.signature(build_weighted_basis).parameters.values()
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        assert defaults == {"cert_tol": 1e-6}
 
 
 class TestScaledProfile:

@@ -70,6 +70,17 @@ class TestUpsilonBound:
                                    rtol=1e-12)
         assert caps[0] == np.inf
 
+    @pytest.mark.parametrize("degree, kappa, S", [(12, 0.55, 1.5), (70, 0.5, 1e5)])
+    def test_finite_caps_keep_their_bits(self, degree, kappa, S):
+        # caps whose S^k stays finite are the plain product S^k k^(-kappa k)
+        k = index_table(2, degree)[1][1:].astype(np.float64)
+        with np.errstate(over="ignore"):
+            direct = S**k * k ** (-kappa * k)
+        caps = _bound_vector(2, degree, UpsilonParams(kappa, S))[1:]
+        finite = np.isfinite(direct)
+        assert finite.any()
+        np.testing.assert_array_equal(caps[finite], direct[finite])
+
     def test_random_member_draws_within_large_caps(self, rng):
         params = UpsilonParams(0.5, 1e5)
         orders = index_table(2, 70)[1]

@@ -27,6 +27,7 @@ from cfdeconv import (
     resolve_degrees,
     run,
 )
+from cfdeconv import runner as runner_module
 from cfdeconv.reconstruct import m_rule
 
 
@@ -60,6 +61,18 @@ def degenerate_plan(pointmass_repeated, **overrides):
     )
     kwargs.update(overrides)
     return ExperimentPlan(**kwargs)
+
+
+def record_alignments(monkeypatch, d):
+    """Give every scenario a stand-in density truth and record the arguments
+    of each translation_align call."""
+    calls = []
+    monkeypatch.setattr(runner_module, "_truth_on_lattice",
+                        lambda scenario, lattice: ("truth", None))
+    monkeypatch.setattr(runner_module, "l2_distance", lambda density, truth_grid: 0.0)
+    monkeypatch.setattr(runner_module, "translation_align",
+                        lambda *args, **kwargs: calls.append((args, kwargs)) or ((0.0,) * d, 0.0))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +207,13 @@ class TestRun:
     def test_rerun_is_identical(self, pointmass_repeated, degenerate_report):
         again = run(degenerate_plan(pointmass_repeated))
         assert rows_equal(degenerate_report.rows, again.rows)
+
+    def test_alignment_grid_is_positional(self, pointmass_repeated, monkeypatch):
+        # window and step go in as arguments 2 and 3, where the benchmark tracer reads them
+        calls = record_alignments(monkeypatch, 2)
+        run(degenerate_plan(pointmass_repeated, n_list=(12,), replicates=1))
+        (args, kwargs), = calls
+        assert args[1:] == ("truth", 0.5, 0.05) and kwargs == {}
 
     def test_exhausted_budget_flags_timeout(self, pointmass_repeated):
         plan = degenerate_plan(pointmass_repeated, n_list=(12,), replicates=1,
@@ -339,6 +359,17 @@ class TestAdaptive:
         with pytest.raises(ConfigError):
             adapt_from_samples(samples, grid24, default_lattice(2),
                                kappa_grid=(), S=1.5, beta=1.0, nu=1.0)
+
+    def test_alignment_grid_is_positional(self, uniform_repeated, monkeypatch):
+        calls = record_alignments(monkeypatch, 2)
+        plan = ExperimentPlan(
+            scenario=uniform_repeated, n_list=(30,), replicates=1,
+            kappa_grid=(0.55, 1.0), S=1.5, nodes_per_axis=24,
+            lattice=default_lattice(2, half=2.0, count=9),
+        )
+        adaptive_run(plan, 30, seed=7)
+        (args, kwargs), = calls
+        assert args[1:] == ("truth", 0.5, 0.05) and kwargs == {}
 
     def test_adaptive_run_without_truth(self, uniform_repeated):
         plan = ExperimentPlan(
