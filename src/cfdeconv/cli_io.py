@@ -467,7 +467,7 @@ def _sample_inputs(cfg: dict) -> tuple:
 
 
 _ESTIMATE = dict(_SAMPLE_INPUTS, kappa=_Key("number", "in (0, 1]"),
-                 m_opt=_Key("integer", ">= 1", None))
+                 m_opt=_Key("integer", ">= 2", None))
 
 
 def _cmd_estimate(cfg: dict, config_path) -> int:

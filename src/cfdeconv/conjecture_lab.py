@@ -449,22 +449,20 @@ def make_instance(basis: WeightedBasis, n: int, *, d1: int = 1, d2: int = 1,
 
 @dataclass
 class TwoPoint:
-    """The pair of multivariate densities separated by one perturbation."""
+    """The 1-D densities of the two-point pair and ||f_0 - f_n||^2; the pair
+    itself is the mixture scenarios.make_two_point builds from them."""
 
     instance: LowerBoundInstance
-    basis: WeightedBasis
     zeta0: GridFunction
     zeta_n: GridFunction
     pert: GridFunction
-    f0: Callable
-    fn: Callable
     l2_sq: float
     zeta_mass: float
     zeta_min: float
 
 
 def build_two_point(instance: LowerBoundInstance, basis: WeightedBasis) -> TwoPoint:
-    """Assemble zeta_0, zeta_n and the mixed densities f_0, f_n.
+    """Assemble zeta_0, zeta_n, the perturbation and ||f_0 - f_n||^2.
 
     zeta_0 smooths the normalized envelope-times-weight density; zeta_n adds
     alpha_n (P_K h^2) * u_b.  The perturbation has exactly zero grid mass
@@ -494,24 +492,11 @@ def build_two_point(instance: LowerBoundInstance, basis: WeightedBasis) -> TwoPo
     mass = zeta_n.mass()
     if abs(mass - 1.0) > 1e-8:
         raise NumericalError(f"zeta_n mass {mass} deviates from 1 beyond 1e-8")
-    A = instance.matrix()
-    A_inv = np.linalg.inv(A)
-    det = abs(float(np.linalg.det(A)))
-
-    def _product(u: np.ndarray, first: GridFunction) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-        v = u @ A_inv.T
-        out = first(v[:, 0]) / det
-        for j in range(1, instance.d):
-            out = out * zeta0(v[:, j])
-        return out
-
-    f0 = lambda u: _product(u, zeta0)
-    fn = lambda u: _product(u, zeta_n)
+    det = abs(float(np.linalg.det(instance.matrix())))
     l2_sq = (instance.alpha_n**2 / det) * pert.l2_sq() * zeta0.l2_sq() ** (instance.d - 1)
     return TwoPoint(
-        instance=instance, basis=basis, zeta0=zeta0, zeta_n=zeta_n, pert=pert,
-        f0=f0, fn=fn, l2_sq=l2_sq, zeta_mass=mass, zeta_min=zmin,
+        instance=instance, zeta0=zeta0, zeta_n=zeta_n, pert=pert,
+        l2_sq=l2_sq, zeta_mass=mass, zeta_min=zmin,
     )
 
 

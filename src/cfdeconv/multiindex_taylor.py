@@ -112,7 +112,7 @@ class TaylorPoly:
     ----------
     dims : tuple
         (d1, d2) coordinate split; the total dimension is d1 + d2.  A second
-        block of size 0 is allowed (used for single-block slices).
+        block of size 0 is allowed (bound_suite's d = 1 members use it).
     max_degree : int
         Total-order truncation degree, >= 0.
     theta : ndarray
@@ -200,7 +200,7 @@ def evaluate(poly: TaylorPoly, t) -> np.ndarray:
 
 def upsilon_bound(index, params: UpsilonParams) -> float:
     """Admissible modulus S^k k^(-kappa k) at total order k = |index|_1, for
-    a multi-index tuple or an order given as an int.
+    a multi-index tuple or an order given as an int: _bound_vector's cap.
 
     The zero index carries the pinned coefficient 1 and has no decay bound;
     asking for it is an error.
@@ -208,20 +208,22 @@ def upsilon_bound(index, params: UpsilonParams) -> float:
     k = int(index) if isinstance(index, (int, np.integer)) else int(sum(index))
     if k == 0:
         raise ConfigError("the zero index is pinned to 1 and has no modulus bound")
-    return float(params.S**k * float(k) ** (-params.kappa * k))
+    return float(_bound_vector(1, k, params)[k])
 
 
 @lru_cache(maxsize=256)
 def _bound_vector(d: int, max_degree: int, params: UpsilonParams) -> np.ndarray:
     """Read-only modulus cap per index_table(d, max_degree) row; the zero
-    index is uncapped.  A cap whose S^k overflows (inf, or nan once k^(-kappa
-    k) also underflows) is recomputed in log space; it stays inf only when
-    the cap itself exceeds the float range."""
+    index is uncapped.  A cap whose factors S^k and k^(-kappa k) are not
+    both normal floats is recomputed in log space; it is inf only when the
+    cap itself exceeds the float range."""
     orders = index_table(d, max_degree)[1]
     k = orders.astype(np.float64)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        b = params.S**k * np.where(k > 0, k, 1.0) ** (-params.kappa * k)
-        bad = ~np.isfinite(b)
+    tiny = np.finfo(np.float64).tiny
+    with np.errstate(all="ignore"):
+        power, decay = params.S**k, np.where(k > 0, k, 1.0) ** (-params.kappa * k)
+        b = power * decay
+        bad = ~(np.isfinite(power) & (power >= tiny) & (decay >= tiny))
         b[bad] = np.exp(k[bad] * (math.log(params.S) - params.kappa * np.log(k[bad])))
     b[orders == 0] = np.inf
     b.setflags(write=False)
@@ -248,11 +250,14 @@ def truncate(poly: TaylorPoly, m: int) -> TaylorPoly:
 
 def random_member(params: UpsilonParams, dims: tuple, max_degree: int, rng) -> TaylorPoly:
     """Draw an admissible candidate with each coefficient uniform on its
-    modulus interval [-bound, bound]."""
+    modulus interval [-bound, bound]; refuses caps beyond the float range."""
     d = dims[0] + dims[1]
     bounds = _bound_vector(d, max_degree, params)
-    pinned = index_table(d, max_degree)[1] == 0
-    theta = rng.uniform(-1.0, 1.0, size=bounds.shape[0]) * np.where(pinned, 1.0, bounds)
+    orders = index_table(d, max_degree)[1]
+    over = orders[(orders > 0) & np.isinf(bounds)]
+    if over.size:
+        raise ConfigError(f"the Upsilon cap at order {over[0]} exceeds the float range")
+    theta = rng.uniform(-1.0, 1.0, size=bounds.shape[0]) * np.where(orders == 0, 1.0, bounds)
     return TaylorPoly(dims, max_degree, theta, cf_candidate=True)
 
 

@@ -162,12 +162,14 @@ def resolve_degrees(plan: ExperimentPlan, n: int, kappa: float) -> tuple:
 
 def _degrees(n: int, kappa: float, m_opt: Optional[int]) -> tuple:
     """(m_trunc, m_opt): the rule's degree (at least 1) and twice it, or
-    half the given m_opt (at least 1) and m_opt."""
+    half the given m_opt, which must be at least 2, and m_opt."""
     if m_opt is None:
         m_trunc = max(m_rule(n, kappa), 1)
         return m_trunc, 2 * m_trunc
     m_opt = int(m_opt)
-    return max(m_opt // 2, 1), m_opt
+    if m_opt < 2:
+        raise ConfigError(f"m_opt must be >= 2, got {m_opt}")
+    return m_opt // 2, m_opt
 
 
 def cf_box_error(poly: TaylorPoly, model: OracleModel, grid: QuadratureGrid) -> float:
@@ -447,7 +449,10 @@ class AdaptiveCell:
 
 
 def adaptive_run(plan: ExperimentPlan, n: int, seed: int) -> AdaptiveCell:
-    """One adaptive selection pass at sample size n, scored against truth."""
+    """One adaptive selection pass at sample size n, scored against truth.
+    It runs at the theoretical degrees, so it refuses override tuning."""
+    if plan.tuning_mode == "override":
+        raise ConfigError("adaptive_run would ignore an override plan's m_opt")
     scenario = plan.scenario
     grid = make_grid(plan.nu, (scenario.d1, scenario.d2), plan.nodes_per_axis)
     truth, _ = _truth_on_lattice(scenario, plan.lattice)

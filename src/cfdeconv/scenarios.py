@@ -171,6 +171,23 @@ def _grid_cf(xs: np.ndarray, dens: np.ndarray) -> Callable:
     return _atoms_cf(xs, dens * step / mass)
 
 
+@dataclass(frozen=True)
+class GridSource:
+    """One-dimensional source whose density is tabulated on a uniform grid,
+    such as a two-point zeta; same interface as SignalSpec's."""
+
+    grid: GridFunction
+
+    def sampler(self) -> Callable:
+        return inverse_cdf_sampler(self.grid.xs, np.clip(self.grid.values, 0.0, None))
+
+    def cf(self) -> Callable:
+        return _grid_cf(self.grid.xs, self.grid.values)
+
+    def density(self) -> Callable:
+        return self.grid
+
+
 @lru_cache(maxsize=8)
 def _bump_uniform_density(w: float, b: float):
     # density of Uniform(-w, w) * u_b by grid convolution
@@ -266,8 +283,6 @@ class ScenarioSpec:
     link_name: Optional[str] = None
     sources: Optional[tuple] = None
     mixing: Optional[np.ndarray] = None
-    two_point: Optional[TwoPoint] = None
-    perturbed: bool = False
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -283,7 +298,14 @@ class ScenarioSpec:
         rng_sig = np.random.default_rng(sig_ss)
         e1 = _block_draw(self.noise1, n, np.random.default_rng(n1_ss))
         e2 = _block_draw(self.noise2, n, np.random.default_rng(n2_ss))
-        if self.variant == "repeated":
+        if self.sources is not None:
+            streams = sig_ss.spawn(len(self.sources))
+            s = np.column_stack([
+                src.sampler()(n, np.random.default_rng(ss))
+                for src, ss in zip(self.sources, streams)
+            ])
+            data = s @ self.mixing.T + np.hstack([e1, e2])
+        elif self.variant == "repeated":
             draw = self.signal.sampler()
             x = np.column_stack([draw(n, rng_sig) for _ in range(self.d1)])
             data = np.hstack([x + e1, x + e2])
@@ -291,22 +313,14 @@ class ScenarioSpec:
             x = self.signal.sampler()(n, rng_sig)
             link = _LINKS[self.link_name]
             data = np.column_stack([x + e1[:, 0], link(x) + e2[:, 0]])
-        elif self.variant == "ica":
-            streams = sig_ss.spawn(len(self.sources))
-            s = np.column_stack([
-                src.sampler()(n, np.random.default_rng(ss))
-                for src, ss in zip(self.sources, streams)
-            ])
-            data = s @ self.mixing.T + np.hstack([e1, e2])
-        elif self.variant == "two_point":
-            s = np.column_stack([_grid_draw(g, n, rng_sig) for g in self._two_point_grids()])
-            data = s @ self.two_point.instance.matrix().T + np.hstack([e1, e2])
         else:
             raise ConfigError(f"unknown variant {self.variant!r}")
         return SampleSet(d1=self.d1, d2=self.d2, data=data)
 
     def signal_cf(self) -> Callable:
         """Joint CF of the signal part R on points of shape (n, d)."""
+        if self.sources is not None:
+            return _mixed_cf([src.cf() for src in self.sources], self.mixing)
         if self.variant == "repeated":
             psi = self.signal.cf()
 
@@ -318,18 +332,7 @@ class ScenarioSpec:
                 return out
 
             return phi
-        if self.variant == "eiv":
-            return _eiv_cf(self.signal, _LINKS[self.link_name])
-        if self.variant == "ica":
-            return _mixed_cf([src.cf() for src in self.sources], self.mixing)
-        return _mixed_cf([_grid_cf(g.xs, g.values) for g in self._two_point_grids()],
-                         self.two_point.instance.matrix())
-
-    def _two_point_grids(self) -> list:
-        """Per-source densities of the two-point signal: the (perturbed)
-        first source, then zeta_0 for the others."""
-        zeta = self.two_point.zeta_n if self.perturbed else self.two_point.zeta0
-        return [zeta] + [self.two_point.zeta0] * (self.d - 1)
+        return _eiv_cf(self.signal, _LINKS[self.link_name])
 
     def oracle(self):
         from .contrast import OracleModel
@@ -341,9 +344,9 @@ class ScenarioSpec:
         )
 
     def true_density(self) -> Optional[Callable]:
-        """Joint density of R when it exists (ica, two_point); None for the
-        degenerate repeated/eiv signals, whose joint law is singular."""
-        if self.variant == "ica":
+        """Joint density of R for a mixture of sources with densities; None
+        otherwise (the repeated and eiv joint laws are singular)."""
+        if self.sources is not None:
             dens = [src.density() for src in self.sources]
             if any(f is None for f in dens):
                 return None
@@ -359,8 +362,6 @@ class ScenarioSpec:
                 return out
 
             return f
-        if self.variant == "two_point":
-            return self.two_point.fn if self.perturbed else self.two_point.f0
         return None
 
 
@@ -376,13 +377,6 @@ def _mixed_cf(cfs: list, A: np.ndarray) -> Callable:
         return out
 
     return phi
-
-
-def _grid_draw(g: GridFunction, n: int, rng) -> np.ndarray:
-    # The CDF scales each trapezoid term by its node spacing before summing.
-    # On the dyadic two-point grids (step 2^-9) the spacing is an exact power
-    # of two, so this gives the same bits as scaling the sum once by g.step.
-    return inverse_cdf_sampler(g.xs, np.clip(g.values, 0.0, None))(n, rng)
 
 
 def _eiv_cf(signal: SignalSpec, link: Callable) -> Callable:
@@ -511,12 +505,17 @@ def make_ica(sources: Sequence[SignalSpec], mixing: np.ndarray, noise1, noise2,
 
 def make_two_point(two_point: TwoPoint, noise1, noise2, perturbed: bool = False,
                    nu: float = 1.0, c_nu: float = 1e-3) -> ScenarioSpec:
-    """Observation scheme whose signal is one of the two-point densities."""
+    """Noisy mixture Y = A S + e whose signal is one of the two-point
+    densities: A is the instance's matrix, S_1 has density zeta_n (perturbed)
+    or zeta_0 and every other source zeta_0.  Unlike make_ica, no source
+    needs to load on both blocks."""
     inst = two_point.instance
+    first = two_point.zeta_n if perturbed else two_point.zeta0
     spec = ScenarioSpec(
         variant="two_point", d1=inst.d1, d2=inst.d2, signal=None,
         noise1=_as_axes(noise1, inst.d1), noise2=_as_axes(noise2, inst.d2),
-        two_point=two_point, perturbed=perturbed,
+        sources=(GridSource(first),) + (GridSource(two_point.zeta0),) * (inst.d - 1),
+        mixing=inst.matrix(),
     )
     return _validate(spec, nu, c_nu)
 

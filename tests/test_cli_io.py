@@ -220,7 +220,7 @@ class TestExitCodes:
         assert "header" in err
 
     @pytest.mark.parametrize("extra", [
-        {"S": "abc"}, {"c_kappa": "x"}, {"m_opt": "x"}, {"restarts": "x"},
+        {"S": "abc"}, {"c_kappa": "x"}, {"m_opt": "x"}, {"m_opt": 1}, {"restarts": "x"},
         {"seed": -1}, {"lattice": {"mins": [-1.0], "maxs": [1.0], "counts": [5]}},
     ])
     def test_estimate_bad_value_opens_no_run_dir(self, tmp_path, extra):

@@ -70,9 +70,28 @@ class TestUpsilonBound:
                                    rtol=1e-12)
         assert caps[0] == np.inf
 
+    @pytest.mark.parametrize("d, degree, kappa, S", [
+        (1, 160, 1.0, 100.0),  # k^(-k) underflows from order 144, S^k overflows from 155
+        (2, 70, 0.5, 1e5),
+        (2, 12, 0.55, 1.5),
+    ])
+    def test_every_cap_matches_the_log_formula(self, d, degree, kappa, S):
+        orders = index_table(d, degree)[1]
+        k = orders[1:].astype(np.float64)
+        caps = _bound_vector(d, degree, UpsilonParams(kappa, S))[1:]
+        np.testing.assert_allclose(caps, np.exp(k * (math.log(S) - kappa * np.log(k))),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("k, kappa, S", [(62, 0.5, 1e5), (150, 1.0, 100.0)])
+    def test_upsilon_bound_past_the_float_range_of_a_factor(self, k, kappa, S):
+        # S^62 overflows; 150^(-150) underflows to 0
+        assert upsilon_bound(k, UpsilonParams(kappa, S)) == pytest.approx(
+            math.exp(k * (math.log(S) - kappa * math.log(k))), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("degree, kappa, S", [(12, 0.55, 1.5), (70, 0.5, 1e5)])
     def test_finite_caps_keep_their_bits(self, degree, kappa, S):
-        # caps whose S^k stays finite are the plain product S^k k^(-kappa k)
+        # caps whose factors S^k and k^(-kappa k) are both normal floats are
+        # their plain product
         k = index_table(2, degree)[1][1:].astype(np.float64)
         with np.errstate(over="ignore"):
             direct = S**k * k ** (-kappa * k)
@@ -89,6 +108,11 @@ class TestUpsilonBound:
         assert theta[0] == 1.0 and np.all(np.abs(theta[1:]) <= caps[1:])
         # caps near 1e254 and above, not the pinned coefficient's 1
         assert np.all(np.abs(theta[orders >= 62]) > 1.0)
+
+    def test_random_member_refuses_caps_past_the_float_range(self, rng):
+        # caps: 1e200 at order 1, 2.5e399 at order 2
+        with pytest.raises(ConfigError, match="order 2 exceeds the float range"):
+            random_member(UpsilonParams(1.0, 1e200), (1, 1), 2, rng)
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):

@@ -159,9 +159,9 @@ class TestInvert:
         expected = (m0 + 1j * c * m1).real / (2.0 * np.pi)
         assert grid.values[0] == pytest.approx(expected, rel=1e-13)
 
-    def test_recurrence_branch_against_frozen_moments(self):
-        # |omega x| = 10 exercises the downward recurrence; oracle moments
-        # from high-precision quadrature at omega=2, x=5
+    def test_large_omega_x_against_frozen_moments(self):
+        # |omega x| = 10, a large argument of the spherical Bessel moments;
+        # oracle moments from high-precision quadrature at omega=2, x=5
         theta = np.array([1.0, 0.3, -0.2, 0.1, 0.05])
         poly = poly_d1(theta)
         lattice = LatticeSpec((5.0,), (6.0,), (2,))

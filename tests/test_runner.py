@@ -312,6 +312,13 @@ class TestEstimateOnce:
                             kappa=0.75, S=1.5, nu=1.0, m_opt=4)
         assert (out.m_trunc, out.m_opt) == (2, 4)
 
+    def test_override_degree_below_two_refused(self, uniform_repeated, grid24):
+        # the same floor as ExperimentPlan's override tuning
+        samples = uniform_repeated.sample(100, seed=1)
+        with pytest.raises(ConfigError, match="m_opt must be >= 2"):
+            estimate_once(samples, grid24, default_lattice(2, half=2.0, count=9),
+                          kappa=0.75, S=1.5, nu=1.0, m_opt=1)
+
     def test_deconvolution_guard(self):
         # the benchmark's ICA scenario with Laplace(0.7) noise, which flattens
         # |phi_Y| well below |phi_R| on the box.  The stop at resolution must
@@ -370,6 +377,16 @@ class TestAdaptive:
         adaptive_run(plan, 30, seed=7)
         (args, kwargs), = calls
         assert args[1:] == ("truth", 0.5, 0.05) and kwargs == {}
+
+    def test_adaptive_run_refuses_override_plan(self, uniform_repeated):
+        # the adaptive pass runs every candidate at the theoretical degrees
+        plan = ExperimentPlan(
+            scenario=uniform_repeated, n_list=(30,), replicates=1,
+            kappa_grid=(0.55, 1.0), S=1.5, nodes_per_axis=24, tuning_mode="override",
+            m_opt=6, lattice=default_lattice(2, half=2.0, count=9),
+        )
+        with pytest.raises(ConfigError, match="override"):
+            adaptive_run(plan, 30, seed=7)
 
     def test_adaptive_run_without_truth(self, uniform_repeated):
         plan = ExperimentPlan(

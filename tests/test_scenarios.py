@@ -254,17 +254,44 @@ class TestIca:
 
 
 class TestTwoPointScenario:
-    def test_density_pick_follows_flag(self, basis_cache):
+    NOISE = AxisNoise("uniform", 0.3)
+
+    @pytest.fixture(scope="class")
+    def two_point(self, basis_cache):
         basis = basis_cache(0.75)
-        two_point = build_two_point(make_instance(basis, 10**4), basis)
-        noise = AxisNoise("uniform", 0.3)
-        plain = make_two_point(two_point, noise, noise, perturbed=False)
-        pert = make_two_point(two_point, noise, noise, perturbed=True)
-        assert plain.true_density() is two_point.f0
-        assert pert.true_density() is two_point.fn
-        samples = plain.sample(30, seed=21)
-        assert samples.data.shape == (30, 2)
-        np.testing.assert_array_equal(samples.data, plain.sample(30, seed=21).data)
+        return build_two_point(make_instance(basis, 10**4), basis)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_is_the_ica_mixture_of_its_sources(self, two_point, perturbed):
+        spec = make_two_point(two_point, self.NOISE, self.NOISE, perturbed=perturbed)
+        ica = make_ica(spec.sources, spec.mixing, self.NOISE, self.NOISE, d1=spec.d1)
+        assert spec.variant == "two_point"
+        np.testing.assert_array_equal(spec.mixing, two_point.instance.matrix())
+        samples = spec.sample(300, seed=21)
+        assert samples.data.shape == (300, 2)
+        np.testing.assert_array_equal(samples.data, ica.sample(300, seed=21).data)
+        pts = np.random.default_rng(5).uniform(-3, 3, size=(200, 2))
+        np.testing.assert_array_equal(spec.signal_cf()(pts), ica.signal_cf()(pts))
+        np.testing.assert_array_equal(spec.true_density()(pts), ica.true_density()(pts))
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_density_is_the_closed_product(self, two_point, perturbed):
+        # f(u) = zeta(v_1) zeta_0(v_2) / |det A| at v = A^-1 u, with zeta the
+        # first source's density: zeta_n when perturbed, else zeta_0
+        spec = make_two_point(two_point, self.NOISE, self.NOISE, perturbed=perturbed)
+        A = two_point.instance.matrix()
+        pts = np.random.default_rng(6).uniform(-1.5, 1.5, size=(200, 2))
+        v = pts @ np.linalg.inv(A).T
+        first = two_point.zeta_n if perturbed else two_point.zeta0
+        closed = first(v[:, 0]) * two_point.zeta0(v[:, 1]) / abs(np.linalg.det(A))
+        assert np.all(closed > 0)
+        np.testing.assert_allclose(spec.true_density()(pts), closed, rtol=1e-15, atol=0.0)
+
+    def test_density_follows_flag(self, two_point):
+        plain, pert = (make_two_point(two_point, self.NOISE, self.NOISE, perturbed=flag)
+                       for flag in (False, True))
+        pts = np.random.default_rng(7).uniform(-3, 3, size=(200, 2))
+        assert np.any(plain.true_density()(pts) != pert.true_density()(pts))
 
 
 def gauss_truth(pts):

@@ -82,7 +82,7 @@ def main():
         v = axis_moment(k, mp.mpf("0.5"), 3)
         print(f"axis moment k={k}, omega=0.5, x=3:", mp.nstr(v, 20))
     for k in range(5):
-        # exercises the downward-recurrence branch (|omega*x| >= 8)
+        # a large |omega*x| (= 10), for the large-argument moment test
         v = axis_moment(k, 2, 5)
         print(f"axis moment k={k}, omega=2, x=5:", mp.nstr(v, 20))
     print("uniform(-1,1) cf at 1 (=sin(1)/1):", mp.nstr(mp.sin(1), 20))

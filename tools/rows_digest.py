@@ -17,7 +17,11 @@ SHA-256 of its report.csv and report.json, so the CLI's artifacts are
 compared too.  An `estimate-cli` line does the same for the `estimate`
 subcommand: `simulate` writes one small fixed sample (seed = the seed
 argument), `estimate` fits it, and the line prints the SHA-256 of its
-phi.json, density.csv and summary.json.  A `lab-lecam` line prints the repr of every Le Cam
+phi.json, density.csv and summary.json.  A `two-point-cli` line runs
+`simulate` on one fixed two-point config (seed = the seed argument) and
+prints the SHA-256 of its samples.csv and summary.json, so the two-point
+scenario's sampler and construction diagnostics are compared too.  A
+`lab-lecam` line prints the repr of every Le Cam
 `l1_single` and `value` of the lab pass, in call order, so the size of a
 last-bit change that moves the lab's rows hash can be read off.  Two
 checkouts whose lines match produce the same outputs to the bit:
@@ -60,6 +64,17 @@ SIMULATE = {"scenario": EXPERIMENT["scenario"], "n": 2000}
 ESTIMATE = {"d1": 1, "d2": 1, "kappa": 0.75, "S": 1.5, "nodes": 16, "m_opt": 4,
             "lattice": EXPERIMENT["lattice"]}
 ESTIMATE_FILES = ("phi.json", "density.csv", "summary.json")
+
+# the perturbed two-point scenario of the lab's kappa 0.75 instance at n = 10^4
+TWO_POINT = {
+    "scenario": {
+        "variant": "two_point", "two_point": {"kappa": 0.75, "n": 10_000},
+        "noise1": {"kind": "uniform", "param": 0.3}, "noise2": {"kind": "uniform", "param": 0.3},
+        "perturbed": True,
+    },
+    "n": 2000,
+}
+TWO_POINT_FILES = ("samples.csv", "summary.json")
 
 
 def _import_checkout(root: Path):
@@ -135,6 +150,14 @@ def estimate_digests(seed: int) -> tuple:
         return _file_digests(out, ESTIMATE_FILES)
 
 
+def two_point_digests(seed: int) -> tuple:
+    """SHA-256 of each TWO_POINT_FILES artifact of the TWO_POINT config,
+    simulated with seed `seed`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = _cli_run(Path(tmp), "simulate", dict(TWO_POINT, seed=seed))
+        return _file_digests(out, TWO_POINT_FILES)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
@@ -153,7 +176,10 @@ def main(argv=None) -> int:
           flush=True)
     estimate = " ".join(f"{name}={digest}" for name, digest in
                         zip(ESTIMATE_FILES, estimate_digests(args.seed)))
-    print(f"estimate-cli seed={args.seed} {estimate}")
+    print(f"estimate-cli seed={args.seed} {estimate}", flush=True)
+    two_point = " ".join(f"{name}={digest}" for name, digest in
+                         zip(TWO_POINT_FILES, two_point_digests(args.seed)))
+    print(f"two-point-cli seed={args.seed} {two_point}")
     return 0
 
 
