@@ -103,6 +103,7 @@ from .runner import (
 )
 from .scenarios import (
     AxisNoise,
+    DensityTruth,
     ScenarioSpec,
     SignalSpec,
     make_eiv,
@@ -110,6 +111,7 @@ from .scenarios import (
     make_repeated,
     make_two_point,
     translation_align,
+    truth_l2,
 )
 
 __version__ = "0.1.0"

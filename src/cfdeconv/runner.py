@@ -28,18 +28,18 @@ from .reconstruct import (
     LatticeSpec,
     TuningRules,
     invert,
-    l2_distance,
+    l2_distance,  # unused here; perfbench/tracer.py wraps runner.l2_distance
     m_rule,
     omega_rule,
 )
-from .scenarios import ScenarioSpec, translation_align
+from .scenarios import ScenarioSpec, translation_align, truth_l2
 
 
 def default_lattice(d: int, half: float = 4.0, count: int = 33) -> LatticeSpec:
     return LatticeSpec(mins=(-half,) * d, maxs=(half,) * d, counts=(count,) * d)
 
 
-# translation_align's shift window and step: shifts up to 0.5 per axis, 0.05 apart
+# translation_align's start grid: shifts up to 0.5 per axis, 0.05 apart
 ALIGN_WINDOW, ALIGN_STEP = 0.5, 0.05
 
 
@@ -180,14 +180,6 @@ def cf_box_error(poly: TaylorPoly, model: OracleModel, grid: QuadratureGrid) -> 
     return float(math.sqrt(max(float(grid.w1 @ diff @ grid.w2), 0.0)))
 
 
-def _truth_on_lattice(scenario: ScenarioSpec, lattice: LatticeSpec):
-    truth = scenario.true_density()
-    if truth is None:
-        return None, None
-    vals = np.asarray(truth(lattice.points()), dtype=np.float64)
-    return truth, DensityGrid(lattice=lattice, values=vals.reshape(lattice.counts))
-
-
 @dataclass(frozen=True)
 class EstimateOutcome:
     result: object
@@ -226,7 +218,7 @@ def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
                            m_opt=m_opt, omega=omega)
 
 
-def _run_cell(plan, model, grid, truth, truth_grid, n_idx, k_idx, rep) -> CellResult:
+def _run_cell(plan, model, grid, truth, n_idx, k_idx, rep) -> CellResult:
     n, kappa = plan.n_list[n_idx], plan.kappa_grid[k_idx]
     seed = cell_seed(plan.seed, n_idx, k_idx, rep)
     m_trunc, m_opt = resolve_degrees(plan, n, kappa)
@@ -243,7 +235,7 @@ def _run_cell(plan, model, grid, truth, truth_grid, n_idx, k_idx, rep) -> CellRe
             l2_raw, l2_aligned = float("nan"), float("nan")
             shift = (0.0,) * plan.scenario.d
         else:
-            l2_raw = l2_distance(density, truth_grid)
+            l2_raw = truth_l2(density, truth)
             shift, l2_aligned = translation_align(density, truth, ALIGN_WINDOW, ALIGN_STEP)
         status = "ok"
         if plan.cell_budget_s is not None and time.monotonic() - start > plan.cell_budget_s:
@@ -272,14 +264,14 @@ def run(plan: ExperimentPlan) -> ExperimentReport:
     scenario = plan.scenario
     grid = make_grid(plan.nu, (scenario.d1, scenario.d2), plan.nodes_per_axis)
     model = scenario.oracle()
-    truth, truth_grid = _truth_on_lattice(scenario, plan.lattice)
+    truth = scenario.density_truth()
     keys = [
         (ni, ki, rep)
         for ni in range(len(plan.n_list))
         for ki in range(len(plan.kappa_grid))
         for rep in range(plan.replicates)
     ]
-    rows = [_run_cell(plan, model, grid, truth, truth_grid, *key) for key in keys]
+    rows = [_run_cell(plan, model, grid, truth, *key) for key in keys]
     rows.sort(key=lambda r: (r.n, r.kappa, r.replicate))
     summary = {
         "variant": scenario.variant,
@@ -455,7 +447,7 @@ def adaptive_run(plan: ExperimentPlan, n: int, seed: int) -> AdaptiveCell:
         raise ConfigError("adaptive_run would ignore an override plan's m_opt")
     scenario = plan.scenario
     grid = make_grid(plan.nu, (scenario.d1, scenario.d2), plan.nodes_per_axis)
-    truth, _ = _truth_on_lattice(scenario, plan.lattice)
+    truth = scenario.density_truth()
     samples = scenario.sample(n, seed)
     outcome = adapt_from_samples(
         samples, grid, plan.lattice, kappa_grid=plan.kappa_grid, S=plan.S,

@@ -21,7 +21,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import ConfigError, inverse_cdf_sampler, tensor_points
+from scipy.optimize import minimize
+
+from ._util import ConfigError, inverse_cdf_sampler, tensor_points, tensor_weights
 from .conjecture_lab import (
     GridFunction,
     NoisePack,
@@ -32,6 +34,7 @@ from .conjecture_lab import (
     noise_g,
     WeightSpec,
 )
+from .contrast import OracleModel, make_grid, poly_tables
 from .ecf import SampleSet
 from .reconstruct import DensityGrid
 
@@ -129,6 +132,18 @@ class SignalSpec:
             return lambda x: np.interp(np.asarray(x, dtype=np.float64), xs, dens, left=0.0, right=0.0)
         return None  # point mass has no density
 
+    def norm_sq(self) -> Optional[float]:
+        """Squared L2 norm of the density: 1/(2w) for the uniform, the sum
+        over the tabulated grid for the others; None for the point mass."""
+        if self.kind == "uniform":
+            return 0.5 / float(self.params[0])
+        if self.kind == "h_kappa":
+            return GridFunction(*_h_kappa_grid(float(self.params[0]), float(self.params[1]))).l2_sq()
+        if self.kind == "compact_bump":
+            return GridFunction(*_bump_uniform_density(float(self.params[0]),
+                                                       float(self.params[1]))).l2_sq()
+        return None
+
     def support_halfwidth(self) -> float:
         if self.kind == "uniform":
             return float(self.params[0])
@@ -187,6 +202,9 @@ class GridSource:
     def density(self) -> Callable:
         return self.grid
 
+    def norm_sq(self) -> float:
+        return self.grid.l2_sq()
+
 
 @lru_cache(maxsize=8)
 def _bump_uniform_density(w: float, b: float):
@@ -194,7 +212,10 @@ def _bump_uniform_density(w: float, b: float):
     step = min(w, 1.0 / b) / 256.0
     half = int(math.ceil((w + 1.0 / b + step) / step))
     xs = np.arange(-half, half + 1) * step
-    uni = np.where(np.abs(xs) <= w, 0.5 / w, 0.0)
+    # Uniform(-w, w) averaged over each cell [x - step/2, x + step/2], so the
+    # grid has unit mass wherever w falls between nodes
+    overlap = np.minimum(xs + step / 2, w) - np.maximum(xs - step / 2, -w)
+    uni = np.clip(overlap, 0.0, None) / (2.0 * w * step)
     taps = mollifier_eval(b, np.arange(-int(1.0 / (b * step)), int(1.0 / (b * step)) + 1) * step)
     taps = taps / (np.sum(taps) * step)
     return xs, np.convolve(uni, taps, mode="same") * step
@@ -335,8 +356,6 @@ class ScenarioSpec:
         return _eiv_cf(self.signal, _LINKS[self.link_name])
 
     def oracle(self):
-        from .contrast import OracleModel
-
         return OracleModel(
             phi_R=self.signal_cf(),
             phi_Q1=_block_cf(self.noise1),
@@ -363,6 +382,22 @@ class ScenarioSpec:
 
             return f
         return None
+
+    def density_norm_sq(self) -> Optional[float]:
+        """Squared L2 norm of true_density(), prod_j ||f_j||^2 / |det A| for
+        a mixture; None wherever true_density() is None."""
+        if self.sources is None:
+            return None
+        norms = [src.norm_sq() for src in self.sources]
+        if any(v is None for v in norms):
+            return None
+        return math.prod(norms) / abs(float(np.linalg.det(self.mixing)))
+
+    def density_truth(self) -> Optional["DensityTruth"]:
+        """The signal CF and density norm that translation_align scores
+        against; None wherever true_density() is None."""
+        norm_sq = self.density_norm_sq()
+        return None if norm_sq is None else DensityTruth(self.signal_cf(), norm_sq)
 
 
 def _mixed_cf(cfs: list, A: np.ndarray) -> Callable:
@@ -524,24 +559,116 @@ def make_two_point(two_point: TwoPoint, noise1, noise2, perturbed: bool = False,
 # translation alignment
 
 
-def translation_align(estimate: DensityGrid, truth: Callable,
-                      shift_window: float, step: float):
-    """Grid-search the per-axis shift minimizing the lattice L2 error.
+@dataclass(frozen=True)
+class DensityTruth:
+    """A signal density known by its CF (on points of shape (n, d)) and its
+    squared L2 norm: all that an exact L2 distance to a spectral estimate
+    needs."""
 
-    Returns (best_shift, aligned_error); the zero shift is always in the
-    search set, so the aligned error never exceeds the raw one.
+    cf: Callable
+    norm_sq: float
+
+
+# Gauss-Legendre nodes per axis of the inversion box: doubling them moves
+# the distance by less than 1e-10 up to omega = 3 (tests/test_scenarios.py)
+_BOX_NODES = 16
+# points per truth-CF call, which bounds an atom-sum CF's temporary array
+_CF_CHUNK = 1024
+
+
+class _ShiftedL2:
+    """Exact L2(R^d) distance between a spectral estimate and the truth
+    shifted by a, for any a.
+
+    The estimate is the inverse Fourier transform of phi_hat on the box
+    [-omega, omega]^d, so by Plancherel
+
+        ||f_hat - f(. - a)||^2 = ||f||^2 + (2 pi)^-d (int_box |phi_hat|^2
+                                 - 2 Re int_box phi_hat conj(phi) e^{-i t.a} dt),
+
+    which is the same as (2 pi)^-d (int_box |phi_hat e^{-i t.a} - phi|^2
+    + int_outside |phi|^2).  The box integrals run on a tensor
+    Gauss-Legendre rule; the shift enters only through
+    F(a) = Re sum_t z(t) e^{-i t.a} with z = w phi_hat conj(phi), and the
+    phase factors per axis, so F, its gradient and F on a whole shift grid
+    contract one axis at a time.
+    """
+
+    def __init__(self, estimate: DensityGrid, truth: DensityTruth):
+        if estimate.spectrum is None:
+            raise ConfigError("the L2 distance to the truth needs an estimate with a spectrum")
+        poly, omega = estimate.spectrum
+        grid = make_grid(omega, poly.dims, _BOX_NODES)
+        shape = (_BOX_NODES,) * poly.d
+        pts = tensor_points([grid.axis_nodes] * poly.d)
+        ref = np.concatenate([np.asarray(truth.cf(pts[i:i + _CF_CHUNK]), dtype=np.complex128)
+                              for i in range(0, pts.shape[0], _CF_CHUNK)])
+        est = poly_tables(poly, grid)[0].reshape(-1)
+        w = tensor_weights(grid.axis_weights, poly.d)
+        self.nodes, self.omega = grid.axis_nodes, float(omega)
+        self.z = (w * est * np.conj(ref)).reshape(shape)
+        self.f_scale = max(float(np.sum(np.abs(self.z))), np.finfo(float).tiny)
+        self.inv = (2.0 * math.pi) ** -poly.d
+        self.const = truth.norm_sq + self.inv * float(w @ np.abs(est) ** 2)
+
+    def _contract(self, vectors) -> np.ndarray:
+        """z contracted with one vector (or (N, K) matrix) per axis."""
+        out = self.z
+        for v in vectors:
+            out = np.tensordot(out, v, axes=([0], [0]))
+        return out
+
+    def error(self, a) -> float:
+        f = self._contract(np.exp(-1j * np.outer(a, self.nodes))).real
+        return math.sqrt(max(self.const - 2.0 * self.inv * float(f), 0.0))
+
+    def neg_f(self, b):
+        """-F(a) / sum |z| at a = b / omega, and its gradient in b: F in
+        units where the curvature is of order 1 whatever omega is."""
+        phases = np.exp(-1j * np.outer(b / self.omega, self.nodes))
+        f = self._contract(phases).real
+        grad = np.empty(len(b))
+        for k in range(len(b)):
+            swapped = phases.copy()
+            swapped[k] *= -1j * self.nodes / self.omega
+            grad[k] = self._contract(swapped).real
+        return -f / self.f_scale, -grad / self.f_scale
+
+    def coarse(self, axis: np.ndarray) -> np.ndarray:
+        """F on the tensor grid of `axis` in every coordinate, contracting
+        one axis at a time with an (N, K) phase matrix for N nodes and K
+        shifts, so no N^d x K^d array is formed."""
+        phases = np.exp(-1j * np.outer(self.nodes, axis))
+        return self._contract([phases] * self.z.ndim).real
+
+
+def truth_l2(estimate: DensityGrid, truth: DensityTruth) -> float:
+    """Exact L2(R^d) distance between a spectral estimate and the truth."""
+    problem = _ShiftedL2(estimate, truth)
+    return problem.error(np.zeros(problem.z.ndim))
+
+
+def translation_align(estimate: DensityGrid, truth: DensityTruth,
+                      shift_window: float, step: float):
+    """The shift a minimizing the exact L2 distance ||f_hat - f(. - a)||.
+
+    The search starts from the best point of the shift grid of half-width
+    shift_window and spacing step in every coordinate, refines it with
+    BFGS on the exact gradient, and keeps the best of the distances at 0,
+    the start and the refined shift, so the aligned error never exceeds the
+    raw one (truth_l2).  Returns (best_shift, aligned_error).
     """
     if shift_window < step or step <= 0:
         raise ConfigError("need shift_window >= step > 0")
-    lat = estimate.lattice
-    mesh = lat.points()
+    problem = _ShiftedL2(estimate, truth)
+    d = problem.z.ndim
     n_steps = int(math.floor(shift_window / step + 1e-9))
-    shifts_1d = np.arange(-n_steps, n_steps + 1) * step
-    vol = lat.cell_volume
-    best = (math.inf, None)
-    for shift in tensor_points([shifts_1d] * lat.d):
-        truth_vals = np.asarray(truth(mesh - shift), dtype=np.float64)
-        err = math.sqrt(float(np.sum((estimate.values.reshape(-1) - truth_vals) ** 2) * vol))
-        if err < best[0] - 1e-15:
-            best = (err, shift)
-    return tuple(float(s) for s in best[1]), float(best[0])
+    axis = np.arange(-n_steps, n_steps + 1) * step
+    coarse = problem.coarse(axis)
+    start = axis[np.array(np.unravel_index(int(np.argmax(coarse)), coarse.shape))]
+    refined = minimize(problem.neg_f, start * problem.omega, jac=True, method="BFGS",
+                       options={"gtol": 1e-12}).x / problem.omega
+    candidates = [np.zeros(d), start, refined]
+    errors = [problem.error(a) for a in candidates]
+    best = int(np.argmin(errors))
+    return tuple(float(s) for s in candidates[best]), errors[best]

@@ -998,6 +998,14 @@ OUT_OF_RANGE = {
 NOT_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"]
 
 
+def readme_range(rng) -> str:
+    """How the README writes a key table's range."""
+    if isinstance(rng, tuple):
+        names = [f"`{name}`" for name in rng]
+        return names[0] if len(names) == 1 else ", ".join(names[:-1]) + " or " + names[-1]
+    return rng.replace(">=", "≥")
+
+
 def bad_values(key) -> list:
     """JSON texts of values that key must refuse: each other JSON kind, NaN,
     infinities, fractions for integers, and values outside its range."""
@@ -1126,13 +1134,33 @@ class TestConfigSchema:
             assert not out.exists()
 
     def test_readme_lists_every_table_key(self):
+        # each README row states its key's kind, range, default and whether
+        # it is required as the key table does; where the table has no range
+        # the row may state the one a library constructor checks
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
         documented = {}
         for block in section.split("\n### ")[1:]:
             name, _, body = block.partition("\n")
-            documented[name.strip()] = {m for m in re.findall(r"^\| `([^`]+)` \|", body, re.M)}
+            documented[name.strip()] = {
+                row[0]: row[1:] for row in re.findall(
+                    r"^\| `([^`]+)` \| ([^|]*) \| ([^|]*) \| ([^|]*) \| ([^|]*) \|$", body, re.M)}
         tables = {name: table for name, (table, _) in cli_io._COMMANDS.items()}
         tables.update({f"{v} scenario": t for v, t in cli_io._VARIANTS.items()})
         tables.update(cli_io._SECTIONS)
-        assert documented == {name: set(table) for name, table in tables.items()}
+        assert {name: set(rows) for name, rows in documented.items()} == {
+            name: set(table) for name, table in tables.items()}
+        for name, table in tables.items():
+            for key_name, key in table.items():
+                kind, rng, default, required = documented[name][key_name]
+                label = f"{name}.{key_name}"
+                assert kind == key.kind, label
+                if key.range:
+                    assert rng == readme_range(key.range), label
+                if key.default is None:
+                    assert default.startswith("null"), label
+                elif key.default is cli_io._REQUIRED:
+                    assert default == "", label
+                else:
+                    assert default == json.dumps(key.default), label
+                assert required == ("yes" if key.default is cli_io._REQUIRED else "no"), label

@@ -28,6 +28,7 @@ from cfdeconv import (
     run,
 )
 from cfdeconv import runner as runner_module
+from cfdeconv.scenarios import ScenarioSpec
 from cfdeconv.reconstruct import m_rule
 
 
@@ -67,9 +68,8 @@ def record_alignments(monkeypatch, d):
     """Give every scenario a stand-in density truth and record the arguments
     of each translation_align call."""
     calls = []
-    monkeypatch.setattr(runner_module, "_truth_on_lattice",
-                        lambda scenario, lattice: ("truth", None))
-    monkeypatch.setattr(runner_module, "l2_distance", lambda density, truth_grid: 0.0)
+    monkeypatch.setattr(ScenarioSpec, "density_truth", lambda scenario: "truth")
+    monkeypatch.setattr(runner_module, "truth_l2", lambda density, truth: 0.0)
     monkeypatch.setattr(runner_module, "translation_align",
                         lambda *args, **kwargs: calls.append((args, kwargs)) or ((0.0,) * d, 0.0))
     return calls

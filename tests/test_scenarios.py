@@ -1,15 +1,19 @@
 """Scenario generators: oracle CFs, reproducible sampling, alignment."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from cfdeconv import ConfigError
+from cfdeconv import ConfigError, scenarios
+from cfdeconv._util import tensor_points
 from cfdeconv.conjecture_lab import make_instance, build_two_point, noise_g
-from cfdeconv.reconstruct import DensityGrid, LatticeSpec
+from cfdeconv.multiindex_taylor import TaylorPoly, index_table, monomial_matrix, parity_phase
+from cfdeconv.reconstruct import DensityGrid, LatticeSpec, invert
 from cfdeconv.scenarios import (
     AxisNoise,
+    GridSource,
     SignalSpec,
     cubic_plus_x,
     make_eiv,
@@ -17,6 +21,7 @@ from cfdeconv.scenarios import (
     make_repeated,
     make_two_point,
     translation_align,
+    truth_l2,
 )
 
 
@@ -253,13 +258,14 @@ class TestIca:
                      AxisNoise("uniform", 0.3), d1=1)
 
 
+@pytest.fixture(scope="module")
+def two_point(basis_cache):
+    basis = basis_cache(0.75)
+    return build_two_point(make_instance(basis, 10**4), basis)
+
+
 class TestTwoPointScenario:
     NOISE = AxisNoise("uniform", 0.3)
-
-    @pytest.fixture(scope="class")
-    def two_point(self, basis_cache):
-        basis = basis_cache(0.75)
-        return build_two_point(make_instance(basis, 10**4), basis)
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_is_the_ica_mixture_of_its_sources(self, two_point, perturbed):
@@ -294,41 +300,148 @@ class TestTwoPointScenario:
         assert np.any(plain.true_density()(pts) != pert.true_density()(pts))
 
 
-def gauss_truth(pts):
-    # truth callables take points of shape (N, d)
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    return np.exp(-np.sum(pts**2, axis=1))
+MIXING = np.array([[1.0, 0.5], [0.5, 1.0]])
+NOISE = AxisNoise("uniform", 0.3)
+
+
+@pytest.fixture(scope="module")
+def bump_ica():
+    """A smooth truth: two compact-bump sources under the mixing above."""
+    return make_ica([SignalSpec("compact_bump", (0.6, 2.0))] * 2, MIXING, NOISE, NOISE, d1=1)
+
+
+def fitted_estimate(truth, omega, degree, shift=(0.0, 0.0), taper=0):
+    """The spectral estimate whose CF is, on the box [-omega, omega]^2, a
+    least-squares polynomial fit of the truth's CF times exp(i t.shift) (so
+    its density is the truth shifted by +shift) times the taper
+    prod_k (1 - (t_k / omega)^2)^taper, which makes the density's tails
+    decay fast.  The fit runs in u = t / omega, where it is well posed."""
+    x, _ = np.polynomial.legendre.leggauss(degree + 10)
+    u = tensor_points([x, x])
+    t = omega * u
+    target = truth.cf(t) * np.exp(1j * t @ np.asarray(shift)) * np.prod(1 - u**2, axis=1) ** taper
+    design = monomial_matrix(u, 2, degree) * parity_phase(2, degree)
+    theta_u = np.linalg.lstsq(np.vstack([design.real, design.imag]),
+                              np.concatenate([target.real, target.imag]), rcond=None)[0]
+    assert np.max(np.abs(design @ theta_u - target)) < 1e-9
+    theta = theta_u / omega ** index_table(2, degree)[1]
+    poly = TaylorPoly((1, 1), degree, theta, cf_candidate=False)
+    return invert(poly, omega, LatticeSpec((-1.0, -1.0), (1.0, 1.0), (3, 3)))
+
+
+def random_estimate(rng, omega, dims=(1, 1), degree=6):
+    theta = 0.3 * rng.standard_normal(index_table(sum(dims), degree)[0].shape[0])
+    lattice = LatticeSpec((-1.0,) * sum(dims), (1.0,) * sum(dims), (3,) * sum(dims))
+    return invert(TaylorPoly(dims, degree, theta), omega, lattice)
+
+
+class TestDensityNorm:
+    @pytest.mark.parametrize("kind, rtol", [
+        # the uniform density jumps on the support's edges, where the
+        # lattice sum is only first order in the spacing
+        ("uniform", 3e-3), ("compact_bump", 1e-5), ("h_kappa", 1e-10), ("grid", 1e-5),
+    ])
+    def test_matches_dense_quadrature(self, kind, rtol, two_point):
+        sources = {
+            "uniform": [SignalSpec("uniform", (1.0,)), SignalSpec("uniform", (0.5,))],
+            "compact_bump": [SignalSpec("compact_bump", (0.6, 2.0))] * 2,
+            "h_kappa": [SignalSpec("h_kappa", (0.75, 1.0))] * 2,
+            "grid": [GridSource(two_point.zeta_n), GridSource(two_point.zeta0)],
+        }[kind]
+        scenario = make_ica(sources, MIXING, NOISE, NOISE, d1=1)
+        half = 1.5 * max(float(np.max(np.abs(src.grid.xs))) if kind == "grid"
+                         else src.support_halfwidth() for src in sources) + 0.1
+        axis = np.linspace(-half, half, 801)
+        values = scenario.true_density()(tensor_points([axis, axis]))
+        dense = float(np.sum(values**2)) * (axis[1] - axis[0]) ** 2
+        assert scenario.density_norm_sq() == pytest.approx(dense, rel=rtol)
+
+    def test_uniform_is_closed_form(self):
+        assert SignalSpec("uniform", (0.8,)).norm_sq() == 0.5 / 0.8
+        scenario = make_ica([SignalSpec("uniform", (1.0,)), SignalSpec("uniform", (0.5,))],
+                            MIXING, NOISE, NOISE, d1=1)
+        assert scenario.density_norm_sq() == pytest.approx(0.5 * 1.0 / 0.75, rel=1e-15)
+
+    def test_none_where_no_density(self, pointmass_repeated, uniform_repeated):
+        point = make_ica([SignalSpec("point_mass", (0.0,)), SignalSpec("uniform", (1.0,))],
+                         MIXING, NOISE, NOISE, d1=1)
+        for scenario in (pointmass_repeated, uniform_repeated, point):
+            assert scenario.true_density() is None
+            assert scenario.density_norm_sq() is None
+            assert scenario.density_truth() is None
 
 
 class TestTranslationAlign:
-    def lattice_estimate(self, shift=0.0):
-        lattice = LatticeSpec((-3.0,), (3.0,), (121,))
-        xs = lattice.axes()[0]
-        return DensityGrid(lattice, gauss_truth((xs - shift)[:, None]))
+    @pytest.mark.parametrize("planted", [(0.23, -0.31), (-0.37, 0.12), (0.8, -0.2)])
+    def test_recovers_planted_shift(self, bump_ica, planted):
+        # the estimate is the truth moved by +planted, so f(. - planted)
+        # matches it; (0.8, -0.2) lies outside the 0.5 start grid
+        truth = bump_ica.density_truth()
+        shift, aligned = translation_align(fitted_estimate(truth, 2.0, 18, planted),
+                                           truth, 0.5, 0.05)
+        np.testing.assert_allclose(shift, planted, atol=1e-7)
+        # what is left is the truth's spectrum outside the box
+        assert aligned == pytest.approx(truth_l2(fitted_estimate(truth, 2.0, 18), truth),
+                                        rel=1e-9)
+        assert aligned < truth_l2(fitted_estimate(truth, 2.0, 18, planted), truth)
 
-    def test_zero_shift_exact_match(self):
-        estimate = self.lattice_estimate()
-        shift, err = translation_align(estimate, gauss_truth, shift_window=0.5, step=0.05)
-        assert shift == (0.0,)
-        assert err == pytest.approx(0.0, abs=1e-14)
+    @pytest.mark.parametrize("omega", [0.02, 1.0])
+    def test_aligned_never_exceeds_raw(self, bump_ica, rng, omega):
+        truth = bump_ica.density_truth()
+        for _ in range(5):
+            estimate = random_estimate(rng, omega)
+            shift, aligned = translation_align(estimate, truth, 0.5, 0.05)
+            raw = truth_l2(estimate, truth)
+            assert aligned <= raw
+            assert aligned < raw or shift == (0.0, 0.0)
 
-    def test_recovers_known_shift(self):
-        estimate = self.lattice_estimate(shift=0.2)
-        shift, err = translation_align(estimate, gauss_truth, shift_window=0.5, step=0.05)
-        assert shift[0] == pytest.approx(0.2, abs=1e-12)
-        assert err == pytest.approx(0.0, abs=1e-12)
+    def test_agrees_with_fine_lattice_riemann_sum(self, bump_ica):
+        # an independent check of the Plancherel formula: the lattice sum of
+        # (f_hat - f(. - a))^2 at the raw and at the aligned shift
+        truth = bump_ica.density_truth()
+        coarse = fitted_estimate(truth, 3.0, 30, (0.23, -0.31), taper=3)
+        poly, omega = coarse.spectrum
+        lattice = LatticeSpec((-6.0, -6.0), (6.0, 6.0), (301, 301))
+        values = invert(poly, omega, lattice).values.reshape(-1)
+        pts, density = lattice.points(), bump_ica.true_density()
 
-    def test_aligned_never_exceeds_raw(self, rng):
-        lattice = LatticeSpec((-3.0,), (3.0,), (121,))
-        xs = lattice.axes()[0]
-        truth_vals = gauss_truth(xs[:, None])
-        estimate = DensityGrid(lattice, truth_vals + 0.05 * rng.standard_normal(xs.size))
-        raw = math.sqrt(float(np.sum((estimate.values - truth_vals) ** 2)
-                              * lattice.cell_volume))
-        _, aligned = translation_align(estimate, gauss_truth, shift_window=0.3, step=0.1)
-        assert aligned <= raw + 1e-12
+        def riemann(a):
+            return math.sqrt(float(np.sum((values - density(pts - np.asarray(a))) ** 2))
+                             * lattice.cell_volume)
 
-    def test_validation(self):
+        shift, aligned = translation_align(coarse, truth, 0.5, 0.05)
+        assert truth_l2(coarse, truth) == pytest.approx(riemann((0.0, 0.0)), rel=2e-5)
+        assert aligned == pytest.approx(riemann(shift), rel=2e-5)
+        assert aligned < 0.99 * truth_l2(coarse, truth)
+
+    @pytest.mark.parametrize("omega", [0.0132, 3.0])
+    def test_doubling_box_nodes_moves_below_1e_10(self, bump_ica, rng, monkeypatch, omega):
+        # 0.0132 is the largest inversion window of the benchmark's cells,
+        # 3.0 the largest these tests align at
+        truth = bump_ica.density_truth()
+        estimates = [random_estimate(rng, omega), fitted_estimate(truth, omega, 30, taper=3)]
+        base = [(truth_l2(e, truth), translation_align(e, truth, 0.5, 0.05)[1])
+                for e in estimates]
+        monkeypatch.setattr(scenarios, "_BOX_NODES", 2 * scenarios._BOX_NODES)
+        doubled = [(truth_l2(e, truth), translation_align(e, truth, 0.5, 0.05)[1])
+                   for e in estimates]
+        np.testing.assert_allclose(doubled, base, rtol=0, atol=1e-10)
+
+    def test_four_source_ica_aligns_within_a_second(self, rng):
+        sources = [SignalSpec("uniform", (w,)) for w in (1.0, 0.5, 0.7, 0.3)]
+        scenario = make_ica(sources, np.eye(4) + 0.3, NOISE, NOISE, d1=2)
+        truth = scenario.density_truth()
+        estimate = random_estimate(rng, 1.0, dims=(2, 2), degree=4)
+        start = time.perf_counter()
+        shift, aligned = translation_align(estimate, truth, 0.5, 0.05)
+        assert time.perf_counter() - start < 1.0
+        assert len(shift) == 4 and aligned <= truth_l2(estimate, truth)
+
+    def test_validation(self, bump_ica):
+        truth = bump_ica.density_truth()
+        estimate = fitted_estimate(truth, 1.0, 10)
         with pytest.raises(ConfigError):
-            translation_align(self.lattice_estimate(), gauss_truth,
-                              shift_window=0.01, step=0.05)
+            translation_align(estimate, truth, shift_window=0.01, step=0.05)
+        no_spectrum = DensityGrid(estimate.lattice, estimate.values)
+        with pytest.raises(ConfigError, match="spectrum"):
+            translation_align(no_spectrum, truth, 0.5, 0.05)
