@@ -8,8 +8,11 @@ bit-reproducible regardless of platform memory heuristics.
 Grid tables use the symmetry ecf(-t) = conj(ecf(t)).  Every axis must be
 closed under negation (x == -x[::-1], as for every grid `contrast.make_grid`
 builds); then negating t reverses the flattened lattice index, so only the
-leading half of the lattice is summed over the sample and the rest is the
-conjugate mirror, which makes every table exactly Hermitian.
+leading half of each block's lattice is summed over the sample and the rest
+is the conjugate mirror, which makes every table exactly Hermitian.  The
+per-chunk work is real: cos and sin of y.t from one tangent of the half
+angle (`_util.cos_sin`) and one real matrix product per chunk, whose sums
+give every sign pattern of (t1, t2) by angle addition.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import CHUNK, ConfigError, PairwiseAccumulator, fmt17
+from ._util import CHUNK, ConfigError, PairwiseAccumulator, cos_sin, fmt17
 
 
 @dataclass(frozen=True)
@@ -88,27 +91,17 @@ def ecf_eval(samples: SampleSet, t) -> np.ndarray:
     return out.reshape(t.shape[:-1])
 
 
-def _axis_phases(y, nodes):
-    """exp(i y t) for samples y and nodes t as an (n, len(t)) complex array,
-    written as cos and sin into its real and imaginary parts."""
-    arg = np.outer(y, nodes)
-    out = np.empty(arg.shape, dtype=np.complex128)
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
-    return out
-
-
-def _block_phases(block_data, axis_nodes):
-    """exp(i y.t) on a block's half lattice: the first ceil(G/2) nodes of the
-    first axis times every node of the other axes, flattened C-order (first
-    axis slowest).  With every axis closed under negation, `_mirrored`
-    extends it to the whole lattice."""
+def _half_lattice(block_data, axis_nodes):
+    """[cos; sin; 1] of y.t, shape (2H + 1, n), on a block's half lattice:
+    the first ceil(G/2) nodes of the first axis times every node of the
+    others, H points flattened C-order; axes combine by angle addition."""
     first = axis_nodes[0]
-    vals = _axis_phases(block_data[:, 0], first[: (len(first) + 1) // 2])
-    for a in range(1, len(axis_nodes)):
-        e = _axis_phases(block_data[:, a], axis_nodes[a])
-        vals = (vals[:, :, None] * e[:, None, :]).reshape(block_data.shape[0], -1)
-    return vals
+    c, s = cos_sin(first[: (len(first) + 1) // 2], block_data[:, 0])
+    for nodes, y in zip(axis_nodes[1:], block_data.T[1:]):
+        ca, sa = cos_sin(nodes, y)
+        c, s = ((c[:, None] * ca - s[:, None] * sa).reshape(-1, len(y)),
+                (s[:, None] * ca + c[:, None] * sa).reshape(-1, len(y)))
+    return np.vstack([c, s, np.ones(len(block_data))])
 
 
 def _mirrored(half, size):
@@ -132,11 +125,11 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
     grid_id : str
         Identifier copied into the table for downstream consistency checks.
 
-    Per sample chunk, block 1's phases are formed on its half lattice (the
-    first ceil(G/2) nodes of its first axis), block 2's on its own half and
-    mirrored to its full lattice, and one complex product of the two gives
-    half of `full`; this is the only O(n * grid) work.  The other half of
-    `full`, `first` and `second` is the conjugate mirror.
+    Per sample chunk, one real product of the blocks' `_half_lattice`
+    stacks, (2 H1 + 1) x (2 H2 + 1), is the only O(n * grid) work.  Its sums
+    of c1 c2, c1 s2, s1 c2 and s1 s2 give the values at (t1, t2) as CC - SS
+    + i (SC + CS) and at (t1, -t2) as CC + SS + i (SC - CS); its ones give
+    `first` and `second`.  The rest of every field is the conjugate mirror.
     """
     if len(axis_nodes) != samples.d:
         raise ConfigError(f"expected {samples.d} axis node arrays, got {len(axis_nodes)}")
@@ -147,23 +140,25 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
         raise ConfigError("axis nodes must be closed under negation (x == -x[::-1])")
     nodes1, nodes2 = nodes[: samples.d1], nodes[samples.d1 :]
     size1, size2 = math.prod(map(len, nodes1)), math.prod(map(len, nodes2))
-    acc_full, acc_1, acc_2 = PairwiseAccumulator(), PairwiseAccumulator(), PairwiseAccumulator()
+    acc = PairwiseAccumulator()
     data = samples.data
     for start in range(0, samples.n, CHUNK):
         block = data[start : start + CHUNK]
-        b1 = _block_phases(block[:, : samples.d1], nodes1)
-        h2 = _block_phases(block[:, samples.d1 :], nodes2)
-        b2 = _mirrored(h2, size2)
-        acc_full.add(b1.T @ b2)
-        acc_1.add(b1.sum(axis=0))
-        acc_2.add(h2.sum(axis=0))
+        a1 = _half_lattice(block[:, : samples.d1], nodes1)
+        a2 = _half_lattice(block[:, samples.d1 :], nodes2)
+        acc.add(a1 @ a2.T)
     n = samples.n
+    p = acc.total() / n
+    h1, h2 = len(p) // 2, p.shape[1] // 2
+    cc, cs, sc, ss = p[:h1, :h2], p[:h1, h2:-1], p[h1:-1, :h2], p[h1:-1, h2:-1]
+    plus, minus = cc - ss + 1j * (sc + cs), cc + ss + 1j * (sc - cs)
+    half = np.concatenate([plus[:, : size2 - size2 // 2], minus[:, : size2 // 2][:, ::-1]], axis=1)
     return EcfTable(
         grid_id=grid_id,
         n=n,
-        first=_mirrored(acc_1.total() / n, size1),
-        second=_mirrored(acc_2.total() / n, size2),
-        full=_mirrored(acc_full.total().reshape(-1) / n, size1 * size2).reshape(size1, size2),
+        first=_mirrored(p[:h1, -1] + 1j * p[h1:-1, -1], size1),
+        second=_mirrored(p[-1, :h2] + 1j * p[-1, h2:-1], size2),
+        full=_mirrored(half.reshape(-1), size1 * size2).reshape(size1, size2),
     )
 
 

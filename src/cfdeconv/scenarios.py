@@ -23,7 +23,7 @@ import numpy as np
 
 from scipy.optimize import minimize
 
-from ._util import ConfigError, inverse_cdf_sampler, tensor_points, tensor_weights
+from ._util import ConfigError, cos_sin, inverse_cdf_sampler, tensor_points, tensor_weights
 from .conjecture_lab import (
     GridFunction,
     NoisePack,
@@ -156,12 +156,18 @@ class SignalSpec:
 
 
 def _atoms_cf(xs: np.ndarray, weights: np.ndarray) -> Callable:
-    """CF of the discrete measure with the given atoms and weights."""
-    weights = weights.astype(np.complex128)
+    """CF of the discrete measure with the given atoms and real weights, as
+    cos(t x) @ w + i sin(t x) @ w over blocks of about 2^20 point-atom pairs."""
+    block = max(1, 2**20 // len(xs))
 
     def cf(t):
         t = np.asarray(t, dtype=np.float64)
-        return np.exp(1j * t[..., None] * xs) @ weights
+        flat = t.reshape(-1)
+        out = np.empty(len(flat), dtype=np.complex128)
+        for i in range(0, len(flat), block):
+            cos, sin = cos_sin(flat[i : i + block], xs)
+            out[i : i + block] = cos @ weights + 1j * (sin @ weights)
+        return out.reshape(t.shape)
 
     return cf
 

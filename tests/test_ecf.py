@@ -1,10 +1,11 @@
 """Empirical characteristic function: pointwise, gridded, persisted."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from cfdeconv import ConfigError, ecf
-from cfdeconv._util import CHUNK
+from cfdeconv._util import CHUNK, cos_sin
 from cfdeconv.contrast import make_grid
 from cfdeconv.ecf import SampleSet, ecf_eval, ecf_on_grid, export_csv, load_csv
 
@@ -199,24 +200,67 @@ class TestHalfLattice:
     @pytest.mark.parametrize("dims, nodes", [((1, 1), 8), ((2, 1), 7), ((2, 2), 6)])
     def test_block_one_tabulated_on_half_first_axis(self, dims, nodes, monkeypatch, rng):
         calls = []
-        real = ecf._block_phases
+        real = ecf._half_lattice
 
         def recording(block_data, axis_nodes):
             out = real(block_data, axis_nodes)
             calls.append((block_data.shape, [len(a) for a in axis_nodes], out.shape))
             return out
 
-        monkeypatch.setattr(ecf, "_block_phases", recording)
+        monkeypatch.setattr(ecf, "_half_lattice", recording)
         d1, d2 = dims
         s = make_samples(rng.normal(size=(2 * CHUNK + 5, d1 + d2)), d1, d2)
         ecf_on_grid(s, [make_grid(1.0, dims, nodes).axis_nodes] * (d1 + d2))
         assert len(calls) == 2 * 3
         half = (nodes + 1) // 2
+        # [cos; sin; 1] on the half lattice, one column per sample
         for (shape, sizes, out_shape) in calls[0::2]:
             assert shape[1] == d1 and sizes == [nodes] * d1
-            assert out_shape == (shape[0], half * nodes ** (d1 - 1))
+            assert out_shape == (2 * half * nodes ** (d1 - 1) + 1, shape[0])
         for (shape, _, out_shape) in calls[1::2]:
-            assert out_shape == (shape[0], half * nodes ** (d2 - 1))
+            assert out_shape == (2 * half * nodes ** (d2 - 1) + 1, shape[0])
+
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("nodes", [5, 6])
+    def test_heavy_tailed_sample(self, dims, nodes, rng):
+        # standard_t(1.5) draws reach |y| ~ 1e3, so t.y spans many periods;
+        # n is not a multiple of CHUNK
+        s = make_samples(rng.standard_t(1.5, size=(CHUNK + 211, sum(dims))), *dims)
+        table = assert_matches_pointwise(s, [make_grid(3.0, dims, nodes).axis_nodes] * sum(dims))
+        assert np.array_equal(table.full[::-1, ::-1], np.conj(table.full))
+        assert np.array_equal(table.first[::-1], np.conj(table.first))
+        assert np.array_equal(table.second[::-1], np.conj(table.second))
+
+
+class TestCosSin:
+    """cos and sin from the tangent of the half angle, against mpmath."""
+
+    @staticmethod
+    def arguments():
+        tiny = np.nextafter(0.0, 1.0)
+        pts = [0.0, tiny, -tiny, 2.2e-308, -1e-310, 1e6, -1e6, 1e12, -1e12]
+        # next to odd multiples of pi, where tan of the half angle has its pole
+        for k in np.unique(np.geomspace(1, 31831, 120).astype(int) | 1):
+            v = k * np.pi
+            pts += [np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+        pts = np.array(pts)
+        return np.concatenate([pts, -pts])
+
+    def test_against_mpmath(self):
+        x = self.arguments()
+        cos, sin = cos_sin(x, np.ones(1))
+        mp.mp.prec = 200
+        for v, c, s in zip(x, cos[:, 0], sin[:, 0]):
+            arg = mp.mpf(float(v))
+            assert abs(float(mp.cos(arg)) - c) <= 4.5e-16, v
+            assert abs(float(mp.sin(arg)) - s) <= 4.5e-16, v
+
+    def test_outer_product(self, rng):
+        x, y = rng.normal(size=3), 10 * rng.normal(size=5)
+        cos, sin = cos_sin(x, y)
+        assert cos.shape == sin.shape == (3, 5)
+        np.testing.assert_allclose(cos, np.cos(np.outer(x, y)), rtol=0, atol=4.5e-16)
+        np.testing.assert_allclose(sin, np.sin(np.outer(x, y)), rtol=0, atol=4.5e-16)
 
 
 class TestCsvRoundTrip:

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from cfdeconv import ConfigError, scenarios
 from cfdeconv._util import tensor_points
 from cfdeconv.conjecture_lab import make_instance, build_two_point, noise_g
+from cfdeconv.contrast import make_grid
 from cfdeconv.multiindex_taylor import TaylorPoly, index_table, monomial_matrix, parity_phase
 from cfdeconv.reconstruct import DensityGrid, LatticeSpec, invert
 from cfdeconv.scenarios import (
@@ -32,6 +34,14 @@ class TestSignalSpec:
             0.8414709848078965, rel=1e-14
         )
         assert complex(cf(np.array([0.0]))[0]) == 1.0
+
+    def test_atoms_cf_matches_direct_sum(self, rng):
+        xs, dens = scenarios._h_kappa_grid(0.75, 1.0)
+        weights = dens / np.sum(dens)
+        t = rng.uniform(-30.0, 30.0, size=(3, 200))
+        got = scenarios._atoms_cf(xs, weights)(t)
+        assert got.shape == t.shape
+        assert np.max(np.abs(got - np.exp(1j * t[..., None] * xs) @ weights)) <= 1e-14
 
     def test_point_mass_cf_is_a_phase(self):
         cf = SignalSpec("point_mass", (0.7,)).cf()
@@ -238,6 +248,20 @@ class TestIca:
         det = abs(float(np.linalg.det(scenario.mixing)))
         expected = np.where(inside, 0.5 * 1.0 / det, 0.0)
         np.testing.assert_allclose(dens(pts), expected, atol=1e-12)
+
+    def test_atom_source_oracle_memory_bounded(self):
+        # two h_kappa sources of 8193 atoms each: the 48^2 oracle tables must
+        # not hold every point x atom phase at once (that peaks near 600 MB)
+        sources = [SignalSpec("h_kappa", (0.75, 1.0))] * 2
+        scenario = make_ica(sources, MIXING, NOISE, NOISE, d1=1)
+        tracemalloc.start()
+        try:
+            full, first, second = scenario.oracle().tables(make_grid(1.0, (1, 1), 48))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full.shape == (48, 48) and np.all(np.isfinite(full))
+        assert peak < 150e6
 
     def test_source_must_load_on_both_blocks(self):
         sources = [SignalSpec("uniform", (1.0,)), SignalSpec("uniform", (1.0,))]
