@@ -1,11 +1,15 @@
 """Small shared helpers: error types, config conversion, deterministic
 reduction and elementary functions, tensor lattices, inverse-CDF sampling,
-hashing."""
+hashing, and a one-thread hold on scipy's OpenBLAS."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
 import math
+import threading
 
 import numpy as np
 
@@ -204,3 +208,40 @@ def _flatten(obj):
 def fmt17(x) -> str:
     """Float to text with 17 significant digits (round-trip exact)."""
     return format(float(x), ".17g")
+
+
+@functools.cache
+def scipy_blas_setter():
+    """scipy L-BFGS-B's `openblas_set_num_threads_local` (dlsym on the
+    extension finds the OpenBLAS it links, not numpy's), which returns the
+    prior count; None without it (MKL, Accelerate, OpenBLAS < 0.3.27)."""
+    try:
+        from scipy.optimize import _lbfgsb
+        setter = ctypes.CDLL(_lbfgsb.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+_hold_lock, _hold = threading.Lock(), [0, None]  # holders, count to restore
+
+
+@contextlib.contextmanager
+def one_scipy_blas_thread():
+    """Hold scipy's OpenBLAS pool at one thread while the block runs (a no-op
+    without scipy_blas_setter).  The setter acts on the whole process, so
+    concurrent holders share one hold: the first sets 1, the last restores
+    the count the first found."""
+    setter = scipy_blas_setter() or (lambda count: count)
+    with _hold_lock:
+        if _hold[0] == 0:
+            _hold[1] = setter(1)
+        _hold[0] += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _hold[0] -= 1
+            if _hold[0] == 0:
+                setter(_hold[1])

@@ -7,17 +7,24 @@ exact: the contrast is a quadratic form of the candidate's grid tables, which
 factor through the pattern matrices, so each partial derivative reduces to
 entries of three small matrix products.  A candidate's tables and defect are
 built once and serve both its value and its gradient.
+
+While its starts run, `minimize_contrast` holds scipy's OpenBLAS pool,
+which L-BFGS-B links, at one thread: its idle workers otherwise contend
+with numpy's pool for the cores during the contrast's products.  numpy's
+pool keeps its threads, which pay off in the ECF product.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
 
-from ._util import ConfigError, NumericalError
+from ._util import ConfigError, NumericalError, one_scipy_blas_thread
 from .contrast import QuadratureGrid, _GridTables, _defect, _empirical_value, _ref_tables, poly_tables
 # module attribute kept for callers that look it up here (perfbench/tracer.py)
 from .contrast import contrast_empirical  # noqa: F401
@@ -48,7 +55,8 @@ class MinimizeConfig:
     tol is the sample's resolution (estimate_once sets RESOLUTION / n): a
     start stops at its first iterate with contrast <= tol, else on FTOL or
     after MAX_ITERS iterations.  Another start runs only after an
-    unconverged one, up to `restarts` starts.
+    unconverged one, up to `restarts` starts.  `deadline`, a
+    time.monotonic() value, stops the search at the first iterate after it.
     """
 
     params: UpsilonParams
@@ -56,6 +64,7 @@ class MinimizeConfig:
     tol: float
     restarts: int = 4
     seed: int = 0
+    deadline: float = math.inf
 
     def __post_init__(self):
         if self.m_opt < 1:
@@ -71,10 +80,11 @@ class MinimizeResult:
     """The best start's estimate, value and value trace (start, iterates).
 
     `reason` says why it stopped: "resolution" (contrast <= tol), "ftol" or
-    "gtol" (scipy status 0), "max_iters" (iteration or evaluation limit) or
-    "abnormal" (failed line search); `converged` is True iff it is one of
-    the first three.  `reasons` holds every start's, in order: each but the
-    last is unconverged, since only those lead to another start.
+    "gtol" (scipy status 0), "max_iters" (iteration or evaluation limit),
+    "abnormal" (failed line search) or "deadline" (config.deadline passed);
+    `converged` is True iff it is one of the first three.  `reasons` holds
+    every start's, in order: each but the last is unconverged, since only
+    those lead to another start.
     """
 
     estimate: TaylorPoly
@@ -184,6 +194,7 @@ def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
 
 
 _CONVERGED = ("resolution", "ftol", "gtol")
+_LAST = _CONVERGED + ("deadline",)  # reasons after which no start follows
 
 
 def _descend(ev: _Evaluator, start: TaylorPoly, box, config: MinimizeConfig) -> tuple:
@@ -208,7 +219,7 @@ def _descend(ev: _Evaluator, start: TaylorPoly, box, config: MinimizeConfig) -> 
 
     def callback(intermediate_result):
         trace.append(evaluate(intermediate_result.x)[0].value)
-        if trace[-1] <= tol:
+        if trace[-1] <= tol or time.monotonic() > config.deadline:
             raise StopIteration
 
     res = optimize.minimize(fun, start.theta, jac=True, method="L-BFGS-B", bounds=box,
@@ -217,6 +228,8 @@ def _descend(ev: _Evaluator, start: TaylorPoly, box, config: MinimizeConfig) -> 
     pt = evaluate(res.x)[0]
     if pt.value <= tol:
         reason = "resolution"
+    elif res.status == 99:  # the callback raised StopIteration: past the deadline
+        reason = "deadline"
     elif res.status == 0:
         reason = "gtol" if "PGTOL" in res.message else "ftol"
     else:
@@ -230,9 +243,14 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     Start 0 is the projected least-squares fit to the ECF.  A start stops at
     its first iterate (the start included) with contrast <= tol, on
     L-BFGS-B's FTOL or projected-gradient test, or after MAX_ITERS
-    iterations.  A start drawn uniformly in Upsilon runs only after an
-    unconverged one, up to config.restarts starts.  The lowest contrast
-    wins, the earliest start on ties.
+    iterations; every start stops at its first iterate past config.deadline.
+    A start drawn uniformly in Upsilon runs only after an unconverged one
+    that met no deadline, up to config.restarts starts.  The lowest
+    contrast wins, the earliest start on ties.
+
+    The starts run with scipy's OpenBLAS pool, not numpy's, held at one
+    thread (`_util.one_scipy_blas_thread`, see the module docstring); on
+    the benchmark workloads this changed no result bit.
     """
     bounds = _bound_vector(grid.d, config.m_opt, config.params)
     pinned = index_table(grid.d, config.m_opt)[1] == 0
@@ -240,10 +258,11 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     ev = _Evaluator(table, grid, config.m_opt)
     runs = []
-    while len(runs) < config.restarts and (not runs or runs[-1][2] not in _CONVERGED):
-        start = (random_member(config.params, grid.dims, config.m_opt, rng) if runs
-                 else _ls_init(table, grid, config.m_opt))
-        runs.append(_descend(ev, project_upsilon(start, config.params), box, config))
+    with one_scipy_blas_thread():
+        while len(runs) < config.restarts and (not runs or runs[-1][2] not in _LAST):
+            start = (random_member(config.params, grid.dims, config.m_opt, rng) if runs
+                     else _ls_init(table, grid, config.m_opt))
+            runs.append(_descend(ev, project_upsilon(start, config.params), box, config))
     pt, trace, reason = min(runs, key=lambda run: run[0].value)
     return MinimizeResult(
         estimate=pt.poly,

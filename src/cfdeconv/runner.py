@@ -192,13 +192,15 @@ class EstimateOutcome:
 def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
                   kappa: float, S: float, nu: float, m_opt: Optional[int] = None,
                   c_kappa: Optional[float] = None, restarts: int = 4,
-                  seed: int = 0, table=None) -> EstimateOutcome:
+                  seed: int = 0, table=None,
+                  deadline: float = math.inf) -> EstimateOutcome:
     """One full estimation pass on a fixed sample.
 
     When m_opt is not given, both degrees follow the theoretical rule for
     the sample size (truncation clamped to at least 1, optimization at
     twice the truncation).  A precomputed ECF table for the same grid can
-    be passed to avoid recomputing it across kappa values.
+    be passed to avoid recomputing it across kappa values.  `deadline` (a
+    time.monotonic() value) stops the minimizer at its first iterate after it.
 
     A start stops at resolution (contrast <= RESOLUTION / n) or on FTOL; a
     random restart runs only after an unconverged start.  `result.converged`
@@ -208,7 +210,8 @@ def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     if table is None:
         table = ecf_table_for_grid(samples, grid)
     config = MinimizeConfig(params=UpsilonParams(kappa=kappa, S=S), m_opt=m_opt,
-                            tol=RESOLUTION / samples.n, restarts=restarts, seed=seed)
+                            tol=RESOLUTION / samples.n, restarts=restarts, seed=seed,
+                            deadline=deadline)
     result = minimize_contrast(table, grid, config)
     rules = TuningRules(kappa=kappa, S=S, nu_est=nu, d=samples.d,
                         c_kappa=c_kappa)
@@ -222,12 +225,14 @@ def _run_cell(plan, model, grid, truth, n_idx, k_idx, rep) -> CellResult:
     n, kappa = plan.n_list[n_idx], plan.kappa_grid[k_idx]
     seed = cell_seed(plan.seed, n_idx, k_idx, rep)
     m_trunc, m_opt = resolve_degrees(plan, n, kappa)
-    start = time.monotonic()
+    budget = math.inf if plan.cell_budget_s is None else plan.cell_budget_s
+    deadline = time.monotonic() + budget
     try:
         samples = plan.scenario.sample(n, seed)
         out = estimate_once(
             samples, grid, plan.lattice, kappa=kappa, S=plan.S, nu=plan.nu,
             m_opt=m_opt, c_kappa=plan.c_kappa, restarts=plan.restarts, seed=seed,
+            deadline=deadline,
         )
         result, density = out.result, out.density
         cf_err = cf_box_error(result.estimate, model, grid)
@@ -238,7 +243,7 @@ def _run_cell(plan, model, grid, truth, n_idx, k_idx, rep) -> CellResult:
             l2_raw = truth_l2(density, truth)
             shift, l2_aligned = translation_align(density, truth, ALIGN_WINDOW, ALIGN_STEP)
         status = "ok"
-        if plan.cell_budget_s is not None and time.monotonic() - start > plan.cell_budget_s:
+        if time.monotonic() > deadline:
             status = "timeout"
         return CellResult(
             n=n, kappa=kappa, replicate=rep, seed=seed, status=status,

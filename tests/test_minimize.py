@@ -1,13 +1,16 @@
 """Multi-start L-BFGS-B minimization of the empirical contrast."""
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from cfdeconv import ConfigError
+from cfdeconv import AxisNoise, ConfigError, NumericalError, SignalSpec, make_repeated
+from cfdeconv import _util
 from cfdeconv import contrast as contrast_module
 from cfdeconv import minimize as minimize_module
 from cfdeconv.contrast import (
@@ -341,6 +344,133 @@ def _dense_ls_theta(table, grid, m_opt):
         np.concatenate([lhs.real, lhs.imag]), np.concatenate([rhs.real, rhs.imag]), rcond=None
     )
     return np.concatenate([[1.0], theta_rest])
+
+
+_SETTER = _util.scipy_blas_setter()
+
+
+def _scipy_pool() -> int:
+    """scipy's OpenBLAS thread count, read by setting it and setting it back."""
+    count = _SETTER(1)
+    _SETTER(count)
+    return count
+
+
+@pytest.fixture
+def two_scipy_threads():
+    """scipy's OpenBLAS pool at 2 threads for the test, then as it was."""
+    if _SETTER is None:
+        pytest.skip("scipy's L-BFGS-B links no OpenBLAS with openblas_set_num_threads_local")
+    prior = _SETTER(2)
+    count = _scipy_pool()
+    if count == 2:
+        yield count
+    _SETTER(prior)
+    if count != 2:
+        pytest.skip(f"scipy's OpenBLAS keeps {count} thread(s) when asked for 2")
+
+
+def _spy_objective(monkeypatch, wrap):
+    """Run L-BFGS-B on wrap(objective) instead of the objective."""
+    real = minimize_module.optimize.minimize
+    monkeypatch.setattr(minimize_module.optimize, "minimize",
+                        lambda fun, x0, **kwargs: real(wrap(fun), x0, **kwargs))
+
+
+@pytest.fixture(scope="module")
+def rm4d_table():
+    """A d1 = d2 = 2 repeated-measurement ECF table on 12 nodes per axis."""
+    noise = AxisNoise("g_density", 2.0)
+    scenario = make_repeated(SignalSpec("uniform", (1.0,)), noise, noise, d1=2)
+    grid = make_grid(1.0, (2, 2), 12)
+    return ecf_table_for_grid(scenario.sample(2000, seed=5), grid), grid
+
+
+def _small_run(grid24, rng, deadline=math.inf):
+    table = ecf_table_for_grid(SampleSet(1, 1, rng.normal(size=(200, 2))), grid24)
+    return table, MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8,
+                                 restarts=3, seed=1, deadline=deadline)
+
+
+class TestScipyBlasHold:
+    def test_one_thread_inside_the_objective(self, grid24, rng, monkeypatch, two_scipy_threads):
+        seen = []
+        _spy_objective(monkeypatch, lambda fun: lambda x: seen.append(_scipy_pool()) or fun(x))
+        table, config = _small_run(grid24, rng)
+        minimize_contrast(table, grid24, config)
+        assert seen and set(seen) == {1}
+        assert _scipy_pool() == two_scipy_threads
+
+    def test_restored_after_an_error(self, grid24, rng, monkeypatch, two_scipy_threads):
+        def raising(fun):
+            def objective(x):
+                raise NumericalError("non-finite contrast")
+            return objective
+
+        _spy_objective(monkeypatch, raising)
+        table, config = _small_run(grid24, rng)
+        with pytest.raises(NumericalError):
+            minimize_contrast(table, grid24, config)
+        assert _scipy_pool() == two_scipy_threads
+
+    def test_concurrent_holders_restore_once(self, grid24, rng, monkeypatch, two_scipy_threads):
+        # both threads are inside the hold together before either leaves it
+        barrier, seen, errors = threading.Barrier(2, timeout=30), [], []
+
+        def meeting(fun):
+            def objective(x):
+                if threading.current_thread().name not in seen:
+                    seen.append(threading.current_thread().name)
+                    barrier.wait()
+                return fun(x)
+            return objective
+
+        _spy_objective(monkeypatch, meeting)
+        table, config = _small_run(grid24, rng)
+
+        def work():
+            try:
+                minimize_contrast(table, grid24, config)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, name=f"holder{i}") for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == [] and sorted(seen) == ["holder0", "holder1"]
+        assert _scipy_pool() == two_scipy_threads
+
+    def test_no_op_path_same_bits(self, rm4d_table, monkeypatch, two_scipy_threads):
+        table, grid = rm4d_table
+        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=0.01 / 2000,
+                                seed=5)
+        held = minimize_contrast(table, grid, config)
+        monkeypatch.setattr(_util, "scipy_blas_setter", lambda: None)
+        seen = []
+        _spy_objective(monkeypatch, lambda fun: lambda x: seen.append(_scipy_pool()) or fun(x))
+        free = minimize_contrast(table, grid, config)
+        assert set(seen) == {two_scipy_threads}
+        assert free.estimate.theta.tobytes() == held.estimate.theta.tobytes()
+        assert free.value == held.value and free.reasons == held.reasons
+
+
+class TestDeadline:
+    def test_passed_deadline_stops_at_first_iterate(self, grid24, rng):
+        table, config = _small_run(grid24, rng, deadline=time.monotonic())
+        res = minimize_contrast(table, grid24, config)
+        assert res.reasons == ("deadline",) and res.restarts_used == 1
+        assert res.reason == "deadline" and not res.converged
+        assert res.trace.shape == (2,)
+
+    def test_distant_deadline_changes_nothing(self, grid24, rng):
+        table, config = _small_run(grid24, rng)
+        free = minimize_contrast(table, grid24, config)
+        config.deadline = time.monotonic() + 3600.0
+        timed = minimize_contrast(table, grid24, config)
+        assert timed.estimate.theta.tobytes() == free.estimate.theta.tobytes()
+        assert timed.reasons == free.reasons and "deadline" not in free.reasons
 
 
 class TestLsInit:

@@ -222,6 +222,26 @@ class TestRun:
         assert [r.status for r in report.rows] == ["timeout"]
         assert report.aggregates["n=12 kappa=0.75"]["n_timeout"] == 1
 
+    def test_budget_is_a_deadline_inside_the_minimizer(self, monkeypatch):
+        # d1 = d2 = 2, 12 nodes: no start reaches resolution, so only the
+        # deadline stops the first start at its first iterate
+        results = []
+        real = runner_module.minimize_contrast
+        monkeypatch.setattr(runner_module, "minimize_contrast",
+                            lambda *args: results.append(real(*args)) or results[-1])
+        noise = AxisNoise("g_density", 2.0)
+        plan = ExperimentPlan(
+            scenario=make_repeated(SignalSpec("uniform", (1.0,)), noise, noise, d1=2),
+            n_list=(2000,), replicates=1, kappa_grid=(0.75,), S=1.5, nodes_per_axis=12,
+            tuning_mode="override", m_opt=4, lattice=default_lattice(4, count=5),
+            cell_budget_s=0.0,
+        )
+        report = run(plan)
+        (res,) = results
+        assert res.restarts_used == 1 and res.reasons == ("deadline",)
+        assert res.trace.shape == (2,)
+        assert [r.status for r in report.rows] == ["timeout"]
+
 
 class TestAggregates:
     def test_median_and_iqr(self):
