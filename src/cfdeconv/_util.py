@@ -1,6 +1,6 @@
 """Small shared helpers: error types, config conversion, deterministic
 reduction and elementary functions, tensor lattices, inverse-CDF sampling,
-hashing, and a one-thread hold on scipy's OpenBLAS."""
+hashing, and a one-thread hold on the OpenBLAS pools."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import importlib
 import math
 import threading
 
@@ -47,26 +48,29 @@ class PairwiseAccumulator:
     """Streaming pairwise (tree) summation of equal-shaped arrays.
 
     Partial sums are merged only between equal tree levels, so the float
-    rounding pattern is a function of the number of blocks alone.
+    rounding pattern is a function of the number of blocks alone.  `stack`
+    holds the (level, partial sum) pairs, levels decreasing.
     """
 
     def __init__(self):
-        self._stack = []  # (level, array)
+        self.stack = []
 
-    def add(self, block):
-        level = 0
+    def add(self, block, level=0):
+        """Add a block; a block of level k is the pairwise sum of 2^k
+        blocks, so adding it after a multiple of 2^k blocks equals adding
+        those blocks one by one."""
         cur = np.asarray(block)
-        while self._stack and self._stack[-1][0] == level:
-            _, other = self._stack.pop()
+        while self.stack and self.stack[-1][0] == level:
+            _, other = self.stack.pop()
             cur = cur + other
             level += 1
-        self._stack.append((level, cur))
+        self.stack.append((level, cur))
 
     def total(self):
-        if not self._stack:
+        if not self.stack:
             raise ValueError("no blocks accumulated")
         acc = None
-        for _, arr in self._stack:
+        for _, arr in self.stack:
             acc = arr if acc is None else acc + arr
         return acc
 
@@ -139,14 +143,15 @@ def det_pow(base, exponent) -> np.ndarray:
     return det_exp(exponent * det_log(base))
 
 
-def cos_sin(x, y):
+def cos_sin(x, y, out=None):
     """cos and sin of the outer product of the 1-D arrays x and y from one
     tangent of the half angle: h = tan(x y / 2), cos = (1 - h^2) / (1 + h^2),
     sin = 2h / (1 + h^2).  On x86-64 numpy 2.4's float64 tan is about 2.5x
     faster per value than its cos or sin; both results stay within 2.2e-16
     of libm's, and no double is near enough an odd multiple of pi for h^2
-    to overflow."""
-    cos, sin = np.empty((2, len(x), len(y)))
+    to overflow.  `out`, a pair of (len(x), len(y)) arrays, receives cos
+    and sin; the bits are the same either way."""
+    cos, sin = np.empty((2, len(x), len(y))) if out is None else out
     np.tan(np.multiply.outer(x, 0.5 * y, out=sin), out=sin)
     q = sin * sin
     np.subtract(1.0, q, out=cos)
@@ -211,32 +216,39 @@ def fmt17(x) -> str:
 
 
 @functools.cache
-def scipy_blas_setter():
-    """scipy L-BFGS-B's `openblas_set_num_threads_local` (dlsym on the
-    extension finds the OpenBLAS it links, not numpy's), which returns the
-    prior count; None without it (MKL, Accelerate, OpenBLAS < 0.3.27)."""
-    try:
-        from scipy.optimize import _lbfgsb
-        setter = ctypes.CDLL(_lbfgsb.__file__).openblas_set_num_threads_local
-    except (ImportError, OSError, AttributeError):
-        return None
-    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
+def blas_setters() -> tuple:
+    """OpenBLAS's `openblas_set_num_threads_local`, which returns the prior
+    count, for each distinct pool: numpy's and the one scipy's L-BFGS-B
+    links (dlsym on an extension finds the OpenBLAS it links).  A setter
+    that does not resolve (MKL, Accelerate, OpenBLAS < 0.3.27) is left out,
+    and one library shared by both appears once."""
+    found = {}
+    for module in ("numpy._core._multiarray_umath", "scipy.optimize._lbfgsb"):
+        try:
+            library = ctypes.CDLL(importlib.import_module(module).__file__)
+            setter = library.openblas_set_num_threads_local
+        except (ImportError, OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        found.setdefault(ctypes.cast(setter, ctypes.c_void_p).value, setter)
+    return tuple(found.values())
 
 
-_hold_lock, _hold = threading.Lock(), [0, None]  # holders, count to restore
+_hold_lock, _hold = threading.Lock(), [0, ()]  # holders, counts to restore
 
 
 @contextlib.contextmanager
-def one_scipy_blas_thread():
-    """Hold scipy's OpenBLAS pool at one thread while the block runs (a no-op
-    without scipy_blas_setter).  The setter acts on the whole process, so
+def one_blas_thread():
+    """Hold every OpenBLAS pool of `blas_setters` at one thread while the
+    block runs.  A product's last bits depend on its pool's thread count,
+    so under the hold they are those of one thread whatever the core count
+    or OPENBLAS_NUM_THREADS.  The setters act on the whole process, so
     concurrent holders share one hold: the first sets 1, the last restores
-    the count the first found."""
-    setter = scipy_blas_setter() or (lambda count: count)
+    the counts the first found."""
+    setters = blas_setters()
     with _hold_lock:
         if _hold[0] == 0:
-            _hold[1] = setter(1)
+            _hold[1] = tuple(setter(1) for setter in setters)
         _hold[0] += 1
     try:
         yield
@@ -244,4 +256,5 @@ def one_scipy_blas_thread():
         with _hold_lock:
             _hold[0] -= 1
             if _hold[0] == 0:
-                setter(_hold[1])
+                for setter, count in zip(setters, _hold[1]):
+                    setter(count)

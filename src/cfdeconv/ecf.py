@@ -13,17 +13,32 @@ is the conjugate mirror, which makes every table exactly Hermitian.  The
 per-chunk work is real: cos and sin of y.t from one tangent of the half
 angle (`_util.cos_sin`) and one real matrix product per chunk, whose sums
 give every sign pattern of (t1, t2) by angle addition.
+
+The chunks run on every CPU the process may use.  Each aligned run of
+2^RUN_LEVEL chunks is one task, a subtree of the serial pairwise tree,
+so the merged sums are the serial loop's bit for bit.  A task fills its
+two [cos; sin; 1] stacks in place, chunk after chunk.  A thread pool
+lives for one call and starts only for two or more runs.  The products
+run with both OpenBLAS pools held at one thread (`_util.one_blas_thread`),
+so a table's bytes depend on the sample and the grid alone, not on the
+core count or OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import CHUNK, ConfigError, PairwiseAccumulator, cos_sin, fmt17
+from ._util import CHUNK, ConfigError, PairwiseAccumulator, cos_sin, fmt17, one_blas_thread
+
+# `ecf_on_grid`'s tasks are aligned runs of 2^RUN_LEVEL chunks
+RUN_LEVEL = 5
 
 
 @dataclass(frozen=True)
@@ -91,17 +106,48 @@ def ecf_eval(samples: SampleSet, t) -> np.ndarray:
     return out.reshape(t.shape[:-1])
 
 
-def _half_lattice(block_data, axis_nodes):
-    """[cos; sin; 1] of y.t, shape (2H + 1, n), on a block's half lattice:
-    the first ceil(G/2) nodes of the first axis times every node of the
-    others, H points flattened C-order; axes combine by angle addition."""
-    first = axis_nodes[0]
-    c, s = cos_sin(first[: (len(first) + 1) // 2], block_data[:, 0])
-    for nodes, y in zip(axis_nodes[1:], block_data.T[1:]):
-        ca, sa = cos_sin(nodes, y)
-        c, s = ((c[:, None] * ca - s[:, None] * sa).reshape(-1, len(y)),
-                (s[:, None] * ca + c[:, None] * sa).reshape(-1, len(y)))
-    return np.vstack([c, s, np.ones(len(block_data))])
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _half_size(axis_nodes) -> int:
+    """Points of a block's half lattice: the first ceil(G/2) nodes of the
+    first axis times every node of the others."""
+    return (len(axis_nodes[0]) + 1) // 2 * math.prod(map(len, axis_nodes[1:]))
+
+
+def _half_lattice(out, block_data, axis_nodes):
+    """[cos; sin; 1] of y.t on a block's half lattice, its H points
+    flattened C-order, written into the leading len(block_data) columns of
+    `out`, shape (2H + 1, CHUNK) with a last row of ones, and returned as
+    that view.  Axes combine by angle addition into the stack directly."""
+    out = out[:, : len(block_data)]
+    h, last = (len(out) - 1) // 2, len(axis_nodes) - 1
+    stack = out[:h], out[h:-1]
+    first = axis_nodes[0][: (len(axis_nodes[0]) + 1) // 2]
+    c, s = cos_sin(first, block_data[:, 0], out=stack if last == 0 else None)
+    for k, (nodes, y) in enumerate(zip(axis_nodes[1:], block_data.T[1:]), 1):
+        dst = stack if k == last else np.empty((2, len(c) * len(nodes), len(y)))
+        c, s = _angle_add(c, s, *cos_sin(nodes, y), out=dst)
+    return out
+
+
+def _angle_add(c, s, ca, sa, out):
+    """cos and sin of every sum of an angle of (c, s) and one of (ca, sa),
+    C-order, written into out = (cos, sin) one row of c at a time, so the
+    only temporary is one row's (len(ca), n) product."""
+    g, tmp = len(ca), np.empty_like(ca)
+    for i, (ci, si) in enumerate(zip(c, s)):
+        oc, os_ = out[0][i * g : (i + 1) * g], out[1][i * g : (i + 1) * g]
+        np.multiply(ci, ca, out=oc)
+        oc -= np.multiply(si, sa, out=tmp)
+        np.multiply(si, ca, out=os_)
+        os_ += np.multiply(ci, sa, out=tmp)
+    return out
 
 
 def _mirrored(half, size):
@@ -140,14 +186,28 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
         raise ConfigError("axis nodes must be closed under negation (x == -x[::-1])")
     nodes1, nodes2 = nodes[: samples.d1], nodes[samples.d1 :]
     size1, size2 = math.prod(map(len, nodes1)), math.prod(map(len, nodes2))
+    n, d1, data = samples.n, samples.d1, samples.data
+    starts = range(0, n, CHUNK << RUN_LEVEL)
+
+    def run_sum(start):
+        """The pairwise sum of one aligned run's chunk products, as the
+        stack its accumulator leaves: one node of level RUN_LEVEL for a
+        full run.  The run's two stacks are filled in place chunk by chunk."""
+        a1, a2 = (np.ones((2 * _half_size(b) + 1, CHUNK)) for b in (nodes1, nodes2))
+        acc = PairwiseAccumulator()
+        for lo in range(start, min(start + (CHUNK << RUN_LEVEL), n), CHUNK):
+            block = data[lo : lo + CHUNK]
+            acc.add(_half_lattice(a1, block[:, :d1], nodes1)
+                    @ _half_lattice(a2, block[:, d1:], nodes2).T)
+        return acc.stack
+
     acc = PairwiseAccumulator()
-    data = samples.data
-    for start in range(0, samples.n, CHUNK):
-        block = data[start : start + CHUNK]
-        a1 = _half_lattice(block[:, : samples.d1], nodes1)
-        a2 = _half_lattice(block[:, samples.d1 :], nodes2)
-        acc.add(a1 @ a2.T)
-    n = samples.n
+    workers = min(len(starts), _cpu_count())
+    with (one_blas_thread(),
+          ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool):
+        for stack in (pool.map if pool else map)(run_sum, starts):
+            for level, node in stack:
+                acc.add(node, level)
     p = acc.total() / n
     h1, h2 = len(p) // 2, p.shape[1] // 2
     cc, cs, sc, ss = p[:h1, :h2], p[:h1, h2:-1], p[h1:-1, :h2], p[h1:-1, h2:-1]

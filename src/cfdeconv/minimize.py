@@ -8,10 +8,12 @@ factor through the pattern matrices, so each partial derivative reduces to
 entries of three small matrix products.  A candidate's tables and defect are
 built once and serve both its value and its gradient.
 
-While its starts run, `minimize_contrast` holds scipy's OpenBLAS pool,
-which L-BFGS-B links, at one thread: its idle workers otherwise contend
-with numpy's pool for the cores during the contrast's products.  numpy's
-pool keeps its threads, which pay off in the ECF product.
+While its starts run, `minimize_contrast` holds both OpenBLAS pools,
+numpy's and the one scipy's L-BFGS-B links, at one thread
+(`_util.one_blas_thread`): the idle workers of scipy's pool otherwise
+contend with numpy's for the cores during the contrast's products, and a
+product's last bits depend on its pool's thread count, so under the hold
+the iterates do not depend on the core count or OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
-from ._util import ConfigError, NumericalError, one_scipy_blas_thread
+from ._util import ConfigError, NumericalError, one_blas_thread
 from .contrast import QuadratureGrid, _GridTables, _defect, _empirical_value, _ref_tables, poly_tables
 # module attribute kept for callers that look it up here (perfbench/tracer.py)
 from .contrast import contrast_empirical  # noqa: F401
@@ -248,9 +250,8 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     that met no deadline, up to config.restarts starts.  The lowest
     contrast wins, the earliest start on ties.
 
-    The starts run with scipy's OpenBLAS pool, not numpy's, held at one
-    thread (`_util.one_scipy_blas_thread`, see the module docstring); on
-    the benchmark workloads this changed no result bit.
+    The starts run with both OpenBLAS pools held at one thread
+    (`_util.one_blas_thread`, see the module docstring).
     """
     bounds = _bound_vector(grid.d, config.m_opt, config.params)
     pinned = index_table(grid.d, config.m_opt)[1] == 0
@@ -258,7 +259,7 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     ev = _Evaluator(table, grid, config.m_opt)
     runs = []
-    with one_scipy_blas_thread():
+    with one_blas_thread():
         while len(runs) < config.restarts and (not runs or runs[-1][2] not in _LAST):
             start = (random_member(config.params, grid.dims, config.m_opt, rng) if runs
                      else _ls_init(table, grid, config.m_opt))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from cfdeconv import (
+    _util,
     AxisNoise,
     SignalSpec,
     WeightSpec,
@@ -23,6 +24,31 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 settings.register_profile("cfdeconv", derandomize=True, max_examples=20, deadline=None,
                           database=None)
 settings.load_profile("cfdeconv")
+
+
+@pytest.fixture
+def blas_pools():
+    """Every OpenBLAS pool of `_util.blas_setters` at 2 threads for the
+    test, then as it was; yields a reader of their thread counts (each read
+    by setting it and setting it back)."""
+    setters = _util.blas_setters()
+    if not setters:
+        pytest.skip("no OpenBLAS with openblas_set_num_threads_local")
+
+    def read():
+        counts = tuple(setter(1) for setter in setters)
+        for setter, count in zip(setters, counts):
+            setter(count)
+        return counts
+
+    prior = [setter(2) for setter in setters]
+    try:
+        if read() != (2,) * len(setters):
+            pytest.skip(f"OpenBLAS keeps {read()} threads when asked for 2")
+        yield read
+    finally:
+        for setter, count in zip(setters, prior):
+            setter(count)
 
 
 @pytest.fixture(scope="session")

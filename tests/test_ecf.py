@@ -1,11 +1,15 @@
 """Empirical characteristic function: pointwise, gridded, persisted."""
 
+import itertools
+import sys
+import threading
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from cfdeconv import ConfigError, ecf
-from cfdeconv._util import CHUNK, cos_sin
+from cfdeconv._util import CHUNK, cos_sin, one_blas_thread
 from cfdeconv.contrast import make_grid
 from cfdeconv.ecf import SampleSet, ecf_eval, ecf_on_grid, export_csv, load_csv
 
@@ -202,10 +206,10 @@ class TestHalfLattice:
         calls = []
         real = ecf._half_lattice
 
-        def recording(block_data, axis_nodes):
-            out = real(block_data, axis_nodes)
-            calls.append((block_data.shape, [len(a) for a in axis_nodes], out.shape))
-            return out
+        def recording(out, block_data, axis_nodes):
+            view = real(out, block_data, axis_nodes)
+            calls.append((block_data.shape, [len(a) for a in axis_nodes], view.shape))
+            return view
 
         monkeypatch.setattr(ecf, "_half_lattice", recording)
         d1, d2 = dims
@@ -230,6 +234,93 @@ class TestHalfLattice:
         assert np.array_equal(table.full[::-1, ::-1], np.conj(table.full))
         assert np.array_equal(table.first[::-1], np.conj(table.first))
         assert np.array_equal(table.second[::-1], np.conj(table.second))
+
+
+def stack_by_allocation(block_data, axis_nodes):
+    """[cos; sin; 1] on a block's half lattice as a fresh stack: cos_sin per
+    axis, angle addition over whole arrays, then np.vstack."""
+    first = axis_nodes[0]
+    c, s = cos_sin(first[: (len(first) + 1) // 2], block_data[:, 0])
+    for nodes, y in zip(axis_nodes[1:], block_data.T[1:]):
+        ca, sa = cos_sin(nodes, y)
+        c, s = ((c[:, None] * ca - s[:, None] * sa).reshape(-1, len(y)),
+                (s[:, None] * ca + c[:, None] * sa).reshape(-1, len(y)))
+    return np.vstack([c, s, np.ones(len(block_data))])
+
+
+class TestChunkRuns:
+    """Aligned runs of chunks on worker threads: the table's bytes do not
+    depend on the worker count."""
+
+    @staticmethod
+    def tables(monkeypatch, samples, axes, counts):
+        """The table for each worker count, and the pool sizes started."""
+        pools, real = [], ecf.ThreadPoolExecutor
+        monkeypatch.setattr(ecf, "ThreadPoolExecutor",
+                            lambda workers: pools.append(workers) or real(workers))
+        out = []
+        for count in counts:
+            monkeypatch.setattr(ecf, "_cpu_count", lambda: count)
+            out.append(ecf_on_grid(samples, axes))
+        return out, pools
+
+    @pytest.mark.parametrize("dims, nodes", [((1, 1), 48), ((2, 2), 12)])
+    def test_same_bytes_for_every_worker_count(self, dims, nodes, monkeypatch, rng):
+        # three full runs, a partial run and a partial chunk
+        run = CHUNK << ecf.RUN_LEVEL
+        s = make_samples(rng.standard_t(3, size=(3 * run + 5 * CHUNK + 17, sum(dims))), *dims)
+        axes = [make_grid(1.0, dims, nodes).axis_nodes] * sum(dims)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave as often as they can
+        try:
+            tables, pools = self.tables(monkeypatch, s, axes, (1, 2, 3, 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [2, 3, 4]
+        # one run holding the whole sample: the plain serial loop
+        monkeypatch.setattr(ecf, "RUN_LEVEL", 60)
+        tables += self.tables(monkeypatch, s, axes, (3,))[0]
+        for table in tables[1:]:
+            for field in ("first", "second", "full"):
+                assert getattr(table, field).tobytes() == getattr(tables[0], field).tobytes()
+
+    def test_one_run_starts_no_pool(self, monkeypatch, rng):
+        s = make_samples(rng.normal(size=(CHUNK << ecf.RUN_LEVEL, 2)))
+        _, pools = self.tables(monkeypatch, s, [make_grid(1.0, (1, 1), 8).axis_nodes] * 2, (4,))
+        assert pools == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [CHUNK, CHUNK - 211])
+    def test_stack_filled_in_place_as_by_allocation(self, d, rows, rng):
+        # a reused stack, a partial chunk in its leading columns included,
+        # holds the bits of a fresh one, and so does their product
+        axes = [make_grid(1.0, (d, 1), 7).axis_nodes] * d
+        half = 4 * 7 ** (d - 1)
+        out = np.ones((2 * half + 1, CHUNK))
+        ecf._half_lattice(out, rng.standard_t(3, size=(CHUNK, d)), axes)
+        y = rng.standard_t(3, size=(rows, d))
+        view = ecf._half_lattice(out, y, axes)
+        fresh = stack_by_allocation(y, axes)
+        assert view.shape == fresh.shape and view.tobytes() == fresh.tobytes()
+        with one_blas_thread():
+            assert (view @ view.T).tobytes() == (fresh @ fresh.T).tobytes()
+
+    def test_error_in_one_chunk_reaches_the_caller(self, monkeypatch, rng, blas_pools):
+        calls, real = itertools.count(), ecf._half_lattice
+
+        def failing(*args):
+            if next(calls) == 70:
+                raise FloatingPointError("chunk failed")
+            return real(*args)
+
+        monkeypatch.setattr(ecf, "_half_lattice", failing)
+        monkeypatch.setattr(ecf, "_cpu_count", lambda: 2)
+        s = make_samples(rng.normal(size=(3 * (CHUNK << ecf.RUN_LEVEL) + 5, 2)))
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="chunk failed"):
+            ecf_on_grid(s, [make_grid(1.0, (1, 1), 8).axis_nodes] * 2)
+        assert set(blas_pools()) == {2}
+        assert threading.active_count() == threads
 
 
 class TestCosSin:

@@ -11,6 +11,7 @@ from scipy.optimize import OptimizeResult
 
 from cfdeconv import AxisNoise, ConfigError, NumericalError, SignalSpec, make_repeated
 from cfdeconv import _util
+from cfdeconv import ecf as ecf_module
 from cfdeconv import contrast as contrast_module
 from cfdeconv import minimize as minimize_module
 from cfdeconv.contrast import (
@@ -20,7 +21,8 @@ from cfdeconv.contrast import (
     make_grid,
     poly_tables,
 )
-from cfdeconv.ecf import SampleSet
+from cfdeconv._util import CHUNK
+from cfdeconv.ecf import SampleSet, ecf_on_grid
 from cfdeconv.minimize import (
     MinimizeConfig,
     MinimizeResult,
@@ -346,30 +348,6 @@ def _dense_ls_theta(table, grid, m_opt):
     return np.concatenate([[1.0], theta_rest])
 
 
-_SETTER = _util.scipy_blas_setter()
-
-
-def _scipy_pool() -> int:
-    """scipy's OpenBLAS thread count, read by setting it and setting it back."""
-    count = _SETTER(1)
-    _SETTER(count)
-    return count
-
-
-@pytest.fixture
-def two_scipy_threads():
-    """scipy's OpenBLAS pool at 2 threads for the test, then as it was."""
-    if _SETTER is None:
-        pytest.skip("scipy's L-BFGS-B links no OpenBLAS with openblas_set_num_threads_local")
-    prior = _SETTER(2)
-    count = _scipy_pool()
-    if count == 2:
-        yield count
-    _SETTER(prior)
-    if count != 2:
-        pytest.skip(f"scipy's OpenBLAS keeps {count} thread(s) when asked for 2")
-
-
 def _spy_objective(monkeypatch, wrap):
     """Run L-BFGS-B on wrap(objective) instead of the objective."""
     real = minimize_module.optimize.minimize
@@ -392,16 +370,32 @@ def _small_run(grid24, rng, deadline=math.inf):
                                  restarts=3, seed=1, deadline=deadline)
 
 
-class TestScipyBlasHold:
-    def test_one_thread_inside_the_objective(self, grid24, rng, monkeypatch, two_scipy_threads):
+class TestBlasHold:
+    """Both OpenBLAS pools, numpy's and L-BFGS-B's, at one thread while the
+    minimizer and the ECF run, and as they were afterwards."""
+
+    def test_one_thread_inside_the_objective(self, grid24, rng, monkeypatch, blas_pools):
         seen = []
-        _spy_objective(monkeypatch, lambda fun: lambda x: seen.append(_scipy_pool()) or fun(x))
+        _spy_objective(monkeypatch, lambda fun: lambda x: seen.append(blas_pools()) or fun(x))
         table, config = _small_run(grid24, rng)
         minimize_contrast(table, grid24, config)
-        assert seen and set(seen) == {1}
-        assert _scipy_pool() == two_scipy_threads
+        ones = (1,) * len(blas_pools())
+        assert seen and set(seen) == {ones}
+        assert blas_pools() == (2,) * len(ones)
 
-    def test_restored_after_an_error(self, grid24, rng, monkeypatch, two_scipy_threads):
+    def test_one_thread_inside_the_ecf(self, rng, monkeypatch, blas_pools):
+        seen, real = [], ecf_module._half_lattice
+        monkeypatch.setattr(ecf_module, "_half_lattice",
+                            lambda *args: seen.append(blas_pools()) or real(*args))
+        monkeypatch.setattr(ecf_module, "_cpu_count", lambda: 2)
+        # three runs of chunks, so the tabulation runs on two workers
+        samples = SampleSet(1, 1, rng.normal(size=(3 * (CHUNK << ecf_module.RUN_LEVEL), 2)))
+        ecf_on_grid(samples, [make_grid(1.0, (1, 1), 8).axis_nodes] * 2)
+        ones = (1,) * len(blas_pools())
+        assert seen and set(seen) == {ones}
+        assert blas_pools() == (2,) * len(ones)
+
+    def test_restored_after_an_error(self, grid24, rng, monkeypatch, blas_pools):
         def raising(fun):
             def objective(x):
                 raise NumericalError("non-finite contrast")
@@ -411,9 +405,9 @@ class TestScipyBlasHold:
         table, config = _small_run(grid24, rng)
         with pytest.raises(NumericalError):
             minimize_contrast(table, grid24, config)
-        assert _scipy_pool() == two_scipy_threads
+        assert set(blas_pools()) == {2}
 
-    def test_concurrent_holders_restore_once(self, grid24, rng, monkeypatch, two_scipy_threads):
+    def test_concurrent_holders_restore_once(self, grid24, rng, monkeypatch, blas_pools):
         # both threads are inside the hold together before either leaves it
         barrier, seen, errors = threading.Barrier(2, timeout=30), [], []
 
@@ -440,18 +434,27 @@ class TestScipyBlasHold:
         for t in threads:
             t.join()
         assert errors == [] and sorted(seen) == ["holder0", "holder1"]
-        assert _scipy_pool() == two_scipy_threads
+        assert set(blas_pools()) == {2}
 
-    def test_no_op_path_same_bits(self, rm4d_table, monkeypatch, two_scipy_threads):
+    def test_no_op_without_setters(self, rm4d_table, monkeypatch, blas_pools):
+        # without setters the hold leaves the pools alone, and with the
+        # pools at one thread already the bits are the held run's
         table, grid = rm4d_table
         config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=0.01 / 2000,
                                 seed=5)
         held = minimize_contrast(table, grid, config)
-        monkeypatch.setattr(_util, "scipy_blas_setter", lambda: None)
+        setters = _util.blas_setters()
+        monkeypatch.setattr(_util, "blas_setters", lambda: ())
         seen = []
-        _spy_objective(monkeypatch, lambda fun: lambda x: seen.append(_scipy_pool()) or fun(x))
-        free = minimize_contrast(table, grid, config)
-        assert set(seen) == {two_scipy_threads}
+        _spy_objective(monkeypatch, lambda fun: lambda x: seen.append(blas_pools()) or fun(x))
+        minimize_contrast(table, grid, config)
+        assert set(seen) == {(2,) * len(setters)}
+        prior = [setter(1) for setter in setters]
+        try:
+            free = minimize_contrast(table, grid, config)
+        finally:
+            for setter, count in zip(setters, prior):
+                setter(count)
         assert free.estimate.theta.tobytes() == held.estimate.theta.tobytes()
         assert free.value == held.value and free.reasons == held.reasons
 

@@ -1,10 +1,15 @@
 """Experiment planning, cell execution, aggregation, rate fitting."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfdeconv
 from cfdeconv import (
     AxisNoise,
     CellResult,
@@ -30,6 +35,19 @@ from cfdeconv import (
 from cfdeconv import runner as runner_module
 from cfdeconv.scenarios import ScenarioSpec
 from cfdeconv.reconstruct import m_rule
+
+
+# one small estimate on the benchmark's ICA scenario; prints its theta bytes
+_THETA_HEX = """
+import cfdeconv as cf
+noise = cf.AxisNoise("uniform", 0.3)
+sc = cf.make_ica((cf.SignalSpec("uniform", (1.0,)), cf.SignalSpec("uniform", (0.5,))),
+                 [[1.0, 0.5], [0.5, 1.0]], noise, noise, d1=1)
+out = cf.estimate_once(sc.sample(2000, 3), cf.make_grid(1.0, (1, 1), 48),
+                       cf.default_lattice(2, count=9), kappa=0.6, S=1.5, nu=1.0, m_opt=4,
+                       restarts=1, seed=3)
+print(out.result.estimate.theta.tobytes().hex())
+"""
 
 
 def rows_equal(rows_a, rows_b):
@@ -338,6 +356,20 @@ class TestEstimateOnce:
         with pytest.raises(ConfigError, match="m_opt must be >= 2"):
             estimate_once(samples, grid24, default_lattice(2, half=2.0, count=9),
                           kappa=0.75, S=1.5, nu=1.0, m_opt=1)
+
+    def test_theta_independent_of_openblas_threads(self):
+        # the ECF's and the contrast's products run with every OpenBLAS pool
+        # held at one thread, so the pool size the process starts with
+        # changes no bit (it did at 2 threads against 1 before the hold)
+        src = str(Path(cfdeconv.__file__).resolve().parents[1])
+        thetas = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", _THETA_HEX], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            thetas.append(proc.stdout.strip())
+        assert thetas[0] and thetas[0] == thetas[1]
 
     def test_deconvolution_guard(self):
         # the benchmark's ICA scenario with Laplace(0.7) noise, which flattens
