@@ -11,7 +11,9 @@ largest singular value with LAPACK's SVD (np.linalg.norm(., 2)).
 Bound right-hand sides are evaluated in mpmath because factors like
 (S nu)^m m^{-kappa m} mix huge and tiny magnitudes; the float64 conversion
 happens only at the end.  The two series share one certified summation and
-the three growth envelopes share one formula.
+the three growth envelopes share one formula.  The sup-norm rows evaluate
+random members on 801, 101 or 31 points per axis (d = 1, 2, >= 3), one axis
+at a time, in batches whose tensors stay under 16 MB at any d (bound_suite).
 """
 
 from __future__ import annotations
@@ -24,15 +26,12 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
-from ._util import CHUNK, ConfigError, NumericalError, tensor_points
-from .multiindex_taylor import (
-    UpsilonParams,
-    index_table,
-    monomial_matrix,
-    random_member,
-)
+from ._util import ConfigError, NumericalError, one_blas_thread
+from .multiindex_taylor import UpsilonParams, index_table, random_member
 
 _DPS = 40
+# doubles (16 MB) of coefficient or value tensor bound_suite forms at once
+_TENSOR_DOUBLES = 1 << 21
 
 
 def legendre_eval(i: int, nu: float, x) -> np.ndarray:
@@ -195,9 +194,29 @@ class BoundReport:
         return self.slack >= 0
 
 
-def _dense_box(nu: float, d: int) -> np.ndarray:
-    per_axis = 801 if d == 1 else (101 if d == 2 else 31)
-    return tensor_points([np.linspace(-nu, nu, per_axis)] * d)
+def _box_sup(entries: np.ndarray, values: np.ndarray, vander: np.ndarray) -> float:
+    """Largest |re + i im| over the tensor grid of vander's (P, D+1) rows x^j.
+
+    values (2, B, N) holds the real and imaginary coefficients of B
+    polynomials at the N distinct multi-indices `entries`.  Scattered into
+    dense (D+1)^d tensors and contracted one axis at a time, they take
+    2 B max(P, D+1)^d doubles; past _TENSOR_DOUBLES per polynomial (d >= 5
+    at the default degree) the first variable is fixed at each node in turn.
+    """
+    d = entries.shape[1]
+    if 2 * max(vander.shape) ** d > _TENSOR_DOUBLES:
+        rest, where = np.unique(entries[:, 1:], axis=0, return_inverse=True)
+        sup = 0.0
+        for row in vander:
+            fixed = np.zeros(values.shape[:2] + (rest.shape[0],))
+            np.add.at(fixed, (slice(None), slice(None), where), values * row[entries[:, 0]])
+            sup = max(sup, _box_sup(rest, fixed, vander))
+        return sup
+    parts = np.zeros(values.shape[:2] + (vander.shape[1],) * d)
+    parts[(slice(None), slice(None)) + tuple(entries.T)] = values
+    for _ in range(d):
+        parts = np.tensordot(parts, vander, axes=(2, 1))
+    return float(np.max(np.hypot(parts[0], parts[1])))
 
 
 def bound_suite(kappa: float, S: float, nu: float, d: int, m: int,
@@ -209,23 +228,34 @@ def bound_suite(kappa: float, S: float, nu: float, d: int, m: int,
     m >= d/kappa), class sup-norm, the psi series at x = S nu, and the
     largest singular value of the degree-m change-of-basis block.  Random
     members are truncations at member_degree, high enough that the ignored
-    tail is far below the bounds being tested.
+    tail is far below the bounds being tested.  The sup-norms are maxima on
+    801, 101 or 31 points per axis of [-nu, nu] (d = 1, 2, >= 3), evaluated
+    axis by axis (_box_sup) with even orders real and odd imaginary, the
+    tail with orders <= m zeroed, in batches of members whose tensors stay
+    under _TENSOR_DOUBLES doubles at any d.
     """
+    if n_members < 1:
+        raise ConfigError("bound_suite needs n_members >= 1")
     params = UpsilonParams(kappa=kappa, S=S)
     dims = (d, 0) if d == 1 else (d - 1, 1)
     rng = np.random.default_rng(seed)
-    pts = _dense_box(nu, d)
-    members = [random_member(params, dims, member_degree, rng) for _ in range(n_members)]
-    coeffs = np.stack([p.coeffs for p in members])
+    entries, orders, _ = index_table(d, member_degree)
+    nodes = np.linspace(-nu, nu, 801 if d == 1 else (101 if d == 2 else 31))
+    vander = nodes[:, None] ** np.arange(member_degree + 1)
     truncated = m >= d / kappa
-    tail = members[0].orders > m
-    # one monomial block per CHUNK points, so memory does not grow with the box
+    batch = max(1, _TENSOR_DOUBLES // (2 * max(vander.shape) ** d))
     sup_phi = worst = 0.0
-    for lo in range(0, pts.shape[0], CHUNK):
-        mono = monomial_matrix(pts[lo:lo + CHUNK], d, member_degree)
-        sup_phi = max(sup_phi, float(np.max(np.abs(mono @ coeffs.T))))
-        if truncated:
-            worst = max(worst, float(np.max(np.abs(mono[:, tail] @ coeffs[:, tail].T))))
+    # small products: one BLAS thread is faster here, and its bits do not
+    # depend on the core count
+    with one_blas_thread():
+        for lo in range(0, n_members, batch):
+            theta = np.stack([random_member(params, dims, member_degree, rng).theta
+                              for _ in range(min(batch, n_members - lo))])
+            values = np.stack([theta * (orders % 2 == odd) for odd in (0, 1)])
+            sup_phi = max(sup_phi, _box_sup(entries, values, vander))
+            if truncated:
+                values[:, :, orders <= m] = 0.0
+                worst = max(worst, _box_sup(entries, values, vander))
     reports = []
     base_inputs = {"kappa": kappa, "S": S, "nu": nu, "d": d, "m": m}
     if truncated:

@@ -1,12 +1,13 @@
 """Normalized Legendre systems and the quantitative envelope checks."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cfdeconv import ConfigError, NumericalError
+from cfdeconv import ConfigError, NumericalError, legendre_bounds
 from cfdeconv.legendre_bounds import (
     BoundReport,
     bound_suite,
@@ -159,28 +160,68 @@ class TestBoundSuite:
             assert r.holds(), f"{r.name}: measured {r.measured} > bound {r.bound}"
             assert r.slack >= 0
 
+    def test_no_members_is_refused(self):
+        with pytest.raises(ConfigError, match="n_members"):
+            bound_suite(0.75, 1.5, 1.0, 1, 4, n_members=0)
+
     def test_truncation_row_dropped_when_degree_low(self):
         reports = bound_suite(0.6, 1.0, 1.0, 2, 1, n_members=4, seed=5)
         assert [r.name for r in reports] == ["class_sup", "psi_sum", "sigma1"]
 
-    def test_sup_rows_match_one_dense_product(self):
-        # the suite evaluates CHUNK points at a time; one product over the
-        # whole 101 x 101 box must give the same maxima to the bit
-        kappa, S, nu, d, m, degree = 0.75, 1.5, 1.0, 2, 4, 12
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sup_rows_match_one_dense_product(self, d, monkeypatch):
+        # the suite contracts one axis at a time, so its sums run in another
+        # order than the points x monomials product it replaced: the maxima
+        # agree to rounding (4.3e-16 relative measured), not to the bit
+        kappa, S, nu, m, degree = 0.75, 1.5, 1.0, 4, 12
         rng = np.random.default_rng(3)
         params = UpsilonParams(kappa=kappa, S=S)
-        members = [random_member(params, (1, 1), degree, rng) for _ in range(5)]
-        coeffs = np.stack([p.coeffs for p in members])
-        grid = np.linspace(-nu, nu, 101)
-        mono = monomial_matrix(tensor_points([grid, grid]), d, degree)
-        tail = members[0].orders > m
+        dims = (d, 0) if d == 1 else (d - 1, 1)
+        members = [random_member(params, dims, degree, rng) for _ in range(5)]
+        drawn = []
+
+        def recording(*args):
+            drawn.append(random_member(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(legendre_bounds, "random_member", recording)
         rows = {r.name: r.measured for r in
                 bound_suite(kappa, S, nu, d, m, n_members=5, seed=3, member_degree=degree)}
-        assert rows["class_sup"] == float(np.max(np.abs(mono @ coeffs.T)))
-        assert rows["truncation_sup"] == float(np.max(np.abs(mono[:, tail] @ coeffs[:, tail].T)))
+        for got, want in zip(drawn, members, strict=True):
+            np.testing.assert_array_equal(got.theta, want.theta)
+        coeffs = np.stack([p.coeffs for p in members])
+        tail = members[0].orders > m
+        grid = np.linspace(-nu, nu, {1: 801, 2: 101}.get(d, 31))
+        pts = tensor_points([grid] * d)
+        sup = worst = 0.0
+        for block in np.array_split(pts, -(-pts.shape[0] // 4096)):
+            mono = monomial_matrix(block, d, degree)
+            sup = max(sup, float(np.max(np.abs(mono @ coeffs.T))))
+            worst = max(worst, float(np.max(np.abs(mono[:, tail] @ coeffs[:, tail].T))))
+        assert rows["class_sup"] == pytest.approx(sup, rel=1e-13, abs=0)
+        assert rows["truncation_sup"] == pytest.approx(worst, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("budget", [None, 2 * 10**3 - 1, 2 * 10**2 - 1])
+    def test_box_sup_matches_the_monomial_product(self, budget, monkeypatch):
+        # random coefficients on an asymmetric grid, so the maximum is no
+        # corner's; a budget below one polynomial's tensors fixes the first
+        # variable one node at a time (once or twice over), the path a
+        # member takes at d >= 5 by default
+        rng = np.random.default_rng(7)
+        entries = index_table(3, 5)[0]
+        values = rng.standard_normal((2, 4, entries.shape[0]))
+        nodes = np.linspace(-0.4, 1.1, 10)
+        mono = monomial_matrix(tensor_points([nodes] * 3), 3, 5)
+        want = float(np.max(np.hypot(mono @ values[0].T, mono @ values[1].T)))
+        if budget is not None:
+            monkeypatch.setattr(legendre_bounds, "_TENSOR_DOUBLES", budget)
+        got = legendre_bounds._box_sup(entries, values, nodes[:, None] ** np.arange(6))
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_memory_does_not_scale_with_the_box(self):
-        # 31^3 points x 455 monomials is 108 MB as one dense matrix
+        # memory must not grow with the box: one points x monomials matrix of
+        # this suite's 31^3 box and 455 monomials would be 108 MB by itself,
+        # while a batch of member tensors stays under _TENSOR_DOUBLES doubles
         tracemalloc.start()
         try:
             bound_suite(0.75, 1.0, 1.0, 3, 4, member_degree=12)
@@ -188,6 +229,21 @@ class TestBoundSuite:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    def test_four_dimensions_at_the_default_degree(self):
+        # 31^4 box points and 46376 coefficients per member: one member's
+        # tensors are about 15 MB each, and a suite takes about 0.1 s per member
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            reports = bound_suite(0.75, 1.0, 1.0, 4, 4, n_members=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 20.0
+        assert peak < 100e6
+        assert [r.name for r in reports] == ["class_sup", "psi_sum", "sigma1"]
+        assert all(r.holds() for r in reports)
 
     def test_report_slack_sign(self):
         good = BoundReport(name="x", inputs={}, bound=2.0, measured=1.5)
