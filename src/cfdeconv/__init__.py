@@ -74,7 +74,6 @@ from .multiindex_taylor import (
 from .reconstruct import (
     DensityGrid,
     LatticeSpec,
-    TuningRules,
     invert,
     l2_distance,
     l2_norm,
@@ -98,7 +97,6 @@ from .runner import (
     default_lattice,
     estimate_once,
     fit_rate,
-    resolve_degrees,
     run,
 )
 from .scenarios import (

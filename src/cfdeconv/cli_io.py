@@ -449,8 +449,8 @@ def _cmd_simulate(cfg: dict, config_path) -> int:
 _SAMPLE_INPUTS = {
     "samples": _Key("string"), "d1": _Key("integer", ">= 1"), "d2": _Key("integer", ">= 1"),
     "S": _Key("number", "> 0"), "nu": _Key("number", "> 0", 1.0),
-    "nodes": _Key("integer", ">= 2", 48), "c_kappa": _Key("number", "> 0", None),
-    "restarts": _Key("integer", ">= 1", 4), "lattice": _Key("lattice", default=None),
+    "nodes": _Key("integer", ">= 2", 48), "restarts": _Key("integer", ">= 1", 4),
+    "lattice": _Key("lattice", default=None),
     "seed": _Key("integer", ">= 0", 0), "out_dir": _Key("string"),
 }
 
@@ -462,7 +462,7 @@ def _sample_inputs(cfg: dict) -> tuple:
     if lattice.d != d1 + d2:
         raise ConfigError(f"lattice dimension {lattice.d} != data dimension {d1 + d2}")
     samples = ecf.load_csv(cfg["samples"], d1, d2)
-    opts = {k: cfg[k] for k in ("S", "nu", "c_kappa", "restarts", "seed")}
+    opts = {k: cfg[k] for k in ("S", "restarts", "seed")}
     return samples, make_grid(cfg["nu"], (d1, d2), cfg["nodes"]), lattice, opts
 
 
@@ -606,7 +606,7 @@ _EXPERIMENT = {
     "scenario": _Key("scenario"), "n_list": _Key("tuple of integers"),
     "replicates": _Key("integer"), "kappa_grid": _Key("tuple of numbers"), "S": _Key("number"),
     **{k: _Key(kind, default=_PLAN[k]) for k, kind in (
-        ("nu", "number"), ("c_kappa", "number"), ("seed", "integer"), ("restarts", "integer"),
+        ("nu", "number"), ("seed", "integer"), ("restarts", "integer"),
         ("cell_budget_s", "number"))},
     "nodes": _Key("integer", default=_PLAN["nodes_per_axis"]),
     "tuning": _Key("tuning", default={"mode": _PLAN["tuning_mode"]}),

@@ -240,7 +240,7 @@ def _defect(cand_tables, ref_tables):
 
 def _ref_tables(table: EcfTable, grid: QuadratureGrid):
     """The ECF table's (full, first slice, second slice), checked against the grid."""
-    if table.grid_id and table.grid_id != grid.grid_id:
+    if table.grid_id != grid.grid_id:
         raise ConfigError("ECF table was computed on a different grid")
     return table.full, table.first, table.second
 

@@ -169,7 +169,8 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
         Node list per coordinate, each closed under negation
         (x == -x[::-1] exactly); the first d1 belong to block 1.
     grid_id : str
-        Identifier copied into the table for downstream consistency checks.
+        Identifier copied into the table; the contrast refuses a table whose
+        id is not its grid's, an empty one included.
 
     Per sample chunk, one real product of the blocks' `_half_lattice`
     stacks, (2 H1 + 1) x (2 H2 + 1), is the only O(n * grid) work.  Its sums

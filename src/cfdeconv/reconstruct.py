@@ -29,36 +29,6 @@ from ._util import ConfigError, NumericalError, as_type, tensor_points, tensor_w
 from .multiindex_taylor import TaylorPoly, evaluate, index_table
 
 
-@dataclass(frozen=True)
-class TuningRules:
-    """Truncation/window tuning constants for a given model scale.
-
-    c_kappa defaults to its largest admissible value
-    min(nu_est, 2 kappa e^{-(3d+5)/2}); larger values are rejected.
-    """
-
-    kappa: float
-    S: float
-    nu_est: float
-    d: int
-    c_kappa: Optional[float] = None
-
-    def __post_init__(self):
-        if not (0 < self.kappa <= 1) or self.S <= 0 or self.nu_est <= 0 or self.d < 1:
-            raise ConfigError("invalid tuning parameters")
-        cap = self.c_kappa_cap()
-        if self.c_kappa is None:
-            object.__setattr__(self, "c_kappa", cap)
-        elif self.c_kappa > cap * (1 + 1e-12) or self.c_kappa <= 0:
-            raise ConfigError(
-                f"c_kappa={self.c_kappa} outside (0, {cap}] "
-                f"(cap = min(nu_est, 2 kappa e^(-(3d+5)/2)))"
-            )
-
-    def c_kappa_cap(self) -> float:
-        return min(self.nu_est, 2.0 * self.kappa * math.exp(-(3 * self.d + 5) / 2.0))
-
-
 def m_rule(n: int, kappa: float) -> int:
     """Theoretical truncation degree floor(log n / (8 kappa log log(n/4))).
 
@@ -73,11 +43,14 @@ def m_rule(n: int, kappa: float) -> int:
     return int(math.floor(math.log(n) / (8.0 * kappa * math.log(math.log(n / 4.0)))))
 
 
-def omega_rule(m: int, rules: TuningRules) -> float:
-    """Inversion window c_kappa m^kappa / S for truncation degree m >= 1."""
+def omega_rule(m: int, kappa: float, S: float, nu: float, d: int) -> float:
+    """Inversion window c_kappa m^kappa / S for truncation degree m >= 1,
+    with c_kappa = min(nu, 2 kappa e^{-(3d+5)/2})."""
+    if not (0 < kappa <= 1) or S <= 0 or nu <= 0 or d < 1:
+        raise ConfigError("invalid tuning parameters")
     if m < 1:
         raise ConfigError(f"truncation degree must be >= 1, got {m}")
-    return float(rules.c_kappa * m**rules.kappa / rules.S)
+    return float(min(nu, 2.0 * kappa * math.exp(-(3 * d + 5) / 2.0)) * m**kappa / S)
 
 
 @dataclass(frozen=True)

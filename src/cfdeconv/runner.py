@@ -26,7 +26,6 @@ from .multiindex_taylor import TaylorPoly, UpsilonParams, truncate
 from .reconstruct import (
     DensityGrid,
     LatticeSpec,
-    TuningRules,
     invert,
     l2_distance,  # unused here; perfbench/tracer.py wraps runner.l2_distance
     m_rule,
@@ -57,7 +56,6 @@ class ExperimentPlan:
     nodes_per_axis: int = 48
     tuning_mode: str = "theoretical"
     m_opt: Optional[int] = None
-    c_kappa: Optional[float] = None
     lattice: Optional[LatticeSpec] = None
     seed: int = 0
     restarts: int = 4
@@ -80,9 +78,9 @@ class ExperimentPlan:
             raise ConfigError("sample sizes below 12 have no truncation rule")
         if not self.kappa_grid or any(not (0 < k <= 1) for k in self.kappa_grid):
             raise ConfigError("kappa grid must be nonempty within (0, 1]")
-        for name in ("S", "beta", "nu", "c_kappa"):
+        for name in ("S", "beta", "nu"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
+            if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         for name, minimum in _PLAN_MINIMA.items():
             if getattr(self, name) < minimum:
@@ -106,10 +104,9 @@ class ExperimentPlan:
 # ExperimentPlan field -> type; the optional fields may also be None
 _PLAN_TYPES = {
     "replicates": int, "S": float, "beta": float, "nu": float, "nodes_per_axis": int,
-    "tuning_mode": str, "m_opt": int, "c_kappa": float, "seed": int, "restarts": int,
-    "cell_budget_s": float,
+    "tuning_mode": str, "m_opt": int, "seed": int, "restarts": int, "cell_budget_s": float,
 }
-_PLAN_OPTIONAL = {"m_opt", "c_kappa", "cell_budget_s"}
+_PLAN_OPTIONAL = {"m_opt", "cell_budget_s"}
 _PLAN_MINIMA = {"replicates": 1, "nodes_per_axis": 2, "restarts": 1, "seed": 0}
 
 
@@ -149,20 +146,14 @@ def cell_seed(master: int, n_index: int, kappa_index: int, replicate: int) -> in
     return int(ss.generate_state(1)[0])
 
 
-def resolve_degrees(plan: ExperimentPlan, n: int, kappa: float) -> tuple:
-    """(m_trunc, m_opt) for a cell.
-
-    Theoretical mode follows the log-ratio rule but never truncates below
-    degree 1 (the rule is 0 at any desk-scale n); the optimization degree is
-    twice the truncation degree so the mass beyond the kept block is
-    estimated rather than aliased.
-    """
-    return _degrees(n, kappa, plan.m_opt)
-
-
 def _degrees(n: int, kappa: float, m_opt: Optional[int]) -> tuple:
-    """(m_trunc, m_opt): the rule's degree (at least 1) and twice it, or
-    half the given m_opt, which must be at least 2, and m_opt."""
+    """(m_trunc, m_opt) for a cell: the rule's degree and twice it, or half
+    the given m_opt, which must be at least 2, and m_opt.
+
+    The rule's degree is clamped to at least 1 (the rule is 0 at any
+    desk-scale n); the optimization degree is twice the truncation degree
+    so the mass beyond the kept block is estimated rather than aliased.
+    """
     if m_opt is None:
         m_trunc = max(m_rule(n, kappa), 1)
         return m_trunc, 2 * m_trunc
@@ -190,16 +181,16 @@ class EstimateOutcome:
 
 
 def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
-                  kappa: float, S: float, nu: float, m_opt: Optional[int] = None,
-                  c_kappa: Optional[float] = None, restarts: int = 4,
-                  seed: int = 0, table=None,
+                  kappa: float, S: float, m_opt: Optional[int] = None,
+                  restarts: int = 4, seed: int = 0, table=None,
                   deadline: float = math.inf) -> EstimateOutcome:
     """One full estimation pass on a fixed sample.
 
     When m_opt is not given, both degrees follow the theoretical rule for
     the sample size (truncation clamped to at least 1, optimization at
-    twice the truncation).  A precomputed ECF table for the same grid can
-    be passed to avoid recomputing it across kappa values.  `deadline` (a
+    twice the truncation).  The inversion window is `omega_rule` at the
+    grid's nu.  A precomputed ECF table for the same grid can be passed to
+    avoid recomputing it across kappa values.  `deadline` (a
     time.monotonic() value) stops the minimizer at its first iterate after it.
 
     A start stops at resolution (contrast <= RESOLUTION / n) or on FTOL; a
@@ -213,9 +204,7 @@ def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
                             tol=RESOLUTION / samples.n, restarts=restarts, seed=seed,
                             deadline=deadline)
     result = minimize_contrast(table, grid, config)
-    rules = TuningRules(kappa=kappa, S=S, nu_est=nu, d=samples.d,
-                        c_kappa=c_kappa)
-    omega = omega_rule(m_trunc, rules)
+    omega = omega_rule(m_trunc, kappa, S, grid.nu, samples.d)
     density = invert(truncate(result.estimate, m_trunc), omega, lattice)
     return EstimateOutcome(result=result, density=density, m_trunc=m_trunc,
                            m_opt=m_opt, omega=omega)
@@ -224,15 +213,14 @@ def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
 def _run_cell(plan, model, grid, truth, n_idx, k_idx, rep) -> CellResult:
     n, kappa = plan.n_list[n_idx], plan.kappa_grid[k_idx]
     seed = cell_seed(plan.seed, n_idx, k_idx, rep)
-    m_trunc, m_opt = resolve_degrees(plan, n, kappa)
+    m_trunc, m_opt = _degrees(n, kappa, plan.m_opt)
     budget = math.inf if plan.cell_budget_s is None else plan.cell_budget_s
     deadline = time.monotonic() + budget
     try:
         samples = plan.scenario.sample(n, seed)
         out = estimate_once(
-            samples, grid, plan.lattice, kappa=kappa, S=plan.S, nu=plan.nu,
-            m_opt=m_opt, c_kappa=plan.c_kappa, restarts=plan.restarts, seed=seed,
-            deadline=deadline,
+            samples, grid, plan.lattice, kappa=kappa, S=plan.S, m_opt=m_opt,
+            restarts=plan.restarts, seed=seed, deadline=deadline,
         )
         result, density = out.result, out.density
         cf_err = cf_box_error(result.estimate, model, grid)
@@ -392,8 +380,7 @@ class AdaptiveOutcome:
 
 
 def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
-                       kappa_grid, S: float, beta: float, nu: float,
-                       c_kappa: Optional[float] = None, restarts: int = 4,
+                       kappa_grid, S: float, beta: float, restarts: int = 4,
                        seed: int = 0) -> AdaptiveOutcome:
     """Data-driven kappa selection on a fixed sample.
 
@@ -407,6 +394,9 @@ def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     if not kappa_grid:
         raise ConfigError("kappa grid must be nonempty")
     n = samples.n
+    if n < 24:
+        raise ConfigError(f"adaptation needs n >= 24, so that each half sample has a "
+                          f"truncation rule; the sample has {n} observations")
     half = n // 2
     half1 = SampleSet(d1=samples.d1, d2=samples.d2, data=samples.data[:half])
     half2 = SampleSet(d1=samples.d1, d2=samples.d2, data=samples.data[half:])
@@ -416,8 +406,7 @@ def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     pilot_rows = []
     full_grids = {}
     for kappa in kappa_grid:
-        opts = dict(kappa=kappa, S=S, nu=nu, c_kappa=c_kappa,
-                    restarts=restarts, seed=seed)
+        opts = dict(kappa=kappa, S=S, restarts=restarts, seed=seed)
         g1 = estimate_once(half1, grid, lattice, table=table1, **opts).density
         g2 = estimate_once(half2, grid, lattice, table=table2, **opts).density
         pilot_rows.append((kappa, g1, g2))
@@ -456,8 +445,7 @@ def adaptive_run(plan: ExperimentPlan, n: int, seed: int) -> AdaptiveCell:
     samples = scenario.sample(n, seed)
     outcome = adapt_from_samples(
         samples, grid, plan.lattice, kappa_grid=plan.kappa_grid, S=plan.S,
-        beta=plan.beta, nu=plan.nu, c_kappa=plan.c_kappa,
-        restarts=plan.restarts, seed=seed,
+        beta=plan.beta, restarts=plan.restarts, seed=seed,
     )
     if truth is None:
         aligned, shift = float("nan"), (0.0,) * scenario.d

@@ -220,7 +220,7 @@ class TestExitCodes:
         assert "header" in err
 
     @pytest.mark.parametrize("extra", [
-        {"S": "abc"}, {"c_kappa": "x"}, {"m_opt": "x"}, {"m_opt": 1}, {"restarts": "x"},
+        {"S": "abc"}, {"nu": "x"}, {"m_opt": "x"}, {"m_opt": 1}, {"restarts": "x"},
         {"seed": -1}, {"lattice": {"mins": [-1.0], "maxs": [1.0], "counts": [5]}},
     ])
     def test_estimate_bad_value_opens_no_run_dir(self, tmp_path, extra):
@@ -307,6 +307,11 @@ class TestExitCodes:
           for key, value in (("align_window", 0.5), ("align_step", 0.05), ("beta", 1.0))],
         *[("conjecture", dict(LIST_KEY_BASE["conjecture"], **{key: value}), "conjecture", key)
           for key, value in (("panels", 24), ("nodes", 40))],
+        # the inversion window's constant is fixed by the paper's rule
+        *[(command, dict(LIST_KEY_BASE[command], samples="unread.csv", c_kappa=0.001),
+           command, "c_kappa") for command in ("estimate", "adapt")],
+        ("experiment", dict(LIST_KEY_BASE["experiment"], c_kappa=0.001), "experiment",
+         "c_kappa"),
     ])
     def test_key_nothing_reads_is_rejected(self, tmp_path, command, cfg, section, key):
         path = write_config(tmp_path, "c.json", dict(cfg, out_dir=str(tmp_path / "out")))

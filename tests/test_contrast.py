@@ -14,6 +14,7 @@ from cfdeconv.contrast import (
     poly_tables,
 )
 from cfdeconv.ecf import EcfTable, SampleSet, ecf_on_grid
+from cfdeconv.minimize import MinimizeConfig, minimize_contrast
 from cfdeconv.multiindex_taylor import TaylorPoly, UpsilonParams, random_member
 
 from test_ecf import closed
@@ -86,6 +87,21 @@ class TestMakeGrid:
 
 
 class TestContrastEmpirical:
+    @pytest.mark.parametrize("named", [False, True])
+    def test_table_of_other_nodes_refused(self, grid24, rng, named):
+        # a table on the nu = 3 nodes has grid24's sizes, so only its grid
+        # id tells it apart; one tabulated without an id is refused too
+        samples = SampleSet(1, 1, rng.normal(size=(200, 2)))
+        other = make_grid(3.0, (1, 1), 24)
+        table = (ecf_table_for_grid(samples, other) if named
+                 else ecf_on_grid(samples, [other.axis_nodes] * 2))
+        poly = poly_11(2, {(1, 0): 0.2})
+        with pytest.raises(ConfigError, match="different grid"):
+            contrast_empirical(poly, table, grid24)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=2, tol=1e-8)
+        with pytest.raises(ConfigError, match="different grid"):
+            minimize_contrast(table, grid24, config)
+
     def test_constant_one_zero_sample(self, grid24):
         poly = poly_11(2, {})
         assert contrast_empirical(poly, zero_sample_table(grid24), grid24) == 0.0

@@ -9,7 +9,6 @@ from cfdeconv.multiindex_taylor import TaylorPoly
 from cfdeconv.reconstruct import (
     DensityGrid,
     LatticeSpec,
-    TuningRules,
     _axis_moments,
     invert,
     l2_distance,
@@ -72,29 +71,36 @@ class TestMRule:
 
 
 class TestOmegaRule:
+    # omega_rule(m, kappa, S, nu, d) = min(nu, 2 kappa e^{-(3d+5)/2}) m^kappa / S
     def test_cap_value_d2(self):
-        # cap 2 exp(-11/2) = 0.0081735428769281340; omega doubles at m=2,
-        # kappa=1, S=1
-        rules = TuningRules(kappa=1.0, S=1.0, nu_est=1.0, d=2)
-        assert omega_rule(2, rules) == pytest.approx(0.016347085753856268, rel=1e-13)
+        # cap 2 e^{-11/2}; omega doubles at m=2, kappa=1, S=1
+        assert omega_rule(2, 1.0, 1.0, 1.0, 2) == 0.016347085753856266
 
     def test_unit_degree(self):
-        rules = TuningRules(kappa=0.7, S=1.0, nu_est=1.0, d=2, c_kappa=0.005)
-        assert omega_rule(1, rules) == pytest.approx(0.005)
+        # cap 1.4 e^{-11/2}, and 1^kappa = 1
+        assert omega_rule(1, 0.7, 1.0, 1.0, 2) == 0.005721480013849693
+
+    def test_nu_below_the_cap(self):
+        # cap 2 * 0.5 e^{-4} = 0.0183 > nu = 0.01, so c_kappa = nu; 4^0.5 / 2 = 1
+        assert omega_rule(4, 0.5, 2.0, 0.01, 1) == 0.01
+
+    def test_nu_above_the_cap_changes_nothing(self):
+        assert omega_rule(3, 0.8, 1.0, 1.0, 2) == omega_rule(3, 0.8, 1.0, 1e6, 2)
 
     def test_doubling_S_halves_omega(self):
-        lo = TuningRules(kappa=0.8, S=1.0, nu_est=1.0, d=2, c_kappa=0.004)
-        hi = TuningRules(kappa=0.8, S=2.0, nu_est=1.0, d=2, c_kappa=0.004)
-        assert omega_rule(3, lo) == pytest.approx(2.0 * omega_rule(3, hi), rel=1e-14)
+        assert omega_rule(3, 0.8, 1.0, 1.0, 2) == 2.0 * omega_rule(3, 0.8, 2.0, 1.0, 2)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ConfigError):
-            TuningRules(kappa=1.0, S=1.0, nu_est=1.0, d=2, c_kappa=0.05)
+    @pytest.mark.parametrize("args", [
+        (1, 0.0, 1.0, 1.0, 2), (1, 1.5, 1.0, 1.0, 2), (1, 1.0, 0.0, 1.0, 2),
+        (1, 1.0, 1.0, 0.0, 2), (1, 1.0, 1.0, 1.0, 0),
+    ])
+    def test_invalid_parameters(self, args):
+        with pytest.raises(ConfigError, match="invalid tuning parameters"):
+            omega_rule(*args)
 
     def test_degree_precondition(self):
-        rules = TuningRules(kappa=1.0, S=1.0, nu_est=1.0, d=2)
-        with pytest.raises(ConfigError):
-            omega_rule(0, rules)
+        with pytest.raises(ConfigError, match="truncation degree"):
+            omega_rule(0, 1.0, 1.0, 1.0, 2)
 
 
 def moment_reference(omega, x, kmax):

@@ -29,12 +29,11 @@ from cfdeconv import (
     make_ica,
     make_repeated,
     poly_tables,
-    resolve_degrees,
     run,
 )
 from cfdeconv import runner as runner_module
 from cfdeconv.scenarios import ScenarioSpec
-from cfdeconv.reconstruct import m_rule
+from cfdeconv.reconstruct import m_rule, omega_rule
 
 
 # one small estimate on the benchmark's ICA scenario; prints its theta bytes
@@ -44,7 +43,7 @@ noise = cf.AxisNoise("uniform", 0.3)
 sc = cf.make_ica((cf.SignalSpec("uniform", (1.0,)), cf.SignalSpec("uniform", (0.5,))),
                  [[1.0, 0.5], [0.5, 1.0]], noise, noise, d1=1)
 out = cf.estimate_once(sc.sample(2000, 3), cf.make_grid(1.0, (1, 1), 48),
-                       cf.default_lattice(2, count=9), kappa=0.6, S=1.5, nu=1.0, m_opt=4,
+                       cf.default_lattice(2, count=9), kappa=0.6, S=1.5, m_opt=4,
                        restarts=1, seed=3)
 print(out.result.estimate.theta.tobytes().hex())
 """
@@ -149,10 +148,10 @@ class TestPlanValidation:
                                nodes_per_axis="24", cell_budget_s=3, seed=np.int64(5))
         assert plan.n_list == (12, 24) and plan.S == 1.5 and plan.nodes_per_axis == 24
         assert type(plan.cell_budget_s) is float and type(plan.seed) is int
-        assert plan.m_opt is None and plan.c_kappa is None
+        assert plan.m_opt is None
 
     @pytest.mark.parametrize("overrides", [
-        {"beta": 0.0}, {"c_kappa": -1.0}, {"nodes_per_axis": 1}, {"restarts": 0},
+        {"beta": 0.0}, {"nu": float("nan")}, {"nodes_per_axis": 1}, {"restarts": 0},
         {"seed": -1}, {"cell_budget_s": -1.0}, {"lattice": default_lattice(1)},
         # theoretical tuning would ignore m_opt, yet the report would echo it
         {"m_opt": 6},
@@ -186,13 +185,13 @@ class TestResolveDegrees:
     def test_theoretical_follows_rule(self, pointmass_repeated):
         plan = degenerate_plan(pointmass_repeated)
         for n, kappa in ((10**4, 0.75), (10**6, 0.55), (12, 0.75)):
-            m_trunc, m_opt = resolve_degrees(plan, n, kappa)
+            m_trunc, m_opt = runner_module._degrees(n, kappa, plan.m_opt)
             assert m_trunc == max(m_rule(n, kappa), 1)
             assert m_opt == 2 * m_trunc
 
     def test_override_halves(self, pointmass_repeated):
         plan = degenerate_plan(pointmass_repeated, tuning_mode="override", m_opt=6)
-        assert resolve_degrees(plan, 10**4, 0.75) == (3, 6)
+        assert runner_module._degrees(10**4, 0.75, plan.m_opt) == (3, 6)
 
 
 class TestRun:
@@ -332,7 +331,7 @@ class TestEstimateOnce:
     def test_smoke_and_table_reuse(self, uniform_repeated, grid24):
         samples = uniform_repeated.sample(200, seed=42)
         lattice = default_lattice(2, half=2.0, count=9)
-        kwargs = dict(kappa=0.75, S=1.5, nu=1.0, seed=3)
+        kwargs = dict(kappa=0.75, S=1.5, seed=3)
         out = estimate_once(samples, grid24, lattice, **kwargs)
         assert out.m_opt == 2 * out.m_trunc
         assert out.omega > 0
@@ -347,15 +346,25 @@ class TestEstimateOnce:
     def test_override_degree(self, uniform_repeated, grid24):
         samples = uniform_repeated.sample(100, seed=1)
         out = estimate_once(samples, grid24, default_lattice(2, half=2.0, count=9),
-                            kappa=0.75, S=1.5, nu=1.0, m_opt=4)
+                            kappa=0.75, S=1.5, m_opt=4)
         assert (out.m_trunc, out.m_opt) == (2, 4)
+
+    @pytest.mark.parametrize("nu", [0.002, 1.0])
+    def test_window_follows_the_grid_nu(self, uniform_repeated, nu):
+        # c_kappa = min(nu, 2 kappa e^{-11/2}) = min(nu, 0.00613): the grid's
+        # nu sets the window where it is below the constant cap
+        samples = uniform_repeated.sample(100, seed=1)
+        grid = make_grid(nu, (1, 1), 8)
+        out = estimate_once(samples, grid, default_lattice(2, half=2.0, count=5),
+                            kappa=0.75, S=1.5, m_opt=4, restarts=1)
+        assert out.omega == omega_rule(2, 0.75, 1.5, nu, 2)
 
     def test_override_degree_below_two_refused(self, uniform_repeated, grid24):
         # the same floor as ExperimentPlan's override tuning
         samples = uniform_repeated.sample(100, seed=1)
         with pytest.raises(ConfigError, match="m_opt must be >= 2"):
             estimate_once(samples, grid24, default_lattice(2, half=2.0, count=9),
-                          kappa=0.75, S=1.5, nu=1.0, m_opt=1)
+                          kappa=0.75, S=1.5, m_opt=1)
 
     def test_theta_independent_of_openblas_threads(self):
         # the ECF's and the contrast's products run with every OpenBLAS pool
@@ -395,7 +404,7 @@ class TestEstimateOnce:
             table = ecf_table_for_grid(samples, grid)
             assert modulus_error(table.full) > 0.47
             out = estimate_once(samples, grid, default_lattice(2, count=9), kappa=0.9,
-                                S=1.5, nu=1.0, m_opt=6, seed=seed, table=table)
+                                S=1.5, m_opt=6, seed=seed, table=table)
             errors.append(modulus_error(poly_tables(out.result.estimate, grid)[0]))
         assert max(errors) <= 0.25
 
@@ -405,7 +414,7 @@ class TestAdaptive:
         samples = uniform_repeated.sample(30, seed=7)
         outcome = adapt_from_samples(
             samples, grid24, default_lattice(2, half=2.0, count=9),
-            kappa_grid=(0.55, 1.0), S=1.5, beta=1.0, nu=1.0,
+            kappa_grid=(0.55, 1.0), S=1.5, beta=1.0,
         )
         assert outcome.kappa_hat in (0.55, 1.0)
         assert outcome.c_sigma >= 1e-12
@@ -413,11 +422,22 @@ class TestAdaptive:
         assert outcome.chosen is outcome.full[outcome.kappa_hat]
         assert {r.kappa for r in outcome.selection.rows} == {0.55, 1.0}
 
+    def test_sample_too_small_to_split(self, uniform_repeated, grid24):
+        # each half of 23 observations has 11, below m_rule's floor of 12;
+        # the refusal names the sample's own size
+        kwargs = dict(kappa_grid=(0.75,), S=1.5, beta=1.0)
+        with pytest.raises(ConfigError, match="n >= 24.* 23 observations"):
+            adapt_from_samples(uniform_repeated.sample(23, seed=7), grid24,
+                               default_lattice(2), **kwargs)
+        outcome = adapt_from_samples(uniform_repeated.sample(24, seed=7), grid24,
+                                     default_lattice(2, half=2.0, count=5), **kwargs)
+        assert outcome.kappa_hat == 0.75
+
     def test_empty_kappa_grid(self, uniform_repeated, grid24):
         samples = uniform_repeated.sample(30, seed=7)
         with pytest.raises(ConfigError):
             adapt_from_samples(samples, grid24, default_lattice(2),
-                               kappa_grid=(), S=1.5, beta=1.0, nu=1.0)
+                               kappa_grid=(), S=1.5, beta=1.0)
 
     def test_alignment_grid_is_positional(self, uniform_repeated, monkeypatch):
         calls = record_alignments(monkeypatch, 2)

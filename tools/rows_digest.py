@@ -17,7 +17,10 @@ SHA-256 of its report.csv and report.json, so the CLI's artifacts are
 compared too.  An `estimate-cli` line does the same for the `estimate`
 subcommand: `simulate` writes one small fixed sample (seed = the seed
 argument), `estimate` fits it, and the line prints the SHA-256 of its
-phi.json, density.csv and summary.json.  A `two-point-cli` line runs
+phi.json, density.csv and summary.json.  An `adapt-cli` line runs the
+`adapt` subcommand (seed = the seed argument) on the same sample and
+prints the SHA-256 of its selection.json and density.csv.  A
+`two-point-cli` line runs
 `simulate` on one fixed two-point config (seed = the seed argument) and
 prints the SHA-256 of its samples.csv and summary.json, so the two-point
 scenario's sampler and construction diagnostics are compared too.  A
@@ -64,6 +67,11 @@ SIMULATE = {"scenario": EXPERIMENT["scenario"], "n": 2000}
 ESTIMATE = {"d1": 1, "d2": 1, "kappa": 0.75, "S": 1.5, "nodes": 16, "m_opt": 4,
             "lattice": EXPERIMENT["lattice"]}
 ESTIMATE_FILES = ("phi.json", "density.csv", "summary.json")
+
+# kappa selection on the same sample, at the theoretical degrees
+ADAPT = {"d1": 1, "d2": 1, "kappa_grid": [0.6, 0.9], "S": 1.5, "nodes": 16,
+         "lattice": EXPERIMENT["lattice"]}
+ADAPT_FILES = ("selection.json", "density.csv")
 
 # the perturbed two-point scenario of the lab's kappa 0.75 instance at n = 10^4
 TWO_POINT = {
@@ -140,14 +148,14 @@ def experiment_digests(seed: int) -> tuple:
         return _file_digests(out, ("report.csv", "report.json"))
 
 
-def estimate_digests(seed: int) -> tuple:
-    """SHA-256 of each ESTIMATE_FILES artifact of the ESTIMATE config, run
+def fit_digests(command: str, cfg: dict, names, seed: int) -> tuple:
+    """SHA-256 of each artifact in `names` of the CLI `command` on cfg, run
     with seed `seed` on the SIMULATE sample drawn with seed `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
         sim = _cli_run(Path(tmp), "simulate", dict(SIMULATE, seed=seed))
-        out = _cli_run(Path(tmp), "estimate",
-                       dict(ESTIMATE, samples=str(sim / "samples.csv"), seed=seed))
-        return _file_digests(out, ESTIMATE_FILES)
+        out = _cli_run(Path(tmp), command,
+                       dict(cfg, samples=str(sim / "samples.csv"), seed=seed))
+        return _file_digests(out, names)
 
 
 def two_point_digests(seed: int) -> tuple:
@@ -174,9 +182,11 @@ def main(argv=None) -> int:
     report_csv, report_json = experiment_digests(args.seed)
     print(f"experiment-cli seed={args.seed} report.csv={report_csv} report.json={report_json}",
           flush=True)
-    estimate = " ".join(f"{name}={digest}" for name, digest in
-                        zip(ESTIMATE_FILES, estimate_digests(args.seed)))
-    print(f"estimate-cli seed={args.seed} {estimate}", flush=True)
+    for command, cfg, names in (("estimate", ESTIMATE, ESTIMATE_FILES),
+                                ("adapt", ADAPT, ADAPT_FILES)):
+        files = " ".join(f"{name}={digest}" for name, digest in
+                         zip(names, fit_digests(command, cfg, names, args.seed)))
+        print(f"{command}-cli seed={args.seed} {files}", flush=True)
     two_point = " ".join(f"{name}={digest}" for name, digest in
                          zip(TWO_POINT_FILES, two_point_digests(args.seed)))
     print(f"two-point-cli seed={args.seed} {two_point}")
