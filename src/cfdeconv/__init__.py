@@ -42,6 +42,7 @@ from .contrast import (
     OracleModel,
     QuadratureGrid,
     contrast_empirical,
+    contrast_gradient,
     contrast_oracle,
     ecf_table_for_grid,
     make_grid,
@@ -59,7 +60,7 @@ from .legendre_bounds import (
     sigma1_bound,
     truncation_sup_bound,
 )
-from .minimize import MinimizeConfig, MinimizeResult, contrast_gradient, minimize_contrast
+from .minimize import MinimizeConfig, MinimizeResult, minimize_contrast
 from .multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,

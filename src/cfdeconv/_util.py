@@ -49,29 +49,55 @@ class PairwiseAccumulator:
 
     Partial sums are merged only between equal tree levels, so the float
     rounding pattern is a function of the number of blocks alone.  `stack`
-    holds the (level, partial sum) pairs, levels decreasing.
+    holds the (level, partial sum) pairs, levels decreasing.  Every partial
+    sum lives in a buffer the accumulator owns: a merge adds into the older
+    sum's buffer in place and a buffer it frees is reused, so no merge
+    allocates, and an added block is only read.  A tree of depth k holds at
+    most k + 1 buffers.
     """
 
     def __init__(self):
         self.stack = []
+        self._free = []
 
     def add(self, block, level=0):
         """Add a block; a block of level k is the pairwise sum of 2^k
         blocks, so adding it after a multiple of 2^k blocks equals adding
         those blocks one by one."""
-        cur = np.asarray(block)
+        block = np.asarray(block)
+        if self.stack and self.stack[-1][0] == level:
+            _, acc = self.stack.pop()
+            self._push(np.add(acc, block, out=acc), level + 1)
+        else:
+            own = self._free.pop() if self._free else np.empty_like(block)
+            np.copyto(own, block)
+            self._push(own, level)
+
+    def absorb(self, other: "PairwiseAccumulator"):
+        """Add the partial sums of `other`, taking over its buffers; `other`
+        is left empty."""
+        stack, other.stack, other._free = other.stack, [], []
+        for level, own in stack:
+            self._push(own, level)
+
+    def _push(self, own, level):
         while self.stack and self.stack[-1][0] == level:
-            _, other = self.stack.pop()
-            cur = cur + other
-            level += 1
-        self.stack.append((level, cur))
+            _, acc = self.stack.pop()
+            np.add(acc, own, out=acc)
+            self._free.append(own)
+            own, level = acc, level + 1
+        self.stack.append((level, own))
 
     def total(self):
+        """The sum of every block added: the partial sums added in stack
+        order into the oldest one's buffer, which passes to the caller; the
+        accumulator is left empty."""
         if not self.stack:
             raise ValueError("no blocks accumulated")
-        acc = None
-        for _, arr in self.stack:
-            acc = arr if acc is None else acc + arr
+        (_, acc), *rest = self.stack
+        for _, arr in rest:
+            acc += arr
+        self.stack, self._free = [], []
         return acc
 
 

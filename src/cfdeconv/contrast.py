@@ -12,8 +12,17 @@ moduli of the per-block noise CFs instead of using empirical tables.
 Candidate values on a grid factor through per-block pattern matrices: with
 U[g1, q] the block-1 monomials and W[g2, r] the block-2 monomials, the full
 table of a candidate with scattered coefficient matrix C is U C W^T, and the
-two slice tables are U C[:, 0] and W C[0, :].  All contrast evaluations and
-the exact gradient reduce to a handful of small dense matrix products.
+two slice tables are U C[:, 0] and W C[0, :].  `contrast_empirical`,
+`contrast_oracle` and `contrast_gradient` evaluate the integrand on the grid:
+they are the definition, and their exact zeros are exact.
+
+The minimizer evaluates the same contrast from moments instead
+(`ContrastMoments`).  A product of two degree-m monomials is one of degree
+2m, so expanding |defect|^2 leaves the grid only in moment matrices of the
+ECF table against the degree-2m monomial tables, computed once per table and
+degree.  A candidate's value and gradient are then small contractions whose
+cost does not depend on the grid.  The expansion sums three terms that
+cancel, so it agrees with the grid to rounding relative to those terms.
 
 Nothing here is cached across calls at module level: a grid memoizes its own
 derived arrays and pattern matrices, and candidate tables are recomputed on
@@ -29,7 +38,14 @@ import numpy as np
 
 from ._util import ConfigError, NumericalError, content_hash, tensor_points, tensor_weights
 from .ecf import EcfTable, SampleSet, ecf_on_grid
-from .multiindex_taylor import TaylorPoly, block_split, monomial_matrix
+from .multiindex_taylor import (
+    TaylorPoly,
+    block_split,
+    index_table,
+    monomial_matrix,
+    parity_phase,
+    sum_map,
+)
 
 
 @dataclass(frozen=True)
@@ -162,13 +178,12 @@ class OracleModel:
 
 
 class _GridTables:
-    """Per-(grid, degree) pattern monomial matrices U, W and scatter maps."""
+    """Per-(grid, degree) pattern monomial matrices U and W."""
 
     def __init__(self, grid: QuadratureGrid, max_degree: int):
         d1, d2 = grid.dims
         self.U = monomial_matrix(grid.block1_points, d1, max_degree)
         self.W = monomial_matrix(grid.block2_points, d2, max_degree)
-        self.p1, self.p2, self.n1, self.n2 = block_split((d1, d2), max_degree)
 
     @classmethod
     def get(cls, grid: QuadratureGrid, max_degree: int) -> "_GridTables":
@@ -178,10 +193,11 @@ class _GridTables:
         return memo[max_degree]
 
 
-def scatter_matrix(poly: TaylorPoly, tables: _GridTables) -> np.ndarray:
+def scatter_matrix(poly: TaylorPoly) -> np.ndarray:
     """Coefficients arranged as a block-1 pattern x block-2 pattern matrix."""
-    C = np.zeros((tables.n1, tables.n2), dtype=np.complex128)
-    C[tables.p1, tables.p2] = poly.coeffs
+    p1, p2, n1, n2 = block_split(poly.dims, poly.max_degree)
+    C = np.zeros((n1, n2), dtype=np.complex128)
+    C[p1, p2] = poly.coeffs
     return C
 
 
@@ -194,7 +210,7 @@ def poly_tables(poly: TaylorPoly, grid: QuadratureGrid):
     if poly.dims != grid.dims:
         raise ConfigError(f"poly dims {poly.dims} != grid dims {grid.dims}")
     gt = _GridTables.get(grid, poly.max_degree)
-    C = scatter_matrix(poly, gt)
+    C = scatter_matrix(poly)
     full = gt.U @ C @ gt.W.T
     first = gt.U @ C[:, 0]
     second = gt.W @ C[0, :]
@@ -257,6 +273,122 @@ def contrast_empirical(candidate, table: EcfTable, grid: QuadratureGrid) -> floa
     """Empirical factorization contrast of a candidate against an ECF table."""
     ref = _ref_tables(table, grid)
     return _empirical_value(_defect(_tables_for(candidate, grid), ref), grid)
+
+
+def contrast_gradient(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -> np.ndarray:
+    """Exact gradient of the empirical contrast in the theta coordinates, on
+    the grid.  Pinned coordinates (the unit value at the zero index) get 0."""
+    if poly.dims != grid.dims:
+        raise ConfigError(f"poly dims {poly.dims} != grid dims {grid.dims}")
+    full_r, first_r, second_r = ref = _ref_tables(table, grid)
+    gt = _GridTables.get(grid, poly.max_degree)
+    _, first_p, second_p = tables = poly_tables(poly, grid)
+    B = (grid.w1[:, None] * grid.w2[None, :]) * np.conj(_defect(tables, ref))
+    T1 = gt.U.T @ (B * (first_r[:, None] * second_r[None, :])) @ gt.W
+    BF = B * full_r
+    S1 = gt.U.T @ (BF @ second_p)
+    S2 = gt.W.T @ (BF.T @ first_p)
+    p1, p2, _, _ = block_split(poly.dims, poly.max_degree)
+    inner = T1[p1, p2]
+    inner = inner - np.where(p2 == 0, S1[p1], 0.0)
+    inner = inner - np.where(p1 == 0, S2[p2], 0.0)
+    return _theta_gradient(inner, poly)
+
+
+def _theta_gradient(inner, poly: TaylorPoly) -> np.ndarray:
+    """2 Re(phase * inner): the theta gradient from the derivative in the
+    coefficients, pinned coordinate 0."""
+    grad = 2.0 * np.real(parity_phase(poly.d, poly.max_degree) * inner)
+    if poly.cf_candidate:
+        grad[0] = 0.0
+    if not np.all(np.isfinite(grad)):
+        raise NumericalError("non-finite contrast gradient")
+    return grad
+
+
+# i^k for k mod 4
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+class ContrastMoments:
+    """The empirical contrast of degree-m candidates against one ECF table,
+    from moment matrices of the table.
+
+    With V1, V2 the blocks' degree-2m monomial tables, a, b, Phi the table's
+    slices and full values and w = w1 w2 the weights, the table enters only
+    through
+
+        Ga[q, s] = ma[q+s],  ma = V1^T (w1 |a|^2),  and Gb likewise from b,
+        K = V1^T (w |Phi|^2) V2,   N = V1^T (w conj(a b) Phi) V2,
+
+    where q+s is the row of the sum of two degree-m patterns (`sum_map`).
+    For a scattered coefficient matrix C with slices c1 = C[:, 0] and
+    c2 = C[0, :], the contrast is
+
+        <C, Ga C Gb> + y1^T K y2 - 2 Re <C, Z>,
+        Z[q, r] = sum_{s, u} c1[s] c2[u] N[q+s, r+u],
+
+    with y1, y2 the products conj(c) c of each slice folded onto the
+    degree-2m patterns.  The sums over q+s and r+u are products with
+    scatter matrices of the slices, H1[q+s, q] = c1[s], so every
+    contraction of a candidate is a matrix product no larger than N.
+
+    The table and the grid are symmetric under t -> -t, so N[k, l] is
+    i^(|k| + |l|) times a real number, and c1[s] i^|s| is real: in these
+    twisted coordinates the N terms, the largest, are real products.
+    """
+
+    def __init__(self, table: EcfTable, grid: QuadratureGrid, max_degree: int):
+        full, a, b = _ref_tables(table, grid)
+        gt = _GridTables.get(grid, 2 * max_degree)
+        self.S1, self.S2 = (sum_map(d, max_degree) for d in grid.dims)
+        self.p1, self.p2, n1, n2 = block_split(grid.dims, max_degree)
+        w = grid.w1[:, None] * grid.w2[None, :]
+        ma = gt.U.T @ (grid.w1 * np.abs(a) ** 2)
+        mb = gt.W.T @ (grid.w2 * np.abs(b) ** 2)
+        self.Ga = ma[self.S1].astype(np.complex128)
+        self.Gb = mb[self.S2].astype(np.complex128)
+        self.K = gt.U.T @ (w * np.abs(full) ** 2) @ gt.W
+        X = w * np.conj(a[:, None] * b[None, :]) * full
+        N = gt.U.T @ X.real @ gt.W + 1j * (gt.U.T @ X.imag @ gt.W)
+        rho1, rho2 = (_QUARTER_TURNS[index_table(d, 2 * max_degree)[1] % 4] for d in grid.dims)
+        self.Nt = (N * np.conj(rho1)[:, None] * np.conj(rho2)).real
+        self.rho1, self.rho2 = rho1[:n1], rho2[:n2]
+        self.twist = self.rho1[:, None] * self.rho2
+
+    def evaluate(self, poly: TaylorPoly) -> tuple:
+        """(contrast, theta gradient) of a candidate of this degree; the
+        pinned coordinate (the unit value at the zero index) gets 0."""
+        S1, S2, (n1, n2) = self.S1, self.S2, self.twist.shape
+        C = scatter_matrix(poly)
+        c1, c2 = C[:, 0], C[0, :]
+        # twisted real coordinates: Ct = conj(C) i^(|q| + |r|), c1t = c1 i^|s|
+        Ct = (C * np.conj(self.twist)).real
+        H1, H2 = np.zeros((self.Nt.shape[0], n1)), np.zeros((self.Nt.shape[1], n2))
+        H1[S1, np.arange(n1)[:, None]] = (self.rho1 * c1).real
+        H2[S2, np.arange(n2)[:, None]] = (self.rho2 * c2).real
+        GCG = self.Ga @ C @ self.Gb
+        # P[k, r] = sum_u c2t[u] Nt[k, r+u], and Z = twist * (H1^T P)
+        P = self.Nt @ H2
+        Zt = H1.T @ P
+        y1 = np.bincount(S1.ravel(), np.real(np.conj(c1)[:, None] * c1).ravel(), self.K.shape[0])
+        y2 = np.bincount(S2.ravel(), np.real(np.conj(c2)[:, None] * c2).ravel(), self.K.shape[1])
+        Ky2, Ky1 = self.K @ y2, y1 @ self.K
+        value = float(np.vdot(C, GCG).real + y1 @ Ky2 - 2.0 * (Ct.ravel() @ Zt.ravel()))
+        if not np.isfinite(value):
+            raise NumericalError("contrast evaluated to a non-finite value")
+        # the contrast is an integral of |defect|^2; where the three terms
+        # cancel completely, their rounding can fall below 0
+        value = max(value, 0.0)
+        # derivative in conj(C); the slices add column 0 and row 0, where
+        # X1[s] and X2[u] sum Ct[q, r] c1t[s] c2t[u] Nt[q+s, r+u] over all
+        # indices but s, or but u
+        G = GCG - self.twist * Zt
+        X1 = (P @ Ct.T)[S1, np.arange(n1)[:, None]].sum(axis=0)
+        X2 = ((H1 @ Ct).T @ self.Nt)[np.arange(n2)[:, None], S2].sum(axis=0)
+        G[:, 0] += Ky2[S1] @ c1 - np.conj(self.rho1) * X1
+        G[0, :] += Ky1[S2] @ c2 - np.conj(self.rho2) * X2
+        return value, _theta_gradient(np.conj(G[self.p1, self.p2]), poly)
 
 
 def contrast_oracle(candidate, model: OracleModel, grid: QuadratureGrid) -> float:

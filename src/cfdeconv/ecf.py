@@ -191,25 +191,25 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
     starts = range(0, n, CHUNK << RUN_LEVEL)
 
     def run_sum(start):
-        """The pairwise sum of one aligned run's chunk products, as the
-        stack its accumulator leaves: one node of level RUN_LEVEL for a
-        full run.  The run's two stacks are filled in place chunk by chunk."""
+        """The pairwise sum of one aligned run's chunk products, as its
+        accumulator: one node of level RUN_LEVEL for a full run.  The run's
+        two stacks are filled in place chunk by chunk."""
         a1, a2 = (np.ones((2 * _half_size(b) + 1, CHUNK)) for b in (nodes1, nodes2))
         acc = PairwiseAccumulator()
         for lo in range(start, min(start + (CHUNK << RUN_LEVEL), n), CHUNK):
             block = data[lo : lo + CHUNK]
             acc.add(_half_lattice(a1, block[:, :d1], nodes1)
                     @ _half_lattice(a2, block[:, d1:], nodes2).T)
-        return acc.stack
+        return acc
 
     acc = PairwiseAccumulator()
     workers = min(len(starts), _cpu_count())
     with (one_blas_thread(),
           ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool):
-        for stack in (pool.map if pool else map)(run_sum, starts):
-            for level, node in stack:
-                acc.add(node, level)
-    p = acc.total() / n
+        for run in (pool.map if pool else map)(run_sum, starts):
+            acc.absorb(run)
+    p = acc.total()
+    p /= n
     h1, h2 = len(p) // 2, p.shape[1] // 2
     cc, cs, sc, ss = p[:h1, :h2], p[:h1, h2:-1], p[h1:-1, :h2], p[h1:-1, h2:-1]
     plus, minus = cc - ss + 1j * (sc + cs), cc + ss + 1j * (sc - cs)

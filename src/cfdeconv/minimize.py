@@ -2,11 +2,12 @@
 
 The decision variable is the real parity-reduced coefficient vector of a
 TaylorPoly; the admissible class is a box in it (pinned unit value at zero,
-per-order modulus caps), the bounds of scipy's L-BFGS-B.  The gradient is
-exact: the contrast is a quadratic form of the candidate's grid tables, which
-factor through the pattern matrices, so each partial derivative reduces to
-entries of three small matrix products.  A candidate's tables and defect are
-built once and serve both its value and its gradient.
+per-order modulus caps), the bounds of scipy's L-BFGS-B.  Each iterate's
+value and exact gradient come from the table's moment matrices
+(`contrast.ContrastMoments`), built once per minimization: small
+contractions whose cost does not depend on the quadrature grid.  They agree
+with the grid definition (`contrast_empirical`, `contrast_gradient`) to
+rounding relative to the three terms the moment form sums.
 
 While its starts run, `minimize_contrast` holds both OpenBLAS pools,
 numpy's and the one scipy's L-BFGS-B links, at one thread
@@ -21,20 +22,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
 
-from ._util import ConfigError, NumericalError, one_blas_thread
-from .contrast import QuadratureGrid, _GridTables, _defect, _empirical_value, _ref_tables, poly_tables
-# module attribute kept for callers that look it up here (perfbench/tracer.py)
-from .contrast import contrast_empirical  # noqa: F401
+from ._util import ConfigError, one_blas_thread
+from .contrast import ContrastMoments, QuadratureGrid, _GridTables
+# module attributes kept for callers that look them up here (perfbench/tracer.py)
+from .contrast import contrast_empirical, contrast_gradient  # noqa: F401
 from .ecf import EcfTable
 from .multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,
     _bound_vector,
+    block_split,
     index_table,
     parity_phase,
     project_upsilon,
@@ -98,72 +99,6 @@ class MinimizeResult:
     reasons: tuple
 
 
-class _Point(NamedTuple):
-    """A candidate with its grid tables, defect table and contrast value."""
-
-    poly: TaylorPoly
-    tables: tuple
-    defect: np.ndarray
-    value: float
-
-
-class _Evaluator:
-    """Empirical contrast value and exact gradient of TaylorPoly candidates
-    of one degree against one ECF table.
-
-    `point` builds a candidate's tables and defect once; `gradient` reuses
-    them, so a value and a gradient at the same candidate cost one table
-    pass.  The grid's weight outer product is formed once per evaluator.
-    """
-
-    def __init__(self, table: EcfTable, grid: QuadratureGrid, max_degree: int):
-        self.ref = _ref_tables(table, grid)
-        self.grid = grid
-        self.gt = _GridTables.get(grid, max_degree)
-        self.weights = grid.w1[:, None] * grid.w2[None, :]
-
-    def point(self, poly: TaylorPoly) -> _Point:
-        tables = poly_tables(poly, self.grid)
-        A = _defect(tables, self.ref)
-        return _Point(poly, tables, A, _empirical_value(A, self.grid))
-
-    def gradient(self, pt: _Point) -> np.ndarray:
-        """Partial derivatives in the theta coordinates; pinned coordinates
-        (the unit value at the zero index) get 0."""
-        gt, poly = self.gt, pt.poly
-        _, first_p, second_p = pt.tables
-        full_r, first_r, second_r = self.ref
-        B = self.weights * np.conj(pt.defect)
-        # keep the outer product an inline temporary: on large grids numpy
-        # then multiplies by B in its buffer, whose rounding differs from a
-        # product with a stored array (test_bit_equal_to_public_functions)
-        T1 = gt.U.T @ (B * (first_r[:, None] * second_r[None, :])) @ gt.W
-        BF = B * full_r
-        S1 = gt.U.T @ (BF @ second_p)
-        S2 = gt.W.T @ (BF.T @ first_p)
-        phase = parity_phase(poly.d, poly.max_degree)
-        inner = T1[gt.p1, gt.p2]
-        inner = inner - np.where(gt.p2 == 0, S1[gt.p1], 0.0)
-        inner = inner - np.where(gt.p1 == 0, S2[gt.p2], 0.0)
-        grad = 2.0 * np.real(phase * inner)
-        if poly.cf_candidate:
-            grad[0] = 0.0
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError("non-finite contrast gradient")
-        return grad
-
-
-def contrast_gradient(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -> np.ndarray:
-    """Exact gradient of the empirical contrast in the theta coordinates.
-
-    Pinned coordinates (the unit value at the zero index) get gradient 0.
-    """
-    if poly.dims != grid.dims:
-        raise ConfigError(f"poly dims {poly.dims} != grid dims {grid.dims}")
-    ev = _Evaluator(table, grid, poly.max_degree)
-    return ev.gradient(ev.point(poly))
-
-
 def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     """Weighted least-squares fit of the ECF on the full grid, then projection.
 
@@ -185,7 +120,8 @@ def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     Q1, R1 = np.linalg.qr(sqw1 * gt.U)
     Q2, R2 = np.linalg.qr(sqw2 * gt.W)
     phase = parity_phase(grid.d, m_opt)
-    design = (R1[:, None, gt.p1] * R2[None, :, gt.p2]).reshape(-1, phase.shape[0]) * phase
+    p1, p2, _, _ = block_split(grid.dims, m_opt)
+    design = (R1[:, None, p1] * R2[None, :, p2]).reshape(-1, phase.shape[0]) * phase
     rhs = ((sqw1 * Q1).T @ (table.full - 1.0) @ (sqw2 * Q2)).reshape(-1)
     lhs = design[:, 1:]
     stacked = np.concatenate([lhs.real, lhs.imag], axis=0)
@@ -199,36 +135,36 @@ _CONVERGED = ("resolution", "ftol", "gtol")
 _LAST = _CONVERGED + ("deadline",)  # reasons after which no start follows
 
 
-def _descend(ev: _Evaluator, start: TaylorPoly, box, config: MinimizeConfig) -> tuple:
-    """(final iterate, contrast trace, stop reason) of L-BFGS-B on contrast / tol
-    from `start`; the last evaluated point is kept for the callback's iterate."""
+def _descend(moments: ContrastMoments, start: TaylorPoly, box, config: MinimizeConfig) -> tuple:
+    """(final iterate, its contrast, contrast trace, stop reason) of L-BFGS-B
+    on contrast / tol from `start`; the last evaluated point is kept for the
+    callback's iterate."""
     tol = config.tol
-    pt = ev.point(start)
-    trace = [pt.value]
-    if pt.value <= tol:
-        return pt, trace, "resolution"
-    last = [pt, ev.gradient(pt)]
+    last = [start, *moments.evaluate(start)]
+    trace = [last[1]]
+    if trace[0] <= tol:
+        return start, trace[0], trace, "resolution"
 
     def evaluate(x):
-        if not np.array_equal(x, last[0].poly.theta):
-            pt = ev.point(TaylorPoly(start.dims, start.max_degree, x))
-            last[:] = pt, ev.gradient(pt)
+        if not np.array_equal(x, last[0].theta):
+            poly = TaylorPoly(start.dims, start.max_degree, x)
+            last[:] = poly, *moments.evaluate(poly)
         return last
 
     def fun(x):
-        pt, grad = evaluate(x)
-        return pt.value / tol, grad / tol
+        _, value, grad = evaluate(x)
+        return value / tol, grad / tol
 
     def callback(intermediate_result):
-        trace.append(evaluate(intermediate_result.x)[0].value)
+        trace.append(evaluate(intermediate_result.x)[1])
         if trace[-1] <= tol or time.monotonic() > config.deadline:
             raise StopIteration
 
     res = optimize.minimize(fun, start.theta, jac=True, method="L-BFGS-B", bounds=box,
                             callback=callback, options={"maxiter": MAX_ITERS, "ftol": FTOL})
     # res.x is the last iterate, also after a failed line search
-    pt = evaluate(res.x)[0]
-    if pt.value <= tol:
+    poly, value, _ = evaluate(res.x)
+    if value <= tol:
         reason = "resolution"
     elif res.status == 99:  # the callback raised StopIteration: past the deadline
         reason = "deadline"
@@ -236,7 +172,7 @@ def _descend(ev: _Evaluator, start: TaylorPoly, box, config: MinimizeConfig) -> 
         reason = "gtol" if "PGTOL" in res.message else "ftol"
     else:
         reason = "max_iters" if res.status == 1 else "abnormal"
-    return pt, trace, reason
+    return poly, value, trace, reason
 
 
 def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeConfig) -> MinimizeResult:
@@ -257,20 +193,20 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     pinned = index_table(grid.d, config.m_opt)[1] == 0
     box = optimize.Bounds(np.where(pinned, 1.0, -bounds), np.where(pinned, 1.0, bounds))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    ev = _Evaluator(table, grid, config.m_opt)
     runs = []
     with one_blas_thread():
-        while len(runs) < config.restarts and (not runs or runs[-1][2] not in _LAST):
+        moments = ContrastMoments(table, grid, config.m_opt)
+        while len(runs) < config.restarts and (not runs or runs[-1][3] not in _LAST):
             start = (random_member(config.params, grid.dims, config.m_opt, rng) if runs
                      else _ls_init(table, grid, config.m_opt))
-            runs.append(_descend(ev, project_upsilon(start, config.params), box, config))
-    pt, trace, reason = min(runs, key=lambda run: run[0].value)
+            runs.append(_descend(moments, project_upsilon(start, config.params), box, config))
+    estimate, value, trace, reason = min(runs, key=lambda run: run[1])
     return MinimizeResult(
-        estimate=pt.poly,
-        value=pt.value,
+        estimate=estimate,
+        value=value,
         trace=np.array(trace),
         restarts_used=len(runs),
         converged=reason in _CONVERGED,
         reason=reason,
-        reasons=tuple(run[2] for run in runs),
+        reasons=tuple(run[3] for run in runs),
     )

@@ -54,7 +54,7 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def index_table(d: int, max_degree: int):
     """All multi-indices in d coordinates with total order <= max_degree.
 
@@ -75,7 +75,7 @@ def index_table(d: int, max_degree: int):
     return entries, orders, position
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def parity_phase(d: int, max_degree: int) -> np.ndarray:
     """1 (even order) or 1j (odd order) per index_table(d, max_degree) row,
     read-only: theta * phase is the complex coefficient vector."""
@@ -85,7 +85,7 @@ def parity_phase(d: int, max_degree: int) -> np.ndarray:
     return phase
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def block_split(dims: tuple, max_degree: int):
     """Per-block pattern tables for indices split as (first d1, last d2) axes.
 
@@ -102,6 +102,22 @@ def block_split(dims: tuple, max_degree: int):
     p1.setflags(write=False)
     p2.setflags(write=False)
     return p1, p2, len(pos1), len(pos2)
+
+
+@lru_cache(maxsize=32)
+def sum_map(d: int, max_degree: int) -> np.ndarray:
+    """Row of index_table(d, 2 * max_degree) holding the sum of rows q and s
+    of index_table(d, max_degree), as a read-only symmetric int array:
+    t^q t^s is column [q, s] of the degree-2m monomial table."""
+    entries = index_table(d, max_degree)[0]
+    # a multi-index's digits in base 2m + 1 never carry when two are added
+    radix = (2 * max_degree + 1) ** np.arange(d, dtype=np.int64)
+    codes = index_table(d, 2 * max_degree)[0] @ radix
+    order = np.argsort(codes)
+    half = entries @ radix
+    out = order[np.searchsorted(codes, half[:, None] + half[None, :], sorter=order)]
+    out.setflags(write=False)
+    return out
 
 
 @dataclass

@@ -3,13 +3,14 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from cfdeconv import ConfigError, ecf
-from cfdeconv._util import CHUNK, cos_sin, one_blas_thread
+from cfdeconv._util import CHUNK, PairwiseAccumulator, cos_sin, one_blas_thread
 from cfdeconv.contrast import make_grid
 from cfdeconv.ecf import SampleSet, ecf_eval, ecf_on_grid, export_csv, load_csv
 
@@ -321,6 +322,77 @@ class TestChunkRuns:
             ecf_on_grid(s, [make_grid(1.0, (1, 1), 8).axis_nodes] * 2)
         assert set(blas_pools()) == {2}
         assert threading.active_count() == threads
+
+
+def allocating_tree_sum(blocks):
+    """The pairwise tree as first written: every merge allocates a new sum."""
+    stack = []
+    for cur in blocks:
+        level = 0
+        while stack and stack[-1][0] == level:
+            cur = cur + stack.pop()[1]
+            level += 1
+        stack.append((level, cur))
+    acc = None
+    for _, arr in stack:
+        acc = arr if acc is None else acc + arr
+    return acc
+
+
+class TestPairwiseAccumulator:
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 20, 31, 33])
+    def test_bits_of_the_allocating_tree(self, count, rng):
+        blocks = [rng.standard_t(3, size=(5, 3)) for _ in range(count)]
+        copies = [b.copy() for b in blocks]
+        acc = PairwiseAccumulator()
+        for block in blocks:
+            acc.add(block)
+        assert acc.total().tobytes() == allocating_tree_sum(copies).tobytes()
+        # the caller's blocks are only read
+        assert all(b.tobytes() == c.tobytes() for b, c in zip(blocks, copies))
+
+    @pytest.mark.parametrize("split", [0, 3, 8, 13])
+    def test_absorb_equals_adding_the_blocks(self, split, rng):
+        # a run of 8 blocks is one level-3 node, as ecf_on_grid's runs are
+        blocks = [rng.normal(size=4) for _ in range(13)]
+        whole, head = PairwiseAccumulator(), PairwiseAccumulator()
+        for block in blocks:
+            whole.add(block)
+        for start in range(0, 13, 8):
+            run = PairwiseAccumulator()
+            for block in blocks[start:start + 8]:
+                run.add(block)
+            head.absorb(run)
+            assert run.stack == []
+        assert head.total().tobytes() == whole.total().tobytes()
+
+    def test_buffers_bounded_by_depth(self, rng):
+        acc, seen = PairwiseAccumulator(), set()
+        for _ in range(31):
+            acc.add(rng.normal(size=3))
+            seen.update(id(arr) for _, arr in acc.stack)
+            seen.update(id(arr) for arr in acc._free)
+        # 31 blocks make a tree of depth 5: at most 6 buffers ever
+        assert len(acc.stack) == 5 and len(seen) <= 6
+
+    def test_table_peak_memory(self):
+        # d1 = d2 = 2 on 24 nodes: half lattices of H = 12 * 24 points, so a
+        # partial sum is (2H + 1)^2 doubles and a run's [cos; sin; 1] stacks
+        # are 2 (2H + 1) CHUNK doubles.  31 chunks are one run, a tree of
+        # depth 5: bound the peak by the stacks and 5 + 2 partial sums (the
+        # allocating tree reached 29.3 MB, this one 25.4 MB)
+        grid = make_grid(1.0, (2, 2), 24)
+        s = make_samples(np.random.default_rng(3).normal(size=(31 * CHUNK, 4)), 2, 2)
+        side = 2 * 12 * 24 + 1
+        bound = 8 * (2 * side * CHUNK + 7 * side * side)
+        tracemalloc.start()
+        try:
+            table = ecf_on_grid(s, [grid.axis_nodes] * 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.full.shape == (576, 576)
+        assert peak <= bound
 
 
 class TestCosSin:

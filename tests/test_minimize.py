@@ -15,6 +15,7 @@ from cfdeconv import ecf as ecf_module
 from cfdeconv import contrast as contrast_module
 from cfdeconv import minimize as minimize_module
 from cfdeconv.contrast import (
+    ContrastMoments,
     _GridTables,
     contrast_empirical,
     ecf_table_for_grid,
@@ -26,7 +27,6 @@ from cfdeconv.ecf import SampleSet, ecf_on_grid
 from cfdeconv.minimize import (
     MinimizeConfig,
     MinimizeResult,
-    _Evaluator,
     _ls_init,
     contrast_gradient,
     minimize_contrast,
@@ -34,6 +34,7 @@ from cfdeconv.minimize import (
 from cfdeconv.multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,
+    block_split,
     index_table,
     parity_phase,
     random_member,
@@ -110,32 +111,68 @@ def seed_gradient(poly, table, grid):
     S1 = gt.U.T @ ((B * table.full) @ second_p)
     S2 = gt.W.T @ ((B * table.full).T @ first_p)
     phase = np.where(poly.orders % 2 == 0, 1.0 + 0.0j, 1.0j)
-    inner = T1[gt.p1, gt.p2]
-    inner = inner - np.where(gt.p2 == 0, S1[gt.p1], 0.0)
-    inner = inner - np.where(gt.p1 == 0, S2[gt.p2], 0.0)
+    p1, p2, _, _ = block_split(poly.dims, poly.max_degree)
+    inner = T1[p1, p2]
+    inner = inner - np.where(p2 == 0, S1[p1], 0.0)
+    inner = inner - np.where(p1 == 0, S2[p2], 0.0)
     grad = 2.0 * np.real(phase * inner)
     grad[0] = 0.0
     return grad
 
 
-class TestEvaluator:
+class TestMoments:
+    # the moment form sums three terms that cancel, so it matches the grid
+    # definition to rounding, not bit for bit
+    @pytest.mark.parametrize("nu", [1.0, 3.0])
+    @pytest.mark.parametrize("dims, nodes, m_opt", [
+        ((1, 1), 48, 2), ((1, 1), 48, 6), ((1, 1), 48, 10), ((2, 2), 12, 4), ((2, 2), 12, 8),
+    ])
+    def test_matches_grid_definition(self, dims, nodes, m_opt, nu, rng):
+        grid = make_grid(nu, dims, nodes)
+        d = dims[0] + dims[1]
+        table = ecf_table_for_grid(SampleSet(*dims, rng.normal(size=(300, d))), grid)
+        moments = ContrastMoments(table, grid, m_opt)
+        for _ in range(5):
+            poly = random_member(UpsilonParams(0.75, 1.5), dims, m_opt, rng)
+            value, grad = moments.evaluate(poly)
+            ref = contrast_gradient(poly, table, grid)
+            assert value == pytest.approx(contrast_empirical(poly, table, grid), rel=1e-12)
+            assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert grad[0] == 0.0
+
+    def test_complete_cancellation_is_zero(self):
+        # flat table and unit candidate: the three terms cancel, and their
+        # rounding residue (-7.1e-15 here) does not make the value negative
+        grid = make_grid(1.0, (2, 2), 12)
+        table = ecf_table_for_grid(SampleSet(2, 2, np.zeros((1, 4))), grid)
+        unit = TaylorPoly((2, 2), 3, np.eye(1, index_table(4, 3)[0].shape[0])[0])
+        value, grad = ContrastMoments(table, grid, 3).evaluate(unit)
+        assert value == 0.0
+        np.testing.assert_allclose(grad, 0.0, atol=1e-13)
+
     # (2, 2) on 12 nodes gives 144 x 144 tables, above the size at which
-    # numpy reuses a temporary's buffer for the next product; that loop
-    # rounds differently, so hoisting an inline outer product changes bits
+    # numpy reuses a temporary's buffer for the next product
     @pytest.mark.parametrize("dims, nodes", [((1, 1), 24), ((2, 2), 12)])
-    def test_bit_equal_to_public_functions(self, dims, nodes, rng):
+    def test_grid_gradient_bits(self, dims, nodes, rng):
         grid = make_grid(1.0, dims, nodes)
         d = dims[0] + dims[1]
         table = ecf_table_for_grid(SampleSet(*dims, rng.normal(size=(300, d))), grid)
-        params = UpsilonParams(0.75, 1.5)
-        ev = _Evaluator(table, grid, 4)
         for _ in range(5):
-            poly = random_member(params, dims, 4, rng)
-            pt = ev.point(poly)
-            assert pt.value == contrast_empirical(poly, table, grid)
-            grad = ev.gradient(pt)
-            assert np.array_equal(grad, contrast_gradient(poly, table, grid))
+            poly = random_member(UpsilonParams(0.75, 1.5), dims, 4, rng)
+            grad = contrast_gradient(poly, table, grid)
             assert np.array_equal(grad, seed_gradient(poly, table, grid))
+
+    def test_hot_loop_builds_no_grid_tables(self, rm4d_table, monkeypatch):
+        table, grid = rm4d_table
+        calls = []
+        for name in ("poly_tables", "_defect"):
+            real = getattr(contrast_module, name)
+            monkeypatch.setattr(contrast_module, name,
+                                lambda *args, real=real, name=name: calls.append(name)
+                                or real(*args))
+        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=1e-12, seed=5)
+        res = minimize_contrast(table, grid, config)
+        assert len(res.trace) > 5 and calls == []
 
     def test_hot_loop_does_no_hashing(self, monkeypatch, rng):
         grid = make_grid(1.0, (1, 1), 24)
@@ -268,8 +305,11 @@ class TestMinimize:
         table = ecf_table_for_grid(s, grid24)
         config = MinimizeConfig(params=UpsilonParams(0.8, 1.5), m_opt=3, tol=1e-8, seed=2)
         res = minimize_contrast(table, grid24, config)
+        assert res.value == ContrastMoments(table, grid24, 3).evaluate(res.estimate)[0]
+        # the moment form's three terms are O(1) here and cancel, so it
+        # matches the grid definition to their rounding, not to the value's
         recomputed = contrast_empirical(res.estimate, table, grid24)
-        assert res.value == pytest.approx(recomputed, rel=1e-12, abs=1e-18)
+        assert res.value == pytest.approx(recomputed, rel=1e-12, abs=1e-14)
 
     def test_estimate_is_feasible(self, grid24, rng):
         params = UpsilonParams(0.65, 1.2)
@@ -335,9 +375,10 @@ def _dense_ls_theta(table, grid, m_opt):
     phase = parity_phase(grid.d, m_opt)
     n_idx = phase.shape[0]
     gt = _GridTables.get(grid, m_opt)
+    p1, p2, _, _ = block_split(grid.dims, m_opt)
     design = (
-        gt.U[:, gt.p1].reshape(gt.U.shape[0], 1, n_idx)
-        * gt.W[:, gt.p2].reshape(1, gt.W.shape[0], n_idx)
+        gt.U[:, p1].reshape(gt.U.shape[0], 1, n_idx)
+        * gt.W[:, p2].reshape(1, gt.W.shape[0], n_idx)
     ).reshape(-1, n_idx) * phase
     sqw = np.sqrt(np.outer(grid.w1, grid.w2)).reshape(-1)
     lhs = design[:, 1:] * sqw[:, None]

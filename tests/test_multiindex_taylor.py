@@ -10,12 +10,15 @@ from cfdeconv.multiindex_taylor import (
     TaylorPoly,
     UpsilonParams,
     _bound_vector,
+    block_split,
     evaluate,
     from_json_record,
     index_table,
     monomial_matrix,
     project_upsilon,
+    parity_phase,
     random_member,
+    sum_map,
     to_json_record,
     truncate,
     upsilon_bound,
@@ -43,6 +46,33 @@ class TestIndexTable:
         for d in (1, 2, 3):
             entries, _, _ = index_table(d, 4)
             assert tuple(entries[0]) == (0,) * d
+
+
+class TestSumMap:
+    @pytest.mark.parametrize("d, m", [(1, 0), (1, 5), (2, 4), (3, 3), (4, 2)])
+    def test_row_of_the_sum(self, d, m):
+        entries = index_table(d, m)[0]
+        big, _, pos = index_table(d, 2 * m)
+        out = sum_map(d, m)
+        assert out.shape == (len(entries), len(entries)) and not out.flags.writeable
+        for q, row in enumerate(entries):
+            for s, other in enumerate(entries):
+                assert out[q, s] == pos[tuple(row + other)]
+        np.testing.assert_array_equal(out, out.T)
+
+    def test_products_of_monomials(self, rng):
+        pts = rng.uniform(-2.0, 2.0, size=(9, 2))
+        low, high = monomial_matrix(pts, 2, 3), monomial_matrix(pts, 2, 6)
+        np.testing.assert_allclose(low[:, :, None] * low[:, None, :], high[:, sum_map(2, 3)],
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("fn, args", [
+        (index_table, (2, 3)), (parity_phase, (2, 3)), (block_split, ((1, 1), 3)),
+        (sum_map, (2, 3)),
+    ])
+    def test_cache_is_bounded(self, fn, args):
+        fn(*args)
+        assert fn.cache_info().maxsize == 32
 
 
 class TestUpsilonBound:
