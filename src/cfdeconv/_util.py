@@ -51,14 +51,12 @@ class PairwiseAccumulator:
     rounding pattern is a function of the number of blocks alone.  `stack`
     holds the (level, partial sum) pairs, levels decreasing.  Every partial
     sum lives in a buffer the accumulator owns: a merge adds into the older
-    sum's buffer in place and a buffer it frees is reused, so no merge
-    allocates, and an added block is only read.  A tree of depth k holds at
-    most k + 1 buffers.
+    sum's buffer in place and drops the newer one, and an added block is
+    only read, so a tree of depth k keeps at most k + 1 buffers alive.
     """
 
     def __init__(self):
         self.stack = []
-        self._free = []
 
     def add(self, block, level=0):
         """Add a block; a block of level k is the pairwise sum of 2^k
@@ -69,23 +67,19 @@ class PairwiseAccumulator:
             _, acc = self.stack.pop()
             self._push(np.add(acc, block, out=acc), level + 1)
         else:
-            own = self._free.pop() if self._free else np.empty_like(block)
-            np.copyto(own, block)
-            self._push(own, level)
+            self._push(block.copy(), level)
 
     def absorb(self, other: "PairwiseAccumulator"):
         """Add the partial sums of `other`, taking over its buffers; `other`
         is left empty."""
-        stack, other.stack, other._free = other.stack, [], []
+        stack, other.stack = other.stack, []
         for level, own in stack:
             self._push(own, level)
 
     def _push(self, own, level):
         while self.stack and self.stack[-1][0] == level:
             _, acc = self.stack.pop()
-            np.add(acc, own, out=acc)
-            self._free.append(own)
-            own, level = acc, level + 1
+            own, level = np.add(acc, own, out=acc), level + 1
         self.stack.append((level, own))
 
     def total(self):
@@ -97,7 +91,7 @@ class PairwiseAccumulator:
         (_, acc), *rest = self.stack
         for _, arr in rest:
             acc += arr
-        self.stack, self._free = [], []
+        self.stack = []
         return acc
 
 

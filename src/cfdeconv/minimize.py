@@ -4,10 +4,13 @@ The decision variable is the real parity-reduced coefficient vector of a
 TaylorPoly; the admissible class is a box in it (pinned unit value at zero,
 per-order modulus caps), the bounds of scipy's L-BFGS-B.  Each iterate's
 value and exact gradient come from the table's moment matrices
-(`contrast.ContrastMoments`), built once per minimization: small
-contractions whose cost does not depend on the quadrature grid.  They agree
-with the grid definition (`contrast_empirical`, `contrast_gradient`) to
-rounding relative to the three terms the moment form sums.
+(`contrast.ContrastMoments`), built once per minimization when the first
+descent starts: small contractions whose cost does not depend on the
+quadrature grid.  They agree with the grid definition (`contrast_empirical`,
+`contrast_gradient`) to rounding relative to the three terms the moment form
+sums.  A start and a descent's final iterate are valued on the grid, so a
+start already at resolution costs one grid pass and the reported contrast
+is the definition's.
 
 While its starts run, `minimize_contrast` holds both OpenBLAS pools,
 numpy's and the one scipy's L-BFGS-B links, at one thread
@@ -19,6 +22,7 @@ the iterates do not depend on the core count or OPENBLAS_NUM_THREADS.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -28,8 +32,9 @@ from scipy import optimize
 
 from ._util import ConfigError, one_blas_thread
 from .contrast import ContrastMoments, QuadratureGrid, _GridTables
-# module attributes kept for callers that look them up here (perfbench/tracer.py)
-from .contrast import contrast_empirical, contrast_gradient  # noqa: F401
+from .contrast import contrast_empirical
+# module attribute kept for callers that look it up here (perfbench/tracer.py)
+from .contrast import contrast_gradient  # noqa: F401
 from .ecf import EcfTable
 from .multiindex_taylor import (
     TaylorPoly,
@@ -81,6 +86,10 @@ class MinimizeConfig:
 @dataclass
 class MinimizeResult:
     """The best start's estimate, value and value trace (start, iterates).
+
+    `value` is `contrast_empirical` of the estimate, and so are the trace's
+    first and last entries of the start and the estimate; those between are
+    the iterates' moment values, as the descent saw them.
 
     `reason` says why it stopped: "resolution" (contrast <= tol), "ftol" or
     "gtol" (scipy status 0), "max_iters" (iteration or evaluation limit),
@@ -135,15 +144,19 @@ _CONVERGED = ("resolution", "ftol", "gtol")
 _LAST = _CONVERGED + ("deadline",)  # reasons after which no start follows
 
 
-def _descend(moments: ContrastMoments, start: TaylorPoly, box, config: MinimizeConfig) -> tuple:
+def _descend(table: EcfTable, grid: QuadratureGrid, get_moments, start: TaylorPoly, box,
+             config: MinimizeConfig) -> tuple:
     """(final iterate, its contrast, contrast trace, stop reason) of L-BFGS-B
-    on contrast / tol from `start`; the last evaluated point is kept for the
-    callback's iterate."""
+    on contrast / tol from `start`.  The start and the final iterate are
+    valued on the grid, the iterates between by `get_moments()`, called
+    only if the start is above tol; the last evaluated point is kept for
+    the callback's iterate."""
     tol = config.tol
-    last = [start, *moments.evaluate(start)]
-    trace = [last[1]]
+    trace = [contrast_empirical(start, table, grid)]
     if trace[0] <= tol:
         return start, trace[0], trace, "resolution"
+    moments = get_moments()
+    last = [start, *moments.evaluate(start)]
 
     def evaluate(x):
         if not np.array_equal(x, last[0].theta):
@@ -162,7 +175,8 @@ def _descend(moments: ContrastMoments, start: TaylorPoly, box, config: MinimizeC
 
     res = optimize.minimize(fun, start.theta, jac=True, method="L-BFGS-B", bounds=box,
                             callback=callback, options={"maxiter": MAX_ITERS, "ftol": FTOL})
-    # res.x is the last iterate, also after a failed line search
+    # res.x is the last iterate, also after a failed line search; the stop
+    # reason is the one the descent saw
     poly, value, _ = evaluate(res.x)
     if value <= tol:
         reason = "resolution"
@@ -172,7 +186,8 @@ def _descend(moments: ContrastMoments, start: TaylorPoly, box, config: MinimizeC
         reason = "gtol" if "PGTOL" in res.message else "ftol"
     else:
         reason = "max_iters" if res.status == 1 else "abnormal"
-    return poly, value, trace, reason
+    trace[-1] = contrast_empirical(poly, table, grid)
+    return poly, trace[-1], trace, reason
 
 
 def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeConfig) -> MinimizeResult:
@@ -184,7 +199,8 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     iterations; every start stops at its first iterate past config.deadline.
     A start drawn uniformly in Upsilon runs only after an unconverged one
     that met no deadline, up to config.restarts starts.  The lowest
-    contrast wins, the earliest start on ties.
+    contrast wins, the earliest start on ties; every start's contrast, and
+    the reported value, is `contrast_empirical` of its final iterate.
 
     The starts run with both OpenBLAS pools held at one thread
     (`_util.one_blas_thread`, see the module docstring).
@@ -195,11 +211,12 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     runs = []
     with one_blas_thread():
-        moments = ContrastMoments(table, grid, config.m_opt)
+        get_moments = functools.cache(lambda: ContrastMoments(table, grid, config.m_opt))
         while len(runs) < config.restarts and (not runs or runs[-1][3] not in _LAST):
             start = (random_member(config.params, grid.dims, config.m_opt, rng) if runs
                      else _ls_init(table, grid, config.m_opt))
-            runs.append(_descend(moments, project_upsilon(start, config.params), box, config))
+            runs.append(_descend(table, grid, get_moments, project_upsilon(start, config.params),
+                                 box, config))
     estimate, value, trace, reason = min(runs, key=lambda run: run[1])
     return MinimizeResult(
         estimate=estimate,

@@ -4,6 +4,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -366,21 +367,39 @@ class TestPairwiseAccumulator:
             assert run.stack == []
         assert head.total().tobytes() == whole.total().tobytes()
 
-    def test_buffers_bounded_by_depth(self, rng):
-        acc, seen = PairwiseAccumulator(), set()
+    def test_live_buffers_bounded_by_depth(self, rng):
+        # 31 blocks make a tree of depth 5, and so do the 16 runs of two
+        # blocks it absorbs: at most 6 of the buffers it made stay alive
+        acc, made = PairwiseAccumulator(), []
+
+        def alive():
+            return len({id(ref()) for ref in made if ref() is not None})
+
         for _ in range(31):
             acc.add(rng.normal(size=3))
-            seen.update(id(arr) for _, arr in acc.stack)
-            seen.update(id(arr) for arr in acc._free)
-        # 31 blocks make a tree of depth 5: at most 6 buffers ever
-        assert len(acc.stack) == 5 and len(seen) <= 6
+            made.extend(weakref.ref(arr) for _, arr in acc.stack)
+            assert alive() <= 6
+        assert len(acc.stack) == 5
+        head = PairwiseAccumulator()
+        for _ in range(16):
+            run = PairwiseAccumulator()
+            for _ in range(2):
+                run.add(rng.normal(size=3))
+            head.absorb(run)
+            del run
+            made.extend(weakref.ref(arr) for _, arr in head.stack)
+            assert alive() <= 6 + 5
 
-    def test_table_peak_memory(self):
+    # RUN_LEVEL 1 splits the 31 chunks into 16 runs, one after another
+    @pytest.mark.parametrize("run_level", [ecf.RUN_LEVEL, 1])
+    def test_table_peak_memory(self, run_level, monkeypatch):
         # d1 = d2 = 2 on 24 nodes: half lattices of H = 12 * 24 points, so a
         # partial sum is (2H + 1)^2 doubles and a run's [cos; sin; 1] stacks
-        # are 2 (2H + 1) CHUNK doubles.  31 chunks are one run, a tree of
-        # depth 5: bound the peak by the stacks and 5 + 2 partial sums (the
-        # allocating tree reached 29.3 MB, this one 25.4 MB)
+        # are 2 (2H + 1) CHUNK doubles.  31 chunks make a tree of depth 5:
+        # bound the peak by the stacks and 5 + 2 partial sums (the
+        # allocating tree reached 29.3 MB, this one 25.4 MB either way)
+        monkeypatch.setattr(ecf, "RUN_LEVEL", run_level)
+        monkeypatch.setattr(ecf, "_cpu_count", lambda: 1)
         grid = make_grid(1.0, (2, 2), 24)
         s = make_samples(np.random.default_rng(3).normal(size=(31 * CHUNK, 4)), 2, 2)
         side = 2 * 12 * 24 + 1

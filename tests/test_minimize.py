@@ -163,16 +163,29 @@ class TestMoments:
             assert np.array_equal(grad, seed_gradient(poly, table, grid))
 
     def test_hot_loop_builds_no_grid_tables(self, rm4d_table, monkeypatch):
+        # the start and the final iterate are valued on the grid, the
+        # iterates of L-BFGS-B between them never
         table, grid = rm4d_table
-        calls = []
+        calls, descending = [], [False]
         for name in ("poly_tables", "_defect"):
             real = getattr(contrast_module, name)
             monkeypatch.setattr(contrast_module, name,
-                                lambda *args, real=real, name=name: calls.append(name)
-                                or real(*args))
+                                lambda *args, real=real, name=name:
+                                calls.append((name, descending[0])) or real(*args))
+        real_minimize = minimize_module.optimize.minimize
+
+        def descend(*args, **kwargs):
+            descending[0] = True
+            try:
+                return real_minimize(*args, **kwargs)
+            finally:
+                descending[0] = False
+
+        monkeypatch.setattr(minimize_module.optimize, "minimize", descend)
         config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=1e-12, seed=5)
         res = minimize_contrast(table, grid, config)
-        assert len(res.trace) > 5 and calls == []
+        assert len(res.trace) > 5
+        assert calls == [("poly_tables", False), ("_defect", False)] * 2 * res.restarts_used
 
     def test_hot_loop_does_no_hashing(self, monkeypatch, rng):
         grid = make_grid(1.0, (1, 1), 24)
@@ -305,11 +318,8 @@ class TestMinimize:
         table = ecf_table_for_grid(s, grid24)
         config = MinimizeConfig(params=UpsilonParams(0.8, 1.5), m_opt=3, tol=1e-8, seed=2)
         res = minimize_contrast(table, grid24, config)
-        assert res.value == ContrastMoments(table, grid24, 3).evaluate(res.estimate)[0]
-        # the moment form's three terms are O(1) here and cancel, so it
-        # matches the grid definition to their rounding, not to the value's
         recomputed = contrast_empirical(res.estimate, table, grid24)
-        assert res.value == pytest.approx(recomputed, rel=1e-12, abs=1e-14)
+        assert res.value == pytest.approx(recomputed, rel=1e-12, abs=1e-18)
 
     def test_estimate_is_feasible(self, grid24, rng):
         params = UpsilonParams(0.65, 1.2)
