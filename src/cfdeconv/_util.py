@@ -58,16 +58,14 @@ class PairwiseAccumulator:
     def __init__(self):
         self.stack = []
 
-    def add(self, block, level=0):
-        """Add a block; a block of level k is the pairwise sum of 2^k
-        blocks, so adding it after a multiple of 2^k blocks equals adding
-        those blocks one by one."""
+    def add(self, block):
+        """Add a block."""
         block = np.asarray(block)
-        if self.stack and self.stack[-1][0] == level:
+        if self.stack and self.stack[-1][0] == 0:
             _, acc = self.stack.pop()
-            self._push(np.add(acc, block, out=acc), level + 1)
+            self._push(np.add(acc, block, out=acc), 1)
         else:
-            self._push(block.copy(), level)
+            self.stack.append((0, block.copy()))
 
     def absorb(self, other: "PairwiseAccumulator"):
         """Add the partial sums of `other`, taking over its buffers; `other`

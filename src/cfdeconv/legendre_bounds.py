@@ -239,7 +239,7 @@ def bound_suite(kappa: float, S: float, nu: float, d: int, m: int,
     params = UpsilonParams(kappa=kappa, S=S)
     dims = (d, 0) if d == 1 else (d - 1, 1)
     rng = np.random.default_rng(seed)
-    entries, orders, _ = index_table(d, member_degree)
+    entries, orders = index_table(d, member_degree)
     nodes = np.linspace(-nu, nu, 801 if d == 1 else (101 if d == 2 else 31))
     vander = nodes[:, None] ** np.arange(member_degree + 1)
     truncated = m >= d / kappa

@@ -11,6 +11,8 @@ rather than by validation:
 
 Each coefficient is therefore stored as a single real number `theta[k]`; the
 complex coefficient is theta[k] or 1j*theta[k] depending on order parity.
+Row k is that of `index_table(d, max_degree)`; `index_rows` is the one
+lookup from a multi-index to its row.
 
 The admissible class with decay parameters (kappa, S) constrains coefficient
 moduli by S^k k^(-kappa k) at order k; see `upsilon_bound`.
@@ -41,38 +43,46 @@ class UpsilonParams:
             raise ConfigError(f"S must be positive, got {self.S}")
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=32)
 def index_table(d: int, max_degree: int):
     """All multi-indices in d coordinates with total order <= max_degree.
 
-    Returns (entries, orders, position): an (N, d) int array in
-    total-degree-then-lexicographic order, the (N,) total orders, and a dict
-    mapping each index tuple to its row.  The zero index is always row 0.
+    Returns (entries, orders): an (N, d) int array in total-degree-then-
+    lexicographic order and the (N,) total orders, both read-only.  The zero
+    index is always row 0; `index_rows` finds the row of an index.
     """
     if d < 0 or max_degree < 0:
         raise ConfigError("dimension and degree must be nonnegative")
-    rows = []
-    for total in range(max_degree + 1):
-        rows.extend(_compositions(total, d))
-    entries = np.array(rows, dtype=np.int64).reshape(len(rows), d)
-    orders = entries.sum(axis=1)
-    position = {tuple(int(v) for v in row): k for k, row in enumerate(entries)}
-    entries.setflags(write=False)
-    orders.setflags(write=False)
-    return entries, orders, position
+    entries, orders = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(d):
+        # lexicographic: each row once per last coordinate its order allows
+        room = max_degree + 1 - orders
+        rows = np.repeat(np.arange(orders.shape[0]), room)
+        entries = np.column_stack(
+            [entries[rows], np.arange(rows.shape[0]) - np.repeat(np.cumsum(room) - room, room)])
+        orders = orders[rows] + entries[:, -1]
+    # a stable sort by order keeps lexicographic order within each order
+    rows = np.argsort(orders, kind="stable")
+    orders, entries = orders[rows], entries[rows]
+    for table in (entries, orders):
+        table.setflags(write=False)
+    return entries, orders
+
+
+def index_rows(d: int, max_degree: int, indices) -> np.ndarray:
+    """Row of index_table(d, max_degree) holding each multi-index of an
+    (..., d) int array, or -1 where it has none: matched by code in base
+    max_degree + 1 once every digit is in 0..max_degree (a code alone
+    aliases (-1, 1) with (max_degree, 0)).  Codes fit in int64 while
+    (max_degree + 1)^d < 2^63, as for every table that fits in memory."""
+    entries = index_table(d, max_degree)[0]
+    indices = np.asarray(indices, dtype=np.int64)
+    radix = (max_degree + 1) ** np.arange(d, dtype=np.int64)
+    codes, want = entries @ radix, indices @ radix
+    order = np.argsort(codes)
+    rows = order[np.searchsorted(codes, want, sorter=order).clip(max=codes.shape[0] - 1)]
+    found = (codes[rows] == want) & np.all((indices >= 0) & (indices <= max_degree), axis=-1)
+    return np.where(found, rows, -1)
 
 
 @lru_cache(maxsize=32)
@@ -94,14 +104,12 @@ def block_split(dims: tuple, max_degree: int):
     pattern in index_table(d2, max_degree), plus the two pattern counts.
     """
     d1, d2 = dims
-    entries, _, _ = index_table(d1 + d2, max_degree)
-    _, _, pos1 = index_table(d1, max_degree)
-    _, _, pos2 = index_table(d2, max_degree)
-    p1 = np.array([pos1[tuple(row[:d1])] for row in entries], dtype=np.int64)
-    p2 = np.array([pos2[tuple(row[d1:])] for row in entries], dtype=np.int64)
+    entries = index_table(d1 + d2, max_degree)[0]
+    p1 = index_rows(d1, max_degree, entries[:, :d1])
+    p2 = index_rows(d2, max_degree, entries[:, d1:])
     p1.setflags(write=False)
     p2.setflags(write=False)
-    return p1, p2, len(pos1), len(pos2)
+    return p1, p2, len(index_table(d1, max_degree)[0]), len(index_table(d2, max_degree)[0])
 
 
 @lru_cache(maxsize=32)
@@ -110,12 +118,7 @@ def sum_map(d: int, max_degree: int) -> np.ndarray:
     of index_table(d, max_degree), as a read-only symmetric int array:
     t^q t^s is column [q, s] of the degree-2m monomial table."""
     entries = index_table(d, max_degree)[0]
-    # a multi-index's digits in base 2m + 1 never carry when two are added
-    radix = (2 * max_degree + 1) ** np.arange(d, dtype=np.int64)
-    codes = index_table(d, 2 * max_degree)[0] @ radix
-    order = np.argsort(codes)
-    half = entries @ radix
-    out = order[np.searchsorted(codes, half[:, None] + half[None, :], sorter=order)]
+    out = index_rows(d, 2 * max_degree, entries[:, None, :] + entries[None, :, :])
     out.setflags(write=False)
     return out
 
@@ -149,7 +152,7 @@ class TaylorPoly:
             raise ConfigError(f"invalid dims {self.dims}")
         if self.max_degree < 0:
             raise ConfigError("max_degree must be >= 0")
-        entries, _, _ = index_table(self.d, self.max_degree)
+        entries = index_table(self.d, self.max_degree)[0]
         theta = np.array(self.theta, dtype=np.float64).reshape(-1)
         if theta.shape[0] != entries.shape[0]:
             raise ConfigError(
@@ -174,8 +177,10 @@ class TaylorPoly:
         return self.theta * parity_phase(self.d, self.max_degree)
 
     def coeff(self, index) -> complex:
-        pos = index_table(self.d, self.max_degree)[2][tuple(index)]
-        return complex(self.coeffs[pos])
+        row = index_rows(self.d, self.max_degree, index)
+        if row < 0:
+            raise KeyError(tuple(index))
+        return complex(self.coeffs[row])
 
     def copy(self) -> "TaylorPoly":
         return TaylorPoly(self.dims, self.max_degree, self.theta.copy(), self.cf_candidate)
@@ -190,7 +195,7 @@ def monomial_matrix(pts: np.ndarray, d: int, max_degree: int) -> np.ndarray:
     """
     if pts.shape[-1] != d:
         raise ConfigError(f"points have dimension {pts.shape[-1]}, expected {d}")
-    entries, _, _ = index_table(d, max_degree)
+    entries = index_table(d, max_degree)[0]
     vals = np.ones((pts.shape[0], entries.shape[0]))
     for a in range(d):
         powers = pts[:, a, None] ** np.arange(max_degree + 1)
@@ -282,7 +287,7 @@ def to_json_record(poly: TaylorPoly) -> dict:
 
     Zero coefficients are omitted except for the pinned zero index.
     """
-    entries, _, _ = index_table(poly.d, poly.max_degree)
+    entries = index_table(poly.d, poly.max_degree)[0]
     coeffs = poly.coeffs
     rows = []
     for k in range(entries.shape[0]):
@@ -304,20 +309,17 @@ def from_json_record(record: dict) -> TaylorPoly:
     max_degree = int(record["max_degree"])
     cf_candidate = bool(record.get("cf_candidate", True))
     d = dims[0] + dims[1]
-    _, orders, pos = index_table(d, max_degree)
+    orders = index_table(d, max_degree)[1]
     theta = np.zeros(orders.shape[0])
-    for row in record["coeffs"]:
-        entries = tuple(int(v) for v in row[:d])
+    indices = [tuple(int(v) for v in row[:d]) for row in record["coeffs"]]
+    found = index_rows(d, max_degree, np.array(indices, dtype=np.int64).reshape(len(indices), d))
+    for row, entries, k in zip(record["coeffs"], indices, found):
         re, im = float(row[d]), float(row[d + 1])
-        k = pos.get(entries)
-        if k is None:
+        if k < 0:
             raise ConfigError(f"index {entries} outside degree {max_degree}")
-        if orders[k] % 2 == 0:
-            if im != 0.0:
-                raise ConfigError(f"even-order index {entries} must have a real coefficient")
-            theta[k] = re
-        else:
-            if re != 0.0:
-                raise ConfigError(f"odd-order index {entries} must have an imaginary coefficient")
-            theta[k] = im
+        even = orders[k] % 2 == 0
+        if (im if even else re) != 0.0:
+            raise ConfigError(f"{'even' if even else 'odd'}-order index {entries} must have "
+                              f"{'a real' if even else 'an imaginary'} coefficient")
+        theta[k] = re if even else im
     return TaylorPoly(dims, max_degree, theta, cf_candidate)

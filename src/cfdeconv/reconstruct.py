@@ -153,7 +153,7 @@ def invert(poly: TaylorPoly, omega: float, lattice: LatticeSpec) -> DensityGrid:
     d = poly.d
     if lattice.d != d:
         raise ConfigError(f"lattice dimension {lattice.d} != candidate dimension {d}")
-    entries, _, _ = index_table(d, poly.max_degree)
+    entries = index_table(d, poly.max_degree)[0]
     kmax = poly.max_degree
     shape = tuple([kmax + 1] * d)
     coeff_tensor = np.zeros(shape, dtype=np.complex128)
@@ -181,8 +181,7 @@ def invert(poly: TaylorPoly, omega: float, lattice: LatticeSpec) -> DensityGrid:
 
 def _box_pair_integral(pa: TaylorPoly, pb: TaylorPoly, omega: float) -> complex:
     """Integral over [-omega, omega]^d of pa(t) * conj(pb(t))."""
-    ea, _, _ = index_table(pa.d, pa.max_degree)
-    eb, _, _ = index_table(pb.d, pb.max_degree)
+    ea, eb = (index_table(p.d, p.max_degree)[0] for p in (pa, pb))
     kmax = pa.max_degree + pb.max_degree
     mom = np.zeros(kmax + 1)
     ks = np.arange(0, kmax + 1, 2)

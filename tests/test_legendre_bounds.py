@@ -78,7 +78,7 @@ class TestChangeOfBasis:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rows_reproduce_evaluation(self, rng, d):
         m, nu = 4, 1.3
-        entries, _, _ = index_table(d, m)
+        entries = index_table(d, m)[0]
         mat = change_of_basis(m, nu, d)
         pts = rng.uniform(-nu, nu, size=(60, d))
         mono = np.stack([np.prod(pts**e, axis=1) for e in entries], axis=1)

@@ -1,6 +1,9 @@
 """Coefficient bookkeeping: index order, class projection, truncation."""
 
+import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from cfdeconv.multiindex_taylor import (
     block_split,
     evaluate,
     from_json_record,
+    index_rows,
     index_table,
     monomial_matrix,
     project_upsilon,
@@ -25,39 +29,109 @@ from cfdeconv.multiindex_taylor import (
 )
 
 
+def brute_row(entries, index):
+    """The one row of entries equal to index, found by comparing every row."""
+    (row,) = np.flatnonzero(np.all(entries == np.asarray(index), axis=1))
+    return row
+
+
 def poly_11(max_degree, assign, cf_candidate=True):
     """dims (1,1) candidate with theta entries set by multi-index."""
-    entries, _, pos = index_table(2, max_degree)
+    entries = index_table(2, max_degree)[0]
     theta = np.zeros(entries.shape[0])
     for idx, val in assign.items():
-        theta[pos[idx]] = val
+        theta[brute_row(entries, idx)] = val
     return TaylorPoly((1, 1), max_degree, theta, cf_candidate)
 
 
 class TestIndexTable:
     def test_degree_then_lex_order(self):
-        entries, orders, pos = index_table(2, 2)
+        entries, orders = index_table(2, 2)
         rows = [tuple(r) for r in entries]
         assert rows == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
         assert list(orders) == [0, 1, 1, 2, 2, 2]
-        assert pos[(0, 0)] == 0
 
     def test_zero_index_always_first(self):
         for d in (1, 2, 3):
-            entries, _, _ = index_table(d, 4)
+            entries, _ = index_table(d, 4)
             assert tuple(entries[0]) == (0,) * d
+
+    @pytest.mark.parametrize("d, m", [(0, 0), (0, 3), (1, 0), (1, 7), (2, 6), (3, 5), (4, 4),
+                                      (5, 3)])
+    def test_matches_sorted_product(self, d, m):
+        # every tuple of digits 0..m with order <= m, sorted by (order, tuple)
+        want = sorted((t for t in itertools.product(range(m + 1), repeat=d) if sum(t) <= m),
+                      key=lambda t: (sum(t), t))
+        entries, orders = index_table(d, m)
+        assert entries.dtype == orders.dtype == np.int64 and entries.shape == (len(want), d)
+        assert [tuple(r) for r in entries.tolist()] == want
+        np.testing.assert_array_equal(orders, [sum(t) for t in want])
+        assert not entries.flags.writeable and not orders.flags.writeable
+
+    def test_degree_30_build_is_fast_and_small(self):
+        # d = 5, degree 30: 324,632 rows
+        index_table.cache_clear()
+        start = time.perf_counter()
+        index_table(5, 30)
+        elapsed = time.perf_counter() - start
+        index_table.cache_clear()
+        tracemalloc.start()
+        try:
+            entries, _ = index_table(5, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            index_table.cache_clear()
+        assert entries.shape == (324_632, 5)
+        assert elapsed < 0.5 and peak < 40e6
+
+
+class TestIndexRows:
+    @pytest.mark.parametrize("d, m", [(1, 4), (2, 3), (3, 2)])
+    def test_every_digit_tuple_against_brute_force(self, d, m):
+        # digits -1..m+1 cover the aliases of a bare base-(m + 1) code
+        entries = index_table(d, m)[0]
+        probe = np.array(list(itertools.product(range(-1, m + 2), repeat=d)))
+        rows = index_rows(d, m, probe)
+        for index, row in zip(probe, rows):
+            inside = np.all(index >= 0) and index.sum() <= m
+            assert row == (brute_row(entries, index) if inside else -1)
+
+    def test_aliases_are_absent(self):
+        # base 4 codes: (-1, 1) -> 3 = (3, 0), (4, 0) -> 4 = (0, 1)
+        np.testing.assert_array_equal(index_rows(2, 3, [[-1, 1], [4, 0], [3, 1]]), -1)
+
+    def test_batch_shape_and_zero_dimensions(self):
+        assert index_rows(2, 3, np.zeros((4, 5, 2), dtype=np.int64)).shape == (4, 5)
+        np.testing.assert_array_equal(index_rows(0, 3, np.zeros((3, 0), dtype=np.int64)), 0)
+
+
+class TestBlockSplit:
+    @pytest.mark.parametrize("dims, m", [((1, 0), 3), ((0, 1), 2), ((1, 1), 4), ((2, 1), 3),
+                                         ((1, 2), 3), ((2, 2), 3)])
+    def test_patterns_against_brute_force(self, dims, m):
+        d1, d2 = dims
+        entries = index_table(d1 + d2, m)[0]
+        first, second = index_table(d1, m)[0], index_table(d2, m)[0]
+        p1, p2, n1, n2 = block_split(dims, m)
+        assert (n1, n2) == (len(first), len(second))
+        assert p1.dtype == p2.dtype == np.int64
+        assert not p1.flags.writeable and not p2.flags.writeable
+        for row, index in enumerate(entries):
+            assert p1[row] == brute_row(first, index[:d1])
+            assert p2[row] == brute_row(second, index[d1:])
 
 
 class TestSumMap:
     @pytest.mark.parametrize("d, m", [(1, 0), (1, 5), (2, 4), (3, 3), (4, 2)])
     def test_row_of_the_sum(self, d, m):
         entries = index_table(d, m)[0]
-        big, _, pos = index_table(d, 2 * m)
+        big = index_table(d, 2 * m)[0]
         out = sum_map(d, m)
         assert out.shape == (len(entries), len(entries)) and not out.flags.writeable
         for q, row in enumerate(entries):
             for s, other in enumerate(entries):
-                assert out[q, s] == pos[tuple(row + other)]
+                assert out[q, s] == brute_row(big, row + other)
         np.testing.assert_array_equal(out, out.T)
 
     def test_products_of_monomials(self, rng):
@@ -188,7 +262,7 @@ class TestProjectUpsilon:
             theta = rng.normal(scale=3.0, size=index_table(2, 6)[0].shape[0])
             poly = TaylorPoly((1, 1), 6, theta)
             out = project_upsilon(poly, params)
-            entries, orders, _ = index_table(2, 6)
+            entries, orders = index_table(2, 6)
             for row, order, th in zip(entries, orders, out.theta):
                 if order == 0:
                     assert th == 1.0
@@ -228,7 +302,7 @@ class TestTruncate:
 class TestEvaluate:
     def test_against_naive_loop(self, rng):
         params = UpsilonParams(0.7, 1.2)
-        entries, orders, _ = index_table(2, 5)
+        entries, orders = index_table(2, 5)
         for _ in range(10):
             poly = random_member(params, (1, 1), 5, rng)
             pts = rng.uniform(-1.5, 1.5, size=(6, 2))
@@ -250,7 +324,7 @@ class TestEvaluate:
     def test_monomial_matrix_shape(self):
         pts = np.array([[0.5, -1.0], [2.0, 0.25]])
         mat = monomial_matrix(pts, 2, 3)
-        entries, _, _ = index_table(2, 3)
+        entries = index_table(2, 3)[0]
         assert mat.shape == (2, entries.shape[0])
         assert mat[0, 0] == 1.0
 
@@ -268,6 +342,33 @@ class TestSerialization:
         assert back.max_degree == poly.max_degree
         np.testing.assert_array_equal(back.theta, poly.theta)
 
+    @pytest.mark.parametrize("index", [(-1, 1), (4, 0), (3, 1)])
+    def test_index_outside_degree_refused(self, index):
+        # at degree 3, (-1, 1) and (4, 0) share a base-4 code with (3, 0)
+        # and (0, 1); (3, 1) has order 4
+        record = to_json_record(poly_11(3, {(1, 1): 0.25}))
+        record["coeffs"].append([*index, 0.0, 0.5])
+        with pytest.raises(ConfigError, match="outside degree 3"):
+            from_json_record(record)
+
+    @pytest.mark.parametrize("row, message", [
+        ([1, 1, 0.25, 0.1], "even-order index .* real coefficient"),
+        ([1, 0, 0.3, 0.1], "odd-order index .* imaginary coefficient"),
+    ])
+    def test_parity_violation_refused(self, row, message):
+        record = to_json_record(poly_11(3, {}))
+        record["coeffs"].append(row)
+        with pytest.raises(ConfigError, match=message):
+            from_json_record(record)
+
+    @pytest.mark.parametrize("index", [(-1, 1), (4, 0), (3, 1)])
+    def test_coeff_outside_the_table_raises(self, index):
+        poly = poly_11(3, {(3, 0): 0.1, (0, 1): 0.2})
+        with pytest.raises(KeyError):
+            poly.coeff(index)
+        assert poly.coeff((3, 0)) == pytest.approx(0.1j)
+        assert poly.coeff((0, 1)) == pytest.approx(0.2j)
+
     def test_zero_coefficients_dropped(self):
         poly = poly_11(3, {(1, 1): 0.25})
         record = to_json_record(poly)
@@ -276,7 +377,7 @@ class TestSerialization:
 
     def test_random_member_feasible(self, rng):
         params = UpsilonParams(0.55, 2.0)
-        entries, orders, _ = index_table(2, 6)
+        entries, orders = index_table(2, 6)
         for _ in range(10):
             poly = random_member(params, (1, 1), 6, rng)
             for row, order, th in zip(entries, orders, poly.theta):

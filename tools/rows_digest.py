@@ -24,6 +24,10 @@ prints the SHA-256 of its selection.json and density.csv.  A
 `simulate` on one fixed two-point config (seed = the seed argument) and
 prints the SHA-256 of its samples.csv and summary.json, so the two-point
 scenario's sampler and construction diagnostics are compared too.  A
+`bounds-cli` line runs `bounds-check` on one small fixed sweep at d = 3
+and 4 (suite seed = the seed argument) and prints the SHA-256 of its
+bounds.csv and summary.json, so the degree-30 index tables above d = 2
+that its class members use are compared too.  A
 `lab-lecam` line prints the repr of every Le Cam
 `l1_single` and `value` of the lab pass, in call order, so the size of a
 last-bit change that moves the lab's rows hash can be read off.  Two
@@ -83,6 +87,11 @@ TWO_POINT = {
     "n": 2000,
 }
 TWO_POINT_FILES = ("samples.csv", "summary.json")
+
+# one bound suite per dimension above 2, at the default member degree 30
+BOUNDS = {"kappa_list": [0.75], "S_list": [1.0], "nu_list": [1.0], "m_list": [6],
+          "d_list": [3, 4], "n_members": 3}
+BOUNDS_FILES = ("bounds.csv", "summary.json")
 
 
 def _import_checkout(root: Path):
@@ -158,12 +167,12 @@ def fit_digests(command: str, cfg: dict, names, seed: int) -> tuple:
         return _file_digests(out, names)
 
 
-def two_point_digests(seed: int) -> tuple:
-    """SHA-256 of each TWO_POINT_FILES artifact of the TWO_POINT config,
-    simulated with seed `seed`."""
+def cli_digests(command: str, cfg: dict, names, seed: int) -> tuple:
+    """SHA-256 of each artifact in `names` of the CLI `command` on cfg, run
+    with seed `seed`."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = _cli_run(Path(tmp), "simulate", dict(TWO_POINT, seed=seed))
-        return _file_digests(out, TWO_POINT_FILES)
+        out = _cli_run(Path(tmp), command, dict(cfg, seed=seed))
+        return _file_digests(out, names)
 
 
 def main(argv=None) -> int:
@@ -187,9 +196,11 @@ def main(argv=None) -> int:
         files = " ".join(f"{name}={digest}" for name, digest in
                          zip(names, fit_digests(command, cfg, names, args.seed)))
         print(f"{command}-cli seed={args.seed} {files}", flush=True)
-    two_point = " ".join(f"{name}={digest}" for name, digest in
-                         zip(TWO_POINT_FILES, two_point_digests(args.seed)))
-    print(f"two-point-cli seed={args.seed} {two_point}")
+    for label, command, cfg, names in (("two-point", "simulate", TWO_POINT, TWO_POINT_FILES),
+                                       ("bounds", "bounds-check", BOUNDS, BOUNDS_FILES)):
+        files = " ".join(f"{name}={digest}" for name, digest in
+                         zip(names, cli_digests(command, cfg, names, args.seed)))
+        print(f"{label}-cli seed={args.seed} {files}", flush=True)
     return 0
 
 
