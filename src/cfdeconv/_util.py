@@ -1,6 +1,7 @@
 """Small shared helpers: error types, config conversion, deterministic
-reduction and elementary functions, tensor lattices, inverse-CDF sampling,
-hashing, and a one-thread hold on the OpenBLAS pools."""
+reduction and elementary functions, the Gauss-Legendre rule, tensor
+lattices, inverse-CDF sampling, hashing, and a one-thread hold on the
+OpenBLAS pools."""
 
 from __future__ import annotations
 
@@ -178,6 +179,18 @@ def cos_sin(x, y, out=None):
     sin += sin
     sin /= q
     return cos, sin
+
+
+@functools.lru_cache(maxsize=32)
+def legendre_rule(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached:
+    the library's one call to leggauss, whose eigensolve costs more than
+    the rest of a small grid (translation_align builds one grid per call).
+    Callers ask for 12 to 160 nodes."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def tensor_points(axes) -> np.ndarray:

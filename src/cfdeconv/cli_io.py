@@ -366,8 +366,8 @@ def emit_figure_data(panels, target) -> list:
     panels from build_profile_panels the bytes also do not depend on the
     CPU, numpy's SIMD dispatch or libm: the weight's exp and powers use the
     fixed-operation kernels in _util.  Outside that guarantee remain LAPACK
-    (the Gauss-Legendre nodes from np.polynomial.legendre.leggauss) and
-    scipy's QUADPACK (the weight normalizer c_h).
+    (the Gauss-Legendre nodes of the library's one rule,
+    _util.legendre_rule) and scipy's QUADPACK (the weight normalizer c_h).
     """
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)

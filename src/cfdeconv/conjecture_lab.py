@@ -14,7 +14,8 @@ The weight and the profile scale factors take exp and powers from the
 fixed-operation kernels in _util rather than np.exp/np.power, whose last
 bits vary with numpy's SIMD dispatch and with libm.  Basis and profile
 values are therefore the same bytes on every CPU, given the same
-Gauss-Legendre nodes (LAPACK, via leggauss) and c_h (scipy's QUADPACK).
+Gauss-Legendre nodes (LAPACK, via the library's one rule,
+_util.legendre_rule) and c_h (scipy's QUADPACK).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from ._util import ConfigError, NumericalError, det_exp, det_pow, inverse_cdf_sampler
+from ._util import (ConfigError, NumericalError, det_exp, det_pow, inverse_cdf_sampler,
+                    legendre_rule)
 
 _STEP = 2.0**-9
 _EXP_CUTOFF = 45.0  # weight treated as zero once the exponent exceeds this
@@ -94,7 +96,7 @@ def h_kappa_eval(spec: WeightSpec, x) -> np.ndarray:
 
 
 def _panel_rule(lo: float, hi: float, panels: int, nodes: int):
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+    base_x, base_w = legendre_rule(nodes)
     edges = np.linspace(lo, hi, panels + 1)
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -304,7 +306,7 @@ def mollifier_rule(b: float) -> tuple:
     integral of f u_b and reproduces constants exactly."""
     if b <= 0:
         raise ConfigError("b must be positive")
-    base_x, base_w = np.polynomial.legendre.leggauss(_MOLLIFIER_NODES)
+    base_x, base_w = legendre_rule(_MOLLIFIER_NODES)
     u = base_x / b
     w = base_w / b * mollifier_eval(b, u)
     return u, w / float(np.sum(w))
@@ -338,12 +340,12 @@ def master_grid(spec: WeightSpec, b: float) -> np.ndarray:
     return np.arange(-half, half + 1) * _STEP
 
 
-def _mollifier_taps(b: float) -> np.ndarray:
-    """Discrete u_b taps renormalized so _STEP * sum == 1 exactly."""
-    m = int(math.floor(1.0 / (b * _STEP)))
-    offsets = np.arange(-m, m + 1) * _STEP
+def _mollifier_taps(b: float, step: float) -> np.ndarray:
+    """Discrete u_b taps at spacing step, renormalized so step * sum == 1."""
+    m = int(math.floor(1.0 / (b * step)))
+    offsets = np.arange(-m, m + 1) * step
     raw = mollifier_eval(b, offsets)
-    total = float(np.sum(raw) * _STEP)
+    total = float(np.sum(raw) * step)
     if total <= 0:
         raise NumericalError("empty mollifier taps")
     return raw / total
@@ -366,7 +368,7 @@ def norm_chain(basis: WeightedBasis, K: int, b: float) -> tuple:
     xs = master_grid(basis.weight, b)
     vals = basis.eval_poly(K, xs) * h_kappa_eval(basis.weight, xs) ** 2
     plain = float(np.sum(vals**2) * _STEP)
-    smoothed = grid_convolve(vals, _mollifier_taps(b))
+    smoothed = grid_convolve(vals, _mollifier_taps(b, _STEP))
     return plain, float(np.sum(smoothed**2) * _STEP)
 
 
@@ -471,7 +473,7 @@ def build_two_point(instance: LowerBoundInstance, basis: WeightedBasis) -> TwoPo
     and a violation means alpha_n was too large.
     """
     xs = master_grid(basis.weight, instance.b_n)
-    taps = _mollifier_taps(instance.b_n)
+    taps = _mollifier_taps(instance.b_n, _STEP)
     env_density = envelope_values(basis, xs) * h_kappa_eval(basis.weight, xs)
     total = float(np.sum(env_density) * _STEP)
     if total <= 0:

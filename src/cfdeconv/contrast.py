@@ -32,11 +32,12 @@ every call, which costs less than hashing the coefficients would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, content_hash, tensor_points, tensor_weights
+from ._util import (ConfigError, NumericalError, content_hash, legendre_rule, tensor_points,
+                    tensor_weights)
 from .ecf import EcfTable, SampleSet, ecf_on_grid
 from .multiindex_taylor import (
     TaylorPoly,
@@ -125,7 +126,7 @@ def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48) -> QuadratureGri
     d1, d2 = dims
     if d1 < 1 or d2 < 1:
         raise ConfigError(f"both blocks need dimension >= 1, got {dims}")
-    x, w = _legendre_rule(nodes_per_axis)
+    x, w = legendre_rule(nodes_per_axis)
     nodes, weights = nu * x, nu * w
     total = weights.sum()
     if abs(total - 2.0 * nu) > 1e-12 * max(1.0, 2.0 * nu):
@@ -133,16 +134,6 @@ def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48) -> QuadratureGri
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureGrid(float(nu), int(nodes_per_axis), (d1, d2), nodes, weights)
-
-
-@lru_cache(maxsize=8)
-def _legendre_rule(nodes_per_axis: int) -> tuple:
-    """leggauss on [-1, 1], read-only: its eigensolve costs more than the
-    rest of a small grid, and translation_align builds one grid per call."""
-    x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 def ecf_table_for_grid(samples: SampleSet, grid: QuadratureGrid) -> EcfTable:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import spherical_jn
 
-from ._util import ConfigError, NumericalError, as_type, tensor_points, tensor_weights
+from ._util import ConfigError, NumericalError, as_type, legendre_rule, tensor_points, tensor_weights
 from .multiindex_taylor import TaylorPoly, evaluate, index_table
 
 
@@ -247,7 +247,7 @@ def smoothness_integral(candidate, beta: float, nu: float, d: int,
         raise ConfigError("need nu > 0 and d >= 1")
     if nodes_per_axis**d > 2**22:
         raise ConfigError("quadrature grid too large; reduce nodes_per_axis")
-    x, w = np.polynomial.legendre.leggauss(nodes_per_axis)
+    x, w = legendre_rule(nodes_per_axis)
     pts = tensor_points([nu * x] * d)
     wt = tensor_weights(nu * w, d)
     if isinstance(candidate, TaylorPoly):

@@ -7,6 +7,11 @@ how to sample itself reproducibly, expose the true joint CF of its signal
 part together with the per-block noise CFs, and (when one exists) the true
 signal density for L2 scoring.
 
+Every oracle CF is a product of 1-D CFs at a linear image of its argument
+(_product_cf), every tabulated density is a GridSource, and the
+errors-in-variables CF integrates on the library's one Gauss-Legendre
+rule, _util.legendre_rule.
+
 Construction-time diagnostics reject degenerate scenarios: the joint CF
 must pass a probe-grid non-nullity check on every first-block slice, and
 each noise block's CF modulus must clear a floor on the working box.
@@ -23,11 +28,13 @@ import numpy as np
 
 from scipy.optimize import minimize
 
-from ._util import ConfigError, cos_sin, inverse_cdf_sampler, tensor_points, tensor_weights
+from ._util import (ConfigError, cos_sin, inverse_cdf_sampler, legendre_rule, tensor_points,
+                    tensor_weights)
 from .conjecture_lab import (
     GridFunction,
     NoisePack,
     TwoPoint,
+    _mollifier_taps,
     h_kappa_eval,
     mollifier_eval,
     mollifier_rule,
@@ -67,8 +74,9 @@ class SignalSpec:
     """One-dimensional signal law with sampler, CF, and optional density.
 
     kind: uniform(half_width), point_mass(location), compact_bump
-    (half_width, b) or h_kappa(kappa, x0); half_width and b must be
-    positive.
+    (half_width, b) or h_kappa(kappa, x0).  Every parameter must be finite,
+    half_width, b and x0 positive, and kappa in (0, 1].  The h_kappa and
+    compact_bump laws are tabulated on a grid (_grid_source).
     """
 
     kind: str
@@ -82,8 +90,21 @@ class SignalSpec:
             raise ConfigError(f"{self.kind} signal needs params ({', '.join(names)}), "
                               f"got {len(self.params)} values")
         for name, value in zip(names, self.params):
-            if name in ("half_width", "b") and not value > 0:
+            if not math.isfinite(value):
+                raise ConfigError(f"{self.kind} signal {name} must be finite, got {value}")
+            if name in ("half_width", "b", "x0") and not value > 0:
                 raise ConfigError(f"{self.kind} signal {name} must be positive, got {value}")
+        if self.kind == "h_kappa" and not 0 < self.params[0] <= 1:
+            raise ConfigError(f"h_kappa signal kappa must be in (0, 1], got {self.params[0]}")
+
+    def _grid_source(self) -> Optional["GridSource"]:
+        """The h_kappa or compact_bump law as a density on a uniform grid;
+        None for the other kinds."""
+        if self.kind == "h_kappa":
+            return GridSource(GridFunction(*_h_kappa_grid(*map(float, self.params))))
+        if self.kind == "compact_bump":
+            return GridSource(GridFunction(*_bump_uniform_density(*map(float, self.params))))
+        return None
 
     def sampler(self) -> Callable:
         if self.kind == "uniform":
@@ -97,8 +118,7 @@ class SignalSpec:
             xs = np.linspace(-1.0 / b, 1.0 / b, 4097)
             bump = inverse_cdf_sampler(xs, mollifier_eval(b, xs))
             return lambda n, rng: rng.uniform(-w, w, size=n) + bump(n, rng)
-        kappa, x0 = self.params
-        return inverse_cdf_sampler(*_h_kappa_grid(float(kappa), float(x0)))
+        return self._grid_source().sampler()
 
     def cf(self) -> Callable:
         if self.kind == "uniform":
@@ -115,8 +135,7 @@ class SignalSpec:
             return lambda t: (
                 np.sinc(w * np.asarray(t, dtype=np.float64) / math.pi) * bump_cf(t)
             ).astype(np.complex128)
-        kappa, x0 = self.params
-        return _grid_cf(*_h_kappa_grid(float(kappa), float(x0)))
+        return self._grid_source().cf()
 
     def density(self) -> Optional[Callable]:
         if self.kind == "uniform":
@@ -127,9 +146,7 @@ class SignalSpec:
             spec = WeightSpec(kappa=float(kappa), x0=float(x0))
             return lambda x: h_kappa_eval(spec, x)
         if self.kind == "compact_bump":
-            w, b = self.params
-            xs, dens = _bump_uniform_density(float(w), float(b))
-            return lambda x: np.interp(np.asarray(x, dtype=np.float64), xs, dens, left=0.0, right=0.0)
+            return self._grid_source().density()
         return None  # point mass has no density
 
     def norm_sq(self) -> Optional[float]:
@@ -137,12 +154,8 @@ class SignalSpec:
         over the tabulated grid for the others; None for the point mass."""
         if self.kind == "uniform":
             return 0.5 / float(self.params[0])
-        if self.kind == "h_kappa":
-            return GridFunction(*_h_kappa_grid(float(self.params[0]), float(self.params[1]))).l2_sq()
-        if self.kind == "compact_bump":
-            return GridFunction(*_bump_uniform_density(float(self.params[0]),
-                                                       float(self.params[1]))).l2_sq()
-        return None
+        grid = self._grid_source()
+        return None if grid is None else grid.norm_sq()
 
     def support_halfwidth(self) -> float:
         if self.kind == "uniform":
@@ -185,13 +198,6 @@ def _h_kappa_grid(kappa: float, x0: float):
     return xs, h_kappa_eval(spec, xs)
 
 
-def _grid_cf(xs: np.ndarray, dens: np.ndarray) -> Callable:
-    """CF of the density tabulated on the uniform grid xs, as atoms."""
-    step = xs[1] - xs[0]
-    mass = float(np.sum(dens) * step)
-    return _atoms_cf(xs, dens * step / mass)
-
-
 @dataclass(frozen=True)
 class GridSource:
     """One-dimensional source whose density is tabulated on a uniform grid,
@@ -203,7 +209,9 @@ class GridSource:
         return inverse_cdf_sampler(self.grid.xs, np.clip(self.grid.values, 0.0, None))
 
     def cf(self) -> Callable:
-        return _grid_cf(self.grid.xs, self.grid.values)
+        """CF of the tabulated density normalized to unit mass, as atoms."""
+        g = self.grid
+        return _atoms_cf(g.xs, g.values * g.step / g.mass())
 
     def density(self) -> Callable:
         return self.grid
@@ -222,16 +230,15 @@ def _bump_uniform_density(w: float, b: float):
     # grid has unit mass wherever w falls between nodes
     overlap = np.minimum(xs + step / 2, w) - np.maximum(xs - step / 2, -w)
     uni = np.clip(overlap, 0.0, None) / (2.0 * w * step)
-    taps = mollifier_eval(b, np.arange(-int(1.0 / (b * step)), int(1.0 / (b * step)) + 1) * step)
-    taps = taps / (np.sum(taps) * step)
-    return xs, np.convolve(uni, taps, mode="same") * step
+    return xs, np.convolve(uni, _mollifier_taps(b, step), mode="same") * step
 
 
 @dataclass(frozen=True)
 class AxisNoise:
     """One noise coordinate: kind in {g_density, uniform, laplace,
-    point_mass, gaussian}, with its scalar parameter.  All kinds are
-    symmetric so the block is mean-zero by construction."""
+    point_mass, gaussian}, with its scalar parameter: finite, and positive
+    except for point_mass.  All kinds are symmetric so the block is
+    mean-zero by construction."""
 
     kind: str
     param: float = 1.0
@@ -239,8 +246,10 @@ class AxisNoise:
     def __post_init__(self):
         if self.kind not in ("g_density", "uniform", "laplace", "point_mass", "gaussian"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise ConfigError(f"{self.kind} noise param must be finite, got {self.param}")
         if self.kind != "point_mass" and self.param <= 0:
-            raise ConfigError("noise parameter must be positive")
+            raise ConfigError(f"{self.kind} noise param must be positive, got {self.param}")
 
     def cf(self) -> Callable:
         if self.kind == "g_density":
@@ -273,15 +282,21 @@ def _g_pack(c: float) -> NoisePack:
     return noise_g(c)
 
 
-def _block_cf(axes: tuple) -> Callable:
-    def cf(t):
+def _product_cf(cfs: Sequence[Callable], project: Callable) -> Callable:
+    """CF on points t of shape (n, d) of a vector whose coordinates are
+    independent 1-D laws: the product over j of cfs[j] at column j of
+    project(t).  project is the identity for a noise block, t @ A for a
+    mixture A S, and the sum of the two blocks for repeated measurements."""
+
+    def phi(t):
         t = np.atleast_2d(np.asarray(t, dtype=np.float64))
+        args = project(t)
         out = np.ones(t.shape[0], dtype=np.complex128)
-        for a, axis in enumerate(axes):
-            out = out * axis.cf()(t[:, a])
+        for j, cf in enumerate(cfs):
+            out = out * cf(args[:, j])
         return out
 
-    return cf
+    return phi
 
 
 def _block_draw(axes: tuple, n: int, rng) -> np.ndarray:
@@ -347,26 +362,17 @@ class ScenarioSpec:
     def signal_cf(self) -> Callable:
         """Joint CF of the signal part R on points of shape (n, d)."""
         if self.sources is not None:
-            return _mixed_cf([src.cf() for src in self.sources], self.mixing)
+            A = self.mixing
+            return _product_cf([src.cf() for src in self.sources], lambda t: t @ A)
         if self.variant == "repeated":
-            psi = self.signal.cf()
-
-            def phi(t):
-                t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-                out = np.ones(t.shape[0], dtype=np.complex128)
-                for a in range(self.d1):
-                    out = out * psi(t[:, a] + t[:, self.d1 + a])
-                return out
-
-            return phi
+            d1 = self.d1
+            return _product_cf([self.signal.cf()] * d1, lambda t: t[:, :d1] + t[:, d1:])
         return _eiv_cf(self.signal, _LINKS[self.link_name])
 
     def oracle(self):
-        return OracleModel(
-            phi_R=self.signal_cf(),
-            phi_Q1=_block_cf(self.noise1),
-            phi_Q2=_block_cf(self.noise2),
-        )
+        phi_Q1, phi_Q2 = (_product_cf([axis.cf() for axis in axes], lambda t: t)
+                          for axes in (self.noise1, self.noise2))
+        return OracleModel(phi_R=self.signal_cf(), phi_Q1=phi_Q1, phi_Q2=phi_Q2)
 
     def true_density(self) -> Optional[Callable]:
         """Joint density of R for a mixture of sources with densities; None
@@ -406,20 +412,6 @@ class ScenarioSpec:
         return None if norm_sq is None else DensityTruth(self.signal_cf(), norm_sq)
 
 
-def _mixed_cf(cfs: list, A: np.ndarray) -> Callable:
-    """CF of A S on points (n, d) for independent sources S_j with CFs cfs."""
-
-    def phi(t):
-        t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-        args = t @ A
-        out = np.ones(t.shape[0], dtype=np.complex128)
-        for j, cf in enumerate(cfs):
-            out = out * cf(args[:, j])
-        return out
-
-    return phi
-
-
 def _eiv_cf(signal: SignalSpec, link: Callable) -> Callable:
     dens = signal.density()
     if dens is None:
@@ -434,7 +426,7 @@ def _eiv_cf(signal: SignalSpec, link: Callable) -> Callable:
             )
         raise ConfigError("errors-in-variables oracle CF needs a signal density")
     half = signal.support_halfwidth()
-    base_x, base_w = np.polynomial.legendre.leggauss(160)
+    base_x, base_w = legendre_rule(160)
     xs = half * base_x
     ws = half * base_w * dens(xs)
     gxs = link(xs)
@@ -453,13 +445,8 @@ def _eiv_cf(signal: SignalSpec, link: Callable) -> Callable:
 
 def _h2_probe(phi: Callable, d1: int, d2: int) -> float:
     """min over probe z1 of max over probe z2 of |Phi_R(z1, z2)|."""
-    g1 = tensor_points([_PROBE_AXIS] * d1)
-    g2 = tensor_points([_PROBE_AXIS] * d2)
-    worst = math.inf
-    for z1 in g1:
-        pts = np.hstack([np.tile(z1, (g2.shape[0], 1)), g2])
-        worst = min(worst, float(np.max(np.abs(phi(pts)))))
-    return worst
+    moduli = np.abs(phi(tensor_points([_PROBE_AXIS] * (d1 + d2))))
+    return float(np.min(np.max(moduli.reshape(-1, len(_PROBE_AXIS) ** d2), axis=1)))
 
 
 def _noise_floor(axes: tuple, nu: float) -> float:
@@ -473,9 +460,13 @@ def _noise_floor(axes: tuple, nu: float) -> float:
 
 def _validate(spec: ScenarioSpec, nu: float, c_nu: float) -> ScenarioSpec:
     h2 = _h2_probe(spec.signal_cf(), spec.d1, spec.d2)
+    if not math.isfinite(h2):
+        raise ConfigError(f"scenario rejected: joint CF probe is {h2}, not finite")
     if not (h2 > 1e-12):
         raise ConfigError("scenario rejected: joint CF vanishes on a probe slice")
     floors = (_noise_floor(spec.noise1, nu), _noise_floor(spec.noise2, nu))
+    if not all(map(math.isfinite, floors)):
+        raise ConfigError(f"scenario rejected: noise CF floors {floors} are not all finite")
     if min(floors) < c_nu:
         raise ConfigError(
             f"scenario rejected: noise CF floor {min(floors):.3e} below c_nu={c_nu}"
@@ -529,6 +520,8 @@ def make_ica(sources: Sequence[SignalSpec], mixing: np.ndarray, noise1, noise2,
     d = len(sources)
     if A.shape != (d, d):
         raise ConfigError(f"mixing matrix must be {d}x{d}")
+    if not np.all(np.isfinite(A)):
+        raise ConfigError("mixing matrix must be finite")
     if not (1 <= d1 < d):
         raise ConfigError("need 1 <= d1 < d")
     d2 = d - d1

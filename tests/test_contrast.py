@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfdeconv import ConfigError
+from cfdeconv._util import legendre_rule
 from cfdeconv.contrast import (
     OracleModel,
     QuadratureGrid,
@@ -76,6 +77,18 @@ class TestMakeGrid:
         assert np.array_equal(x, -x[::-1])
         table = ecf_on_grid(SampleSet(1, 1, np.zeros((1, 2))), [x, x])
         assert np.all(table.full == 1.0)
+
+    @pytest.mark.parametrize("nodes", [12, 16, 40, 48, 57, 64, 160])
+    def test_shared_rule_is_leggauss_read_only(self, nodes):
+        # the one cached rule behind make_grid, the lab's panel and mollifier
+        # rules, the errors-in-variables CF and smoothness_integral
+        x, w = legendre_rule(nodes)
+        expected_x, expected_w = np.polynomial.legendre.leggauss(nodes)
+        np.testing.assert_array_equal(x, expected_x)
+        np.testing.assert_array_equal(w, expected_w)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert legendre_rule(nodes)[0] is x
+        np.testing.assert_array_equal(make_grid(1.5, (1, 1), nodes).axis_nodes, 1.5 * x)
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):

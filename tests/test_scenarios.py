@@ -9,7 +9,7 @@ import pytest
 
 from cfdeconv import ConfigError, scenarios
 from cfdeconv._util import tensor_points
-from cfdeconv.conjecture_lab import make_instance, build_two_point, noise_g
+from cfdeconv.conjecture_lab import GridFunction, make_instance, build_two_point, noise_g
 from cfdeconv.contrast import make_grid
 from cfdeconv.multiindex_taylor import TaylorPoly, index_table, monomial_matrix, parity_phase
 from cfdeconv.reconstruct import DensityGrid, LatticeSpec, invert
@@ -77,6 +77,40 @@ class TestSignalSpec:
         with pytest.raises(ConfigError, match=f"{kind} signal"):
             SignalSpec(kind, params)
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("point_mass", (math.nan,), "location must be finite"),
+        ("point_mass", (-math.inf,), "location must be finite"),
+        ("uniform", (math.inf,), "half_width must be finite"),
+        ("compact_bump", (1.0, math.inf), "b must be finite"),
+        ("compact_bump", (math.nan, 4.0), "half_width must be finite"),
+        ("h_kappa", (math.nan, 1.0), "kappa must be finite"),
+        ("h_kappa", (0.75, math.inf), "x0 must be finite"),
+        ("h_kappa", (1.5, 1.0), r"kappa must be in \(0, 1\]"),
+        ("h_kappa", (0.0, 1.0), r"kappa must be in \(0, 1\]"),
+        ("h_kappa", (0.75, 0.0), "x0 must be positive"),
+        ("h_kappa", (0.75, -1.0), "x0 must be positive"),
+    ])
+    def test_non_finite_or_out_of_range_param_named(self, kind, params, message):
+        # a NaN passes every comparison-based check, so it is refused by name
+        with pytest.raises(ConfigError, match=f"{kind} signal {message}"):
+            SignalSpec(kind, params)
+
+    def test_h_kappa_is_its_grid_source(self, rng):
+        spec = SignalSpec("h_kappa", (0.75, 1.0))
+        source = GridSource(GridFunction(*scenarios._h_kappa_grid(0.75, 1.0)))
+        t = rng.uniform(-20.0, 20.0, size=300)
+        np.testing.assert_array_equal(spec.cf()(t), source.cf()(t))
+        np.testing.assert_array_equal(spec.sampler()(500, np.random.default_rng(3)),
+                                      source.sampler()(500, np.random.default_rng(3)))
+        np.testing.assert_array_equal(spec.norm_sq(), source.norm_sq())
+
+    def test_compact_bump_density_is_its_grid_source(self, rng):
+        spec = SignalSpec("compact_bump", (0.5, 4.0))
+        source = GridSource(GridFunction(*scenarios._bump_uniform_density(0.5, 4.0)))
+        xs = rng.uniform(-1.0, 1.0, size=300)
+        np.testing.assert_array_equal(spec.density()(xs), source.density()(xs))
+        np.testing.assert_array_equal(spec.norm_sq(), source.norm_sq())
+
 
 class TestAxisNoise:
     def test_cf_closed_forms(self):
@@ -111,6 +145,22 @@ class TestAxisNoise:
             AxisNoise("cauchy", 1.0)
         with pytest.raises(ConfigError):
             AxisNoise("uniform", -1.0)
+
+    @pytest.mark.parametrize("kind, param", [
+        ("uniform", math.nan), ("laplace", math.inf), ("gaussian", -math.inf),
+        ("g_density", math.nan), ("point_mass", math.nan),
+    ])
+    def test_non_finite_param_rejected(self, kind, param):
+        with pytest.raises(ConfigError, match=f"{kind} noise param must be finite"):
+            AxisNoise(kind, param)
+
+    def test_mixed_kind_block_cf_is_the_axis_product(self, rng):
+        axes = (AxisNoise("g_density", 2.0), AxisNoise("uniform", 0.3))
+        oracle = make_repeated(SignalSpec("uniform", (1.0,)), axes, axes[::-1], d1=2).oracle()
+        t = rng.uniform(-1.0, 1.0, size=(50, 2))
+        g, u = (axis.cf() for axis in axes)
+        np.testing.assert_array_equal(oracle.phi_Q1(t), g(t[:, 0]) * u(t[:, 1]))
+        np.testing.assert_array_equal(oracle.phi_Q2(t), u(t[:, 0]) * g(t[:, 1]))
 
 
 class TestRepeated:
@@ -158,6 +208,13 @@ class TestRepeated:
                              "nu", "c_nu"}
         assert diag["h2_probe_min"] > 1e-12
         assert min(diag["noise_cf_floor_1"], diag["noise_cf_floor_2"]) >= diag["c_nu"]
+
+    def test_non_finite_noise_floor_rejected(self):
+        # w t overflows on the box [-10, 10], so sinc(w t / pi) is nan there
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConfigError, match="noise CF floors"):
+            make_repeated(SignalSpec("uniform", (1.0,)), AxisNoise("uniform", 1e308),
+                          AxisNoise("uniform", 0.03), nu=10.0)
 
     def test_wide_noise_rejected(self):
         # gaussian CF drops below the floor on the working box
@@ -273,6 +330,20 @@ class TestIca:
         sources = [SignalSpec("uniform", (1.0,)), SignalSpec("uniform", (1.0,))]
         with pytest.raises(ConfigError, match="singular"):
             make_ica(sources, np.ones((2, 2)), AxisNoise("uniform", 0.3),
+                     AxisNoise("uniform", 0.3), d1=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mixing_rejected(self, bad):
+        sources = [SignalSpec("uniform", (1.0,))] * 2
+        with pytest.raises(ConfigError, match="mixing matrix must be finite"):
+            make_ica(sources, [[1.0, bad], [0.5, 1.0]], AxisNoise("uniform", 0.3),
+                     AxisNoise("uniform", 0.3), d1=1)
+
+    def test_non_finite_probe_rejected(self):
+        xs = np.linspace(-1.0, 1.0, 9)
+        sources = [GridSource(GridFunction(xs, np.full(9, math.nan))), SignalSpec("uniform", (1.0,))]
+        with pytest.raises(ConfigError, match="joint CF probe is nan, not finite"):
+            make_ica(sources, [[1.0, 0.5], [0.5, 1.0]], AxisNoise("uniform", 0.3),
                      AxisNoise("uniform", 0.3), d1=1)
 
     def test_shape_validation(self):

@@ -27,7 +27,13 @@ scenario's sampler and construction diagnostics are compared too.  A
 `bounds-cli` line runs `bounds-check` on one small fixed sweep at d = 3
 and 4 (suite seed = the seed argument) and prints the SHA-256 of its
 bounds.csv and summary.json, so the degree-30 index tables above d = 2
-that its class members use are compared too.  A
+that its class members use are compared too.  A `scenario-oracles` line
+builds one scenario of each kind (SCENARIOS and the two-point one) through
+the library and prints one SHA-256 over, per scenario, the oracle's signal
+CF tables and noise weights on an 8-node grid, a 3000-draw sample (seed =
+the seed argument), the construction diagnostics and, for a mixture, the
+true density at the draws and its squared norm, so the noise-block,
+errors-in-variables, h_kappa and compact_bump laws are compared too.  A
 `lab-lecam` line prints the repr of every Le Cam
 `l1_single` and `value` of the lab pass, in call order, so the size of a
 last-bit change that moves the lab's rows hash can be read off.  Two
@@ -50,6 +56,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 WORKLOADS = ("cells-ica2d", "adapt-ica2d-1m", "cell-rm4d", "lab-lowerbound")
 
@@ -92,6 +100,22 @@ TWO_POINT_FILES = ("samples.csv", "summary.json")
 BOUNDS = {"kappa_list": [0.75], "S_list": [1.0], "nu_list": [1.0], "m_list": [6],
           "d_list": [3, 4], "n_members": 3}
 BOUNDS_FILES = ("bounds.csv", "summary.json")
+
+# one scenario of each kind: (variant, signal or sources, noise1, noise2, options); a
+# signal is (kind, params) and a noise block one (kind, param) or a list of them
+UNIFORM, BUMP, HKAPPA = ("uniform", (1.0,)), ("compact_bump", (0.5, 4.0)), ("h_kappa", (0.75, 1.0))
+SCENARIOS = (
+    ("repeated", UNIFORM, [("g_density", 2.0), ("uniform", 0.3)],
+     [("uniform", 0.3), ("g_density", 2.0)], {"d1": 2}),
+    ("repeated", HKAPPA, ("uniform", 0.3), ("laplace", 0.3), {}),
+    ("repeated", BUMP, ("laplace", 0.3), ("uniform", 0.3), {}),
+    ("eiv", UNIFORM, ("uniform", 0.3), ("laplace", 0.3), {}),
+    ("eiv", HKAPPA, ("uniform", 0.3), ("laplace", 0.3), {"link": "identity"}),
+    ("eiv", ("point_mass", (0.4,)), ("laplace", 0.3), ("uniform", 0.3), {}),
+    ("ica", [UNIFORM, BUMP, HKAPPA], ("laplace", 0.3), ("g_density", 2.0),
+     {"d1": 1, "mixing": [[1.0, 0.5, 0.3], [0.4, 1.0, 0.5], [0.3, 0.6, 1.0]]}),
+)
+ORACLE_NODES, ORACLE_DRAWS = 8, 3000
 
 
 def _import_checkout(root: Path):
@@ -175,6 +199,40 @@ def cli_digests(command: str, cfg: dict, names, seed: int) -> tuple:
         return _file_digests(out, names)
 
 
+def _build_scenario(cf, variant, signal, noise1, noise2, options):
+    def noise(block):
+        if isinstance(block, list):
+            return [cf.AxisNoise(*axis) for axis in block]
+        return cf.AxisNoise(*block)
+
+    options = dict(options)
+    if variant == "ica":
+        sources = [cf.SignalSpec(*source) for source in signal]
+        return cf.make_ica(sources, options.pop("mixing"), noise(noise1), noise(noise2), **options)
+    make = cf.make_repeated if variant == "repeated" else cf.make_eiv
+    return make(cf.SignalSpec(*signal), noise(noise1), noise(noise2), **options)
+
+
+def oracle_digest(cf, seed: int) -> str:
+    """SHA-256 over every SCENARIOS entry and the TWO_POINT scenario of its
+    oracle tables and noise weights on an ORACLE_NODES grid, an ORACLE_DRAWS
+    sample drawn with seed `seed`, its sorted diagnostics, its true density
+    at the sample (if it has one) and that density's squared norm."""
+    scenarios = [_build_scenario(cf, *entry) for entry in SCENARIOS]
+    cli_io = importlib.import_module("cfdeconv.cli_io")
+    scenarios.append(cli_io.scenario_from_config(TWO_POINT["scenario"]))
+    h = hashlib.sha256()
+    for spec in scenarios:
+        grid = cf.contrast.make_grid(1.0, (spec.d1, spec.d2), ORACLE_NODES)
+        oracle, data = spec.oracle(), spec.sample(ORACLE_DRAWS, seed).data
+        density = spec.true_density()
+        for array in (*oracle.tables(grid), *oracle.noise_weights(grid), data,
+                      density(data) if density else np.zeros(0)):
+            h.update(array.tobytes())
+        h.update(repr((sorted(spec.diagnostics.items()), spec.density_norm_sq())).encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
@@ -201,6 +259,7 @@ def main(argv=None) -> int:
         files = " ".join(f"{name}={digest}" for name, digest in
                          zip(names, cli_digests(command, cfg, names, args.seed)))
         print(f"{label}-cli seed={args.seed} {files}", flush=True)
+    print(f"scenario-oracles seed={args.seed} sha256={oracle_digest(cf, args.seed)}", flush=True)
     return 0
 
 
