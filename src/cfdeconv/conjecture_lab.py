@@ -327,6 +327,15 @@ class GridFunction:
         return np.interp(np.asarray(x, dtype=np.float64), self.xs, self.values,
                          left=0.0, right=0.0)
 
+    def support(self) -> tuple:
+        """(lo, hi) outside which the interpolant is zero: the nodes next to
+        the first and last nonzero value (the grid ends if those are ends)."""
+        nz = np.flatnonzero(self.values)
+        if nz.size == 0:
+            return float(self.xs[0]), float(self.xs[0])
+        last = self.xs.shape[0] - 1
+        return float(self.xs[max(nz[0] - 1, 0)]), float(self.xs[min(nz[-1] + 1, last)])
+
     def mass(self) -> float:
         return float(np.sum(self.values) * self.step)
 
@@ -596,10 +605,11 @@ def _support_product(f: GridFunction, v: np.ndarray, w: np.ndarray,
                      right: np.ndarray) -> np.ndarray:
     """f(v_i - w_k) @ right, skipping the w columns where f is zero."""
     out = np.empty((v.shape[0], right.shape[1]))
+    f_lo, f_hi = f.support()
     for start in range(0, v.shape[0], _V_BLOCK):
         rows = v[start:start + _V_BLOCK]
-        lo = np.searchsorted(w, rows[0] - f.xs[-1], side="left")
-        hi = np.searchsorted(w, rows[-1] - f.xs[0], side="right")
+        lo = np.searchsorted(w, rows[0] - f_hi, side="left")
+        hi = np.searchsorted(w, rows[-1] - f_lo, side="right")
         out[start:start + rows.shape[0]] = f(rows[:, None] - w[None, lo:hi]) @ right[lo:hi]
     return out
 
@@ -615,8 +625,9 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int) -> LeCamReport:
     (G @ QA) @ Z^T on tensor grids.  The kernel is QA = det M * M^T with
     M = g(w_i + a w_j), one density evaluation, and is kept on the noise
     (NoisePack._kernel) for the next call with the same a.  G and Z vanish
-    off the two-point's master grid, so both products run one block of v
-    rows at a time over the w window where v - w lies on that grid.
+    off their supports, so both products run one block of v rows at a time
+    over the w window where v - w lies in that support, and the first
+    computes only the columns of G @ QA that the second reads.
     n = 0 turns the bracket into 1 and is only a formula check.
     """
     inst = two_point.instance
@@ -627,8 +638,12 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int) -> LeCamReport:
     v = np.arange(-_V_HALF, _V_HALF + _V_STEP / 2, _V_STEP)
     w = np.arange(-_W_HALF, _W_HALF + _W_STEP / 2, _W_STEP)
     QA = _noise_kernel(noise, inst.a, abs(float(np.linalg.det(inst.matrix()))), w)
-    GQ = _support_product(two_point.pert, v, w, QA)
-    C2T = _support_product(two_point.zeta0, v, w, GQ.T)  # Z @ (G @ QA)^T = C2^T
+    # the second product reads only the w columns where some zeta0(v_i - w) > 0
+    z_lo, z_hi = two_point.zeta0.support()
+    cols = slice(np.searchsorted(w, v[0] - z_hi, side="left"),
+                 np.searchsorted(w, v[-1] - z_lo, side="right"))
+    GQ = _support_product(two_point.pert, v, w, QA[:, cols])
+    C2T = _support_product(two_point.zeta0, v, w[cols], GQ.T)  # Z @ (G @ QA)^T = C2^T
     l1 = float(inst.alpha_n * np.sum(np.abs(C2T)) * _W_STEP**2 * _V_STEP**2)
     if not np.isfinite(l1):
         raise NumericalError("L1 quadrature diverged")

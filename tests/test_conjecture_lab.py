@@ -18,6 +18,7 @@ from cfdeconv.conjecture_lab import (
     _V_STEP,
     _W_HALF,
     _W_STEP,
+    GridFunction,
     NoisePack,
     WeightSpec,
     build_two_point,
@@ -524,6 +525,28 @@ class TestLeCam:
     def test_negative_n_rejected(self, two_point, g_noise):
         with pytest.raises(ConfigError):
             lecam_value(two_point, g_noise, -1)
+
+
+class TestGridFunctionSupport:
+    def test_support_is_the_nonzero_interpolant(self):
+        xs = np.arange(-8, 9) * 0.25
+        values = np.zeros_like(xs)
+        values[5:9] = [0.5, 0.0, 1.0, 2.0]
+        f = GridFunction(xs, values)
+        lo, hi = f.support()
+        assert (lo, hi) == (xs[4], xs[9])
+        assert f(np.linspace(lo, hi, 41)[1:-1]).min() >= 0.0
+        outside = np.concatenate([np.linspace(xs[0], lo, 9), np.linspace(hi, xs[-1], 9)])
+        np.testing.assert_array_equal(f(outside), 0.0)
+
+    def test_support_clips_to_the_grid(self):
+        xs = np.arange(5) * 0.5
+        assert GridFunction(xs, np.ones(5)).support() == (0.0, 2.0)
+
+    def test_two_point_support_inside_the_padded_grid(self, two_point):
+        lo, hi = two_point.zeta0.support()
+        xs = two_point.zeta0.xs
+        assert xs[0] < lo < hi < xs[-1]
 
 
 class TestLeCamKernel:
