@@ -7,6 +7,10 @@ truncated Fourier inversion with theory-driven tuning and a data-driven
 tail-parameter selector.  The numerical laboratory side builds the
 weighted orthonormal systems, sup-norm bound certificates, and two-point
 lower-bound instances used to probe the hardness of the problem.
+
+scipy is imported inside the functions that call it (L-BFGS-B, spherical
+Bessel values, the alignment's BFGS), so importing the package and running
+the laboratory load no scipy module.
 """
 
 from ._util import ConfigError, NumericalError

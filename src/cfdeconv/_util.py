@@ -9,8 +9,10 @@ import contextlib
 import ctypes
 import functools
 import hashlib
-import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
 import threading
 
 import numpy as np
@@ -246,19 +248,32 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
+def _lbfgsb_file():
+    """Path of scipy's compiled L-BFGS-B extension, found under scipy's
+    package directory without importing scipy; None if there is none."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec.submodule_search_locations if spec else None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_lbfgsb" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
 @functools.cache
 def blas_setters() -> tuple:
     """OpenBLAS's `openblas_set_num_threads_local`, which returns the prior
     count, for each distinct pool: numpy's and the one scipy's L-BFGS-B
-    links (dlsym on an extension finds the OpenBLAS it links).  A setter
-    that does not resolve (MKL, Accelerate, OpenBLAS < 0.3.27) is left out,
-    and one library shared by both appears once."""
+    links (dlsym on an extension finds the OpenBLAS it links).  scipy's
+    extension is loaded by file, so finding its setter imports no scipy
+    module.  A setter that does not resolve (MKL, Accelerate, OpenBLAS <
+    0.3.27) is left out, and one library shared by both appears once."""
     found = {}
-    for module in ("numpy._core._multiarray_umath", "scipy.optimize._lbfgsb"):
+    numpy_file = importlib.import_module("numpy._core._multiarray_umath").__file__
+    for path in filter(None, (numpy_file, _lbfgsb_file())):
         try:
-            library = ctypes.CDLL(importlib.import_module(module).__file__)
-            setter = library.openblas_set_num_threads_local
-        except (ImportError, OSError, AttributeError):
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
         found.setdefault(ctypes.cast(setter, ctypes.c_void_p).value, setter)

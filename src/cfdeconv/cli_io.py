@@ -365,9 +365,10 @@ def emit_figure_data(panels, target) -> list:
     digits, so regeneration under identical settings is byte-stable.  For
     panels from build_profile_panels the bytes also do not depend on the
     CPU, numpy's SIMD dispatch or libm: the weight's exp and powers use the
-    fixed-operation kernels in _util.  Outside that guarantee remain LAPACK
-    (the Gauss-Legendre nodes of the library's one rule,
-    _util.legendre_rule) and scipy's QUADPACK (the weight normalizer c_h).
+    fixed-operation kernels in _util, and the weight normalizer c_h is a
+    sum of those values on a Gauss-Legendre panel rule.  Outside that
+    guarantee remains LAPACK (the Gauss-Legendre nodes of the library's one
+    rule, _util.legendre_rule).
     """
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)

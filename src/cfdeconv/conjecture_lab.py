@@ -12,10 +12,11 @@ Young inequality makes the norm chain an exact inequality of two sums.
 
 The weight and the profile scale factors take exp and powers from the
 fixed-operation kernels in _util rather than np.exp/np.power, whose last
-bits vary with numpy's SIMD dispatch and with libm.  Basis and profile
-values are therefore the same bytes on every CPU, given the same
-Gauss-Legendre nodes (LAPACK, via the library's one rule,
-_util.legendre_rule) and c_h (scipy's QUADPACK).
+bits vary with numpy's SIMD dispatch and with libm.  The normalizers c_h
+and c_u are sums on the same Gauss-Legendre panel rule as the basis, so
+the module needs no scipy.  Basis and profile values are therefore the
+same bytes on every CPU, given the same Gauss-Legendre nodes (LAPACK, via
+the library's one rule, _util.legendre_rule).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._util import (ConfigError, NumericalError, det_exp, det_pow, inverse_cdf_sampler,
                     legendre_rule)
@@ -52,8 +52,9 @@ _V_BLOCK = 64  # v rows per block of lecam_value's support-window products
 class WeightSpec:
     """Even weight h(x) = c_h exp(-[(1+(x/x0)^2)/2]^(1/(2(1-kappa)))).
 
-    c_h normalizes h to unit integral and is computed on construction.  The
-    kappa = 1 member is the flat limit: the uniform density on [-x0, x0].
+    c_h normalizes h to unit integral and is computed on construction, on
+    build_weighted_basis's panel rule over [-cutoff, cutoff].  The kappa = 1
+    member is the flat limit: the uniform density on [-x0, x0].
     """
 
     kappa: float
@@ -67,8 +68,8 @@ class WeightSpec:
             object.__setattr__(self, "c_h", 1.0 / (2.0 * self.x0))
             return
         cut = self.cutoff()
-        raw = quad(lambda x: self._raw(np.asarray([x]))[0], -cut, cut, limit=200)[0]
-        object.__setattr__(self, "c_h", 1.0 / raw)
+        x, w = _panel_rule(-cut, cut, _PANELS, _NODES)
+        object.__setattr__(self, "c_h", 1.0 / float(np.sum(w * self._raw(x))))
 
     def _raw(self, x: np.ndarray) -> np.ndarray:
         power = 1.0 / (2.0 * (1.0 - self.kappa))
@@ -278,9 +279,10 @@ def census_protocol(basis: WeightedBasis, c1: float, c2: float):
 
 @lru_cache(maxsize=1)
 def mollifier_constant() -> float:
-    """c_u with integral of c_u exp(-1/(1-x^2)) over [-1, 1] equal to 1."""
-    raw = quad(lambda x: math.exp(-1.0 / (1.0 - x * x)), -1.0, 1.0, limit=200)[0]
-    return 1.0 / raw
+    """c_u with integral of c_u exp(-1/(1-x^2)) over [-1, 1] equal to 1, on
+    build_weighted_basis's panel rule (the bump is smooth at +-1)."""
+    x, w = _panel_rule(-1.0, 1.0, _PANELS, _NODES)
+    return 1.0 / float(np.sum(w * _bump(x)))
 
 
 def _bump(y: np.ndarray) -> np.ndarray:
@@ -331,10 +333,8 @@ class GridFunction:
         """(lo, hi) outside which the interpolant is zero: the nodes next to
         the first and last nonzero value (the grid ends if those are ends)."""
         nz = np.flatnonzero(self.values)
-        if nz.size == 0:
-            return float(self.xs[0]), float(self.xs[0])
-        last = self.xs.shape[0] - 1
-        return float(self.xs[max(nz[0] - 1, 0)]), float(self.xs[min(nz[-1] + 1, last)])
+        lo, hi = (nz[0] - 1, nz[-1] + 1) if nz.size else (0, 0)
+        return float(self.xs[max(lo, 0)]), float(self.xs[min(hi, self.xs.shape[0] - 1)])
 
     def mass(self) -> float:
         return float(np.sum(self.values) * self.step)

@@ -28,7 +28,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ._util import ConfigError, one_blas_thread
 from .contrast import ContrastMoments, QuadratureGrid, _GridTables
@@ -151,6 +150,8 @@ def _descend(table: EcfTable, grid: QuadratureGrid, get_moments, start: TaylorPo
     valued on the grid, the iterates between by `get_moments()`, called
     only if the start is above tol; the last evaluated point is kept for
     the callback's iterate."""
+    from scipy import optimize
+
     tol = config.tol
     trace = [contrast_empirical(start, table, grid)]
     if trace[0] <= tol:
@@ -205,6 +206,8 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     The starts run with both OpenBLAS pools held at one thread
     (`_util.one_blas_thread`, see the module docstring).
     """
+    from scipy import optimize
+
     bounds = _bound_vector(grid.d, config.m_opt, config.params)
     pinned = index_table(grid.d, config.m_opt)[1] == 0
     box = optimize.Bounds(np.where(pinned, 1.0, -bounds), np.where(pinned, 1.0, bounds))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from ._util import ConfigError, NumericalError, as_type, legendre_rule, tensor_points, tensor_weights
 from .multiindex_taylor import TaylorPoly, evaluate, index_table
@@ -130,6 +129,8 @@ def _axis_moments(x: np.ndarray, omega: float, kmax: int) -> np.ndarray:
     nonnegative with sum 1 and |j_l| <= 1, so the rounding error is a few
     ulps of 2 omega^(k+1) whatever omega x is.
     """
+    from scipy.special import spherical_jn
+
     z = omega * np.asarray(x, dtype=np.float64)
     ls = np.arange(kmax + 1)
     # j_l has the parity of l: evaluate at |z|, restore the sign for odd l

@@ -26,8 +26,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from scipy.optimize import minimize
-
 from ._util import (ConfigError, cos_sin, inverse_cdf_sampler, legendre_rule, tensor_points,
                     tensor_weights)
 from .conjecture_lab import (
@@ -220,9 +218,25 @@ class GridSource:
         return self.grid.l2_sq()
 
 
+def _prefix_sums(values: np.ndarray) -> tuple:
+    """Prefix sums of `values` (starting at 0) as a pair (total, error):
+    the running float sum and the running sum of each step's rounding
+    error (TwoSum), so total + error is exact to a few ulps and a
+    difference of two large prefixes loses no digits."""
+    total = np.concatenate([[0.0], np.cumsum(values)])
+    before, after = total[:-1], total[1:]
+    added = after - before
+    error = np.cumsum((before - (after - added)) + (values - added))
+    return total, np.concatenate([[0.0], error])
+
+
 @lru_cache(maxsize=8)
 def _bump_uniform_density(w: float, b: float):
-    # density of Uniform(-w, w) * u_b by grid convolution
+    """Density of Uniform(-w, w) * u_b on a grid: the box averaged over each
+    cell, convolved with the u_b taps.  The box is 1/(2w) on the cells
+    inside it plus two fractional edge cells, so each value is 1/(2w) times
+    a window sum of the taps (a difference of prefix sums) plus two edge
+    terms: linear in the grid length."""
     step = min(w, 1.0 / b) / 256.0
     half = int(math.ceil((w + 1.0 / b + step) / step))
     xs = np.arange(-half, half + 1) * step
@@ -230,7 +244,16 @@ def _bump_uniform_density(w: float, b: float):
     # grid has unit mass wherever w falls between nodes
     overlap = np.minimum(xs + step / 2, w) - np.maximum(xs - step / 2, -w)
     uni = np.clip(overlap, 0.0, None) / (2.0 * w * step)
-    return xs, np.convolve(uni, _mollifier_taps(b, step), mode="same") * step
+    taps = _mollifier_taps(b, step)
+    first, last = np.flatnonzero(uni)[[0, -1]]
+    # value i sums uni[j] taps[k - j] with k = i + (half-length of the taps)
+    k = np.arange(xs.shape[0]) + (taps.shape[0] - 1) // 2
+    lo, hi = (np.clip(k - j, 0, taps.shape[0]) for j in (last - 1, first))
+    total, error = _prefix_sums(taps)
+    window = (total[hi] - total[lo]) + (error[hi] - error[lo])
+    padded = np.concatenate([[0.0], taps, [0.0]])
+    edges = sum(uni[j] * padded[np.clip(k - j, -1, taps.shape[0]) + 1] for j in (first, last))
+    return xs, (window / (2.0 * w) + edges) * step
 
 
 @dataclass(frozen=True)
@@ -657,6 +680,8 @@ def translation_align(estimate: DensityGrid, truth: DensityTruth,
     the start and the refined shift, so the aligned error never exceeds the
     raw one (truth_l2).  Returns (best_shift, aligned_error).
     """
+    from scipy.optimize import minimize
+
     if shift_window < step or step <= 0:
         raise ConfigError("need shift_window >= step > 0")
     problem = _ShiftedL2(estimate, truth)

@@ -122,6 +122,16 @@ class TestWeight:
         ratio = float(h_kappa_eval(spec, 1.0) / h_kappa_eval(spec, 0.0))
         assert ratio == pytest.approx(0.6065306597126334, rel=1e-14)
 
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.55, 0.75, 0.9, 0.99])
+    def test_normalizer_matches_40_digit_integral(self, kappa):
+        with mp.workdps(40):
+            power = 1 / (2 * (1 - mp.mpf(kappa)))
+            half = mp.quad(lambda x: mp.exp(-((1 + x * x) / 2) ** power),
+                           [0, 0.5, 1, 1.5, 2, 4, 8, 16, mp.inf])
+            exact = 1 / (2 * half)
+        c_h = WeightSpec(kappa=kappa).c_h
+        assert abs(c_h - exact) <= 1e-15 * exact
+
     def test_flat_limit_is_uniform(self):
         spec = WeightSpec(kappa=1.0, x0=2.0)
         assert float(h_kappa_eval(spec, 1.9)) == pytest.approx(0.25)
@@ -344,6 +354,11 @@ class TestIntervalCensus:
 class TestMollifier:
     def test_normalizing_constant(self):
         assert mollifier_constant() == pytest.approx(2.2522836210435810, rel=1e-12)
+
+    def test_normalizing_constant_matches_40_digit_integral(self):
+        with mp.workdps(40):
+            exact = 1 / mp.quad(lambda x: mp.exp(-1 / (1 - x * x)), [-1, 0, 1])
+        assert abs(mollifier_constant() - exact) <= 1e-15 * exact
 
     def test_support_endpoints(self):
         assert float(mollifier_eval(2.0, 0.5)) == 0.0

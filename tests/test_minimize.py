@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.optimize import OptimizeResult
 
 from cfdeconv import AxisNoise, ConfigError, NumericalError, SignalSpec, make_repeated
@@ -171,7 +172,7 @@ class TestMoments:
             monkeypatch.setattr(contrast_module, name,
                                 lambda *args, real=real, name=name:
                                 calls.append((name, descending[0])) or real(*args))
-        real_minimize = minimize_module.optimize.minimize
+        real_minimize = optimize.minimize
 
         def descend(*args, **kwargs):
             descending[0] = True
@@ -180,7 +181,7 @@ class TestMoments:
             finally:
                 descending[0] = False
 
-        monkeypatch.setattr(minimize_module.optimize, "minimize", descend)
+        monkeypatch.setattr(optimize, "minimize", descend)
         config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=1e-12, seed=5)
         res = minimize_contrast(table, grid, config)
         assert len(res.trace) > 5
@@ -213,8 +214,8 @@ class TestMinimize:
     @pytest.mark.parametrize("S", [2e77, 1e200])
     def test_box_pins_only_the_zero_index(self, grid24, monkeypatch, S):
         boxes = []
-        real = minimize_module.optimize.Bounds
-        monkeypatch.setattr(minimize_module.optimize, "Bounds",
+        real = optimize.Bounds
+        monkeypatch.setattr(optimize, "Bounds",
                             lambda lo, hi: boxes.append((lo, hi)) or real(lo, hi))
         config = MinimizeConfig(params=UpsilonParams(1.0, S), m_opt=4, tol=1e-10, seed=0)
         minimize_contrast(zero_sample_table(grid24), grid24, config)
@@ -294,7 +295,7 @@ class TestMinimize:
         def stopped(fun, x0, **kwargs):
             return OptimizeResult(x=x0, status=status, message=message)
 
-        monkeypatch.setattr(minimize_module.optimize, "minimize", stopped)
+        monkeypatch.setattr(optimize, "minimize", stopped)
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
         config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-12,
@@ -400,8 +401,8 @@ def _dense_ls_theta(table, grid, m_opt):
 
 def _spy_objective(monkeypatch, wrap):
     """Run L-BFGS-B on wrap(objective) instead of the objective."""
-    real = minimize_module.optimize.minimize
-    monkeypatch.setattr(minimize_module.optimize, "minimize",
+    real = optimize.minimize
+    monkeypatch.setattr(optimize, "minimize",
                         lambda fun, x0, **kwargs: real(wrap(fun), x0, **kwargs))
 
 

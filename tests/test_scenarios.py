@@ -9,7 +9,8 @@ import pytest
 
 from cfdeconv import ConfigError, scenarios
 from cfdeconv._util import tensor_points
-from cfdeconv.conjecture_lab import GridFunction, make_instance, build_two_point, noise_g
+from cfdeconv.conjecture_lab import (GridFunction, _mollifier_taps, build_two_point, make_instance,
+                                     noise_g)
 from cfdeconv.contrast import make_grid
 from cfdeconv.multiindex_taylor import TaylorPoly, index_table, monomial_matrix, parity_phase
 from cfdeconv.reconstruct import DensityGrid, LatticeSpec, invert
@@ -110,6 +111,46 @@ class TestSignalSpec:
         xs = rng.uniform(-1.0, 1.0, size=300)
         np.testing.assert_array_equal(spec.density()(xs), source.density()(xs))
         np.testing.assert_array_equal(spec.norm_sq(), source.norm_sq())
+
+
+def direct_bump_density(w, b):
+    """Uniform(-w, w) * u_b as the direct convolution of the cell-averaged
+    box with the mollifier taps, on _bump_uniform_density's grid."""
+    xs, _ = scenarios._bump_uniform_density(w, b)
+    step = min(w, 1.0 / b) / 256.0
+    overlap = np.minimum(xs + step / 2, w) - np.maximum(xs - step / 2, -w)
+    uni = np.clip(overlap, 0.0, None) / (2.0 * w * step)
+    return np.convolve(uni, _mollifier_taps(b, step), mode="same") * step
+
+
+class TestBumpDensity:
+    @pytest.mark.parametrize("w, b", [(0.5, 4.0), (0.6, 2.0), (0.02, 4.0), (0.1, 0.5)])
+    def test_matches_direct_convolution(self, w, b):
+        _, values = scenarios._bump_uniform_density(w, b)
+        direct = direct_bump_density(w, b)
+        assert np.max(np.abs(values - direct)) <= 1e-13 * np.max(direct)
+
+    def test_unit_mass_and_support(self):
+        xs, values = scenarios._bump_uniform_density(0.02, 4.0)
+        assert np.sum(values) * (xs[1] - xs[0]) == pytest.approx(1.0, abs=1e-12)
+        assert values.min() >= 0.0
+        assert np.all(values[np.abs(xs) > 0.02 + 0.25 + 1e-3] == 0.0)
+
+    def test_prefix_sums_carry_the_rounding(self, rng):
+        values = rng.uniform(0.0, 1.0, size=5000) * 10.0 ** rng.uniform(-8, 0, size=5000)
+        total, error = scenarios._prefix_sums(values)
+        for lo, hi in [(0, 5000), (2500, 2501), (4000, 4900), (10, 4990)]:
+            exact = math.fsum(values[lo:hi])
+            window = (total[hi] - total[lo]) + (error[hi] - error[lo])
+            assert window == pytest.approx(exact, rel=4e-16, abs=0)
+
+    def test_narrow_box_is_linear_time(self):
+        scenarios._bump_uniform_density.cache_clear()
+        start = time.perf_counter()
+        xs, values = scenarios._bump_uniform_density(1e-3, 4.0)
+        assert time.perf_counter() - start < 0.5
+        assert xs.shape[0] > 100_000
+        assert np.sum(values) * (xs[1] - xs[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestAxisNoise:
