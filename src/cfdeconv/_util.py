@@ -248,15 +248,17 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _lbfgsb_file():
-    """Path of scipy's compiled L-BFGS-B extension, found under scipy's
-    package directory without importing scipy; None if there is none."""
-    spec = importlib.util.find_spec("scipy")
+def _extension_file(package: str, *names: str):
+    """Path of the first compiled extension among `names` ("a/b" is module
+    b of subpackage a) under `package`'s directory, found without importing
+    anything from the package; None if there is none."""
+    spec = importlib.util.find_spec(package)
     for root in (spec.submodule_search_locations if spec else None) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "optimize", "_lbfgsb" + suffix)
-            if os.path.isfile(path):
-                return path
+        for name in names:
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(root, *name.split("/")) + suffix
+                if os.path.isfile(path):
+                    return path
     return None
 
 
@@ -264,13 +266,15 @@ def _lbfgsb_file():
 def blas_setters() -> tuple:
     """OpenBLAS's `openblas_set_num_threads_local`, which returns the prior
     count, for each distinct pool: numpy's and the one scipy's L-BFGS-B
-    links (dlsym on an extension finds the OpenBLAS it links).  scipy's
-    extension is loaded by file, so finding its setter imports no scipy
-    module.  A setter that does not resolve (MKL, Accelerate, OpenBLAS <
-    0.3.27) is left out, and one library shared by both appears once."""
+    links (dlsym on an extension finds the OpenBLAS it links).  Both
+    extensions are loaded by file (numpy's under `_core`, or `core` before
+    numpy 2), so finding the setters imports no scipy module.  A setter
+    that does not resolve (MKL, Accelerate, OpenBLAS < 0.3.27) is left out,
+    and one library shared by both appears once."""
     found = {}
-    numpy_file = importlib.import_module("numpy._core._multiarray_umath").__file__
-    for path in filter(None, (numpy_file, _lbfgsb_file())):
+    for path in filter(None, (
+            _extension_file("numpy", "_core/_multiarray_umath", "core/_multiarray_umath"),
+            _extension_file("scipy", "optimize/_lbfgsb"))):
         try:
             setter = ctypes.CDLL(path).openblas_set_num_threads_local
         except (OSError, AttributeError):

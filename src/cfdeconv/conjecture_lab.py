@@ -601,16 +601,22 @@ def _noise_kernel(noise: NoisePack, a: float, det: float, w: np.ndarray) -> np.n
     return QA
 
 
+def _w_window(f: GridFunction, v_first: float, v_last: float, w: np.ndarray) -> slice:
+    """The w columns (w increasing) where f(v - w) can be nonzero for some
+    v in [v_first, v_last]."""
+    f_lo, f_hi = f.support()
+    return slice(np.searchsorted(w, v_first - f_hi, side="left"),
+                 np.searchsorted(w, v_last - f_lo, side="right"))
+
+
 def _support_product(f: GridFunction, v: np.ndarray, w: np.ndarray,
                      right: np.ndarray) -> np.ndarray:
     """f(v_i - w_k) @ right, skipping the w columns where f is zero."""
     out = np.empty((v.shape[0], right.shape[1]))
-    f_lo, f_hi = f.support()
     for start in range(0, v.shape[0], _V_BLOCK):
         rows = v[start:start + _V_BLOCK]
-        lo = np.searchsorted(w, rows[0] - f_hi, side="left")
-        hi = np.searchsorted(w, rows[-1] - f_lo, side="right")
-        out[start:start + rows.shape[0]] = f(rows[:, None] - w[None, lo:hi]) @ right[lo:hi]
+        cols = _w_window(f, rows[0], rows[-1], w)
+        out[start:start + rows.shape[0]] = f(rows[:, None] - w[None, cols]) @ right[cols]
     return out
 
 
@@ -639,9 +645,7 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int) -> LeCamReport:
     w = np.arange(-_W_HALF, _W_HALF + _W_STEP / 2, _W_STEP)
     QA = _noise_kernel(noise, inst.a, abs(float(np.linalg.det(inst.matrix()))), w)
     # the second product reads only the w columns where some zeta0(v_i - w) > 0
-    z_lo, z_hi = two_point.zeta0.support()
-    cols = slice(np.searchsorted(w, v[0] - z_hi, side="left"),
-                 np.searchsorted(w, v[-1] - z_lo, side="right"))
+    cols = _w_window(two_point.zeta0, v[0], v[-1], w)
     GQ = _support_product(two_point.pert, v, w, QA[:, cols])
     C2T = _support_product(two_point.zeta0, v, w[cols], GQ.T)  # Z @ (G @ QA)^T = C2^T
     l1 = float(inst.alpha_n * np.sum(np.abs(C2T)) * _W_STEP**2 * _V_STEP**2)

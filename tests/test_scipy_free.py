@@ -1,11 +1,14 @@
 """The lower-bound lab runs without scipy: each check starts a fresh
 interpreter, since this test session has long since imported scipy."""
 
+import importlib.machinery
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from cfdeconv import _util
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,7 +50,8 @@ from cfdeconv import _util
 before = [ctypes.cast(s, ctypes.c_void_p).value for s in _util.blas_setters()]
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 after = {}
-for module in ("numpy._core._multiarray_umath", "scipy.optimize._lbfgsb"):
+for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath",
+               "scipy.optimize._lbfgsb"):
     try:
         setter = ctypes.CDLL(importlib.import_module(module).__file__).openblas_set_num_threads_local
     except (ImportError, OSError, AttributeError):
@@ -63,3 +67,18 @@ def test_blas_setters_match_the_imported_extensions():
     result = json.loads(run_fresh(SETTERS))
     assert result["scipy"] == []
     assert result["before"] == result["after"]
+
+
+def test_extension_file_falls_back_to_later_names(tmp_path, monkeypatch):
+    # numpy before 2 keeps _multiarray_umath under core/, not _core/
+    package = tmp_path / "fakenumpy"
+    (package / "core").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    ext = package / "core" / ("_multiarray_umath" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    ext.write_bytes(b"")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    names = ("_core/_multiarray_umath", "core/_multiarray_umath")
+    assert _util._extension_file("fakenumpy", *names) == str(ext)
+    assert "fakenumpy" not in sys.modules
+    assert _util._extension_file("fakenumpy", "optimize/_lbfgsb") is None
+    assert _util._extension_file("no_such_package_here", *names) is None
