@@ -42,6 +42,7 @@ _ENVELOPE_WINDOW = 5  # half-width of envelope_values' running max
 # lecam_value's v and w grids: [-half, half] at the given step
 _V_HALF, _V_STEP, _W_HALF, _W_STEP = 40.0, 0.1, 60.0, 0.05
 _V_BLOCK = 64  # v rows per block of lecam_value's support-window products
+_KERNEL_BLOCK = 128  # w rows per block of _noise_kernel's in-place build
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +522,9 @@ class NoisePack:
 
     _kernel holds lecam_value's pushforward kernel on its w-grid, one
     read-only 2401 x 2401 float64 array (about 46 MB) keyed by (a, det), so
-    repeated Le Cam values under one noise evaluate the density once.
+    repeated Le Cam values under one noise evaluate the density once per
+    point.  The kernel is built in row blocks into its own buffer: the
+    build peaks at the kernel plus one block's temporaries.
     """
 
     c: float
@@ -587,14 +590,24 @@ def _noise_kernel(noise: NoisePack, a: float, det: float, w: np.ndarray) -> np.n
     """Pushforward of the product noise through A, a density on w x w.
 
     g(a w_i + w_j) is the transpose of M = g(w_i + a w_j) bit for bit, so
-    one density evaluation builds det * g(w_i + a w_j) * g(a w_i + w_j).
+    one density evaluation per point builds det * g(w_i + a w_j) *
+    g(a w_i + w_j).  The kernel is built in place, _KERNEL_BLOCK rows at a
+    time: the first pass writes M's rows into the buffer, the second turns
+    each pair of mirrored tiles M[s, t], M[t, s] into (det M[s, t]) M[t, s]^T
+    and (det M[t, s]) M[s, t]^T.  The peak is the kernel plus one block's
+    temporaries, and every element is the one-shot (det M) * M^T.
     """
     key = (a, det)
     QA = noise._kernel.get(key)
     if QA is None:
-        M = noise.density(w[:, None] + a * w[None, :])
-        QA = det * M
-        QA *= M.T
+        n, b = w.shape[0], _KERNEL_BLOCK
+        QA = np.empty((n, n))
+        for s in range(0, n, b):
+            QA[s:s + b] = noise.density(w[s:s + b, None] + a * w[None, :])
+        for s in range(0, n, b):
+            for t in range(s, n, b):
+                st, ts = QA[s:s + b, t:t + b], QA[t:t + b, s:s + b]
+                st[...], ts[...] = (det * st) * ts.T, (det * ts) * st.T
         QA.flags.writeable = False
         noise._kernel.clear()
         noise._kernel[key] = QA
@@ -629,11 +642,13 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int) -> LeCamReport:
     the mixing matrix: with Delta(v) = alpha G(v_1) zeta0(v_2) ... the
     integrand is G-row times noise-kernel times zeta0-column, C2 =
     (G @ QA) @ Z^T on tensor grids.  The kernel is QA = det M * M^T with
-    M = g(w_i + a w_j), one density evaluation, and is kept on the noise
-    (NoisePack._kernel) for the next call with the same a.  G and Z vanish
-    off their supports, so both products run one block of v rows at a time
-    over the w window where v - w lies in that support, and the first
-    computes only the columns of G @ QA that the second reads.
+    M = g(w_i + a w_j), one density evaluation per point, built in row
+    blocks into its own buffer (peak: the kernel plus one block's
+    temporaries), and is kept on the noise (NoisePack._kernel) for the
+    next call with the same a.  G and Z vanish off their supports, so both
+    products run one block of v rows at a time over the w window where
+    v - w lies in that support, and the first computes only the columns of
+    G @ QA that the second reads.
     n = 0 turns the bracket into 1 and is only a formula check.
     """
     inst = two_point.instance

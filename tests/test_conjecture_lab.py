@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -14,10 +15,12 @@ from scipy.integrate import quad
 from cfdeconv import ConfigError, NumericalError
 from cfdeconv._util import det_exp, det_log, tensor_points
 from cfdeconv.conjecture_lab import (
+    _KERNEL_BLOCK,
     _V_HALF,
     _V_STEP,
     _W_HALF,
     _W_STEP,
+    _noise_kernel,
     GridFunction,
     NoisePack,
     WeightSpec,
@@ -587,16 +590,18 @@ class TestLeCamKernel:
         np.testing.assert_array_equal(kernel, dense_kernel)
 
     def test_density_evaluated_once_per_a(self, tp_instance, two_point, g_noise, basis_cache):
-        calls = []
+        points = []
 
         def counting(x):
-            calls.append(np.shape(x))
+            points.append(np.size(x))
             return g_noise.density(x)
 
         noise = NoisePack(c=g_noise.c, density=counting, cf=g_noise.cf, sampler=g_noise.sampler)
+        n_w = lecam_w_grid().size
         first = lecam_value(two_point, noise, 10**4)
+        assert sum(points) == n_w**2
         again = lecam_value(two_point, noise, 10**6)
-        assert len(calls) == 1
+        assert sum(points) == n_w**2
         assert again.l1_single == first.l1_single
         (key,) = noise._kernel
         assert key[0] == tp_instance.a
@@ -606,7 +611,28 @@ class TestLeCamKernel:
 
         other = build_two_point(dataclasses.replace(tp_instance, a=0.3), basis_cache(0.75))
         lecam_value(other, noise, 10**4)
-        assert len(calls) == 2
+        assert sum(points) == 2 * n_w**2
         (new_key,) = noise._kernel
         assert new_key[0] == 0.3
         assert not noise._kernel[new_key].flags.writeable
+
+    @pytest.mark.parametrize("n_w", [1, _KERNEL_BLOCK, _KERNEL_BLOCK + 1, 301])
+    def test_blocked_kernel_bits_at_block_edges(self, n_w, tp_instance, g_noise):
+        w = np.linspace(-_W_HALF, _W_HALF, n_w)
+        a, det = tp_instance.a, abs(float(np.linalg.det(tp_instance.matrix())))
+        noise = dataclasses.replace(g_noise)  # a fresh, empty kernel cache
+        M = g_noise.density(w[:, None] + a * w[None, :])
+        assert _noise_kernel(noise, a, det, w).tobytes() == ((det * M) * M.T).tobytes()
+
+    def test_kernel_build_peak_is_the_kernel_plus_one_block(self, tp_instance, g_noise):
+        w = lecam_w_grid()
+        a, det = tp_instance.a, abs(float(np.linalg.det(tp_instance.matrix())))
+        noise = dataclasses.replace(g_noise)  # a fresh, empty kernel cache
+        tracemalloc.start()
+        try:
+            QA = _noise_kernel(noise, a, det, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert QA.shape == (w.size, w.size)
+        assert peak <= QA.nbytes + 16 * 2**20
