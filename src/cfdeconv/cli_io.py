@@ -5,7 +5,9 @@ key table (unknown keys are errors) before any work, and, once its results
 are computed, writes them into a run directory containing a copy of the
 config, a MANIFEST with content hashes, and the artifact files.  All floats
 are printed with 17 significant digits so reruns are byte-identical.  Exit
-codes: 0 success, 2 config error, 3 numerical failure.
+codes: 0 success, 2 config error, 3 numerical failure.  The laboratory
+subcommands and the two-point scenario import conjecture_lab and
+legendre_bounds where they run, so the estimation subcommands load neither.
 """
 
 from __future__ import annotations
@@ -26,17 +28,7 @@ import numpy as np
 
 from ._util import ConfigError, NumericalError, fmt17
 from . import ecf
-from .conjecture_lab import (
-    HOLDOUT_K,
-    WeightSpec,
-    build_two_point,
-    build_weighted_basis,
-    census_protocol,
-    make_instance,
-    scaled_profile,
-)
 from .contrast import make_grid
-from .legendre_bounds import bound_suite
 from .multiindex_taylor import from_json_record, to_json_record
 from .reconstruct import DensityGrid, LatticeSpec
 from .runner import (CellResult, ExperimentPlan, adapt_from_samples, default_lattice,
@@ -217,6 +209,8 @@ def _scenario(cfg: dict) -> ScenarioSpec:
     if variant == "ica":
         return make_ica([SignalSpec(**s) for s in cfg["sources"]], cfg["mixing"], noise1, noise2,
                         d1=cfg["d1"], **common)
+    from .conjecture_lab import WeightSpec, build_two_point, build_weighted_basis, make_instance
+
     point = cfg["two_point"]
     basis = build_weighted_basis(WeightSpec(kappa=point["kappa"], x0=point["x0"]),
                                  K_max=point["K_max"])
@@ -403,6 +397,8 @@ _SCALING_GRIDS = {"stretch": (-1.5, 1.5, 301), "squeeze": (-10.0, 10.0, 401)}
 def build_profile_panels(kappa_list, K_list, scalings, basis_opts=None,
                          grids=None) -> list:
     """Evaluate the rescaled weighted-projection profiles for figure export."""
+    from .conjecture_lab import WeightSpec, build_weighted_basis, scaled_profile
+
     grids = dict(_SCALING_GRIDS, **(grids or {}))
     basis_opts = basis_opts or {}
     panels = []
@@ -535,6 +531,8 @@ _CONJECTURE = {
 
 
 def _cmd_conjecture(cfg: dict, config_path) -> int:
+    from .conjecture_lab import HOLDOUT_K, WeightSpec, build_weighted_basis, census_protocol
+
     kappa_list, K_max = cfg["kappa_list"], cfg["K_max"]
     K_list = cfg["K_list"] or tuple(range(1, K_max + 1))
     if max(K_list) > K_max:
@@ -575,6 +573,8 @@ _BOUNDS_CHECK = {
 
 
 def _cmd_bounds_check(cfg: dict, config_path) -> int:
+    from .legendre_bounds import bound_suite
+
     rows = []
     violations = 0
     for kappa, S, nu, d, m in itertools.product(cfg["kappa_list"], cfg["S_list"],

@@ -10,10 +10,12 @@ largest singular value with LAPACK's SVD (np.linalg.norm(., 2)).
 
 Bound right-hand sides are evaluated in mpmath because factors like
 (S nu)^m m^{-kappa m} mix huge and tiny magnitudes; the float64 conversion
-happens only at the end.  The two series share one certified summation and
-the three growth envelopes share one formula.  The sup-norm rows evaluate
-random members on 801, 101 or 31 points per axis (d = 1, 2, >= 3), one axis
-at a time, in batches whose tensors stay under 16 MB at any d (bound_suite).
+happens only at the end; each function that evaluates in mpmath imports
+it, so importing this module loads no mpmath.  The two series share one
+certified summation and the three growth envelopes share one formula.  The
+sup-norm rows evaluate random members on 801, 101 or 31 points per axis
+(d = 1, 2, >= 3), one axis at a time, in batches whose tensors stay under
+16 MB at any d (bound_suite).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from ._util import ConfigError, NumericalError, one_blas_thread
@@ -75,6 +76,8 @@ def _certified_series(term: Callable, terms: int, name: str) -> float:
     below 1, or when the geometric tail bound is not below 1e-15 of the
     partial sum.
     """
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         total = mp.mpf(0)
         for mdx in range(1, terms + 1):
@@ -97,6 +100,8 @@ def f_kappa(u: float, kappa: float, d: int, terms: int = 80) -> float:
     """Series sum_{m>=1} (m + d/kappa)^(-kappa m) u^m with a tail certificate."""
     if u < 0 or not (0 < kappa <= 1) or d < 1 or terms < 2:
         raise ConfigError("invalid f_kappa arguments")
+    import mpmath as mp
+
     uu, kk = mp.mpf(u), mp.mpf(kappa)
     return _certified_series(lambda m: (m + d / kk) ** (-kk * m) * uu**m, terms, "f_kappa")
 
@@ -105,6 +110,8 @@ def psi_sum(x: float, kappa: float, d: int, terms: int = 400) -> float:
     """Series sum_{m>=1} m^d x^m m^(-kappa m), certified like f_kappa."""
     if x < 0 or not (0 < kappa <= 1) or d < 1 or terms < 2:
         raise ConfigError("invalid psi_sum arguments")
+    import mpmath as mp
+
     xx, kk = mp.mpf(x), mp.mpf(kappa)
     return _certified_series(
         lambda m: mp.mpf(m) ** d * xx**m * mp.mpf(m) ** (-kk * m), terms, "psi_sum"
@@ -116,6 +123,8 @@ def _envelope(c: int, x, floor, p: int, kappa: float) -> float:
 
     Call inside mp.workdps(_DPS) so that x and floor keep their digits.
     """
+    import mpmath as mp
+
     X, kk = max(mp.mpf(x), mp.mpf(floor)), mp.mpf(kappa)
     return float(c * X ** (p / kk) * mp.e ** (kk * X ** (1 / kk)))
 
@@ -131,6 +140,8 @@ def f_kappa_bound(u: float, kappa: float) -> float:
     """Upper envelope 6 (u v u0)^(1/kappa) exp(kappa (u v u0)^(1/kappa))."""
     if u < 0 or not (0 < kappa <= 1):
         raise ConfigError("invalid f_kappa_bound arguments")
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         u0 = (mp.mpf(4) / (3 * mp.mpf(kappa))) ** mp.mpf(kappa)
         return _envelope(6, u, u0, 1, kappa)
@@ -138,6 +149,8 @@ def f_kappa_bound(u: float, kappa: float) -> float:
 
 def psi_sum_bound(x: float, kappa: float, d: int) -> float:
     """Envelope 6 (x v x0)^((d+1)/kappa) exp(kappa (x v x0)^(1/kappa))."""
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         return _envelope(6, x, x_zero(kappa, d), d + 1, kappa)
 
@@ -146,6 +159,8 @@ def class_sup_bound(kappa: float, S: float, nu: float, d: int) -> float:
     """Envelope 7 (S nu v x0)^((d+1)/kappa) exp(kappa (S nu v x0)^(1/kappa))."""
     if S <= 0 or nu <= 0:
         raise ConfigError("need S > 0 and nu > 0")
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         return _envelope(7, mp.mpf(S) * mp.mpf(nu), x_zero(kappa, d), d + 1, kappa)
 
@@ -159,6 +174,8 @@ def truncation_sup_bound(m: int, kappa: float, S: float, nu: float, d: int) -> f
         raise ConfigError("invalid truncation bound arguments")
     if m < d / kappa:
         raise ConfigError(f"truncation bound needs m >= d/kappa = {d / kappa:.3f}, got {m}")
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         sn = mp.mpf(S) * mp.mpf(nu)
         val = (
@@ -174,6 +191,8 @@ def sigma1_bound(m: int, nu: float, d: int) -> float:
     """Spectral bound nu^(-d/2) m^d 4^m (nu^-1 v 1)^m for the degree-m block."""
     if m < 1 or nu <= 0 or d < 1:
         raise ConfigError("invalid sigma1 bound arguments")
+    import mpmath as mp
+
     with mp.workdps(_DPS):
         nn = mp.mpf(nu)
         return float(nn ** (-mp.mpf(d) / 2) * mp.mpf(m) ** d * mp.mpf(4) ** m * max(1 / nn, mp.mpf(1)) ** m)

@@ -22,26 +22,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from ._util import (ConfigError, cos_sin, inverse_cdf_sampler, legendre_rule, tensor_points,
                     tensor_weights)
-from .conjecture_lab import (
-    GridFunction,
-    NoisePack,
-    TwoPoint,
-    _mollifier_taps,
-    h_kappa_eval,
-    mollifier_eval,
-    mollifier_rule,
-    noise_g,
-    WeightSpec,
-)
 from .contrast import OracleModel, make_grid, poly_tables
 from .ecf import SampleSet
 from .reconstruct import DensityGrid
+
+# conjecture_lab is imported where an h_kappa or compact_bump source or
+# g_density noise needs it, so scenarios without them never load it
+if TYPE_CHECKING:
+    from .conjecture_lab import GridFunction, NoisePack, TwoPoint
 
 _PROBE_AXIS = np.array([-1.0, -0.7, -0.3, 0.0, 0.3, 0.7, 1.0])
 
@@ -99,10 +93,14 @@ class SignalSpec:
         """The h_kappa or compact_bump law as a density on a uniform grid;
         None for the other kinds."""
         if self.kind == "h_kappa":
-            return GridSource(GridFunction(*_h_kappa_grid(*map(float, self.params))))
-        if self.kind == "compact_bump":
-            return GridSource(GridFunction(*_bump_uniform_density(*map(float, self.params))))
-        return None
+            xs, values = _h_kappa_grid(*map(float, self.params))
+        elif self.kind == "compact_bump":
+            xs, values = _bump_uniform_density(*map(float, self.params))
+        else:
+            return None
+        from .conjecture_lab import GridFunction
+
+        return GridSource(GridFunction(xs, values))
 
     def sampler(self) -> Callable:
         if self.kind == "uniform":
@@ -112,6 +110,8 @@ class SignalSpec:
             (x0,) = self.params
             return lambda n, rng: np.full(n, float(x0))
         if self.kind == "compact_bump":
+            from .conjecture_lab import mollifier_eval
+
             w, b = self.params
             xs = np.linspace(-1.0 / b, 1.0 / b, 4097)
             bump = inverse_cdf_sampler(xs, mollifier_eval(b, xs))
@@ -140,6 +140,8 @@ class SignalSpec:
             (w,) = self.params
             return lambda x: np.where(np.abs(np.asarray(x, dtype=np.float64)) <= w, 0.5 / w, 0.0)
         if self.kind == "h_kappa":
+            from .conjecture_lab import WeightSpec, h_kappa_eval
+
             kappa, x0 = self.params
             spec = WeightSpec(kappa=float(kappa), x0=float(x0))
             return lambda x: h_kappa_eval(spec, x)
@@ -162,6 +164,8 @@ class SignalSpec:
             return abs(float(self.params[0])) + 1e-9
         if self.kind == "compact_bump":
             return float(self.params[0]) + 1.0 / float(self.params[1])
+        from .conjecture_lab import WeightSpec
+
         kappa, x0 = self.params
         return WeightSpec(kappa=float(kappa), x0=float(x0)).cutoff()
 
@@ -185,11 +189,15 @@ def _atoms_cf(xs: np.ndarray, weights: np.ndarray) -> Callable:
 
 @lru_cache(maxsize=8)
 def _bump_cf(b: float) -> Callable:
+    from .conjecture_lab import mollifier_rule
+
     return _atoms_cf(*mollifier_rule(b))
 
 
 @lru_cache(maxsize=8)
 def _h_kappa_grid(kappa: float, x0: float):
+    from .conjecture_lab import WeightSpec, h_kappa_eval
+
     spec = WeightSpec(kappa=kappa, x0=x0)
     cut = spec.cutoff()
     xs = np.linspace(-cut, cut, 8193)
@@ -237,6 +245,8 @@ def _bump_uniform_density(w: float, b: float):
     inside it plus two fractional edge cells, so each value is 1/(2w) times
     a window sum of the taps (a difference of prefix sums) plus two edge
     terms: linear in the grid length."""
+    from .conjecture_lab import _mollifier_taps
+
     step = min(w, 1.0 / b) / 256.0
     half = int(math.ceil((w + 1.0 / b + step) / step))
     xs = np.arange(-half, half + 1) * step
@@ -302,6 +312,8 @@ class AxisNoise:
 
 @lru_cache(maxsize=8)
 def _g_pack(c: float) -> NoisePack:
+    from .conjecture_lab import noise_g
+
     return noise_g(c)
 
 

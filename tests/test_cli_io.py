@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cfdeconv
-from cfdeconv import cli_io
+from cfdeconv import cli_io, legendre_bounds
 from cfdeconv._util import ConfigError, content_hash
 from cfdeconv.cli_io import (
     build_profile_panels,
@@ -938,7 +938,8 @@ class TestBoundsCheckViolations:
             def holds(self):
                 return False
 
-        monkeypatch.setattr(cli_io, "bound_suite", lambda *args, **kwargs: [Report()])
+        # bounds-check imports bound_suite from its module when it runs
+        monkeypatch.setattr(legendre_bounds, "bound_suite", lambda *args, **kwargs: [Report()])
         out = tmp_path / "bc"
         cfg = dict(LIST_KEY_BASE["bounds-check"], kappa_list=[0.75], S_list=[1.5],
                    nu_list=[1.0], out_dir=str(out))
@@ -1104,7 +1105,7 @@ class TestConfigSchema:
     @pytest.mark.parametrize("command, owner, name", [
         ("simulate", cli_io.ScenarioSpec, "sample"), ("estimate", cli_io, "estimate_once"),
         ("adapt", cli_io, "adapt_from_samples"), ("conjecture", cli_io, "build_profile_panels"),
-        ("bounds-check", cli_io, "bound_suite"), ("experiment", cli_io, "run"),
+        ("bounds-check", legendre_bounds, "bound_suite"), ("experiment", cli_io, "run"),
     ])
     def test_failed_computation_opens_no_run_dir(self, tmp_path, monkeypatch, sample_file,
                                                  command, owner, name):

@@ -1,5 +1,7 @@
-"""The lower-bound lab runs without scipy: each check starts a fresh
-interpreter, since this test session has long since imported scipy."""
+"""What a fresh interpreter loads: the lower-bound lab runs without scipy,
+and each entry point imports only the submodules it uses.  Each check
+starts a fresh interpreter, since this test session has long since
+imported everything."""
 
 import importlib.machinery
 import json
@@ -82,3 +84,60 @@ def test_extension_file_falls_back_to_later_names(tmp_path, monkeypatch):
     assert "fakenumpy" not in sys.modules
     assert _util._extension_file("fakenumpy", "optimize/_lbfgsb") is None
     assert _util._extension_file("no_such_package_here", *names) is None
+
+
+# prints, as JSON, which of the given modules the code above it loaded
+LOADED = """
+print(json.dumps(sorted(m for m in sys.modules if m in {names!r})))
+"""
+
+LAB_MODULES = ("cfdeconv.conjecture_lab", "cfdeconv.legendre_bounds", "mpmath")
+ESTIMATION_MODULES = tuple("cfdeconv." + m for m in ("runner", "minimize", "contrast", "ecf",
+                                                       "adaptive"))
+
+
+def loaded(code: str, names) -> list:
+    """The modules among `names` that a fresh interpreter has loaded after `code`."""
+    return json.loads(run_fresh("import json, sys\n" + code + LOADED.format(names=set(names))))
+
+
+def test_package_import_loads_no_submodule():
+    out = run_fresh("import json, sys\nimport cfdeconv\n"
+                    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cfdeconv.'))))")
+    assert json.loads(out) == []
+
+
+UNIFORM_ICA_ESTIMATE = """
+import cfdeconv as cf
+noise = cf.AxisNoise("uniform", 0.3)
+sc = cf.make_ica((cf.SignalSpec("uniform", (1.0,)), cf.SignalSpec("uniform", (0.5,))),
+                 [[1.0, 0.5], [0.5, 1.0]], noise, noise, d1=1)
+out = cf.estimate_once(sc.sample(500, 3), cf.make_grid(1.0, (1, 1), 12),
+                       cf.default_lattice(2, count=5), kappa=0.6, S=1.5, m_opt=2,
+                       restarts=1, seed=3)
+assert out.density.values.size > 0
+point = cf.SignalSpec("point_mass", (0.0,))
+assert cf.make_ica((point, cf.SignalSpec("uniform", (1.0,))), [[1.0, 0.5], [0.5, 1.0]],
+                   noise, noise, d1=1).density_norm_sq() is None
+"""
+
+
+def test_uniform_ica_estimate_loads_no_lab():
+    assert loaded(UNIFORM_ICA_ESTIMATE, LAB_MODULES) == []
+
+
+LECAM_PASS = """
+from cfdeconv import (WeightSpec, build_two_point, build_weighted_basis, lecam_value,
+                      make_instance, noise_g)
+basis = build_weighted_basis(WeightSpec(kappa=0.75), K_max=8)
+two = build_two_point(make_instance(basis, 10_000), basis)
+assert lecam_value(two, noise_g(2.0), 10_000).l1_single > 0
+"""
+
+
+def test_lab_pass_loads_no_estimation_stack():
+    assert loaded(LECAM_PASS, ESTIMATION_MODULES) == []
+
+
+def test_cli_import_loads_no_bound_machinery():
+    assert loaded("import cfdeconv.cli_io\n", LAB_MODULES) == []
