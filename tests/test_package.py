@@ -33,12 +33,6 @@ def test_all_is_the_pinned_export_set():
     assert set(cfdeconv.__all__) == EXPORTS
 
 
-def test_test_only_helpers_are_not_exported():
-    # ecf_eval, l2_norm and norm_chain stay importable from their modules
-    for name in ("ecf_eval", "l2_norm", "norm_chain"):
-        assert not hasattr(cfdeconv, name)
-
-
 def test_every_export_resolves_to_its_submodule_object():
     for name in cfdeconv.__all__:
         value = getattr(cfdeconv, name)
