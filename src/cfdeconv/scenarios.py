@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from ._util import (ConfigError, cos_sin, inverse_cdf_sampler, legendre_rule, tensor_points,
-                    tensor_weights)
+from ._util import (ConfigError, as_type, cos_sin, inverse_cdf_sampler, legendre_rule,
+                    tensor_points, tensor_weights)
 from .contrast import OracleModel, make_grid, poly_tables
 from .ecf import SampleSet
 from .reconstruct import DensityGrid
@@ -334,10 +334,6 @@ def _product_cf(cfs: Sequence[Callable], project: Callable) -> Callable:
     return phi
 
 
-def _block_draw(axes: tuple, n: int, rng) -> np.ndarray:
-    return np.column_stack([axis.draw(n, rng) for axis in axes])
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -368,30 +364,34 @@ class ScenarioSpec:
 
     def sample(self, n: int, seed: int) -> SampleSet:
         """Reproducible draw: the master seed splits into one stream for the
-        signal and one per noise block."""
-        if n < 1:
-            raise ConfigError("n must be >= 1")
-        sig_ss, n1_ss, n2_ss = np.random.SeedSequence(seed).spawn(3)
-        rng_sig = np.random.default_rng(sig_ss)
-        e1 = _block_draw(self.noise1, n, np.random.default_rng(n1_ss))
-        e2 = _block_draw(self.noise2, n, np.random.default_rng(n2_ss))
+        signal and one per noise block.  The signal fills one (n, d) matrix and
+        each noise axis's draw is added to its column in place, so the peak is
+        the matrix plus one signal array (a mixture's (n, k) sources)."""
+        n, seed = as_type(n, int, "n"), as_type(seed, int, "seed")
+        if n < 1 or seed < 0:
+            raise ConfigError(f"need n >= 1 and seed >= 0, got n={n}, seed={seed}")
+        sig_ss, *noise_ss = np.random.SeedSequence(seed).spawn(3)
         if self.sources is not None:
-            streams = sig_ss.spawn(len(self.sources))
-            s = np.column_stack([
-                src.sampler()(n, np.random.default_rng(ss))
-                for src, ss in zip(self.sources, streams)
-            ])
-            data = s @ self.mixing.T + np.hstack([e1, e2])
+            s = np.empty((n, len(self.sources)))
+            for j, (src, ss) in enumerate(zip(self.sources, sig_ss.spawn(len(self.sources)))):
+                s[:, j] = src.sampler()(n, np.random.default_rng(ss))
+            data = s @ self.mixing.T
+            del s
         elif self.variant == "repeated":
-            draw = self.signal.sampler()
-            x = np.column_stack([draw(n, rng_sig) for _ in range(self.d1)])
-            data = np.hstack([x + e1, x + e2])
+            draw, rng_sig = self.signal.sampler(), np.random.default_rng(sig_ss)
+            data = np.empty((n, self.d))
+            for j in range(self.d1):
+                data[:, j] = data[:, self.d1 + j] = draw(n, rng_sig)
         elif self.variant == "eiv":
-            x = self.signal.sampler()(n, rng_sig)
-            link = _LINKS[self.link_name]
-            data = np.column_stack([x + e1[:, 0], link(x) + e2[:, 0]])
+            x = self.signal.sampler()(n, np.random.default_rng(sig_ss))
+            data = np.column_stack([x, _LINKS[self.link_name](x)])
+            del x
         else:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        for offset, axes, ss in zip((0, self.d1), (self.noise1, self.noise2), noise_ss):
+            rng = np.random.default_rng(ss)
+            for j, axis in enumerate(axes):
+                data[:, offset + j] += axis.draw(n, rng)
         return SampleSet(d1=self.d1, d2=self.d2, data=data)
 
     def signal_cf(self) -> Callable:

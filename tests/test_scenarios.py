@@ -581,3 +581,80 @@ class TestTranslationAlign:
         no_spectrum = DensityGrid(estimate.lattice, estimate.values)
         with pytest.raises(ConfigError, match="spectrum"):
             translation_align(no_spectrum, truth, 0.5, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# sampling
+
+
+@pytest.fixture(scope="module")
+def sampling_specs():
+    """One scenario per sampling path: ICA with two and three sources,
+    repeated measurements with d1 = 2 and errors-in-variables."""
+    uniform = SignalSpec("uniform", (1.0,))
+    g_noise = AxisNoise("g_density", 2.0)
+    three = [uniform, SignalSpec("compact_bump", (0.5, 2.0)), SignalSpec("h_kappa", (0.75, 1.0))]
+    mixing3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    return {
+        "ica2": make_ica([uniform, SignalSpec("uniform", (0.5,))], MIXING, NOISE, NOISE, d1=1),
+        "ica3": make_ica(three, mixing3, AxisNoise("laplace", 0.3),
+                         [NOISE, AxisNoise("gaussian", 0.2)], d1=1),
+        "repeated": make_repeated(uniform, g_noise, g_noise, d1=2),
+        "eiv": make_eiv(uniform, NOISE, AxisNoise("laplace", 0.3)),
+    }
+
+
+def stacked_sample(spec, n, seed):
+    """The sample built block by block from the same streams: each noise
+    block column-stacked, the signal stacked, and the blocks added."""
+    sig_ss, n1_ss, n2_ss = np.random.SeedSequence(seed).spawn(3)
+    e1, e2 = (np.column_stack([axis.draw(n, rng) for axis in axes])
+              for axes, rng in ((spec.noise1, np.random.default_rng(n1_ss)),
+                                (spec.noise2, np.random.default_rng(n2_ss))))
+    if spec.sources is not None:
+        streams = sig_ss.spawn(len(spec.sources))
+        s = np.column_stack([src.sampler()(n, np.random.default_rng(ss))
+                             for src, ss in zip(spec.sources, streams)])
+        return s @ spec.mixing.T + np.hstack([e1, e2])
+    draw, rng = spec.signal.sampler(), np.random.default_rng(sig_ss)
+    if spec.variant == "repeated":
+        x = np.column_stack([draw(n, rng) for _ in range(spec.d1)])
+        return np.hstack([x + e1, x + e2])
+    x = draw(n, rng)
+    return np.column_stack([x + e1[:, 0], cubic_plus_x(x) + e2[:, 0]])
+
+
+class TestSample:
+    @pytest.mark.parametrize("n", [1, 1025])
+    @pytest.mark.parametrize("name", ["ica2", "ica3", "repeated", "eiv"])
+    def test_bits_match_the_stacked_construction(self, sampling_specs, name, n):
+        spec = sampling_specs[name]
+        data = spec.sample(n, seed=17).data
+        assert data.shape == (n, spec.d)
+        np.testing.assert_array_equal(data, stacked_sample(spec, n, 17), strict=True)
+
+    @pytest.mark.parametrize("name, ratio", [("ica2", 2.25), ("eiv", 2.25), ("repeated", 1.75)])
+    def test_peak_is_the_matrix_plus_one_signal_array(self, sampling_specs, name, ratio):
+        spec = sampling_specs[name]
+        spec.sample(8, seed=1)  # builds the cached samplers outside the trace
+        tracemalloc.start()
+        try:
+            data = spec.sample(200_000, seed=5).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * data.nbytes
+
+    @pytest.mark.parametrize("n, seed, match", [
+        (2.5, 1, "n must be"), (True, 1, "n must be"), ("ten", 1, "n must be"),
+        (None, 1, "n must be"), (0, 1, "n >= 1"), (10, None, "seed must be"),
+        (10, 1.5, "seed must be"), (10, False, "seed must be"), (10, -1, "seed >= 0"),
+    ])
+    def test_bad_n_or_seed_rejected(self, sampling_specs, n, seed, match):
+        with pytest.raises(ConfigError, match=match):
+            sampling_specs["eiv"].sample(n, seed)
+
+    def test_numpy_integers_accepted(self, sampling_specs):
+        spec = sampling_specs["repeated"]
+        np.testing.assert_array_equal(spec.sample(np.int64(10), np.int64(3)).data,
+                                      spec.sample(10, 3).data)
