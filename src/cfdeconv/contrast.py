@@ -16,13 +16,15 @@ two slice tables are U C[:, 0] and W C[0, :].  `contrast_empirical`,
 `contrast_oracle` and `contrast_gradient` evaluate the integrand on the grid:
 they are the definition, and their exact zeros are exact.
 
-The minimizer evaluates the same contrast from moments instead
+The minimizer values every start, iterate and estimate from moments instead
 (`ContrastMoments`).  A product of two degree-m monomials is one of degree
 2m, so expanding |defect|^2 leaves the grid only in moment matrices of the
 ECF table against the degree-2m monomial tables, computed once per table and
 degree.  A candidate's value and gradient are then small contractions whose
 cost does not depend on the grid.  The expansion sums three terms that
 cancel, so it agrees with the grid to rounding relative to those terms.
+The grid functions stay the definition and the tests' reference, and the
+only ones that take a callable candidate such as a scenario's true CF.
 
 Nothing here is cached across calls at module level: a grid memoizes its own
 derived arrays and pattern matrices, and candidate tables are recomputed on

@@ -2,15 +2,14 @@
 
 The decision variable is the real parity-reduced coefficient vector of a
 TaylorPoly; the admissible class is a box in it (pinned unit value at zero,
-per-order modulus caps), the bounds of scipy's L-BFGS-B.  Each iterate's
-value and exact gradient come from the table's moment matrices
-(`contrast.ContrastMoments`), built once per minimization when the first
-descent starts: small contractions whose cost does not depend on the
-quadrature grid.  They agree with the grid definition (`contrast_empirical`,
-`contrast_gradient`) to rounding relative to the three terms the moment form
-sums.  A start and a descent's final iterate are valued on the grid, so a
-start already at resolution costs one grid pass and the reported contrast
-is the definition's.
+per-order modulus caps), the bounds of scipy's L-BFGS-B.  Every start,
+iterate and final iterate is valued, with its exact gradient, from the
+table's moment matrices (`contrast.ContrastMoments`), built once per
+minimization and shared by its starts: small contractions whose cost does
+not depend on the quadrature grid.  They agree with the grid definition
+(`contrast_empirical`, `contrast_gradient`) to rounding relative to the
+three terms the moment form sums, and the reported contrast is the one the
+descent minimized.
 
 While its starts run, `minimize_contrast` holds both OpenBLAS pools,
 numpy's and the one scipy's L-BFGS-B links, at one thread
@@ -22,18 +21,16 @@ the iterates do not depend on the core count or OPENBLAS_NUM_THREADS.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ConfigError, one_blas_thread
+from ._util import ConfigError, as_type, one_blas_thread
 from .contrast import ContrastMoments, QuadratureGrid, _GridTables
-from .contrast import contrast_empirical
-# module attribute kept for callers that look it up here (perfbench/tracer.py)
-from .contrast import contrast_gradient  # noqa: F401
+# module attributes kept for callers that look them up here (perfbench/tracer.py)
+from .contrast import contrast_empirical, contrast_gradient  # noqa: F401
 from .ecf import EcfTable
 from .multiindex_taylor import (
     TaylorPoly,
@@ -74,11 +71,12 @@ class MinimizeConfig:
     deadline: float = math.inf
 
     def __post_init__(self):
-        if self.m_opt < 1:
-            raise ConfigError(f"m_opt must be >= 1, got {self.m_opt}")
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
-        if self.tol <= 0:
+        for key, low in (("m_opt", 1), ("restarts", 1), ("seed", 0)):
+            setattr(self, key, as_type(getattr(self, key), int, key))
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        self.tol = as_type(self.tol, float, "tol")
+        if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
 
 
@@ -86,9 +84,8 @@ class MinimizeConfig:
 class MinimizeResult:
     """The best start's estimate, value and value trace (start, iterates).
 
-    `value` is `contrast_empirical` of the estimate, and so are the trace's
-    first and last entries of the start and the estimate; those between are
-    the iterates' moment values, as the descent saw them.
+    Every value is the moment form's (`contrast.ContrastMoments`), the one
+    the descent minimized, so `trace[-1] == value`.
 
     `reason` says why it stopped: "resolution" (contrast <= tol), "ftol" or
     "gtol" (scipy status 0), "max_iters" (iteration or evaluation limit),
@@ -143,21 +140,17 @@ _CONVERGED = ("resolution", "ftol", "gtol")
 _LAST = _CONVERGED + ("deadline",)  # reasons after which no start follows
 
 
-def _descend(table: EcfTable, grid: QuadratureGrid, get_moments, start: TaylorPoly, box,
-             config: MinimizeConfig) -> tuple:
+def _descend(moments: ContrastMoments, start: TaylorPoly, box, config: MinimizeConfig) -> tuple:
     """(final iterate, its contrast, contrast trace, stop reason) of L-BFGS-B
-    on contrast / tol from `start`.  The start and the final iterate are
-    valued on the grid, the iterates between by `get_moments()`, called
-    only if the start is above tol; the last evaluated point is kept for
-    the callback's iterate."""
+    on contrast / tol from `start`, every point valued by `moments`; the
+    last evaluated point is kept for the callback's iterate."""
     from scipy import optimize
 
     tol = config.tol
-    trace = [contrast_empirical(start, table, grid)]
+    last = [start, *moments.evaluate(start)]
+    trace = [last[1]]
     if trace[0] <= tol:
         return start, trace[0], trace, "resolution"
-    moments = get_moments()
-    last = [start, *moments.evaluate(start)]
 
     def evaluate(x):
         if not np.array_equal(x, last[0].theta):
@@ -187,8 +180,8 @@ def _descend(table: EcfTable, grid: QuadratureGrid, get_moments, start: TaylorPo
         reason = "gtol" if "PGTOL" in res.message else "ftol"
     else:
         reason = "max_iters" if res.status == 1 else "abnormal"
-    trace[-1] = contrast_empirical(poly, table, grid)
-    return poly, trace[-1], trace, reason
+    trace[-1] = value
+    return poly, value, trace, reason
 
 
 def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeConfig) -> MinimizeResult:
@@ -200,8 +193,8 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     iterations; every start stops at its first iterate past config.deadline.
     A start drawn uniformly in Upsilon runs only after an unconverged one
     that met no deadline, up to config.restarts starts.  The lowest
-    contrast wins, the earliest start on ties; every start's contrast, and
-    the reported value, is `contrast_empirical` of its final iterate.
+    contrast wins, the earliest start on ties.  One `ContrastMoments` of the
+    table values every start's points.
 
     The starts run with both OpenBLAS pools held at one thread
     (`_util.one_blas_thread`, see the module docstring).
@@ -214,12 +207,11 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeCon
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     runs = []
     with one_blas_thread():
-        get_moments = functools.cache(lambda: ContrastMoments(table, grid, config.m_opt))
+        moments = ContrastMoments(table, grid, config.m_opt)
         while len(runs) < config.restarts and (not runs or runs[-1][3] not in _LAST):
             start = (random_member(config.params, grid.dims, config.m_opt, rng) if runs
                      else _ls_init(table, grid, config.m_opt))
-            runs.append(_descend(table, grid, get_moments, project_upsilon(start, config.params),
-                                 box, config))
+            runs.append(_descend(moments, project_upsilon(start, config.params), box, config))
     estimate, value, trace, reason = min(runs, key=lambda run: run[1])
     return MinimizeResult(
         estimate=estimate,

@@ -41,7 +41,8 @@ from cfdeconv.multiindex_taylor import (
     random_member,
     upsilon_bound,
 )
-from cfdeconv.runner import cf_box_error
+from cfdeconv.reconstruct import LatticeSpec
+from cfdeconv.runner import cf_box_error, estimate_once
 
 from test_contrast import trapezoid_grid, zero_sample_table
 from test_multiindex_taylor import brute_row, poly_11
@@ -162,30 +163,27 @@ class TestMoments:
             grad = contrast_gradient(poly, table, grid)
             assert np.array_equal(grad, seed_gradient(poly, table, grid))
 
-    def test_hot_loop_builds_no_grid_tables(self, rm4d_table, monkeypatch):
-        # the start and the final iterate are valued on the grid, the
-        # iterates of L-BFGS-B between them never
+    @pytest.mark.parametrize("tol, max_iters, reasons", [
+        (1e-12, 3, ("max_iters",) * 4),  # every start iterates, and restarts run
+        (1e3, 400, ("resolution",)),  # the start is already at resolution
+    ])
+    def test_hot_loop_builds_no_grid_tables(self, rm4d_table, monkeypatch, tol, max_iters,
+                                            reasons):
+        # one moment object values every start, iterate and estimate of a
+        # call; the grid definition is never reached
         table, grid = rm4d_table
-        calls, descending = [], [False]
-        for name in ("poly_tables", "_defect"):
-            real = getattr(contrast_module, name)
-            monkeypatch.setattr(contrast_module, name,
-                                lambda *args, real=real, name=name:
-                                calls.append((name, descending[0])) or real(*args))
-        real_minimize = optimize.minimize
-
-        def descend(*args, **kwargs):
-            descending[0] = True
-            try:
-                return real_minimize(*args, **kwargs)
-            finally:
-                descending[0] = False
-
-        monkeypatch.setattr(optimize, "minimize", descend)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=1e-12, seed=5)
+        calls, built = [], []
+        for module, name in ((contrast_module, "poly_tables"), (contrast_module, "_defect"),
+                             (contrast_module, "contrast_empirical"),
+                             (minimize_module, "contrast_empirical")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(minimize_module, "ContrastMoments",
+                            lambda *args: built.append(args) or ContrastMoments(*args))
+        monkeypatch.setattr(minimize_module, "MAX_ITERS", max_iters)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=tol, seed=5)
         res = minimize_contrast(table, grid, config)
-        assert len(res.trace) > 5
-        assert calls == [("poly_tables", False), ("_defect", False)] * 2 * res.restarts_used
+        assert res.reasons == reasons
+        assert calls == [] and built == [(table, grid, 4)]
 
     def test_hot_loop_does_no_hashing(self, monkeypatch, rng):
         grid = make_grid(1.0, (1, 1), 24)
@@ -318,8 +316,17 @@ class TestMinimize:
         table = ecf_table_for_grid(s, grid24)
         config = MinimizeConfig(params=UpsilonParams(0.8, 1.5), m_opt=3, tol=1e-8, seed=2)
         res = minimize_contrast(table, grid24, config)
-        recomputed = contrast_empirical(res.estimate, table, grid24)
-        assert res.value == pytest.approx(recomputed, rel=1e-12, abs=1e-18)
+        # the value is the moment form's, the one the descent minimized
+        with _util.one_blas_thread():
+            moment_value = ContrastMoments(table, grid24, 3).evaluate(res.estimate)[0]
+        assert res.value == moment_value
+        # and the grid definition's to rounding relative to the three terms
+        # the moment form sums; the first two bound the third (Cauchy-Schwarz)
+        full_c, first_c, second_c = poly_tables(res.estimate, grid24)
+        terms = (np.abs(full_c * (table.first[:, None] * table.second[None, :])) ** 2
+                 + np.abs(table.full * (first_c[:, None] * second_c[None, :])) ** 2)
+        scale = float(grid24.w1 @ terms @ grid24.w2)
+        assert abs(res.value - contrast_empirical(res.estimate, table, grid24)) <= 1e-12 * scale
 
     def test_estimate_is_feasible(self, grid24, rng):
         params = UpsilonParams(0.65, 1.2)
@@ -378,6 +385,50 @@ class TestMinimize:
         )
         assert res.value <= best_val
         assert cf_box_error(res.estimate, model, grid) <= threshold
+
+
+class TestConfig:
+    # each bad value is refused when the config is built, before any work
+    @pytest.mark.parametrize("key, value", [
+        ("seed", -1), ("tol", math.nan), ("m_opt", 2.5), ("restarts", 2.5),
+    ])
+    def test_refuses_bad_value(self, key, value):
+        kwargs = dict(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8)
+        with pytest.raises(ConfigError, match=key):
+            MinimizeConfig(**{**kwargs, key: value})
+
+    def test_negative_seed_through_estimate_once(self, grid24, rng):
+        samples = SampleSet(1, 1, rng.normal(size=(50, 2)))
+        lattice = LatticeSpec((-1.0, -1.0), (1.0, 1.0), (5, 5))
+        with pytest.raises(ConfigError, match="seed"):
+            estimate_once(samples, grid24, lattice, kappa=0.75, S=2.0, m_opt=4, seed=-1)
+
+    def test_converts_integral_values(self):
+        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=np.int64(4), tol=1,
+                                restarts=2.0, seed=np.int64(3))
+        assert (config.m_opt, config.restarts, config.seed) == (4, 2, 3)
+        assert all(type(v) is int for v in (config.m_opt, config.restarts, config.seed))
+        assert type(config.tol) is float
+
+
+class TestMemory:
+    def test_d4_grid_peak(self):
+        # 48 nodes per axis at d1 = d2 = 2: the minimizer's peak, set-up and
+        # iterates, stays within three times the table's full array
+        noise = AxisNoise("g_density", 2.0)
+        scenario = make_repeated(SignalSpec("uniform", (1.0,)), noise, noise, d1=2)
+        grid = make_grid(1.0, (2, 2), 48)
+        table = ecf_table_for_grid(scenario.sample(2000, seed=5), grid)
+        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=0.01 / 2000,
+                                restarts=1, seed=5)
+        tracemalloc.start()
+        try:
+            res = minimize_contrast(table, grid, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.trace) > 1
+        assert peak <= 3.0 * table.full.nbytes
 
 
 def _dense_ls_theta(table, grid, m_opt):
