@@ -53,15 +53,20 @@ class SelectionReport:
         raise KeyError(kappa)
 
 
-def _sorted_candidates(estimates) -> list:
-    items = sorted(estimates.items()) if isinstance(estimates, dict) else sorted(estimates)
-    if not items:
-        raise ConfigError("need at least one candidate kappa")
-    kappas = [k for k, _ in items]
+def check_kappas(kappas) -> None:
+    """Refuse a set of candidate kappas that is empty, repeats a value or
+    leaves (0, 1]."""
+    if not kappas:
+        raise ConfigError("the candidate kappas must be nonempty")
     if len(set(kappas)) != len(kappas):
         raise ConfigError("duplicate candidate kappa values")
     if any(not (0 < k <= 1) for k in kappas):
         raise ConfigError("candidate kappas must lie in (0, 1]")
+
+
+def _sorted_candidates(estimates) -> list:
+    items = sorted(estimates.items()) if isinstance(estimates, dict) else sorted(estimates)
+    check_kappas([k for k, _ in items])
     return items
 
 
@@ -122,13 +127,10 @@ def pilot_c_sigma(
     """
     if n < 3:
         raise ConfigError(f"n must be >= 3, got {n}")
-    if not half_estimates:
-        raise ConfigError("need at least one candidate kappa")
+    check_kappas([row[0] for row in half_estimates])
     base = math.log(n) / math.log(math.log(n))
     best = 0.0
     for kappa, g1, g2 in half_estimates:
-        if not (0 < kappa <= 1):
-            raise ConfigError("candidate kappas must lie in (0, 1]")
         best = max(best, distance(g1, g2) * base ** (kappa * beta))
     if best <= 0:
         # identical halves: degenerate but legal; keep the selector runnable

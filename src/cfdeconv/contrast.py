@@ -12,23 +12,25 @@ moduli of the per-block noise CFs instead of using empirical tables.
 Candidate values on a grid factor through per-block pattern matrices: with
 U[g1, q] the block-1 monomials and W[g2, r] the block-2 monomials, the full
 table of a candidate with scattered coefficient matrix C is U C W^T, and the
-two slice tables are U C[:, 0] and W C[0, :].  `contrast_empirical`,
-`contrast_oracle` and `contrast_gradient` evaluate the integrand on the grid:
-they are the definition, and their exact zeros are exact.
+two slice tables are U C[:, 0] and W C[0, :] (`poly_tables`).
 
-The minimizer values every start, iterate and estimate from moments instead
-(`ContrastMoments`).  A product of two degree-m monomials is one of degree
-2m, so expanding |defect|^2 leaves the grid only in moment matrices of the
-ECF table against the degree-2m monomial tables, computed once per table and
-degree.  A candidate's value and gradient are then small contractions whose
-cost does not depend on the grid.  The expansion sums three terms that
-cancel, so it agrees with the grid to rounding relative to those terms.
-The grid functions stay the definition and the tests' reference, and the
-only ones that take a callable candidate such as a scenario's true CF.
+The contrast has one engine, `ContrastMoments`.  A product of two degree-m
+monomials is one of degree 2m, so expanding |defect|^2 leaves the grid only
+in moment matrices of the ECF table against the degree-2m monomial tables,
+computed once per table and degree.  A candidate's value and gradient are
+then small contractions whose cost does not depend on the grid.  The
+expansion sums three terms that cancel, so it agrees with the integrand
+summed on the grid to rounding relative to those terms; that grid sum is
+the tests' reference, not code here.  `contrast_empirical` and
+`contrast_gradient` build one moment object per call, and so does
+`contrast_oracle`: its noise weights are separable, so the population
+contrast is the empirical one of the signal CF's tables scaled by the
+noise CF moduli.  Candidates are `TaylorPoly`s.
 
 Nothing here is cached across calls at module level: a grid memoizes its own
-derived arrays and pattern matrices, and candidate tables are recomputed on
-every call, which costs less than hashing the coefficients would.
+derived arrays and pattern matrices, and moment matrices and candidate
+tables are recomputed on every call, which costs less than hashing the
+table or the coefficients would.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import (ConfigError, NumericalError, content_hash, legendre_rule, tensor_points,
-                    tensor_weights)
+from ._util import (ConfigError, NumericalError, content_hash, legendre_rule, one_blas_thread,
+                    tensor_points, tensor_weights)
 from .ecf import EcfTable, SampleSet, ecf_on_grid
 from .multiindex_taylor import (
     TaylorPoly,
@@ -231,61 +233,11 @@ def _callable_tables(fn, grid: QuadratureGrid):
     return full, first, second
 
 
-def _tables_for(candidate, grid: QuadratureGrid):
-    if isinstance(candidate, TaylorPoly):
-        return poly_tables(candidate, grid)
-    if callable(candidate):
-        return _callable_tables(candidate, grid)
-    raise ConfigError(f"candidate must be a TaylorPoly or a callable, got {type(candidate)}")
-
-
-def _defect(cand_tables, ref_tables):
-    full_c, first_c, second_c = cand_tables
-    full_r, first_r, second_r = ref_tables
-    return full_c * (first_r[:, None] * second_r[None, :]) - full_r * (
-        first_c[:, None] * second_c[None, :]
-    )
-
-
 def _ref_tables(table: EcfTable, grid: QuadratureGrid):
     """The ECF table's (full, first slice, second slice), checked against the grid."""
     if table.grid_id != grid.grid_id:
         raise ConfigError("ECF table was computed on a different grid")
     return table.full, table.first, table.second
-
-
-def _empirical_value(A, grid: QuadratureGrid) -> float:
-    """Box integral of |A|^2 for a defect table A."""
-    val = float(grid.w1 @ (np.abs(A) ** 2) @ grid.w2)
-    if not np.isfinite(val):
-        raise NumericalError("contrast evaluated to a non-finite value")
-    return val
-
-
-def contrast_empirical(candidate, table: EcfTable, grid: QuadratureGrid) -> float:
-    """Empirical factorization contrast of a candidate against an ECF table."""
-    ref = _ref_tables(table, grid)
-    return _empirical_value(_defect(_tables_for(candidate, grid), ref), grid)
-
-
-def contrast_gradient(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -> np.ndarray:
-    """Exact gradient of the empirical contrast in the theta coordinates, on
-    the grid.  Pinned coordinates (the unit value at the zero index) get 0."""
-    if poly.dims != grid.dims:
-        raise ConfigError(f"poly dims {poly.dims} != grid dims {grid.dims}")
-    full_r, first_r, second_r = ref = _ref_tables(table, grid)
-    gt = _GridTables.get(grid, poly.max_degree)
-    _, first_p, second_p = tables = poly_tables(poly, grid)
-    B = (grid.w1[:, None] * grid.w2[None, :]) * np.conj(_defect(tables, ref))
-    T1 = gt.U.T @ (B * (first_r[:, None] * second_r[None, :])) @ gt.W
-    BF = B * full_r
-    S1 = gt.U.T @ (BF @ second_p)
-    S2 = gt.W.T @ (BF.T @ first_p)
-    p1, p2, _, _ = block_split(poly.dims, poly.max_degree)
-    inner = T1[p1, p2]
-    inner = inner - np.where(p2 == 0, S1[p1], 0.0)
-    inner = inner - np.where(p1 == 0, S2[p2], 0.0)
-    return _theta_gradient(inner, poly)
 
 
 def _theta_gradient(inner, poly: TaylorPoly) -> np.ndarray:
@@ -384,12 +336,35 @@ class ContrastMoments:
         return value, _theta_gradient(np.conj(G[self.p1, self.p2]), poly)
 
 
-def contrast_oracle(candidate, model: OracleModel, grid: QuadratureGrid) -> float:
+def _moment_values(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -> tuple:
+    """(contrast, theta gradient) of a candidate from one `ContrastMoments`
+    of the table, under the BLAS hold the minimizer evaluates in, so the
+    value of its estimate is the one it reports, to the bit."""
+    if not isinstance(poly, TaylorPoly):
+        raise ConfigError(f"candidate must be a TaylorPoly, got {type(poly).__name__}")
+    if poly.dims != grid.dims:
+        raise ConfigError(f"poly dims {poly.dims} != grid dims {grid.dims}")
+    with one_blas_thread():
+        return ContrastMoments(table, grid, poly.max_degree).evaluate(poly)
+
+
+def contrast_empirical(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -> float:
+    """Empirical factorization contrast of a candidate against an ECF table."""
+    return _moment_values(poly, table, grid)[0]
+
+
+def contrast_gradient(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -> np.ndarray:
+    """Exact gradient of the empirical contrast in the theta coordinates.
+    Pinned coordinates (the unit value at the zero index) get 0."""
+    return _moment_values(poly, table, grid)[1]
+
+
+def contrast_oracle(poly: TaylorPoly, model: OracleModel, grid: QuadratureGrid) -> float:
     """Population contrast: the empirical tables are replaced by the true
-    signal CF and the integrand is weighted by the squared noise CF moduli."""
-    A = _defect(_tables_for(candidate, grid), model.tables(grid))
-    q1, q2 = model.noise_weights(grid)
-    val = float((grid.w1 * q1) @ (np.abs(A) ** 2) @ (grid.w2 * q2))
-    if not np.isfinite(val):
-        raise NumericalError("oracle contrast evaluated to a non-finite value")
-    return val
+    signal CF and the integrand is weighted by the squared noise CF moduli
+    q1 q2, which is the empirical contrast of the signal tables scaled by
+    sqrt(q1) and sqrt(q2)."""
+    full, first, second = model.tables(grid)
+    r1, r2 = (np.sqrt(q) for q in model.noise_weights(grid))
+    scaled = EcfTable(grid.grid_id, 0, first * r1, second * r2, full * r1[:, None] * r2)
+    return contrast_empirical(poly, scaled, grid)

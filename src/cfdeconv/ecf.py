@@ -225,7 +225,10 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
 
 def pooled(a: EcfTable, b: EcfTable) -> EcfTable:
     """The union of two samples' tables on one grid: each field's n-weighted
-    mean, which is exactly Hermitian and equals the union's up to rounding."""
+    mean, which is exactly Hermitian and equals the union's up to rounding.
+    Tables from different grids are refused."""
+    if a.grid_id != b.grid_id:
+        raise ConfigError("cannot pool ECF tables computed on different grids")
     n = a.n + b.n
     first, second, full = ((a.n * x + b.n * y) / n for x, y in
                            ((a.first, b.first), (a.second, b.second), (a.full, b.full)))

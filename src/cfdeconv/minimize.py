@@ -4,12 +4,11 @@ The decision variable is the real parity-reduced coefficient vector of a
 TaylorPoly; the admissible class is a box in it (pinned unit value at zero,
 per-order modulus caps), the bounds of scipy's L-BFGS-B.  Every start,
 iterate and final iterate is valued, with its exact gradient, from the
-table's moment matrices (`contrast.ContrastMoments`), built once per
-minimization and shared by its starts: small contractions whose cost does
-not depend on the quadrature grid.  They agree with the grid definition
-(`contrast_empirical`, `contrast_gradient`) to rounding relative to the
-three terms the moment form sums, and the reported contrast is the one the
-descent minimized.
+table's moment matrices (`contrast.ContrastMoments`, the library's one
+contrast engine), built once per minimization and shared by its starts:
+small contractions whose cost does not depend on the quadrature grid.  The
+reported contrast is the one the descent minimized, and `contrast_empirical`
+of the estimate, which builds its own moment object, returns it to the bit.
 
 While its starts run, `minimize_contrast` holds both OpenBLAS pools,
 numpy's and the one scipy's L-BFGS-B links, at one thread
@@ -85,7 +84,8 @@ class MinimizeResult:
     """The best start's estimate, value and value trace (start, iterates).
 
     Every value is the moment form's (`contrast.ContrastMoments`), the one
-    the descent minimized, so `trace[-1] == value`.
+    the descent minimized, so `trace[-1] == value`, and `value` is
+    `contrast_empirical(estimate, table, grid)` to the bit.
 
     `reason` says why it stopped: "resolution" (contrast <= tol), "ftol" or
     "gtol" (scipy status 0), "max_iters" (iteration or evaluation limit),

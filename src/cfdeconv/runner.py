@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import ConfigError, NumericalError, as_type
-from .adaptive import pilot_c_sigma, select_kappa, sigma_rule
+from .adaptive import check_kappas, pilot_c_sigma, select_kappa, sigma_rule
 from .contrast import OracleModel, QuadratureGrid, ecf_table_for_grid, make_grid, poly_tables
 from .ecf import SampleSet, pooled
 from .minimize import RESOLUTION, MinimizeConfig, minimize_contrast
@@ -157,7 +157,7 @@ def _degrees(n: int, kappa: float, m_opt: Optional[int]) -> tuple:
     if m_opt is None:
         m_trunc = max(m_rule(n, kappa), 1)
         return m_trunc, 2 * m_trunc
-    m_opt = int(m_opt)
+    m_opt = as_type(m_opt, int, "m_opt")
     if m_opt < 2:
         raise ConfigError(f"m_opt must be >= 2, got {m_opt}")
     return m_opt // 2, m_opt
@@ -388,11 +388,11 @@ def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     yields a reconstruction per candidate kappa, and the largest rescaled
     half-vs-half distance calibrates c_sigma.  Full-sample reconstructions,
     from the pooled half-sample tables, then feed the pairwise-comparison
-    selector.
+    selector.  The kappa grid is checked as the selector checks it
+    (`adaptive.check_kappas`) before any table is computed.
     """
     kappa_grid = tuple(float(k) for k in kappa_grid)
-    if not kappa_grid:
-        raise ConfigError("kappa grid must be nonempty")
+    check_kappas(kappa_grid)
     n = samples.n
     if n < 24:
         raise ConfigError(f"adaptation needs n >= 24, so that each half sample has a "

@@ -9,6 +9,7 @@ from cfdeconv.contrast import (
     OracleModel,
     QuadratureGrid,
     contrast_empirical,
+    contrast_gradient,
     contrast_oracle,
     ecf_table_for_grid,
     make_grid,
@@ -136,6 +137,15 @@ class TestContrastEmpirical:
         table = zero_sample_table(grid24)
         with pytest.raises(ConfigError):
             contrast_empirical(poly, table, grid48)
+
+    @pytest.mark.parametrize("contrast", [contrast_empirical, contrast_gradient,
+                                          contrast_oracle])
+    def test_callable_candidate_refused(self, grid24, uniform_repeated, contrast):
+        # candidates are TaylorPolys; a CF given as a callable is no candidate
+        other = uniform_repeated.oracle() if contrast is contrast_oracle else (
+            zero_sample_table(grid24))
+        with pytest.raises(ConfigError, match="TaylorPoly"):
+            contrast(uniform_repeated.oracle().phi_R, other, grid24)
 
     def test_nonnegative_on_random_candidates(self, grid24, rng):
         s = SampleSet(1, 1, rng.normal(size=(50, 2)))

@@ -184,6 +184,16 @@ class TestHalfLattice:
             assert np.max(np.abs(got - ref)) <= 1e-14
             assert np.array_equal(got[::-1, ::-1] if got.ndim == 2 else got[::-1], np.conj(got))
 
+    def test_pooled_refuses_other_grid(self, rng):
+        # nu = 1 and nu = 3 tables have the same sizes; only their grid ids
+        # tell them apart, and a pooled table would mix the two grids' values
+        s = make_samples(rng.normal(size=(50, 2)))
+        a, b = (ecf_on_grid(s, [make_grid(nu, (1, 1), 8).axis_nodes] * 2,
+                            grid_id=make_grid(nu, (1, 1), 8).grid_id) for nu in (1.0, 3.0))
+        with pytest.raises(ConfigError, match="different grids"):
+            ecf.pooled(a, b)
+        assert ecf.pooled(a, a).grid_id == a.grid_id
+
     @pytest.mark.parametrize("is_closed", [True, False])
     def test_hand_built_trapezoid_nodes(self, is_closed, rng):
         # a different closed node list per axis is tabulated; a node list

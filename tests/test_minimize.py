@@ -19,12 +19,13 @@ from cfdeconv.contrast import (
     ContrastMoments,
     _GridTables,
     contrast_empirical,
+    contrast_oracle,
     ecf_table_for_grid,
     make_grid,
     poly_tables,
 )
 from cfdeconv._util import CHUNK
-from cfdeconv.ecf import SampleSet, ecf_on_grid
+from cfdeconv.ecf import EcfTable, SampleSet, ecf_on_grid
 from cfdeconv.minimize import (
     MinimizeConfig,
     MinimizeResult,
@@ -51,10 +52,11 @@ from test_multiindex_taylor import brute_row, poly_11
 class TestGradient:
     def test_zero_at_global_minimum(self, grid24):
         # flat table and unit candidate: integrand vanishes identically
+        # on the grid definition, where the zero is exact; the moment form's
+        # is zero to rounding (test_complete_cancellation_is_zero)
         table = zero_sample_table(grid24)
         poly = poly_11(2, {})
-        grad = contrast_gradient(poly, table, grid24)
-        np.testing.assert_array_equal(grad, 0.0)
+        np.testing.assert_array_equal(seed_gradient(poly, table, grid24), 0.0)
 
     def test_mixed_term_derivative(self, grid24):
         # M_n(a) = 4 a^2 / 9 for candidate 1 + a t1 t2 at nu=1, flat table
@@ -98,16 +100,28 @@ class TestGradient:
             contrast_gradient(poly_11(2, {}), table, grid48)
 
 
-def seed_gradient(poly, table, grid):
-    """The contrast gradient with the defect, the weight outer product and
-    every temporary written inline, as the minimizer first computed it: the
-    fixed reference for the bits the evaluator must reproduce."""
-    gt = _GridTables.get(grid, poly.max_degree)
+def seed_defect(poly, table, grid):
+    """The contrast's integrand before the modulus, on every grid point."""
     full_p, first_p, second_p = poly_tables(poly, grid)
-    A = full_p * (table.first[:, None] * table.second[None, :]) - table.full * (
+    return full_p * (table.first[:, None] * table.second[None, :]) - table.full * (
         first_p[:, None] * second_p[None, :]
     )
-    B = (grid.w1[:, None] * grid.w2[None, :]) * np.conj(A)
+
+
+def seed_value(poly, table, grid, q1=1.0, q2=1.0):
+    """The contrast as defined: |defect|^2 summed against the grid's weights,
+    times the noise weights q1 and q2 for the oracle contrast.  The library
+    values it from moments (`ContrastMoments`); this is the reference."""
+    return float((grid.w1 * q1) @ (np.abs(seed_defect(poly, table, grid)) ** 2)
+                 @ (grid.w2 * q2))
+
+
+def seed_gradient(poly, table, grid):
+    """The contrast gradient in theta, summed on the grid as the minimizer
+    first computed it: the reference for the moment form's gradient."""
+    gt = _GridTables.get(grid, poly.max_degree)
+    _, first_p, second_p = poly_tables(poly, grid)
+    B = (grid.w1[:, None] * grid.w2[None, :]) * np.conj(seed_defect(poly, table, grid))
     T1 = gt.U.T @ (B * (table.first[:, None] * table.second[None, :])) @ gt.W
     S1 = gt.U.T @ ((B * table.full) @ second_p)
     S2 = gt.W.T @ ((B * table.full).T @ first_p)
@@ -122,46 +136,45 @@ def seed_gradient(poly, table, grid):
 
 
 class TestMoments:
-    # the moment form sums three terms that cancel, so it matches the grid
-    # definition to rounding, not bit for bit
+    # the moment form sums three terms that cancel, so the public contrasts
+    # match the grid definition to rounding, not bit for bit
+    @pytest.mark.parametrize("oracle", [False, True])
     @pytest.mark.parametrize("nu", [1.0, 3.0])
     @pytest.mark.parametrize("dims, nodes, m_opt", [
         ((1, 1), 48, 2), ((1, 1), 48, 6), ((1, 1), 48, 10), ((2, 2), 12, 4), ((2, 2), 12, 8),
     ])
-    def test_matches_grid_definition(self, dims, nodes, m_opt, nu, rng):
+    def test_matches_grid_definition(self, dims, nodes, m_opt, nu, oracle, rng):
         grid = make_grid(nu, dims, nodes)
         d = dims[0] + dims[1]
-        table = ecf_table_for_grid(SampleSet(*dims, rng.normal(size=(300, d))), grid)
-        moments = ContrastMoments(table, grid, m_opt)
+        if oracle:
+            noise = AxisNoise("laplace", 0.5)
+            model = make_repeated(SignalSpec("uniform", (1.0,)), noise, noise, d1=dims[0]).oracle()
+            full, first, second = model.tables(grid)
+            table = EcfTable(grid.grid_id, 0, first, second, full)
+        else:
+            table = ecf_table_for_grid(SampleSet(*dims, rng.normal(size=(300, d))), grid)
         for _ in range(5):
             poly = random_member(UpsilonParams(0.75, 1.5), dims, m_opt, rng)
-            value, grad = moments.evaluate(poly)
-            ref = contrast_gradient(poly, table, grid)
-            assert value == pytest.approx(contrast_empirical(poly, table, grid), rel=1e-12)
-            assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
-            assert grad[0] == 0.0
+            if oracle:
+                ref = seed_value(poly, table, grid, *model.noise_weights(grid))
+                assert contrast_oracle(poly, model, grid) == pytest.approx(ref, rel=1e-12)
+            else:
+                ref = seed_value(poly, table, grid)
+                assert contrast_empirical(poly, table, grid) == pytest.approx(ref, rel=1e-12)
+                grad, ref = contrast_gradient(poly, table, grid), seed_gradient(poly, table, grid)
+                assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+                assert grad[0] == 0.0
 
-    def test_complete_cancellation_is_zero(self):
-        # flat table and unit candidate: the three terms cancel, and their
-        # rounding residue (-7.1e-15 here) does not make the value negative
-        grid = make_grid(1.0, (2, 2), 12)
-        table = ecf_table_for_grid(SampleSet(2, 2, np.zeros((1, 4))), grid)
-        unit = TaylorPoly((2, 2), 3, np.eye(1, index_table(4, 3)[0].shape[0])[0])
-        value, grad = ContrastMoments(table, grid, 3).evaluate(unit)
-        assert value == 0.0
-        np.testing.assert_allclose(grad, 0.0, atol=1e-13)
-
-    # (2, 2) on 12 nodes gives 144 x 144 tables, above the size at which
-    # numpy reuses a temporary's buffer for the next product
-    @pytest.mark.parametrize("dims, nodes", [((1, 1), 24), ((2, 2), 12)])
-    def test_grid_gradient_bits(self, dims, nodes, rng):
+    # flat table and unit candidate: the three terms cancel, and their
+    # rounding residue (-7.1e-15 at (2, 2)) does not make the value negative
+    @pytest.mark.parametrize("dims, nodes, m_opt", [((1, 1), 24, 2), ((2, 2), 12, 3)])
+    def test_complete_cancellation_is_zero(self, dims, nodes, m_opt):
         grid = make_grid(1.0, dims, nodes)
         d = dims[0] + dims[1]
-        table = ecf_table_for_grid(SampleSet(*dims, rng.normal(size=(300, d))), grid)
-        for _ in range(5):
-            poly = random_member(UpsilonParams(0.75, 1.5), dims, 4, rng)
-            grad = contrast_gradient(poly, table, grid)
-            assert np.array_equal(grad, seed_gradient(poly, table, grid))
+        table = ecf_table_for_grid(SampleSet(*dims, np.zeros((1, d))), grid)
+        unit = TaylorPoly(dims, m_opt, np.eye(1, index_table(d, m_opt)[0].shape[0])[0])
+        assert contrast_empirical(unit, table, grid) == 0.0
+        np.testing.assert_allclose(contrast_gradient(unit, table, grid), 0.0, atol=1e-13)
 
     @pytest.mark.parametrize("tol, max_iters, reasons", [
         (1e-12, 3, ("max_iters",) * 4),  # every start iterates, and restarts run
@@ -170,10 +183,11 @@ class TestMoments:
     def test_hot_loop_builds_no_grid_tables(self, rm4d_table, monkeypatch, tol, max_iters,
                                             reasons):
         # one moment object values every start, iterate and estimate of a
-        # call; the grid definition is never reached
+        # call; no candidate grid table is formed, and the public contrast,
+        # which builds a moment object of its own, is never called
         table, grid = rm4d_table
         calls, built = [], []
-        for module, name in ((contrast_module, "poly_tables"), (contrast_module, "_defect"),
+        for module, name in ((contrast_module, "poly_tables"),
                              (contrast_module, "contrast_empirical"),
                              (minimize_module, "contrast_empirical")):
             monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
@@ -316,17 +330,16 @@ class TestMinimize:
         table = ecf_table_for_grid(s, grid24)
         config = MinimizeConfig(params=UpsilonParams(0.8, 1.5), m_opt=3, tol=1e-8, seed=2)
         res = minimize_contrast(table, grid24, config)
-        # the value is the moment form's, the one the descent minimized
-        with _util.one_blas_thread():
-            moment_value = ContrastMoments(table, grid24, 3).evaluate(res.estimate)[0]
-        assert res.value == moment_value
+        # the value is the moment form's, the one the descent minimized, and
+        # so the public contrast's to the bit
+        assert contrast_empirical(res.estimate, table, grid24) == res.value
         # and the grid definition's to rounding relative to the three terms
         # the moment form sums; the first two bound the third (Cauchy-Schwarz)
         full_c, first_c, second_c = poly_tables(res.estimate, grid24)
         terms = (np.abs(full_c * (table.first[:, None] * table.second[None, :])) ** 2
                  + np.abs(table.full * (first_c[:, None] * second_c[None, :])) ** 2)
         scale = float(grid24.w1 @ terms @ grid24.w2)
-        assert abs(res.value - contrast_empirical(res.estimate, table, grid24)) <= 1e-12 * scale
+        assert abs(res.value - seed_value(res.estimate, table, grid24)) <= 1e-12 * scale
 
     def test_estimate_is_feasible(self, grid24, rng):
         params = UpsilonParams(0.65, 1.2)
@@ -373,11 +386,13 @@ class TestMinimize:
 
         search_rng = np.random.default_rng(20240917)
         best_val, best_poly = np.inf, None
-        for _ in range(2000):
-            cand = random_member(params, (1, 1), 4, search_rng)
-            val = contrast_empirical(cand, table, grid)
-            if val < best_val:
-                best_val, best_poly = val, cand
+        with _util.one_blas_thread():
+            moments = ContrastMoments(table, grid, 4)
+            for _ in range(2000):
+                cand = random_member(params, (1, 1), 4, search_rng)
+                val = moments.evaluate(cand)[0]
+                if val < best_val:
+                    best_val, best_poly = val, cand
         threshold = 1.5 * cf_box_error(best_poly, model, grid)
 
         res = minimize_contrast(

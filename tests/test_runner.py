@@ -359,12 +359,17 @@ class TestEstimateOnce:
                             kappa=0.75, S=1.5, m_opt=4, restarts=1)
         assert out.omega == omega_rule(2, 0.75, 1.5, nu, 2)
 
-    def test_override_degree_below_two_refused(self, uniform_repeated, grid24):
-        # the same floor as ExperimentPlan's override tuning
+    # the same floor as ExperimentPlan's override tuning, and the same
+    # conversion as MinimizeConfig's: 2.5 is not read as degree 2, nor True as 1
+    @pytest.mark.parametrize("m_opt, message", [
+        (1, "m_opt must be >= 2"), (2.5, "m_opt must be a int, got 2.5"),
+        (True, "m_opt must be a int, got True"),
+    ])
+    def test_override_degree_refused(self, uniform_repeated, grid24, m_opt, message):
         samples = uniform_repeated.sample(100, seed=1)
-        with pytest.raises(ConfigError, match="m_opt must be >= 2"):
+        with pytest.raises(ConfigError, match=message):
             estimate_once(samples, grid24, default_lattice(2, half=2.0, count=9),
-                          kappa=0.75, S=1.5, m_opt=1)
+                          kappa=0.75, S=1.5, m_opt=m_opt)
 
     def test_theta_independent_of_openblas_threads(self):
         # the ECF's and the contrast's products run with every OpenBLAS pool
@@ -433,11 +438,19 @@ class TestAdaptive:
                                      default_lattice(2, half=2.0, count=5), **kwargs)
         assert outcome.kappa_hat == 0.75
 
-    def test_empty_kappa_grid(self, uniform_repeated, grid24):
+    @pytest.mark.parametrize("kappa_grid, message", [
+        ((), "nonempty"), ((0.6, 0.6), "duplicate"), ((0.6, 1.5), "lie in"),
+    ])
+    def test_kappa_grid_checked_before_work(self, uniform_repeated, grid24, monkeypatch,
+                                            kappa_grid, message):
+        # the selector's checks, made before any ECF table or estimate
+        work = []
+        monkeypatch.setattr(runner_module, "ecf_table_for_grid", lambda *a: work.append(a))
         samples = uniform_repeated.sample(30, seed=7)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=message):
             adapt_from_samples(samples, grid24, default_lattice(2),
-                               kappa_grid=(), S=1.5, beta=1.0)
+                               kappa_grid=kappa_grid, S=1.5, beta=1.0)
+        assert work == []
 
     def test_alignment_grid_is_positional(self, uniform_repeated, monkeypatch):
         calls = record_alignments(monkeypatch, 2)
