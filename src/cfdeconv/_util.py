@@ -1,7 +1,7 @@
-"""Small shared helpers: error types, config conversion, deterministic
-reduction and elementary functions, the Gauss-Legendre rule, tensor
-lattices, inverse-CDF sampling, hashing, and a one-thread hold on the
-OpenBLAS pools."""
+"""Small shared helpers: error types, config conversion, row blocks,
+deterministic reduction and elementary functions, the Gauss-Legendre
+rule, tensor lattices, inverse-CDF sampling, hashing, and a one-thread
+hold on the OpenBLAS pools."""
 
 from __future__ import annotations
 
@@ -20,6 +20,10 @@ import numpy as np
 # chunk length for streaming passes over samples; fixed so that reduction
 # order (and therefore output bytes) never depends on memory pressure
 CHUNK = 1024
+
+# rows per block of a pass that writes, checks or converts a whole sample, so
+# the pass holds the (n, d) matrix plus one block's temporaries
+ROW_BLOCK = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -45,6 +49,17 @@ def as_type(value, kind, key: str):
         return converted
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}") from None
+
+
+def row_blocks(n: int) -> list:
+    """Slices of ROW_BLOCK consecutive rows covering range(n), with a one-row
+    remainder joined to the block before it: numpy multiplies a one-row
+    matrix by gemv, whose bits differ from gemm's, so a blocked product of
+    at least two rows has the whole product's bits."""
+    edges = list(range(0, n, ROW_BLOCK)) + [n]
+    if len(edges) > 2 and n - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 class PairwiseAccumulator:

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import CHUNK, ConfigError, PairwiseAccumulator, cos_sin, fmt17, one_blas_thread
+from ._util import (CHUNK, ROW_BLOCK, ConfigError, PairwiseAccumulator, cos_sin, fmt17,
+                    one_blas_thread, row_blocks)
 
 # `ecf_on_grid`'s tasks are aligned runs of 2^RUN_LEVEL chunks
 RUN_LEVEL = 5
@@ -43,7 +44,9 @@ RUN_LEVEL = 5
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An (n, d1+d2) array of observations split into two blocks."""
+    """An (n, d1+d2) array of observations split into two blocks.  The
+    finiteness check runs one row block at a time, so it holds no n x d
+    mask."""
 
     d1: int
     d2: int
@@ -59,7 +62,7 @@ class SampleSet:
             )
         if data.shape[0] < 1:
             raise ConfigError("need at least one observation")
-        if not np.all(np.isfinite(data)):
+        if not all(np.isfinite(data[rows]).all() for rows in row_blocks(len(data))):
             raise ConfigError("sample contains non-finite values")
         object.__setattr__(self, "data", data)
 
@@ -246,9 +249,12 @@ def export_csv(samples: SampleSet, path) -> None:
 
 def load_csv(path, d1: int, d2: int) -> SampleSet:
     """Read a CSV written by export_csv back into a SampleSet; a wrong header,
-    row length or non-numeric cell is a ConfigError naming file and line."""
+    row length or non-numeric cell is a ConfigError naming file and line.
+    Parsed rows become float64 one row block at a time, so the load peaks
+    at the blocks and their joined (n, d) matrix, plus one block of Python
+    floats."""
     expected = [f"y{k + 1}" for k in range(d1 + d2)]
-    rows = []
+    blocks, rows = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -263,4 +269,11 @@ def load_csv(path, d1: int, d2: int) -> SampleSet:
             except ValueError:
                 raise ConfigError(f"{path}, line {reader.line_num}: non-numeric value "
                                   f"in {row}") from None
-    return SampleSet(d1=d1, d2=d2, data=np.array(rows, dtype=np.float64))
+            if len(rows) == ROW_BLOCK:
+                blocks.append(np.array(rows, dtype=np.float64))
+                rows = []
+    if rows or not blocks:
+        blocks.append(np.array(rows, dtype=np.float64))
+    del rows  # the last block's Python floats, before the join
+    return SampleSet(d1=d1, d2=d2,
+                     data=blocks[0] if len(blocks) == 1 else np.concatenate(blocks))

@@ -76,8 +76,7 @@ class ExperimentPlan:
             raise ConfigError("n_list must be nonempty and strictly increasing")
         if min(self.n_list) < 12:
             raise ConfigError("sample sizes below 12 have no truncation rule")
-        if not self.kappa_grid or any(not (0 < k <= 1) for k in self.kappa_grid):
-            raise ConfigError("kappa grid must be nonempty within (0, 1]")
+        check_kappas(self.kappa_grid)
         for name in ("S", "beta", "nu"):
             value = getattr(self, name)
             if not value > 0:
@@ -391,7 +390,7 @@ def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     selector.  The kappa grid is checked as the selector checks it
     (`adaptive.check_kappas`) before any table is computed.
     """
-    kappa_grid = tuple(float(k) for k in kappa_grid)
+    kappa_grid = tuple(as_type(k, float, "kappa_grid") for k in kappa_grid)
     check_kappas(kappa_grid)
     n = samples.n
     if n < 24:

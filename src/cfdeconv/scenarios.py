@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from ._util import (ConfigError, as_type, cos_sin, inverse_cdf_sampler, legendre_rule,
-                    tensor_points, tensor_weights)
+                    row_blocks, tensor_points, tensor_weights)
 from .contrast import OracleModel, make_grid, poly_tables
 from .ecf import SampleSet
 from .reconstruct import DensityGrid
@@ -102,21 +102,38 @@ class SignalSpec:
 
         return GridSource(GridFunction(xs, values))
 
-    def sampler(self) -> Callable:
+    def sampler_parts(self) -> tuple:
+        """Samplers (n, rng) -> n values whose sum is n draws of the law,
+        each reading the stream after the one before: the box and then the
+        bump for compact_bump, the law itself for every other kind."""
         if self.kind == "uniform":
             (w,) = self.params
-            return lambda n, rng: rng.uniform(-w, w, size=n)
+            return (lambda n, rng: rng.uniform(-w, w, size=n),)
         if self.kind == "point_mass":
             (x0,) = self.params
-            return lambda n, rng: np.full(n, float(x0))
+            return (lambda n, rng: np.full(n, float(x0)),)
         if self.kind == "compact_bump":
             from .conjecture_lab import mollifier_eval
 
             w, b = self.params
             xs = np.linspace(-1.0 / b, 1.0 / b, 4097)
             bump = inverse_cdf_sampler(xs, mollifier_eval(b, xs))
-            return lambda n, rng: rng.uniform(-w, w, size=n) + bump(n, rng)
-        return self._grid_source().sampler()
+            return (lambda n, rng: rng.uniform(-w, w, size=n), bump)
+        return self._grid_source().sampler_parts()
+
+    def sampler(self) -> Callable:
+        """Sampler (n, rng) -> n draws: the parts' draws, summed in order."""
+        first, *rest = self.sampler_parts()
+        if not rest:
+            return first
+
+        def draw(n, rng):
+            out = first(n, rng)
+            for part in rest:
+                out += part(n, rng)
+            return out
+
+        return draw
 
     def cf(self) -> Callable:
         if self.kind == "uniform":
@@ -213,6 +230,9 @@ class GridSource:
 
     def sampler(self) -> Callable:
         return inverse_cdf_sampler(self.grid.xs, np.clip(self.grid.values, 0.0, None))
+
+    def sampler_parts(self) -> tuple:
+        return (self.sampler(),)
 
     def cf(self) -> Callable:
         """CF of the tabulated density normalized to unit mass, as atoms."""
@@ -364,34 +384,44 @@ class ScenarioSpec:
 
     def sample(self, n: int, seed: int) -> SampleSet:
         """Reproducible draw: the master seed splits into one stream for the
-        signal and one per noise block.  The signal fills one (n, d) matrix and
-        each noise axis's draw is added to its column in place, so the peak is
-        the matrix plus one signal array (a mixture's (n, k) sources)."""
+        signal and one per noise block.
+
+        Every stage writes the one (n, d) float64 matrix a row block
+        (`_util.row_blocks`) at a time: each column's draws from its own
+        stream, a mixture's product `data[b] @ A.T`, link(x), and each noise
+        axis's draws added to its column.  A stream is read in the order of
+        one whole-column draw (a compact_bump's box over every block, then
+        its bump), so the sample has the bits of the unblocked construction,
+        and the peak is the matrix plus one block's temporaries.
+        """
         n, seed = as_type(n, int, "n"), as_type(seed, int, "seed")
         if n < 1 or seed < 0:
             raise ConfigError(f"need n >= 1 and seed >= 0, got n={n}, seed={seed}")
         sig_ss, *noise_ss = np.random.SeedSequence(seed).spawn(3)
+        data = np.empty((n, self.d))
         if self.sources is not None:
-            s = np.empty((n, len(self.sources)))
             for j, (src, ss) in enumerate(zip(self.sources, sig_ss.spawn(len(self.sources)))):
-                s[:, j] = src.sampler()(n, np.random.default_rng(ss))
-            data = s @ self.mixing.T
-            del s
+                _draw_into(data[:, j], src.sampler_parts(), np.random.default_rng(ss))
+            for rows in row_blocks(n):
+                data[rows] = data[rows] @ self.mixing.T
         elif self.variant == "repeated":
-            draw, rng_sig = self.signal.sampler(), np.random.default_rng(sig_ss)
-            data = np.empty((n, self.d))
+            parts, rng_sig = self.signal.sampler_parts(), np.random.default_rng(sig_ss)
             for j in range(self.d1):
-                data[:, j] = data[:, self.d1 + j] = draw(n, rng_sig)
+                _draw_into(data[:, j], parts, rng_sig)
+                for rows in row_blocks(n):
+                    data[rows, self.d1 + j] = data[rows, j]
         elif self.variant == "eiv":
-            x = self.signal.sampler()(n, np.random.default_rng(sig_ss))
-            data = np.column_stack([x, _LINKS[self.link_name](x)])
-            del x
+            _draw_into(data[:, 0], self.signal.sampler_parts(), np.random.default_rng(sig_ss))
+            link = _LINKS[self.link_name]
+            for rows in row_blocks(n):
+                # a contiguous x, as the whole-column call had
+                data[rows, 1] = link(np.ascontiguousarray(data[rows, 0]))
         else:
             raise ConfigError(f"unknown variant {self.variant!r}")
         for offset, axes, ss in zip((0, self.d1), (self.noise1, self.noise2), noise_ss):
             rng = np.random.default_rng(ss)
             for j, axis in enumerate(axes):
-                data[:, offset + j] += axis.draw(n, rng)
+                _draw_into(data[:, offset + j], (axis.draw,), rng, add=True)
         return SampleSet(d1=self.d1, d2=self.d2, data=data)
 
     def signal_cf(self) -> Callable:
@@ -445,6 +475,22 @@ class ScenarioSpec:
         against; None wherever true_density() is None."""
         norm_sq = self.density_norm_sq()
         return None if norm_sq is None else DensityTruth(self.signal_cf(), norm_sq)
+
+
+def _draw_into(column: np.ndarray, parts, rng, add: bool = False) -> None:
+    """Write into `column`, an (n,) view, the sum of the parts' draws (or
+    add it, with `add`) one row block at a time.  Each part runs over every
+    block before the next starts, so the stream is read as by one n-draw
+    call per part, and each later part is added in place, as `sampler`
+    adds it."""
+    for part in parts:
+        for rows in row_blocks(len(column)):
+            values = part(rows.stop - rows.start, rng)
+            if add:
+                column[rows] += values
+            else:
+                column[rows] = values
+        add = True
 
 
 def _eiv_cf(signal: SignalSpec, link: Callable) -> Callable:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cfdeconv import ConfigError, ecf
-from cfdeconv._util import CHUNK, PairwiseAccumulator, cos_sin, one_blas_thread
+from cfdeconv._util import CHUNK, ROW_BLOCK, PairwiseAccumulator, cos_sin, one_blas_thread
 from cfdeconv.contrast import make_grid
 from cfdeconv.ecf import SampleSet, ecf_eval, ecf_on_grid, export_csv, load_csv
 
@@ -61,6 +61,13 @@ class TestEcfEval:
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigError):
             make_samples([[np.nan, 0.0]])
+
+    @pytest.mark.parametrize("row", [0, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK])
+    def test_nonfinite_found_in_any_row_block(self, row):
+        data = np.zeros((2 * ROW_BLOCK + 1, 2))
+        data[row, 1] = np.inf
+        with pytest.raises(ConfigError, match="non-finite"):
+            make_samples(data)
 
     @pytest.mark.parametrize("t", [
         np.array([0.1, 0.2, 0.3, 0.4]),  # reshapes to two d=2 points
@@ -477,6 +484,21 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError) as err:
             load_csv(path, 1, 1)
         assert str(err.value).startswith(str(path) + message)
+
+    def test_load_peak_is_twice_the_matrix(self, tmp_path, rng):
+        # the float64 blocks and the matrix they are joined into; one Python
+        # float per value would take 12x
+        data = rng.normal(size=(200_000, 2))
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="y1,y2", comments="")
+        tracemalloc.start()
+        try:
+            back = load_csv(path, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.data, data)
+        assert peak <= 2.5 * data.nbytes
 
     def test_dimension_mismatch_on_load(self, tmp_path, rng):
         s = make_samples(rng.normal(size=(5, 2)))

@@ -440,6 +440,7 @@ class TestAdaptive:
 
     @pytest.mark.parametrize("kappa_grid, message", [
         ((), "nonempty"), ((0.6, 0.6), "duplicate"), ((0.6, 1.5), "lie in"),
+        (("x",), "kappa_grid must be a float"), ((0.6, True), "kappa_grid must be a float"),
     ])
     def test_kappa_grid_checked_before_work(self, uniform_repeated, grid24, monkeypatch,
                                             kappa_grid, message):
@@ -451,6 +452,18 @@ class TestAdaptive:
             adapt_from_samples(samples, grid24, default_lattice(2),
                                kappa_grid=kappa_grid, S=1.5, beta=1.0)
         assert work == []
+
+    def test_plan_refuses_duplicate_kappas_before_sampling(self, uniform_repeated,
+                                                           monkeypatch):
+        draws = []
+        monkeypatch.setattr(type(uniform_repeated), "sample", lambda *a: draws.append(a))
+        with pytest.raises(ConfigError, match="duplicate"):
+            plan = ExperimentPlan(
+                scenario=uniform_repeated, n_list=(30,), replicates=1,
+                kappa_grid=(0.6, 0.6), S=1.5, nodes_per_axis=24,
+            )
+            adaptive_run(plan, 30, seed=7)
+        assert draws == []
 
     def test_alignment_grid_is_positional(self, uniform_repeated, monkeypatch):
         calls = record_alignments(monkeypatch, 2)

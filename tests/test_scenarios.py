@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cfdeconv import ConfigError, scenarios
-from cfdeconv._util import tensor_points
+from cfdeconv._util import ROW_BLOCK, row_blocks, tensor_points
 from cfdeconv.conjecture_lab import (GridFunction, _mollifier_taps, build_two_point, make_instance,
                                      noise_g)
 from cfdeconv.contrast import make_grid
@@ -625,7 +625,9 @@ def stacked_sample(spec, n, seed):
 
 
 class TestSample:
-    @pytest.mark.parametrize("n", [1, 1025])
+    # one block; several blocks and a partial one; a one-row remainder, which
+    # joins the block before it (row_blocks)
+    @pytest.mark.parametrize("n", [1, 1025, 3 * ROW_BLOCK + 123, 2 * ROW_BLOCK + 1])
     @pytest.mark.parametrize("name", ["ica2", "ica3", "repeated", "eiv"])
     def test_bits_match_the_stacked_construction(self, sampling_specs, name, n):
         spec = sampling_specs[name]
@@ -633,8 +635,17 @@ class TestSample:
         assert data.shape == (n, spec.d)
         np.testing.assert_array_equal(data, stacked_sample(spec, n, 17), strict=True)
 
-    @pytest.mark.parametrize("name, ratio", [("ica2", 2.25), ("eiv", 2.25), ("repeated", 1.75)])
-    def test_peak_is_the_matrix_plus_one_signal_array(self, sampling_specs, name, ratio):
+    @pytest.mark.parametrize("seed", [2, 4, 6])
+    def test_one_row_remainder_keeps_the_product_bits(self, sampling_specs, seed):
+        # numpy multiplies a one-row matrix by gemv; with an AVX-512 OpenBLAS
+        # these seeds give a last row whose gemv bits differ from gemm's
+        spec, n = sampling_specs["ica3"], 2 * ROW_BLOCK + 1
+        np.testing.assert_array_equal(spec.sample(n, seed).data, stacked_sample(spec, n, seed),
+                                      strict=True)
+
+    # ica3 has a compact_bump and an h_kappa source
+    @pytest.mark.parametrize("name", ["ica2", "ica3", "eiv", "repeated"])
+    def test_peak_is_the_matrix_plus_one_block(self, sampling_specs, name):
         spec = sampling_specs[name]
         spec.sample(8, seed=1)  # builds the cached samplers outside the trace
         tracemalloc.start()
@@ -643,7 +654,14 @@ class TestSample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ratio * data.nbytes
+        assert peak <= 1.25 * data.nbytes
+
+    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2, 3 * ROW_BLOCK + 5])
+    def test_row_blocks_cover_the_rows_without_a_one_row_block(self, n):
+        blocks = row_blocks(n)
+        assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n))
+        assert all(rows.stop - rows.start <= ROW_BLOCK + 1 for rows in blocks)
+        assert n == 1 or min(rows.stop - rows.start for rows in blocks) >= 2
 
     @pytest.mark.parametrize("n, seed, match", [
         (2.5, 1, "n must be"), (True, 1, "n must be"), ("ten", 1, "n must be"),

@@ -30,10 +30,11 @@ bounds.csv and summary.json, so the degree-30 index tables above d = 2
 that its class members use are compared too.  A `scenario-oracles` line
 builds one scenario of each kind (SCENARIOS and the two-point one) through
 the library and prints one SHA-256 over, per scenario, the oracle's signal
-CF tables and noise weights on an 8-node grid, a 3000-draw sample (seed =
-the seed argument), the construction diagnostics and, for a mixture, the
-true density at the draws and its squared norm, so the noise-block,
-errors-in-variables, h_kappa and compact_bump laws are compared too.  A
+CF tables and noise weights on an 8-node grid, a 40,000-draw sample (more
+than two of the sampler's row blocks; seed = the seed argument), the
+construction diagnostics and, for a mixture, the true density at the
+draws and its squared norm, so the noise-block, errors-in-variables,
+h_kappa and compact_bump laws are compared too.  A
 `lab-lecam` line prints the repr of every Le Cam
 `l1_single` and `value` of the lab pass, in call order, so the size of a
 last-bit change that moves the lab's rows hash can be read off.  Two
@@ -115,7 +116,7 @@ SCENARIOS = (
     ("ica", [UNIFORM, BUMP, HKAPPA], ("laplace", 0.3), ("g_density", 2.0),
      {"d1": 1, "mixing": [[1.0, 0.5, 0.3], [0.4, 1.0, 0.5], [0.3, 0.6, 1.0]]}),
 )
-ORACLE_NODES, ORACLE_DRAWS = 8, 3000
+ORACLE_NODES, ORACLE_DRAWS = 8, 40_000
 
 
 def _import_checkout(root: Path):
