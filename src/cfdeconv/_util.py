@@ -1,7 +1,7 @@
 """Small shared helpers: error types, config conversion, row blocks,
 deterministic reduction and elementary functions, the Gauss-Legendre
-rule, tensor lattices, inverse-CDF sampling, hashing, and a one-thread
-hold on the OpenBLAS pools."""
+rule, tensor lattices, inverse-CDF sampling, hashing, numeric CSV
+writing, and a one-thread hold on the OpenBLAS pools."""
 
 from __future__ import annotations
 
@@ -261,6 +261,14 @@ def _flatten(obj):
 def fmt17(x) -> str:
     """Float to text with 17 significant digits (round-trip exact)."""
     return format(float(x), ".17g")
+
+
+def write_csv(path, header, matrix) -> None:
+    """The header, then each matrix row in fmt17's text; lines end in \r\n,
+    as the csv module's do, on every platform (newline="")."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, matrix, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
 
 
 def _extension_file(package: str, *names: str):

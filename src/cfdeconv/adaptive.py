@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._util import ConfigError
+from ._util import ConfigError, as_type
 from .reconstruct import DensityGrid, l2_distance
 
 
@@ -22,6 +22,9 @@ def sigma_rule(n: int, kappa_prime: float, beta: float, c_sigma: float) -> float
     Needs n >= 3 so log log n is positive.  At n = e^e the base is exactly e
     and the penalty is c_sigma e^(-kappa' beta).
     """
+    n = as_type(n, int, "n")
+    kappa_prime, beta, c_sigma = (as_type(value, float, key) for value, key in (
+        (kappa_prime, "kappa'"), (beta, "beta"), (c_sigma, "c_sigma")))
     if n < 3:
         raise ConfigError(f"n must be >= 3, got {n}")
     if kappa_prime <= 0 or beta <= 0 or c_sigma <= 0:
@@ -125,6 +128,7 @@ def pilot_c_sigma(
     (kappa' beta), so that sigma_n(kappa') at the full n dominates the
     observed half-sample fluctuation for every candidate.
     """
+    beta = as_type(beta, float, "beta")
     if n < 3:
         raise ConfigError(f"n must be >= 3, got {n}")
     check_kappas([row[0] for row in half_estimates])

@@ -26,9 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, fmt17
+from ._util import ConfigError, NumericalError, fmt17, write_csv
 from . import ecf
-from .contrast import make_grid
+from .contrast import ecf_table_for_grid, make_grid
 from .multiindex_taylor import from_json_record, to_json_record
 from .reconstruct import DensityGrid, LatticeSpec
 from .runner import (CellResult, ExperimentPlan, adapt_from_samples, default_lattice,
@@ -234,12 +234,10 @@ def load_poly(path):
 
 
 def save_density(grid: DensityGrid, csv_path, meta_path) -> None:
-    pts = grid.lattice.points()
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{a + 1}" for a in range(grid.lattice.d)] + ["value"])
-        for pt, val in zip(pts, grid.values.reshape(-1)):
-            writer.writerow([fmt17(c) for c in pt] + [fmt17(val)])
+    """Each lattice point's x1..xd and value as CSV (`_util.write_csv`); the
+    lattice and the imaginary residue as JSON."""
+    header = [f"x{a + 1}" for a in range(grid.lattice.d)] + ["value"]
+    write_csv(csv_path, header, np.column_stack([grid.lattice.points(), grid.values.reshape(-1)]))
     meta = {
         "mins": [fmt17(v) for v in grid.lattice.mins],
         "maxs": [fmt17(v) for v in grid.lattice.maxs],
@@ -355,8 +353,9 @@ def emit_figure_data(panels, target) -> list:
     """Write one CSV per profile panel plus a MANIFEST JSON.
 
     Each panel is a mapping with keys scaling, kappa, K, x, value.  Column
-    order is fixed (x, value, kappa, K) and floats use 17 significant
-    digits, so regeneration under identical settings is byte-stable.  For
+    order is fixed (x, value, kappa, K) and every value has 17 significant
+    digits (`_util.write_csv`; the integer K prints as an integer), so
+    regeneration under identical settings is byte-stable.  For
     panels from build_profile_panels the bytes also do not depend on the
     CPU, numpy's SIMD dispatch or libm: the weight's exp and powers use the
     fixed-operation kernels in _util, and the weight normalizer c_h is a
@@ -366,29 +365,18 @@ def emit_figure_data(panels, target) -> list:
     """
     target = Path(target)
     target.mkdir(parents=True, exist_ok=True)
-    written = []
     listing = []
     for panel in panels:
-        scaling = panel["scaling"]
-        kappa = float(panel["kappa"])
-        K = int(panel["K"])
-        name = f"profile_{scaling}_kappa{kappa:g}_K{K}.csv"
-        path = target / name
+        scaling, kappa, K = panel["scaling"], float(panel["kappa"]), int(panel["K"])
         xs = np.asarray(panel["x"], dtype=np.float64)
-        vals = np.asarray(panel["value"], dtype=np.float64)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "value", "kappa", "K"])
-            for x, v in zip(xs, vals):
-                writer.writerow([fmt17(x), fmt17(v), fmt17(kappa), str(K)])
-        written.append(path)
-        listing.append({
-            "file": name, "scaling": scaling, "kappa": fmt17(kappa),
-            "K": K, "points": int(xs.size),
-        })
+        listing.append({"file": f"profile_{scaling}_kappa{kappa:g}_K{K}.csv", "scaling": scaling,
+                        "kappa": fmt17(kappa), "K": K, "points": int(xs.size)})
+        matrix = np.column_stack([xs, np.asarray(panel["value"], dtype=np.float64),
+                                  np.full(xs.size, kappa), np.full(xs.size, K)])
+        write_csv(target / listing[-1]["file"], ["x", "value", "kappa", "K"], matrix)
     _dump_json({"schema_version": _SCHEMA_VERSION, "panels": listing},
                target / "MANIFEST.json")
-    return written
+    return [target / item["file"] for item in listing]
 
 
 _SCALING_GRIDS = {"stretch": (-1.5, 1.5, 301), "squeeze": (-10.0, 10.0, 401)}
@@ -469,8 +457,8 @@ _ESTIMATE = dict(_SAMPLE_INPUTS, kappa=_Key("number", "in (0, 1]"),
 
 def _cmd_estimate(cfg: dict, config_path) -> int:
     samples, grid, lattice, opts = _sample_inputs(cfg)
-    outcome = estimate_once(samples, grid, lattice, kappa=cfg["kappa"], m_opt=cfg["m_opt"],
-                            **opts)
+    outcome = estimate_once(ecf_table_for_grid(samples, grid), grid, lattice,
+                            kappa=cfg["kappa"], m_opt=cfg["m_opt"], **opts)
     out = _open_run_dir(cfg["out_dir"], config_path)
     record = to_json_record(outcome.result.estimate)
     _dump_json(record, out / "phi.json")

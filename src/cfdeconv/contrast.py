@@ -40,8 +40,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import (ConfigError, NumericalError, content_hash, legendre_rule, one_blas_thread,
-                    tensor_points, tensor_weights)
+from ._util import (ConfigError, NumericalError, as_type, content_hash, legendre_rule,
+                    one_blas_thread, tensor_points, tensor_weights)
 from .ecf import EcfTable, SampleSet, ecf_on_grid
 from .multiindex_taylor import (
     TaylorPoly,
@@ -123,12 +123,13 @@ def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48) -> QuadratureGri
 
     The axis nodes satisfy x == -x[::-1] exactly, as `ecf.ecf_on_grid`
     requires."""
+    nu, nodes_per_axis = as_type(nu, float, "nu"), as_type(nodes_per_axis, int, "nodes_per_axis")
+    dims = tuple(as_type(d, int, "dims") for d in as_type(dims, tuple, "dims"))
     if nu <= 0:
         raise ConfigError(f"nu must be positive, got {nu}")
     if nodes_per_axis < 2:
         raise ConfigError(f"need at least 2 nodes per axis, got {nodes_per_axis}")
-    d1, d2 = dims
-    if d1 < 1 or d2 < 1:
+    if len(dims) != 2 or min(dims) < 1:
         raise ConfigError(f"both blocks need dimension >= 1, got {dims}")
     x, w = legendre_rule(nodes_per_axis)
     nodes, weights = nu * x, nu * w
@@ -137,7 +138,7 @@ def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48) -> QuadratureGri
         raise NumericalError(f"axis weights sum to {total}, expected {2.0 * nu}")
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureGrid(float(nu), int(nodes_per_axis), (d1, d2), nodes, weights)
+    return QuadratureGrid(nu, nodes_per_axis, dims, nodes, weights)
 
 
 def ecf_table_for_grid(samples: SampleSet, grid: QuadratureGrid) -> EcfTable:

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (CHUNK, ROW_BLOCK, ConfigError, PairwiseAccumulator, cos_sin, fmt17,
-                    one_blas_thread, row_blocks)
+from ._util import (CHUNK, ROW_BLOCK, ConfigError, PairwiseAccumulator, cos_sin,
+                    one_blas_thread, row_blocks, write_csv)
 
 # `ecf_on_grid`'s tasks are aligned runs of 2^RUN_LEVEL chunks
 RUN_LEVEL = 5
@@ -239,12 +239,9 @@ def pooled(a: EcfTable, b: EcfTable) -> EcfTable:
 
 
 def export_csv(samples: SampleSet, path) -> None:
-    """Write observations as CSV with header y1..yd, 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"y{k + 1}" for k in range(samples.d)])
-        for row in samples.data:
-            writer.writerow([fmt17(v) for v in row])
+    """Write observations as CSV with header y1..yd, one line per row, 17
+    significant digits (`_util.write_csv`); `load_csv` reads it back."""
+    write_csv(path, [f"y{k + 1}" for k in range(samples.d)], samples.data)
 
 
 def load_csv(path, d1: int, d2: int) -> SampleSet:

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import ConfigError
+from ._util import ConfigError, as_type
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class UpsilonParams:
     S: float
 
     def __post_init__(self):
+        for name in ("kappa", "S"):
+            object.__setattr__(self, name, as_type(getattr(self, name), float, name))
         if not (0.0 < self.kappa <= 1.0):
             raise ConfigError(f"kappa must lie in (0, 1], got {self.kappa}")
         if not (self.S > 0.0):

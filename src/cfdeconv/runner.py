@@ -20,7 +20,7 @@ import numpy as np
 from ._util import ConfigError, NumericalError, as_type
 from .adaptive import check_kappas, pilot_c_sigma, select_kappa, sigma_rule
 from .contrast import OracleModel, QuadratureGrid, ecf_table_for_grid, make_grid, poly_tables
-from .ecf import SampleSet, pooled
+from .ecf import EcfTable, SampleSet, pooled
 from .minimize import RESOLUTION, MinimizeConfig, minimize_contrast
 from .multiindex_taylor import TaylorPoly, UpsilonParams, truncate
 from .reconstruct import (
@@ -179,31 +179,28 @@ class EstimateOutcome:
     omega: float
 
 
-def estimate_once(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
+def estimate_once(table: EcfTable, grid: QuadratureGrid, lattice: LatticeSpec, *,
                   kappa: float, S: float, m_opt: Optional[int] = None,
-                  restarts: int = 4, seed: int = 0, table=None,
+                  restarts: int = 4, seed: int = 0,
                   deadline: float = math.inf) -> EstimateOutcome:
-    """One full estimation pass on a fixed sample.
+    """One full estimation pass on a sample's ECF table, its one data input.
 
-    When m_opt is not given, both degrees follow the theoretical rule for
-    the sample size (truncation clamped to at least 1, optimization at
-    twice the truncation).  The inversion window is `omega_rule` at the
-    grid's nu.  A precomputed ECF table for the same grid can be passed to
-    avoid recomputing it across kappa values.  `deadline` (a
+    The table's n sets the tolerance and, without m_opt, both degrees by
+    the theoretical rule (truncation clamped to at least 1, optimization at
+    twice it); a table from another grid is refused before any start.  The
+    inversion window is `omega_rule` at the grid's nu.  `deadline` (a
     time.monotonic() value) stops the minimizer at its first iterate after it.
 
     A start stops at resolution (contrast <= RESOLUTION / n) or on FTOL; a
     random restart runs only after an unconverged start.  `result.converged`
     is True iff the chosen start stopped at resolution or scipy status 0.
     """
-    m_trunc, m_opt = _degrees(samples.n, kappa, m_opt)
-    if table is None:
-        table = ecf_table_for_grid(samples, grid)
-    config = MinimizeConfig(params=UpsilonParams(kappa=kappa, S=S), m_opt=m_opt,
-                            tol=RESOLUTION / samples.n, restarts=restarts, seed=seed,
-                            deadline=deadline)
+    params = UpsilonParams(kappa=kappa, S=S)
+    m_trunc, m_opt = _degrees(table.n, params.kappa, m_opt)
+    config = MinimizeConfig(params=params, m_opt=m_opt, tol=RESOLUTION / table.n,
+                            restarts=restarts, seed=seed, deadline=deadline)
     result = minimize_contrast(table, grid, config)
-    omega = omega_rule(m_trunc, kappa, S, grid.nu, samples.d)
+    omega = omega_rule(m_trunc, params.kappa, params.S, grid.nu, grid.d)
     density = invert(truncate(result.estimate, m_trunc), omega, lattice)
     return EstimateOutcome(result=result, density=density, m_trunc=m_trunc,
                            m_opt=m_opt, omega=omega)
@@ -216,9 +213,9 @@ def _run_cell(plan, model, grid, truth, n_idx, k_idx, rep) -> CellResult:
     budget = math.inf if plan.cell_budget_s is None else plan.cell_budget_s
     deadline = time.monotonic() + budget
     try:
-        samples = plan.scenario.sample(n, seed)
+        table = ecf_table_for_grid(plan.scenario.sample(n, seed), grid)
         out = estimate_once(
-            samples, grid, plan.lattice, kappa=kappa, S=plan.S, m_opt=m_opt,
+            table, grid, plan.lattice, kappa=kappa, S=plan.S, m_opt=m_opt,
             restarts=plan.restarts, seed=seed, deadline=deadline,
         )
         result, density = out.result, out.density
@@ -383,35 +380,32 @@ def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
                        seed: int = 0) -> AdaptiveOutcome:
     """Data-driven kappa selection on a fixed sample.
 
-    The penalty scale comes from a split pilot: each half of the sample
+    The sample is tabulated once, as the ECF tables of its two index
+    halves.  The penalty scale comes from a split pilot: each half's table
     yields a reconstruction per candidate kappa, and the largest rescaled
     half-vs-half distance calibrates c_sigma.  Full-sample reconstructions,
-    from the pooled half-sample tables, then feed the pairwise-comparison
+    from the halves' pooled table, then feed the pairwise-comparison
     selector.  The kappa grid is checked as the selector checks it
-    (`adaptive.check_kappas`) before any table is computed.
+    (`adaptive.check_kappas`), and beta converted, before any table.
     """
     kappa_grid = tuple(as_type(k, float, "kappa_grid") for k in kappa_grid)
     check_kappas(kappa_grid)
+    beta = as_type(beta, float, "beta")
     n = samples.n
     if n < 24:
         raise ConfigError(f"adaptation needs n >= 24, so that each half sample has a "
                           f"truncation rule; the sample has {n} observations")
-    half = n // 2
-    half1 = SampleSet(d1=samples.d1, d2=samples.d2, data=samples.data[:half])
-    half2 = SampleSet(d1=samples.d1, d2=samples.d2, data=samples.data[half:])
-    table1 = ecf_table_for_grid(half1, grid)
-    table2 = ecf_table_for_grid(half2, grid)
+    table1, table2 = (ecf_table_for_grid(SampleSet(samples.d1, samples.d2, rows), grid)
+                      for rows in (samples.data[: n // 2], samples.data[n // 2 :]))
     table_full = pooled(table1, table2)
     pilot_rows = []
     full_grids = {}
     for kappa in kappa_grid:
         opts = dict(kappa=kappa, S=S, restarts=restarts, seed=seed)
-        g1 = estimate_once(half1, grid, lattice, table=table1, **opts).density
-        g2 = estimate_once(half2, grid, lattice, table=table2, **opts).density
+        g1 = estimate_once(table1, grid, lattice, **opts).density
+        g2 = estimate_once(table2, grid, lattice, **opts).density
         pilot_rows.append((kappa, g1, g2))
-        full_grids[kappa] = estimate_once(
-            samples, grid, lattice, table=table_full, **opts
-        ).density
+        full_grids[kappa] = estimate_once(table_full, grid, lattice, **opts).density
     c_sigma = pilot_c_sigma(pilot_rows, n, beta)
     report = select_kappa(full_grids, n, beta, c_sigma)
     sigma_at = {k: sigma_rule(n, k, beta, c_sigma) for k in kappa_grid}

@@ -66,9 +66,10 @@ class SignalSpec:
     """One-dimensional signal law with sampler, CF, and optional density.
 
     kind: uniform(half_width), point_mass(location), compact_bump
-    (half_width, b) or h_kappa(kappa, x0).  Every parameter must be finite,
-    half_width, b and x0 positive, and kappa in (0, 1].  The h_kappa and
-    compact_bump laws are tabulated on a grid (_grid_source).
+    (half_width, b) or h_kappa(kappa, x0).  Every parameter is stored as a
+    float and must be finite, half_width, b and x0 positive, and kappa in
+    (0, 1].  The h_kappa and compact_bump laws are tabulated on a grid
+    (_grid_source).
     """
 
     kind: str
@@ -78,9 +79,12 @@ class SignalSpec:
         if self.kind not in _SIGNAL_PARAMS:
             raise ConfigError(f"unknown signal kind {self.kind!r}")
         names = _SIGNAL_PARAMS[self.kind]
-        if len(self.params) != len(names):
+        params = as_type(self.params, tuple, f"{self.kind} signal params")
+        if len(params) != len(names):
             raise ConfigError(f"{self.kind} signal needs params ({', '.join(names)}), "
-                              f"got {len(self.params)} values")
+                              f"got {len(params)} values")
+        object.__setattr__(self, "params", tuple(
+            as_type(v, float, f"{self.kind} signal {name}") for name, v in zip(names, params)))
         for name, value in zip(names, self.params):
             if not math.isfinite(value):
                 raise ConfigError(f"{self.kind} signal {name} must be finite, got {value}")
@@ -93,9 +97,9 @@ class SignalSpec:
         """The h_kappa or compact_bump law as a density on a uniform grid;
         None for the other kinds."""
         if self.kind == "h_kappa":
-            xs, values = _h_kappa_grid(*map(float, self.params))
+            xs, values = _h_kappa_grid(*self.params)
         elif self.kind == "compact_bump":
-            xs, values = _bump_uniform_density(*map(float, self.params))
+            xs, values = _bump_uniform_density(*self.params)
         else:
             return None
         from .conjecture_lab import GridFunction
@@ -111,7 +115,7 @@ class SignalSpec:
             return (lambda n, rng: rng.uniform(-w, w, size=n),)
         if self.kind == "point_mass":
             (x0,) = self.params
-            return (lambda n, rng: np.full(n, float(x0)),)
+            return (lambda n, rng: np.full(n, x0),)
         if self.kind == "compact_bump":
             from .conjecture_lab import mollifier_eval
 
@@ -143,10 +147,10 @@ class SignalSpec:
             )
         if self.kind == "point_mass":
             (x0,) = self.params
-            return lambda t: np.exp(1j * float(x0) * np.asarray(t, dtype=np.float64))
+            return lambda t: np.exp(1j * x0 * np.asarray(t, dtype=np.float64))
         if self.kind == "compact_bump":
             w, b = self.params
-            bump_cf = _bump_cf(float(b))
+            bump_cf = _bump_cf(b)
             return lambda t: (
                 np.sinc(w * np.asarray(t, dtype=np.float64) / math.pi) * bump_cf(t)
             ).astype(np.complex128)
@@ -160,7 +164,7 @@ class SignalSpec:
             from .conjecture_lab import WeightSpec, h_kappa_eval
 
             kappa, x0 = self.params
-            spec = WeightSpec(kappa=float(kappa), x0=float(x0))
+            spec = WeightSpec(kappa=kappa, x0=x0)
             return lambda x: h_kappa_eval(spec, x)
         if self.kind == "compact_bump":
             return self._grid_source().density()
@@ -170,21 +174,21 @@ class SignalSpec:
         """Squared L2 norm of the density: 1/(2w) for the uniform, the sum
         over the tabulated grid for the others; None for the point mass."""
         if self.kind == "uniform":
-            return 0.5 / float(self.params[0])
+            return 0.5 / self.params[0]
         grid = self._grid_source()
         return None if grid is None else grid.norm_sq()
 
     def support_halfwidth(self) -> float:
         if self.kind == "uniform":
-            return float(self.params[0])
+            return self.params[0]
         if self.kind == "point_mass":
-            return abs(float(self.params[0])) + 1e-9
+            return abs(self.params[0]) + 1e-9
         if self.kind == "compact_bump":
-            return float(self.params[0]) + 1.0 / float(self.params[1])
+            return self.params[0] + 1.0 / self.params[1]
         from .conjecture_lab import WeightSpec
 
         kappa, x0 = self.params
-        return WeightSpec(kappa=float(kappa), x0=float(x0)).cutoff()
+        return WeightSpec(kappa=kappa, x0=x0).cutoff()
 
 
 def _atoms_cf(xs: np.ndarray, weights: np.ndarray) -> Callable:
@@ -289,8 +293,8 @@ def _bump_uniform_density(w: float, b: float):
 @dataclass(frozen=True)
 class AxisNoise:
     """One noise coordinate: kind in {g_density, uniform, laplace,
-    point_mass, gaussian}, with its scalar parameter: finite, and positive
-    except for point_mass.  All kinds are symmetric so the block is
+    point_mass, gaussian}, with its scalar parameter, stored as a float:
+    finite, and positive except for point_mass.  All kinds are symmetric so the block is
     mean-zero by construction."""
 
     kind: str
@@ -299,6 +303,7 @@ class AxisNoise:
     def __post_init__(self):
         if self.kind not in ("g_density", "uniform", "laplace", "point_mass", "gaussian"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
+        object.__setattr__(self, "param", as_type(self.param, float, f"{self.kind} noise param"))
         if not math.isfinite(self.param):
             raise ConfigError(f"{self.kind} noise param must be finite, got {self.param}")
         if self.kind != "point_mass" and self.param <= 0:

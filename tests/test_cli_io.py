@@ -27,7 +27,7 @@ from hypothesis import given, strategies as st
 
 import cfdeconv
 from cfdeconv import cli_io, legendre_bounds
-from cfdeconv._util import ConfigError, content_hash
+from cfdeconv._util import ConfigError, content_hash, fmt17
 from cfdeconv.cli_io import (
     build_profile_panels,
     cli,
@@ -39,6 +39,7 @@ from cfdeconv.cli_io import (
     save_report,
     scenario_from_config,
 )
+from cfdeconv.ecf import SampleSet, export_csv
 from cfdeconv.multiindex_taylor import TaylorPoly, to_json_record
 from cfdeconv.reconstruct import DensityGrid, LatticeSpec
 from cfdeconv.runner import CellResult, ExperimentReport
@@ -788,7 +789,40 @@ class TestExperiment:
         assert "unknown config keys in tuning" in err
 
 
+def reference_csv(path, header, rows) -> None:
+    """The csv.writer + fmt17 loop the numeric writers replaced: the
+    reference for their bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt17(v) for v in row])
+
+
+# signed zero, the least subnormal, the largest double, a tiny normal, integers
+EXTREME_VALUES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-300, 3.0, -12.0, 0.0]
+
+
 class TestPersistence:
+    def test_numeric_writers_match_the_csv_module(self, tmp_path, rng):
+        data = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, size=(40, 3))
+        data[: len(EXTREME_VALUES), 1] = EXTREME_VALUES
+        data[-len(EXTREME_VALUES):, 2] = -np.array(EXTREME_VALUES)
+        export_csv(SampleSet(1, 2, data), tmp_path / "samples.csv")
+        reference_csv(tmp_path / "samples_ref.csv", ["y1", "y2", "y3"], data)
+        lattice = LatticeSpec(mins=(-1.0, 0.0), maxs=(1.0, 3.0), counts=(7, 4))
+        values = data[:28, 1].reshape(7, 4)
+        save_density(DensityGrid(lattice=lattice, values=values, imag_residue=0.0),
+                     tmp_path / "density.csv", tmp_path / "density.json")
+        rows = np.column_stack([lattice.points(), values.reshape(-1)])
+        reference_csv(tmp_path / "density_ref.csv", ["x1", "x2", "value"], rows)
+        for name in ("samples", "density"):
+            written = (tmp_path / f"{name}.csv").read_bytes()
+            assert written == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+        samples = (tmp_path / "samples.csv").read_bytes()
+        assert all(text in samples for text in (b",-0,", b",4.9406564584124654e-324,",
+                                                b",1.7976931348623157e+308,", b",-12,"))
+
     def test_density_roundtrip_exact(self, tmp_path, rng):
         lattice = LatticeSpec(mins=(-1.0, 0.0), maxs=(1.0, 2.0), counts=(5, 4))
         grid = DensityGrid(lattice=lattice, values=rng.normal(size=(5, 4)),

@@ -416,7 +416,8 @@ class TestConfig:
         samples = SampleSet(1, 1, rng.normal(size=(50, 2)))
         lattice = LatticeSpec((-1.0, -1.0), (1.0, 1.0), (5, 5))
         with pytest.raises(ConfigError, match="seed"):
-            estimate_once(samples, grid24, lattice, kappa=0.75, S=2.0, m_opt=4, seed=-1)
+            estimate_once(ecf_table_for_grid(samples, grid24), grid24, lattice, kappa=0.75,
+                          S=2.0, m_opt=4, seed=-1)
 
     def test_converts_integral_values(self):
         config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=np.int64(4), tol=1,

@@ -31,7 +31,12 @@ from cfdeconv import (
     poly_tables,
     run,
 )
+from cfdeconv import minimize as minimize_module
 from cfdeconv import runner as runner_module
+from cfdeconv.adaptive import sigma_rule
+from cfdeconv.ecf import SampleSet, pooled
+from cfdeconv.minimize import RESOLUTION
+from cfdeconv.multiindex_taylor import UpsilonParams
 from cfdeconv.scenarios import ScenarioSpec
 from cfdeconv.reconstruct import m_rule, omega_rule
 
@@ -42,7 +47,8 @@ import cfdeconv as cf
 noise = cf.AxisNoise("uniform", 0.3)
 sc = cf.make_ica((cf.SignalSpec("uniform", (1.0,)), cf.SignalSpec("uniform", (0.5,))),
                  [[1.0, 0.5], [0.5, 1.0]], noise, noise, d1=1)
-out = cf.estimate_once(sc.sample(2000, 3), cf.make_grid(1.0, (1, 1), 48),
+grid = cf.make_grid(1.0, (1, 1), 48)
+out = cf.estimate_once(cf.ecf_table_for_grid(sc.sample(2000, 3), grid), grid,
                        cf.default_lattice(2, count=9), kappa=0.6, S=1.5, m_opt=4,
                        restarts=1, seed=3)
 print(out.result.estimate.theta.tobytes().hex())
@@ -327,25 +333,83 @@ class TestFitRate:
             fit_rate(self.synthetic_report(-0.25), quantity="wall_time")
 
 
+def record_estimates(monkeypatch):
+    """Record (table, minimizer config, outcome) of every estimate_once call."""
+    calls, minimize, estimate = [], runner_module.minimize_contrast, runner_module.estimate_once
+
+    def minimize_recorded(table, grid, config):
+        calls.append([table, config])
+        return minimize(table, grid, config)
+
+    def estimate_recorded(*args, **kwargs):
+        out = estimate(*args, **kwargs)
+        calls[-1].append(out)
+        return out
+
+    monkeypatch.setattr(runner_module, "minimize_contrast", minimize_recorded)
+    monkeypatch.setattr(runner_module, "estimate_once", estimate_recorded)
+    return calls
+
+
 class TestEstimateOnce:
-    def test_smoke_and_table_reuse(self, uniform_repeated, grid24):
+    def test_smoke(self, uniform_repeated, grid24):
         samples = uniform_repeated.sample(200, seed=42)
         lattice = default_lattice(2, half=2.0, count=9)
-        kwargs = dict(kappa=0.75, S=1.5, seed=3)
-        out = estimate_once(samples, grid24, lattice, **kwargs)
+        out = estimate_once(ecf_table_for_grid(samples, grid24), grid24, lattice,
+                            kappa=0.75, S=1.5, seed=3)
         assert out.m_opt == 2 * out.m_trunc
         assert out.omega > 0
         assert out.density.lattice == lattice
         assert math.isfinite(out.result.value) and out.result.value >= 0
-        table = ecf_table_for_grid(samples, grid24)
-        cached = estimate_once(samples, grid24, lattice, table=table, **kwargs)
-        assert cached.result.value == out.result.value
-        np.testing.assert_array_equal(cached.result.estimate.theta,
-                                      out.result.estimate.theta)
+
+    def test_table_from_another_grid_refused(self, uniform_repeated, grid24, monkeypatch):
+        starts = []
+        for name in ("_ls_init", "_descend"):
+            monkeypatch.setattr(minimize_module, name, lambda *a: starts.append(a))
+        grid12 = make_grid(1.0, (1, 1), 12)
+        table = ecf_table_for_grid(uniform_repeated.sample(100, seed=1), grid12)
+        with pytest.raises(ConfigError, match="different grid"):
+            estimate_once(table, grid24, default_lattice(2), kappa=0.75, S=1.5, m_opt=4)
+        assert starts == []
+
+    def test_degrees_and_tolerance_follow_the_table(self, uniform_repeated, grid24,
+                                                    monkeypatch):
+        # at kappa 0.3 the rule's degree is 2 at n = 30 and 1 at n = 60: the
+        # pooled table of two halves is estimated at the whole sample's n
+        samples = uniform_repeated.sample(60, seed=5)
+        halves = [ecf_table_for_grid(SampleSet(1, 1, samples.data[rows]), grid24)
+                  for rows in (slice(0, 30), slice(30, 60))]
+        assert (m_rule(30, 0.3), m_rule(60, 0.3)) == (2, 1)
+        calls = record_estimates(monkeypatch)
+        lattice = default_lattice(2, half=2.0, count=5)
+        for table, m_trunc in ((halves[0], 2), (pooled(*halves), 1)):
+            out = runner_module.estimate_once(table, grid24, lattice, kappa=0.3, S=1.5,
+                                              restarts=1)
+            assert (out.m_trunc, out.m_opt) == (m_trunc, 2 * m_trunc)
+            assert calls[-1][1].tol == RESOLUTION / table.n
+        assert [table.n for table, *_ in calls] == [30, 60]
+
+    def test_adapt_full_estimate_is_the_pooled_table(self, uniform_repeated, grid24,
+                                                     monkeypatch):
+        # adapt_from_samples' full-sample estimates are estimate_once on the
+        # pooled table of the sample's two index halves, bit for bit
+        samples = uniform_repeated.sample(61, seed=7)
+        lattice = default_lattice(2, half=2.0, count=9)
+        calls = record_estimates(monkeypatch)
+        outcome = adapt_from_samples(samples, grid24, lattice, kappa_grid=(0.55, 1.0),
+                                     S=1.5, beta=1.0, restarts=2, seed=3)
+        table = pooled(*(ecf_table_for_grid(SampleSet(1, 1, samples.data[rows]), grid24)
+                         for rows in (slice(0, 30), slice(30, 61))))
+        assert [table.n for table, *_ in calls] == [30, 31, 61] * 2
+        for kappa, (_, _, full) in zip((0.55, 1.0), calls[2::3]):
+            out = estimate_once(table, grid24, lattice, kappa=kappa, S=1.5, restarts=2, seed=3)
+            assert out.result.value == full.result.value
+            np.testing.assert_array_equal(out.result.estimate.theta, full.result.estimate.theta)
+            np.testing.assert_array_equal(out.density.values, outcome.full[kappa].values)
 
     def test_override_degree(self, uniform_repeated, grid24):
-        samples = uniform_repeated.sample(100, seed=1)
-        out = estimate_once(samples, grid24, default_lattice(2, half=2.0, count=9),
+        table = ecf_table_for_grid(uniform_repeated.sample(100, seed=1), grid24)
+        out = estimate_once(table, grid24, default_lattice(2, half=2.0, count=9),
                             kappa=0.75, S=1.5, m_opt=4)
         assert (out.m_trunc, out.m_opt) == (2, 4)
 
@@ -353,9 +417,9 @@ class TestEstimateOnce:
     def test_window_follows_the_grid_nu(self, uniform_repeated, nu):
         # c_kappa = min(nu, 2 kappa e^{-11/2}) = min(nu, 0.00613): the grid's
         # nu sets the window where it is below the constant cap
-        samples = uniform_repeated.sample(100, seed=1)
         grid = make_grid(nu, (1, 1), 8)
-        out = estimate_once(samples, grid, default_lattice(2, half=2.0, count=5),
+        table = ecf_table_for_grid(uniform_repeated.sample(100, seed=1), grid)
+        out = estimate_once(table, grid, default_lattice(2, half=2.0, count=5),
                             kappa=0.75, S=1.5, m_opt=4, restarts=1)
         assert out.omega == omega_rule(2, 0.75, 1.5, nu, 2)
 
@@ -366,9 +430,9 @@ class TestEstimateOnce:
         (True, "m_opt must be a int, got True"),
     ])
     def test_override_degree_refused(self, uniform_repeated, grid24, m_opt, message):
-        samples = uniform_repeated.sample(100, seed=1)
+        table = ecf_table_for_grid(uniform_repeated.sample(100, seed=1), grid24)
         with pytest.raises(ConfigError, match=message):
-            estimate_once(samples, grid24, default_lattice(2, half=2.0, count=9),
+            estimate_once(table, grid24, default_lattice(2, half=2.0, count=9),
                           kappa=0.75, S=1.5, m_opt=m_opt)
 
     def test_theta_independent_of_openblas_threads(self):
@@ -405,11 +469,10 @@ class TestEstimateOnce:
 
         errors = []
         for seed in range(100, 110):
-            samples = scenario.sample(200_000, seed)
-            table = ecf_table_for_grid(samples, grid)
+            table = ecf_table_for_grid(scenario.sample(200_000, seed), grid)
             assert modulus_error(table.full) > 0.47
-            out = estimate_once(samples, grid, default_lattice(2, count=9), kappa=0.9,
-                                S=1.5, m_opt=6, seed=seed, table=table)
+            out = estimate_once(table, grid, default_lattice(2, count=9), kappa=0.9,
+                                S=1.5, m_opt=6, seed=seed)
             errors.append(modulus_error(poly_tables(out.result.estimate, grid)[0]))
         assert max(errors) <= 0.25
 
@@ -496,3 +559,43 @@ class TestAdaptive:
         assert cell.kappa_hat in (0.55, 1.0)
         assert math.isnan(cell.aligned_error)
         assert cell.shift == (0.0, 0.0)
+
+
+# every numeric config value is converted where it enters, as ExperimentPlan's
+# are: one that does not convert is a ConfigError naming its key, not a bare
+# TypeError from the first comparison or numpy call it reaches
+@pytest.mark.parametrize("key, call", [
+    pytest.param("nu", lambda samples, grid: make_grid("one", (1, 1), 12), id="make_grid-nu"),
+    pytest.param("nodes_per_axis", lambda samples, grid: make_grid(1.0, (1, 1), 12.5),
+                 id="make_grid-nodes"),
+    pytest.param("dims", lambda samples, grid: make_grid(1.0, (1, "x"), 12), id="make_grid-dims"),
+    pytest.param("S", lambda samples, grid: UpsilonParams(0.5, "two"), id="UpsilonParams"),
+    pytest.param("laplace noise param", lambda samples, grid: AxisNoise("laplace", "half"),
+                 id="AxisNoise"),
+    pytest.param("uniform signal half_width",
+                 lambda samples, grid: SignalSpec("uniform", ("one",)), id="SignalSpec"),
+    pytest.param("beta", lambda samples, grid: sigma_rule(100, 0.5, "one", 1.0),
+                 id="sigma_rule"),
+    pytest.param("beta", lambda samples, grid: adapt_from_samples(
+        samples, grid, default_lattice(2), kappa_grid=(0.6,), S=1.5, beta="one"),
+                 id="adapt_from_samples"),
+    pytest.param("kappa", lambda samples, grid: estimate_once(
+        ecf_table_for_grid(samples, grid), grid, default_lattice(2), kappa="half", S=1.5),
+                 id="estimate_once"),
+])
+def test_unconvertible_config_value_names_its_key(uniform_repeated, grid24, monkeypatch,
+                                                  key, call):
+    samples = uniform_repeated.sample(30, seed=1)
+    estimates = []
+    monkeypatch.setattr(runner_module, "minimize_contrast", lambda *a: estimates.append(a))
+    with pytest.raises(ConfigError, match=f"^{key} must be a"):
+        call(samples, grid24)
+    assert estimates == []
+
+
+def test_numeric_config_strings_convert_to_the_same_values():
+    assert UpsilonParams(0.5, "2") == UpsilonParams(0.5, 2.0)
+    assert AxisNoise("laplace", "0.5") == AxisNoise("laplace", 0.5)
+    assert SignalSpec("uniform", ["1"]) == SignalSpec("uniform", (1.0,))
+    assert make_grid("1", (1, 1), "12").grid_id == make_grid(1.0, (1, 1), 12).grid_id
+    assert sigma_rule(100, 0.5, "1", 1.0) == sigma_rule(100, 0.5, 1.0, 1.0)

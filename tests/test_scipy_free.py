@@ -106,7 +106,8 @@ import cfdeconv as cf
 noise = cf.AxisNoise("uniform", 0.3)
 sc = cf.make_ica((cf.SignalSpec("uniform", (1.0,)), cf.SignalSpec("uniform", (0.5,))),
                  [[1.0, 0.5], [0.5, 1.0]], noise, noise, d1=1)
-out = cf.estimate_once(sc.sample(500, 3), cf.make_grid(1.0, (1, 1), 12),
+grid = cf.make_grid(1.0, (1, 1), 12)
+out = cf.estimate_once(cf.ecf_table_for_grid(sc.sample(500, 3), grid), grid,
                        cf.default_lattice(2, count=5), kappa=0.6, S=1.5, m_opt=2,
                        restarts=1, seed=3)
 assert out.density.values.size > 0
