@@ -128,7 +128,7 @@ def pilot_c_sigma(
     (kappa' beta), so that sigma_n(kappa') at the full n dominates the
     observed half-sample fluctuation for every candidate.
     """
-    beta = as_type(beta, float, "beta")
+    n, beta = as_type(n, int, "n"), as_type(beta, float, "beta")
     if n < 3:
         raise ConfigError(f"n must be >= 3, got {n}")
     check_kappas([row[0] for row in half_estimates])

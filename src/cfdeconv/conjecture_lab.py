@@ -484,13 +484,14 @@ def build_two_point(instance: LowerBoundInstance, basis: WeightedBasis) -> TwoPo
     """
     xs = master_grid(basis.weight, instance.b_n)
     taps = _mollifier_taps(instance.b_n, _STEP)
-    env_density = envelope_values(basis, xs) * h_kappa_eval(basis.weight, xs)
+    h = h_kappa_eval(basis.weight, xs)
+    env_density = envelope_values(basis, xs) * h
     total = float(np.sum(env_density) * _STEP)
     if total <= 0:
         raise NumericalError("degenerate envelope density")
     env_density /= total
     zeta0_vals = grid_convolve(env_density, taps)
-    ph2 = basis.eval_ph(instance.K_n, xs) * h_kappa_eval(basis.weight, xs)
+    ph2 = basis.eval_poly(instance.K_n, xs) * h * h
     pert_vals = grid_convolve(ph2, taps)
     zeta_n_vals = zeta0_vals + instance.alpha_n * pert_vals
     zmin = float(zeta_n_vals.min())
@@ -622,14 +623,49 @@ def _w_window(f: GridFunction, v_first: float, v_last: float, w: np.ndarray) -> 
                  np.searchsorted(w, v_last - f_lo, side="right"))
 
 
+def _lecam_grids() -> tuple:
+    """lecam_value's (v, w): w on [-_W_HALF, _W_HALF] at _W_STEP, and v every
+    r-th node of w on [-_V_HALF, _V_HALF], r = _V_STEP / _W_STEP, so that
+    every v_i - w_k is a node difference of w.  Steps that are no whole
+    multiple of each other are refused."""
+    r = round(_V_STEP / _W_STEP)
+    if r * _W_STEP != _V_STEP:
+        raise ConfigError(f"the v step {_V_STEP} must be a whole multiple of the "
+                          f"w step {_W_STEP}")
+    w = np.arange(-_W_HALF, _W_HALF + _W_STEP / 2, _W_STEP)
+    first = round((_W_HALF - _V_HALF) / _W_STEP)
+    return w[first:w.shape[0] - first:r], w
+
+
+def _support_windows(f: GridFunction, v: np.ndarray, w: np.ndarray):
+    """Yield (rows, cols, F) per block of _V_BLOCK v rows, F = f(v[rows, None]
+    - w[None, cols]) over the w window where f can be nonzero.
+
+    v is every r-th node of w's lattice (r = _V_STEP / _W_STEP; w may be a
+    contiguous slice of it), so v_i - w_k = u_m with m = r i + len(w) - 1 - k
+    on one 1-D lattice u of r (len(v) - 1) + len(w) points.  f is evaluated
+    once on u, and each block is gathered from windows of the reversed
+    values into one contiguous copy: the same arguments as the pointwise
+    f(v_i - w_k), not interpolated again per (v, w) pair.
+    """
+    r, n_v, n_w = round(_V_STEP / _W_STEP), v.shape[0], w.shape[0]
+    u = (v[0] - w[-1]) + (v[1] - v[0]) / r * np.arange(r * (n_v - 1) + n_w)
+    reversed_f = f(u)[::-1]  # f(v_i - w_k) is reversed_f[r (n_v - 1 - i) + k]
+    for start in range(0, n_v, _V_BLOCK):
+        rows = slice(start, min(start + _V_BLOCK, n_v))
+        cols = _w_window(f, v[rows.start], v[rows.stop - 1], w)
+        windows = np.lib.stride_tricks.sliding_window_view(reversed_f, cols.stop - cols.start)
+        yield rows, cols, windows[r * (n_v - 1 - np.arange(rows.start, rows.stop)) + cols.start]
+
+
 def _support_product(f: GridFunction, v: np.ndarray, w: np.ndarray,
                      right: np.ndarray) -> np.ndarray:
-    """f(v_i - w_k) @ right, skipping the w columns where f is zero."""
+    """f(v_i - w_k) @ right from one 1-D evaluation of f: block by block
+    over the windows _support_windows gathers (r = _V_STEP / _W_STEP),
+    skipping the w columns where f is zero."""
     out = np.empty((v.shape[0], right.shape[1]))
-    for start in range(0, v.shape[0], _V_BLOCK):
-        rows = v[start:start + _V_BLOCK]
-        cols = _w_window(f, rows[0], rows[-1], w)
-        out[start:start + rows.shape[0]] = f(rows[:, None] - w[None, cols]) @ right[cols]
+    for rows, cols, block in _support_windows(f, v, w):
+        out[rows] = block @ right[cols]
     return out
 
 
@@ -645,9 +681,12 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int) -> LeCamReport:
     M = g(w_i + a w_j), one density evaluation per point, built in row
     blocks into its own buffer (peak: the kernel plus one block's
     temporaries), and is kept on the noise (NoisePack._kernel) for the
-    next call with the same a.  G and Z vanish off their supports, so both
-    products run one block of v rows at a time over the w window where
-    v - w lies in that support, and the first computes only the columns of
+    next call with the same a.  The v grid is every r-th node of the w grid
+    (r = _V_STEP / _W_STEP, refused unless whole), so every v_i - w_k lies
+    on one 1-D lattice: each of G and Z is one 1-D evaluation of its grid
+    function, and both products run one block of v rows at a time on
+    windows gathered from it, over the w window where v - w lies in the
+    function's support.  The first product computes only the columns of
     G @ QA that the second reads.
     n = 0 turns the bracket into 1 and is only a formula check.
     """
@@ -656,8 +695,7 @@ def lecam_value(two_point: TwoPoint, noise: NoisePack, n: int) -> LeCamReport:
         raise ConfigError("the L1 reduction is implemented for d = 2")
     if n < 0:
         raise ConfigError("n must be >= 0")
-    v = np.arange(-_V_HALF, _V_HALF + _V_STEP / 2, _V_STEP)
-    w = np.arange(-_W_HALF, _W_HALF + _W_STEP / 2, _W_STEP)
+    v, w = _lecam_grids()
     QA = _noise_kernel(noise, inst.a, abs(float(np.linalg.det(inst.matrix()))), w)
     # the second product reads only the w columns where some zeta0(v_i - w) > 0
     cols = _w_window(two_point.zeta0, v[0], v[-1], w)

@@ -76,7 +76,7 @@ class SignalSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _SIGNAL_PARAMS:
+        if not isinstance(self.kind, str) or self.kind not in _SIGNAL_PARAMS:
             raise ConfigError(f"unknown signal kind {self.kind!r}")
         names = _SIGNAL_PARAMS[self.kind]
         params = as_type(self.params, tuple, f"{self.kind} signal params")
@@ -579,6 +579,7 @@ def _as_axes(noise, d: int) -> tuple:
 def make_repeated(signal: SignalSpec, noise1, noise2, d1: int = 1,
                   nu: float = 1.0, c_nu: float = 1e-3) -> ScenarioSpec:
     """Two noisy copies of the same d1-dimensional signal (iid coordinates)."""
+    d1 = as_type(d1, int, "d1")
     spec = ScenarioSpec(
         variant="repeated", d1=d1, d2=d1, signal=signal,
         noise1=_as_axes(noise1, d1), noise2=_as_axes(noise2, d1),
@@ -608,6 +609,7 @@ def make_ica(sources: Sequence[SignalSpec], mixing: np.ndarray, noise1, noise2,
         raise ConfigError(f"mixing matrix must be {d}x{d}")
     if not np.all(np.isfinite(A)):
         raise ConfigError("mixing matrix must be finite")
+    d1 = as_type(d1, int, "d1")
     if not (1 <= d1 < d):
         raise ConfigError("need 1 <= d1 < d")
     d2 = d - d1

@@ -126,6 +126,13 @@ class TestPilotCSigma:
         for k, g1, g2 in rows:
             assert sigma_rule(n, k, beta, c) >= l2_distance(g1, g2) - 1e-12
 
+    def test_n_converted_or_refused_by_name(self):
+        rows = [(0.6, flat_grid(0.0), flat_grid(1.0))]
+        assert pilot_c_sigma(rows, "100", 1.0) == pilot_c_sigma(rows, 100, 1.0)
+        for bad in ("x", 100.5):
+            with pytest.raises(ConfigError, match="n must be a int"):
+                pilot_c_sigma(rows, bad, 1.0)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             pilot_c_sigma([], 10**4, 1.0)

@@ -20,7 +20,10 @@ from cfdeconv.conjecture_lab import (
     _V_STEP,
     _W_HALF,
     _W_STEP,
+    _lecam_grids,
     _noise_kernel,
+    _support_windows,
+    _w_window,
     GridFunction,
     NoisePack,
     WeightSpec,
@@ -636,3 +639,61 @@ class TestLeCamKernel:
             tracemalloc.stop()
         assert QA.shape == (w.size, w.size)
         assert peak <= QA.nbytes + 16 * 2**20
+
+    def test_steps_must_be_whole_multiples(self, two_point, g_noise, monkeypatch):
+        monkeypatch.setattr("cfdeconv.conjecture_lab._V_STEP", 0.07)
+        with pytest.raises(ConfigError, match="whole multiple"):
+            lecam_value(two_point, g_noise, 10**4)
+
+    def test_v_is_every_rth_w_node(self):
+        v, w = _lecam_grids()
+        first = int(np.searchsorted(w, v[0]))
+        np.testing.assert_array_equal(v, w[first::round(_V_STEP / _W_STEP)][:v.size])
+        np.testing.assert_allclose(v[[0, -1]], [-_V_HALF, _V_HALF], rtol=0, atol=1e-9)
+        assert v.size == round(2 * _V_HALF / _V_STEP) + 1
+
+    @pytest.mark.parametrize("case", ["pert", "zeta0_second_product", "empty_window"])
+    def test_gathered_windows_match_pointwise(self, case, two_point):
+        v, w = _lecam_grids()
+        if case == "pert":
+            f = two_point.pert
+        elif case == "zeta0_second_product":
+            # the second product runs on the w columns the first one kept
+            f = two_point.zeta0
+            w = w[_w_window(f, v[0], v[-1], w)]
+        else:
+            # a hat near x = 90: no v - w reaches it for the first v blocks
+            xs = 90.0 + np.arange(-16, 17) * 0.125
+            f = GridFunction(xs, np.maximum(0.0, 1.0 - np.abs(xs - 90.0)))
+        slope = float(np.max(np.abs(np.diff(f.values)))) / f.step
+        blocks = list(_support_windows(f, v, w))
+        assert [rows.stop - rows.start for rows, _, _ in blocks] == [64] * 12 + [33]
+        assert blocks[0][0].start == 0 and blocks[-1][0].stop == v.size
+        widths = [cols.stop - cols.start for _, cols, _ in blocks]
+        if case == "empty_window":
+            assert widths[0] == 0 and widths[-1] > 0
+        else:
+            assert min(widths) > 0
+        for rows, cols, block in blocks:
+            pointwise = f(v[rows, None] - w[None, cols])
+            assert block.shape == pointwise.shape and block.flags.c_contiguous
+            np.testing.assert_allclose(block, pointwise, rtol=0,
+                                       atol=2 * np.spacing(_W_HALF) * slope)
+
+    @pytest.mark.parametrize("kappa", [0.55, 0.75])
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    def test_one_evaluation_per_support_product(self, kappa, n, basis_cache, g_noise,
+                                                monkeypatch):
+        basis = basis_cache(kappa)
+        two = build_two_point(make_instance(basis, n), basis)
+        sizes, call = [], GridFunction.__call__
+
+        def counting(self, x):
+            sizes.append(np.size(x))
+            return call(self, x)
+
+        monkeypatch.setattr(GridFunction, "__call__", counting)
+        lecam_value(two, g_noise, n)
+        v, w = _lecam_grids()
+        assert len(sizes) == 2
+        assert max(sizes) <= round(_V_STEP / _W_STEP) * (v.size - 1) + w.size

@@ -54,6 +54,10 @@ class TestSignalSpec:
         xs = np.linspace(-2.5, 2.5, 5001)
         assert float(np.trapezoid(dens(xs), xs)) == pytest.approx(1.0, abs=1e-3)
 
+    def test_kind_must_be_a_string(self):
+        with pytest.raises(ConfigError, match="unknown signal kind"):
+            SignalSpec(["uniform"], (1.0,))
+
     def test_point_mass_has_no_density(self):
         assert SignalSpec("point_mass", (0.0,)).density() is None
 
@@ -250,6 +254,14 @@ class TestRepeated:
         assert diag["h2_probe_min"] > 1e-12
         assert min(diag["noise_cf_floor_1"], diag["noise_cf_floor_2"]) >= diag["c_nu"]
 
+    def test_d1_converted_or_refused_by_name(self):
+        signal, noise = SignalSpec("uniform", (1.0,)), AxisNoise("uniform", 0.3)
+        converted = make_repeated(signal, noise, noise, d1="2")
+        assert (converted.d1, converted.d2, converted.noise1) == (2, 2, (noise, noise))
+        for bad in ("x", 1.5):
+            with pytest.raises(ConfigError, match="d1 must be a int"):
+                make_repeated(signal, noise, noise, d1=bad)
+
     def test_non_finite_noise_floor_rejected(self):
         # w t overflows on the box [-10, 10], so sinc(w t / pi) is nan there
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -360,6 +372,13 @@ class TestIca:
             tracemalloc.stop()
         assert full.shape == (48, 48) and np.all(np.isfinite(full))
         assert peak < 150e6
+
+    def test_d1_converted_or_refused_by_name(self):
+        sources, noise = [SignalSpec("uniform", (1.0,))] * 2, AxisNoise("uniform", 0.3)
+        assert make_ica(sources, MIXING, noise, noise, d1="1").d1 == 1
+        for bad in ("x", 1.5):
+            with pytest.raises(ConfigError, match="d1 must be a int"):
+                make_ica(sources, MIXING, noise, noise, d1=bad)
 
     def test_source_must_load_on_both_blocks(self):
         sources = [SignalSpec("uniform", (1.0,)), SignalSpec("uniform", (1.0,))]
