@@ -42,7 +42,7 @@ _EXPORTS = {
     "legendre_bounds": ("BoundReport", "bound_suite", "change_of_basis", "class_sup_bound",
                         "f_kappa", "legendre_eval", "psi_sum", "sigma1_bound",
                         "truncation_sup_bound"),
-    "minimize": ("MinimizeConfig", "MinimizeResult", "minimize_contrast"),
+    "minimize": ("MinimizeResult", "minimize_contrast"),
     "multiindex_taylor": ("TaylorPoly", "UpsilonParams", "evaluate", "from_json_record",
                           "project_upsilon", "random_member", "to_json_record", "truncate",
                           "upsilon_bound"),

@@ -51,6 +51,13 @@ def as_type(value, kind, key: str):
         raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}") from None
 
 
+def check_instance(value, kind, key: str):
+    """value, refused with a ConfigError naming key and kind unless it is a kind."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def row_blocks(n: int) -> list:
     """Slices of ROW_BLOCK consecutive rows covering range(n), with a one-row
     remainder joined to the block before it: numpy multiplies a one-row

@@ -22,6 +22,7 @@ the library's one rule, _util.legendre_rule).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -114,7 +115,8 @@ class WeightedBasis:
 
     alpha/beta are the three-term recurrence coefficients
     beta[k+1] P_{k+1}(x) = (x - alpha[k]) P_k(x) - beta[k] P_{k-1}(x),
-    with P_0 = 1/beta[0]; eval_poly evaluates P_K by running it.
+    with P_0 = 1/beta[0]; `polys` runs it once for P_0..P_K, and eval_poly
+    keeps its last value.
     cert records the independent-quadrature orthonormality check.
     """
 
@@ -124,16 +126,22 @@ class WeightedBasis:
     beta: np.ndarray
     cert: dict
 
-    def eval_poly(self, K: int, x) -> np.ndarray:
-        """P_K by the recurrence (stable far beyond the coefficient form)."""
+    def polys(self, K: int, x):
+        """P_0, ..., P_K at x, yielded in order from one run of the
+        recurrence (stable far beyond the coefficient form)."""
         if not (0 <= K <= self.K_max):
             raise ConfigError(f"K={K} outside 0..{self.K_max}")
         x = np.asarray(x, dtype=np.float64)
         prev = np.zeros_like(x)
         cur = np.full_like(x, 1.0 / self.beta[0])
+        yield cur
         for k in range(K):
             prev, cur = cur, ((x - self.alpha[k]) * cur - self.beta[k] * prev) / self.beta[k + 1]
-        return cur
+            yield cur
+
+    def eval_poly(self, K: int, x) -> np.ndarray:
+        """P_K by the recurrence."""
+        return deque(self.polys(K, x), maxlen=1)[0]
 
     def eval_ph(self, K: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -181,7 +189,7 @@ def build_weighted_basis(spec: WeightSpec, K_max: int,
     )
     cx, cw = _panel_rule(-cut, cut, _PANELS + 13, _NODES + 17)
     cwgt = cw * h_kappa_eval(spec, cx) ** 2
-    table = np.stack([basis.eval_poly(k, cx) for k in range(K_max + 1)])
+    table = np.stack(list(basis.polys(K_max, cx)))
     gram = (table * cwgt) @ table.T
     dev = np.abs(gram - np.eye(K_max + 1))
     worst = float(dev.max())
@@ -387,8 +395,9 @@ def envelope_values(basis: WeightedBasis, xs: np.ndarray) -> np.ndarray:
     kappa = basis.weight.kappa
     h = h_kappa_eval(basis.weight, xs)
     env = np.zeros_like(xs)
-    for K in range(1, basis.K_max + 1):
-        np.maximum(env, K ** ((1.0 - kappa) / 2.0) * np.abs(basis.eval_poly(K, xs)) * h, out=env)
+    for K, p_K in enumerate(basis.polys(basis.K_max, xs)):
+        if K:
+            np.maximum(env, K ** ((1.0 - kappa) / 2.0) * np.abs(p_K) * h, out=env)
     padded = np.pad(env, _ENVELOPE_WINDOW, mode="edge")
     return np.lib.stride_tricks.sliding_window_view(
         padded, 2 * _ENVELOPE_WINDOW + 1).max(axis=1)

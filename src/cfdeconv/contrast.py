@@ -10,9 +10,10 @@ the truth does; its population analogue weights the integrand by the squared
 moduli of the per-block noise CFs instead of using empirical tables.
 
 Candidate values on a grid factor through per-block pattern matrices: with
-U[g1, q] the block-1 monomials and W[g2, r] the block-2 monomials, the full
-table of a candidate with scattered coefficient matrix C is U C W^T, and the
-two slice tables are U C[:, 0] and W C[0, :] (`poly_tables`).
+U[g1, q] the block-1 monomials and W[g2, r] the block-2 monomials
+(`pattern_tables`), the full table of a candidate with scattered coefficient
+matrix C is U C W^T, and the two slice tables are U C[:, 0] and W C[0, :]
+(`poly_tables`).
 
 The contrast has one engine, `ContrastMoments`.  A product of two degree-m
 monomials is one of degree 2m, so expanding |defect|^2 leaves the grid only
@@ -27,10 +28,10 @@ the tests' reference, not code here.  `contrast_empirical` and
 contrast is the empirical one of the signal CF's tables scaled by the
 noise CF moduli.  Candidates are `TaylorPoly`s.
 
-Nothing here is cached across calls at module level: a grid memoizes its own
-derived arrays and pattern matrices, and moment matrices and candidate
-tables are recomputed on every call, which costs less than hashing the
-table or the coefficients would.
+Nothing here is cached across calls at module level: a grid holds only its
+lazily computed read-only id, block points and weights, and pattern
+matrices, moment matrices and candidate tables are built on each call (a
+minimization makes two such calls, none per iterate).
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import (ConfigError, NumericalError, as_type, content_hash, legendre_rule,
-                    one_blas_thread, tensor_points, tensor_weights)
+from ._util import (ConfigError, NumericalError, as_type, check_instance, content_hash,
+                    legendre_rule, one_blas_thread, tensor_points, tensor_weights)
 from .ecf import EcfTable, SampleSet, ecf_on_grid
 from .multiindex_taylor import (
     TaylorPoly,
@@ -93,11 +94,6 @@ class QuadratureGrid:
     @cached_property
     def w2(self) -> np.ndarray:
         return _read_only(tensor_weights(self.axis_weights, self.dims[1]))
-
-    @cached_property
-    def _pattern_memo(self) -> dict:
-        """max_degree -> _GridTables of this grid, filled by _GridTables.get."""
-        return {}
 
     def embedded1(self) -> np.ndarray:
         """Block-1 points zero-padded to full dimension (t1, 0)."""
@@ -173,20 +169,12 @@ class OracleModel:
         return self._cache[key]
 
 
-class _GridTables:
-    """Per-(grid, degree) pattern monomial matrices U and W."""
-
-    def __init__(self, grid: QuadratureGrid, max_degree: int):
-        d1, d2 = grid.dims
-        self.U = monomial_matrix(grid.block1_points, d1, max_degree)
-        self.W = monomial_matrix(grid.block2_points, d2, max_degree)
-
-    @classmethod
-    def get(cls, grid: QuadratureGrid, max_degree: int) -> "_GridTables":
-        memo = grid._pattern_memo
-        if max_degree not in memo:
-            memo[max_degree] = cls(grid, max_degree)
-        return memo[max_degree]
+def pattern_tables(grid: QuadratureGrid, max_degree: int) -> tuple:
+    """(U, W): the block-1 and block-2 monomial tables of total degree
+    <= max_degree on the grid's block points."""
+    d1, d2 = grid.dims
+    return (monomial_matrix(grid.block1_points, d1, max_degree),
+            monomial_matrix(grid.block2_points, d2, max_degree))
 
 
 def scatter_matrix(poly: TaylorPoly) -> np.ndarray:
@@ -200,17 +188,14 @@ def scatter_matrix(poly: TaylorPoly) -> np.ndarray:
 def poly_tables(poly: TaylorPoly, grid: QuadratureGrid):
     """Candidate values (full grid, first slice, second slice).
 
-    Computed afresh on every call: three small products against the grid's
-    memoized pattern matrices.
+    Computed afresh on every call: three small products against the
+    grid's pattern matrices.
     """
     if poly.dims != grid.dims:
         raise ConfigError(f"poly dims {poly.dims} != grid dims {grid.dims}")
-    gt = _GridTables.get(grid, poly.max_degree)
+    U, W = pattern_tables(grid, poly.max_degree)
     C = scatter_matrix(poly)
-    full = gt.U @ C @ gt.W.T
-    first = gt.U @ C[:, 0]
-    second = gt.W @ C[0, :]
-    return full, first, second
+    return U @ C @ W.T, U @ C[:, 0], W @ C[0, :]
 
 
 def _callable_tables(fn, grid: QuadratureGrid):
@@ -235,7 +220,10 @@ def _callable_tables(fn, grid: QuadratureGrid):
 
 
 def _ref_tables(table: EcfTable, grid: QuadratureGrid):
-    """The ECF table's (full, first slice, second slice), checked against the grid."""
+    """The ECF table's (full, first slice, second slice), checked to be an
+    `EcfTable` of the grid: the one check of every table the contrast and
+    the minimizer take."""
+    check_instance(table, EcfTable, "table")
     if table.grid_id != grid.grid_id:
         raise ConfigError("ECF table was computed on a different grid")
     return table.full, table.first, table.second
@@ -286,17 +274,17 @@ class ContrastMoments:
 
     def __init__(self, table: EcfTable, grid: QuadratureGrid, max_degree: int):
         full, a, b = _ref_tables(table, grid)
-        gt = _GridTables.get(grid, 2 * max_degree)
+        U, W = pattern_tables(grid, 2 * max_degree)
         self.S1, self.S2 = (sum_map(d, max_degree) for d in grid.dims)
         self.p1, self.p2, n1, n2 = block_split(grid.dims, max_degree)
         w = grid.w1[:, None] * grid.w2[None, :]
-        ma = gt.U.T @ (grid.w1 * np.abs(a) ** 2)
-        mb = gt.W.T @ (grid.w2 * np.abs(b) ** 2)
+        ma = U.T @ (grid.w1 * np.abs(a) ** 2)
+        mb = W.T @ (grid.w2 * np.abs(b) ** 2)
         self.Ga = ma[self.S1].astype(np.complex128)
         self.Gb = mb[self.S2].astype(np.complex128)
-        self.K = gt.U.T @ (w * np.abs(full) ** 2) @ gt.W
+        self.K = U.T @ (w * np.abs(full) ** 2) @ W
         X = w * np.conj(a[:, None] * b[None, :]) * full
-        N = gt.U.T @ X.real @ gt.W + 1j * (gt.U.T @ X.imag @ gt.W)
+        N = U.T @ X.real @ W + 1j * (U.T @ X.imag @ W)
         rho1, rho2 = (_QUARTER_TURNS[index_table(d, 2 * max_degree)[1] % 4] for d in grid.dims)
         self.Nt = (N * np.conj(rho1)[:, None] * np.conj(rho2)).real
         self.rho1, self.rho2 = rho1[:n1], rho2[:n2]
@@ -341,8 +329,7 @@ def _moment_values(poly: TaylorPoly, table: EcfTable, grid: QuadratureGrid) -> t
     """(contrast, theta gradient) of a candidate from one `ContrastMoments`
     of the table, under the BLAS hold the minimizer evaluates in, so the
     value of its estimate is the one it reports, to the bit."""
-    if not isinstance(poly, TaylorPoly):
-        raise ConfigError(f"candidate must be a TaylorPoly, got {type(poly).__name__}")
+    check_instance(poly, TaylorPoly, "candidate")
     if poly.dims != grid.dims:
         raise ConfigError(f"poly dims {poly.dims} != grid dims {grid.dims}")
     with one_blas_thread():

@@ -1,5 +1,8 @@
 """Multi-start L-BFGS-B minimization of the empirical contrast.
 
+`minimize_contrast` takes the table, grid, class and degree, and stops a
+start at the table's own level, RESOLUTION / table.n.
+
 The decision variable is the real parity-reduced coefficient vector of a
 TaylorPoly; the admissible class is a box in it (pinned unit value at zero,
 per-order modulus caps), the bounds of scipy's L-BFGS-B.  Every start,
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ConfigError, as_type, one_blas_thread
-from .contrast import ContrastMoments, QuadratureGrid, _GridTables
+from .contrast import ContrastMoments, QuadratureGrid, _ref_tables, pattern_tables
 # module attributes kept for callers that look them up here (perfbench/tracer.py)
 from .contrast import contrast_empirical, contrast_gradient  # noqa: F401
 from .ecf import EcfTable
@@ -42,41 +45,13 @@ from .multiindex_taylor import (
     random_member,
 )
 
-# the truth's own contrast is O(1/n), so minimizing below RESOLUTION / n
-# fits sampling noise; FTOL is L-BFGS-B's relative-reduction stop on
-# contrast / tol, for starts that cannot reach that resolution, and
-# MAX_ITERS its iteration limit per start
+# the truth's own contrast is O(1/n), so minimizing below RESOLUTION / n,
+# n the table's, fits sampling noise; FTOL is L-BFGS-B's relative-reduction
+# stop on contrast / (RESOLUTION / n), for starts that cannot reach that
+# level, and MAX_ITERS its iteration limit per start
 RESOLUTION = 0.01
 FTOL = 1e-3
 MAX_ITERS = 400
-
-
-@dataclass
-class MinimizeConfig:
-    """Knobs for the multi-start L-BFGS-B search.
-
-    tol is the sample's resolution (estimate_once sets RESOLUTION / n): a
-    start stops at its first iterate with contrast <= tol, else on FTOL or
-    after MAX_ITERS iterations.  Another start runs only after an
-    unconverged one, up to `restarts` starts.  `deadline`, a
-    time.monotonic() value, stops the search at the first iterate after it.
-    """
-
-    params: UpsilonParams
-    m_opt: int
-    tol: float
-    restarts: int = 4
-    seed: int = 0
-    deadline: float = math.inf
-
-    def __post_init__(self):
-        for key, low in (("m_opt", 1), ("restarts", 1), ("seed", 0)):
-            setattr(self, key, as_type(getattr(self, key), int, key))
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        self.tol = as_type(self.tol, float, "tol")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -87,9 +62,9 @@ class MinimizeResult:
     the descent minimized, so `trace[-1] == value`, and `value` is
     `contrast_empirical(estimate, table, grid)` to the bit.
 
-    `reason` says why it stopped: "resolution" (contrast <= tol), "ftol" or
-    "gtol" (scipy status 0), "max_iters" (iteration or evaluation limit),
-    "abnormal" (failed line search) or "deadline" (config.deadline passed);
+    `reason` says why it stopped: "resolution" (contrast <= RESOLUTION /
+    table.n), "ftol" or "gtol" (scipy status 0), "max_iters" (iteration or
+    evaluation limit), "abnormal" (failed line search) or "deadline";
     `converged` is True iff it is one of the first three.  `reasons` holds
     every start's, in order: each but the last is unconverged, since only
     those lead to another start.
@@ -120,10 +95,10 @@ def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     subtracted from the table before projecting, so a flat table fits
     exactly.
     """
-    gt = _GridTables.get(grid, m_opt)
+    U, W = pattern_tables(grid, m_opt)
     sqw1, sqw2 = np.sqrt(grid.w1)[:, None], np.sqrt(grid.w2)[:, None]
-    Q1, R1 = np.linalg.qr(sqw1 * gt.U)
-    Q2, R2 = np.linalg.qr(sqw2 * gt.W)
+    Q1, R1 = np.linalg.qr(sqw1 * U)
+    Q2, R2 = np.linalg.qr(sqw2 * W)
     phase = parity_phase(grid.d, m_opt)
     p1, p2, _, _ = block_split(grid.dims, m_opt)
     design = (R1[:, None, p1] * R2[None, :, p2]).reshape(-1, phase.shape[0]) * phase
@@ -140,13 +115,13 @@ _CONVERGED = ("resolution", "ftol", "gtol")
 _LAST = _CONVERGED + ("deadline",)  # reasons after which no start follows
 
 
-def _descend(moments: ContrastMoments, start: TaylorPoly, box, config: MinimizeConfig) -> tuple:
+def _descend(moments: ContrastMoments, start: TaylorPoly, box, tol: float,
+             deadline: float) -> tuple:
     """(final iterate, its contrast, contrast trace, stop reason) of L-BFGS-B
     on contrast / tol from `start`, every point valued by `moments`; the
     last evaluated point is kept for the callback's iterate."""
     from scipy import optimize
 
-    tol = config.tol
     last = [start, *moments.evaluate(start)]
     trace = [last[1]]
     if trace[0] <= tol:
@@ -164,7 +139,7 @@ def _descend(moments: ContrastMoments, start: TaylorPoly, box, config: MinimizeC
 
     def callback(intermediate_result):
         trace.append(evaluate(intermediate_result.x)[1])
-        if trace[-1] <= tol or time.monotonic() > config.deadline:
+        if trace[-1] <= tol or time.monotonic() > deadline:
             raise StopIteration
 
     res = optimize.minimize(fun, start.theta, jac=True, method="L-BFGS-B", bounds=box,
@@ -184,34 +159,47 @@ def _descend(moments: ContrastMoments, start: TaylorPoly, box, config: MinimizeC
     return poly, value, trace, reason
 
 
-def minimize_contrast(table: EcfTable, grid: QuadratureGrid, config: MinimizeConfig) -> MinimizeResult:
-    """Multi-start L-BFGS-B on the empirical contrast over Upsilon.
+def minimize_contrast(table: EcfTable, grid: QuadratureGrid, params: UpsilonParams,
+                      m_opt: int, *, restarts: int = 4, seed: int = 0,
+                      deadline: float = math.inf) -> MinimizeResult:
+    """Multi-start L-BFGS-B on the degree-m_opt contrast over Upsilon(params).
 
     Start 0 is the projected least-squares fit to the ECF.  A start stops at
-    its first iterate (the start included) with contrast <= tol, on
-    L-BFGS-B's FTOL or projected-gradient test, or after MAX_ITERS
-    iterations; every start stops at its first iterate past config.deadline.
-    A start drawn uniformly in Upsilon runs only after an unconverged one
-    that met no deadline, up to config.restarts starts.  The lowest
-    contrast wins, the earliest start on ties.  One `ContrastMoments` of the
-    table values every start's points.
+    its first iterate (the start included) with contrast <= RESOLUTION /
+    table.n, on L-BFGS-B's FTOL or projected-gradient test, after MAX_ITERS
+    iterations, or past `deadline` (a time.monotonic() value).  A start
+    drawn uniformly in Upsilon (generator seeded by `seed`) runs only after
+    an unconverged one that met no deadline, up to `restarts` starts.  The
+    lowest contrast wins, the earliest start on ties.  One `ContrastMoments`
+    of the table values every start's points.  A non-table, a table of
+    another grid or of n < 1, m_opt or restarts < 1 and seed < 0 are
+    refused before any start.
 
     The starts run with both OpenBLAS pools held at one thread
     (`_util.one_blas_thread`, see the module docstring).
     """
     from scipy import optimize
 
-    bounds = _bound_vector(grid.d, config.m_opt, config.params)
-    pinned = index_table(grid.d, config.m_opt)[1] == 0
+    m_opt, restarts, seed = (as_type(value, int, key) for value, key in
+                             ((m_opt, "m_opt"), (restarts, "restarts"), (seed, "seed")))
+    for key, value, low in (("m_opt", m_opt, 1), ("restarts", restarts, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ConfigError(f"{key} must be >= {low}, got {value}")
+    _ref_tables(table, grid)
+    if table.n < 1:
+        raise ConfigError(f"the stop level needs a table of n >= 1 observations, got {table.n}")
+    tol = RESOLUTION / table.n
+    bounds = _bound_vector(grid.d, m_opt, params)
+    pinned = index_table(grid.d, m_opt)[1] == 0
     box = optimize.Bounds(np.where(pinned, 1.0, -bounds), np.where(pinned, 1.0, bounds))
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     runs = []
     with one_blas_thread():
-        moments = ContrastMoments(table, grid, config.m_opt)
-        while len(runs) < config.restarts and (not runs or runs[-1][3] not in _LAST):
-            start = (random_member(config.params, grid.dims, config.m_opt, rng) if runs
-                     else _ls_init(table, grid, config.m_opt))
-            runs.append(_descend(moments, project_upsilon(start, config.params), box, config))
+        moments = ContrastMoments(table, grid, m_opt)
+        while len(runs) < restarts and (not runs or runs[-1][3] not in _LAST):
+            start = (random_member(params, grid.dims, m_opt, rng) if runs
+                     else _ls_init(table, grid, m_opt))
+            runs.append(_descend(moments, project_upsilon(start, params), box, tol, deadline))
     estimate, value, trace, reason = min(runs, key=lambda run: run[1])
     return MinimizeResult(
         estimate=estimate,

@@ -17,11 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, as_type
+from ._util import ConfigError, NumericalError, as_type, check_instance
 from .adaptive import check_kappas, pilot_c_sigma, select_kappa, sigma_rule
-from .contrast import OracleModel, QuadratureGrid, ecf_table_for_grid, make_grid, poly_tables
+from .contrast import (OracleModel, QuadratureGrid, _ref_tables, ecf_table_for_grid, make_grid,
+                       poly_tables)
 from .ecf import EcfTable, SampleSet, pooled
-from .minimize import RESOLUTION, MinimizeConfig, minimize_contrast
+from .minimize import minimize_contrast
 from .multiindex_taylor import TaylorPoly, UpsilonParams, truncate
 from .reconstruct import (
     DensityGrid,
@@ -64,6 +65,8 @@ class ExperimentPlan:
     def __post_init__(self):
         """Convert every field to its type and check every range; a value
         that fails either raises ConfigError naming the field."""
+        check_instance(self.scenario, ScenarioSpec, "scenario")
+
         def each(name, kind):
             return tuple(as_type(v, kind, name) for v in as_type(getattr(self, name), tuple, name))
 
@@ -94,7 +97,7 @@ class ExperimentPlan:
             raise ConfigError("theoretical tuning takes no m_opt; use override tuning")
         if self.lattice is None:
             self.lattice = default_lattice(self.scenario.d)
-        elif self.lattice.d != self.scenario.d:
+        elif check_instance(self.lattice, LatticeSpec, "lattice").d != self.scenario.d:
             raise ConfigError(
                 f"lattice dimension {self.lattice.d} != scenario dimension {self.scenario.d}"
             )
@@ -185,21 +188,23 @@ def estimate_once(table: EcfTable, grid: QuadratureGrid, lattice: LatticeSpec, *
                   deadline: float = math.inf) -> EstimateOutcome:
     """One full estimation pass on a sample's ECF table, its one data input.
 
-    The table's n sets the tolerance and, without m_opt, both degrees by
-    the theoretical rule (truncation clamped to at least 1, optimization at
-    twice it); a table from another grid is refused before any start.  The
-    inversion window is `omega_rule` at the grid's nu.  `deadline` (a
-    time.monotonic() value) stops the minimizer at its first iterate after it.
+    Anything but an `EcfTable` of the grid is refused before any work.  The
+    table's n sets the stop level and, without m_opt, both degrees by the
+    theoretical rule (truncation clamped to at least 1, optimization at
+    twice it).  The inversion window is `omega_rule` at the grid's nu.
+    `deadline` (a time.monotonic() value) stops the minimizer at its first
+    iterate after it.
 
-    A start stops at resolution (contrast <= RESOLUTION / n) or on FTOL; a
-    random restart runs only after an unconverged start.  `result.converged`
-    is True iff the chosen start stopped at resolution or scipy status 0.
+    A start stops at resolution (contrast <= RESOLUTION / n, set by
+    `minimize_contrast`) or on FTOL; a random restart runs only after an
+    unconverged start.  `result.converged` is True iff the chosen start
+    stopped at resolution or scipy status 0.
     """
+    _ref_tables(table, grid)
     params = UpsilonParams(kappa=kappa, S=S)
     m_trunc, m_opt = _degrees(table.n, params.kappa, m_opt)
-    config = MinimizeConfig(params=params, m_opt=m_opt, tol=RESOLUTION / table.n,
-                            restarts=restarts, seed=seed, deadline=deadline)
-    result = minimize_contrast(table, grid, config)
+    result = minimize_contrast(table, grid, params, m_opt, restarts=restarts, seed=seed,
+                               deadline=deadline)
     omega = omega_rule(m_trunc, params.kappa, params.S, grid.nu, grid.d)
     density = invert(truncate(result.estimate, m_trunc), omega, lattice)
     return EstimateOutcome(result=result, density=density, m_trunc=m_trunc,
@@ -386,8 +391,10 @@ def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     half-vs-half distance calibrates c_sigma.  Full-sample reconstructions,
     from the halves' pooled table, then feed the pairwise-comparison
     selector.  The kappa grid is checked as the selector checks it
-    (`adaptive.check_kappas`), and beta converted, before any table.
+    (`adaptive.check_kappas`), and beta converted, before any table; a
+    sample that is not a `SampleSet` is refused first.
     """
+    check_instance(samples, SampleSet, "samples")
     kappa_grid = tuple(as_type(k, float, "kappa_grid") for k in kappa_grid)
     check_kappas(kappa_grid)
     beta = as_type(beta, float, "beta")

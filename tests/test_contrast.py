@@ -16,7 +16,7 @@ from cfdeconv.contrast import (
     poly_tables,
 )
 from cfdeconv.ecf import EcfTable, SampleSet, ecf_on_grid
-from cfdeconv.minimize import MinimizeConfig, minimize_contrast
+from cfdeconv.minimize import minimize_contrast
 from cfdeconv.multiindex_taylor import TaylorPoly, UpsilonParams, random_member
 
 from test_ecf import closed
@@ -112,9 +112,8 @@ class TestContrastEmpirical:
         poly = poly_11(2, {(1, 0): 0.2})
         with pytest.raises(ConfigError, match="different grid"):
             contrast_empirical(poly, table, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=2, tol=1e-8)
         with pytest.raises(ConfigError, match="different grid"):
-            minimize_contrast(table, grid24, config)
+            minimize_contrast(table, grid24, UpsilonParams(0.75, 1.5), 2)
 
     def test_constant_one_zero_sample(self, grid24):
         poly = poly_11(2, {})

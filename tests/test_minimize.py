@@ -17,17 +17,16 @@ from cfdeconv import contrast as contrast_module
 from cfdeconv import minimize as minimize_module
 from cfdeconv.contrast import (
     ContrastMoments,
-    _GridTables,
     contrast_empirical,
     contrast_oracle,
     ecf_table_for_grid,
     make_grid,
+    pattern_tables,
     poly_tables,
 )
 from cfdeconv._util import CHUNK
-from cfdeconv.ecf import EcfTable, SampleSet, ecf_on_grid
+from cfdeconv.ecf import EcfTable, SampleSet, ecf_on_grid, pooled
 from cfdeconv.minimize import (
-    MinimizeConfig,
     MinimizeResult,
     _ls_init,
     contrast_gradient,
@@ -119,12 +118,12 @@ def seed_value(poly, table, grid, q1=1.0, q2=1.0):
 def seed_gradient(poly, table, grid):
     """The contrast gradient in theta, summed on the grid as the minimizer
     first computed it: the reference for the moment form's gradient."""
-    gt = _GridTables.get(grid, poly.max_degree)
+    U, W = pattern_tables(grid, poly.max_degree)
     _, first_p, second_p = poly_tables(poly, grid)
     B = (grid.w1[:, None] * grid.w2[None, :]) * np.conj(seed_defect(poly, table, grid))
-    T1 = gt.U.T @ (B * (table.first[:, None] * table.second[None, :])) @ gt.W
-    S1 = gt.U.T @ ((B * table.full) @ second_p)
-    S2 = gt.W.T @ ((B * table.full).T @ first_p)
+    T1 = U.T @ (B * (table.first[:, None] * table.second[None, :])) @ W
+    S1 = U.T @ ((B * table.full) @ second_p)
+    S2 = W.T @ ((B * table.full).T @ first_p)
     phase = np.where(poly.orders % 2 == 0, 1.0 + 0.0j, 1.0j)
     p1, p2, _, _ = block_split(poly.dims, poly.max_degree)
     inner = T1[p1, p2]
@@ -194,8 +193,8 @@ class TestMoments:
         monkeypatch.setattr(minimize_module, "ContrastMoments",
                             lambda *args: built.append(args) or ContrastMoments(*args))
         monkeypatch.setattr(minimize_module, "MAX_ITERS", max_iters)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=tol, seed=5)
-        res = minimize_contrast(table, grid, config)
+        stop_at(monkeypatch, table, tol)
+        res = minimize_contrast(table, grid, UpsilonParams(0.75, 1.5), 4, seed=5)
         assert res.reasons == reasons
         assert calls == [] and built == [(table, grid, 4)]
 
@@ -212,8 +211,8 @@ class TestMoments:
 
         monkeypatch.setattr(contrast_module, "content_hash", counting)
         monkeypatch.setattr(minimize_module, "MAX_ITERS", 20)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=1e-8)
-        minimize_contrast(table, grid, config)
+        stop_at(monkeypatch, table, 1e-8)
+        minimize_contrast(table, grid, UpsilonParams(0.75, 1.5), 4)
         assert calls == []
         assert grid.w1 is grid.w1
         for arr in (grid.w1, grid.w2, grid.block1_points, grid.block2_points):
@@ -229,8 +228,9 @@ class TestMinimize:
         real = optimize.Bounds
         monkeypatch.setattr(optimize, "Bounds",
                             lambda lo, hi: boxes.append((lo, hi)) or real(lo, hi))
-        config = MinimizeConfig(params=UpsilonParams(1.0, S), m_opt=4, tol=1e-10, seed=0)
-        minimize_contrast(zero_sample_table(grid24), grid24, config)
+        table = zero_sample_table(grid24)
+        stop_at(monkeypatch, table, 1e-10)
+        minimize_contrast(table, grid24, UpsilonParams(1.0, S), 4, seed=0)
         (lo, hi), = boxes
         orders = index_table(2, 4)[1]
         assert lo[0] == hi[0] == 1.0
@@ -239,10 +239,10 @@ class TestMinimize:
         np.testing.assert_allclose(hi[orders == 4], cap, rtol=1e-12)
         np.testing.assert_array_equal(lo[1:], -hi[1:])
 
-    def test_single_zero_sample(self, grid24):
+    def test_single_zero_sample(self, grid24, monkeypatch):
         table = zero_sample_table(grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=3, tol=1e-10, seed=0)
-        res = minimize_contrast(table, grid24, config)
+        stop_at(monkeypatch, table, 1e-10)
+        res = minimize_contrast(table, grid24, UpsilonParams(0.75, 2.0), 3, seed=0)
         assert isinstance(res, MinimizeResult)
         assert res.value <= 1e-20
         np.testing.assert_allclose(res.estimate.theta[1:], 0.0, atol=1e-9)
@@ -254,20 +254,21 @@ class TestMinimize:
         monkeypatch.setattr(minimize_module, "MAX_ITERS", 1)
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8, seed=1)
-        res = minimize_contrast(table, grid24, config)
+        stop_at(monkeypatch, table, 1e-8)
+        res = minimize_contrast(table, grid24, UpsilonParams(0.75, 2.0), 4, seed=1)
         assert res.reason == "max_iters" and not res.converged
         assert res.trace.shape == (2,)
 
-    def test_resolution_stop_value(self, grid24, rng):
-        # a tol between the start's contrast and the reachable minimum stops
+    def test_resolution_stop_value(self, grid24, rng, monkeypatch):
+        # a level between the start's contrast and the reachable minimum stops
         # the run at the first iterate at or below it
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
         params = UpsilonParams(0.75, 2.0)
-        deep = minimize_contrast(table, grid24, MinimizeConfig(params, 4, tol=1e-30, seed=1))
-        tol = math.sqrt(deep.trace[0] * deep.value)
-        res = minimize_contrast(table, grid24, MinimizeConfig(params, 4, tol=tol, seed=1))
+        stop_at(monkeypatch, table, 1e-30)
+        deep = minimize_contrast(table, grid24, params, 4, seed=1)
+        tol = stop_at(monkeypatch, table, math.sqrt(deep.trace[0] * deep.value))
+        res = minimize_contrast(table, grid24, params, 4, seed=1)
         assert res.reason == "resolution" and res.converged
         assert res.value <= tol and res.trace[-1] == res.value
         assert np.all(res.trace[:-1] > tol)
@@ -276,9 +277,8 @@ class TestMinimize:
         monkeypatch.setattr(minimize_module, "MAX_ITERS", 30)
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8,
-                                restarts=3, seed=1)
-        res = minimize_contrast(table, grid24, config)
+        stop_at(monkeypatch, table, 1e-8)
+        res = minimize_contrast(table, grid24, UpsilonParams(0.75, 2.0), 4, restarts=3, seed=1)
         assert isinstance(res.reasons, tuple) and len(res.reasons) == res.restarts_used
         assert res.reason in res.reasons
         assert set(res.reasons) <= {"resolution", "ftol", "gtol", "max_iters", "abnormal"}
@@ -289,9 +289,8 @@ class TestMinimize:
         monkeypatch.setattr(minimize_module, "MAX_ITERS", max_iters)
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=tol,
-                                restarts=3, seed=1)
-        res = minimize_contrast(table, grid24, config)
+        stop_at(monkeypatch, table, tol)
+        res = minimize_contrast(table, grid24, UpsilonParams(0.75, 2.0), 4, restarts=3, seed=1)
         assert res.restarts_used == used == len(res.reasons)
         assert all(r in ("max_iters", "abnormal") for r in res.reasons[:-1])
 
@@ -310,26 +309,25 @@ class TestMinimize:
         monkeypatch.setattr(optimize, "minimize", stopped)
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-12,
-                                restarts=2, seed=1)
-        res = minimize_contrast(table, grid24, config)
+        stop_at(monkeypatch, table, 1e-12)
+        res = minimize_contrast(table, grid24, UpsilonParams(0.75, 2.0), 4, restarts=2, seed=1)
         assert res.reason == reason
         assert res.converged == (status == 0)
         assert res.restarts_used == (1 if status == 0 else 2)
 
-    def test_trace_monotone(self, grid24, rng):
+    def test_trace_monotone(self, grid24, rng, monkeypatch):
         s = SampleSet(1, 1, rng.normal(size=(200, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8, seed=1)
-        res = minimize_contrast(table, grid24, config)
+        stop_at(monkeypatch, table, 1e-8)
+        res = minimize_contrast(table, grid24, UpsilonParams(0.75, 2.0), 4, seed=1)
         assert np.all(np.diff(res.trace) <= 1e-15)
         assert res.trace[-1] == res.value <= res.trace[0]
 
-    def test_value_consistent_with_estimate(self, grid24, rng):
+    def test_value_consistent_with_estimate(self, grid24, rng, monkeypatch):
         s = SampleSet(1, 1, rng.normal(size=(150, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.8, 1.5), m_opt=3, tol=1e-8, seed=2)
-        res = minimize_contrast(table, grid24, config)
+        stop_at(monkeypatch, table, 1e-8)
+        res = minimize_contrast(table, grid24, UpsilonParams(0.8, 1.5), 3, seed=2)
         # the value is the moment form's, the one the descent minimized, and
         # so the public contrast's to the bit
         assert contrast_empirical(res.estimate, table, grid24) == res.value
@@ -341,12 +339,12 @@ class TestMinimize:
         scale = float(grid24.w1 @ terms @ grid24.w2)
         assert abs(res.value - seed_value(res.estimate, table, grid24)) <= 1e-12 * scale
 
-    def test_estimate_is_feasible(self, grid24, rng):
+    def test_estimate_is_feasible(self, grid24, rng, monkeypatch):
         params = UpsilonParams(0.65, 1.2)
         s = SampleSet(1, 1, rng.normal(size=(120, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=params, m_opt=4, tol=1e-8, seed=3)
-        res = minimize_contrast(table, grid24, config)
+        stop_at(monkeypatch, table, 1e-8)
+        res = minimize_contrast(table, grid24, params, 4, seed=3)
         entries, orders = index_table(2, res.estimate.max_degree)
         for row, order, th in zip(entries, orders, res.estimate.theta):
             if order == 0:
@@ -354,29 +352,26 @@ class TestMinimize:
             else:
                 assert abs(th) <= upsilon_bound(tuple(row), params) + 1e-12
 
-    def test_more_restarts_never_worse(self, grid24, rng):
+    def test_more_restarts_never_worse(self, grid24, rng, monkeypatch):
         # the restart ladder is deterministic, so candidate sets nest
         s = SampleSet(1, 1, rng.normal(size=(100, 2)))
         table = ecf_table_for_grid(s, grid24)
         params = UpsilonParams(0.75, 2.0)
-        one = minimize_contrast(
-            table, grid24, MinimizeConfig(params=params, m_opt=3, tol=1e-9, restarts=1, seed=5)
-        )
-        four = minimize_contrast(
-            table, grid24, MinimizeConfig(params=params, m_opt=3, tol=1e-9, restarts=4, seed=5)
-        )
+        stop_at(monkeypatch, table, 1e-9)
+        one = minimize_contrast(table, grid24, params, 3, restarts=1, seed=5)
+        four = minimize_contrast(table, grid24, params, 3, restarts=4, seed=5)
         assert four.value <= one.value + 1e-18
 
-    def test_determinism(self, grid24, rng):
+    def test_determinism(self, grid24, rng, monkeypatch):
         s = SampleSet(1, 1, rng.normal(size=(80, 2)))
         table = ecf_table_for_grid(s, grid24)
-        config = MinimizeConfig(params=UpsilonParams(0.7, 1.0), m_opt=3, tol=1e-8, seed=9)
-        a = minimize_contrast(table, grid24, config)
-        b = minimize_contrast(table, grid24, config)
+        stop_at(monkeypatch, table, 1e-8)
+        a = minimize_contrast(table, grid24, UpsilonParams(0.7, 1.0), 3, seed=9)
+        b = minimize_contrast(table, grid24, UpsilonParams(0.7, 1.0), 3, seed=9)
         assert a.value == b.value
         np.testing.assert_array_equal(a.estimate.theta, b.estimate.theta)
 
-    def test_beats_dense_random_search(self, uniform_repeated):
+    def test_beats_dense_random_search(self, uniform_repeated, monkeypatch):
         # threshold protocol: best of 2000 feasible draws, slack factor 1.5
         samples = uniform_repeated.sample(10_000, seed=314159)
         grid = make_grid(1.0, (1, 1), 48)
@@ -395,22 +390,31 @@ class TestMinimize:
                     best_val, best_poly = val, cand
         threshold = 1.5 * cf_box_error(best_poly, model, grid)
 
-        res = minimize_contrast(
-            table, grid, MinimizeConfig(params=params, m_opt=4, tol=1e-12, restarts=4, seed=0)
-        )
+        stop_at(monkeypatch, table, 1e-12)
+        res = minimize_contrast(table, grid, params, 4, restarts=4, seed=0)
         assert res.value <= best_val
         assert cf_box_error(res.estimate, model, grid) <= threshold
 
 
 class TestConfig:
-    # each bad value is refused when the config is built, before any work
-    @pytest.mark.parametrize("key, value", [
-        ("seed", -1), ("tol", math.nan), ("m_opt", 2.5), ("restarts", 2.5),
-    ])
-    def test_refuses_bad_value(self, key, value):
-        kwargs = dict(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8)
+    # each bad value is refused before any start
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("m_opt", 2.5), ("restarts", 2.5)])
+    def test_refuses_bad_value(self, grid24, monkeypatch, key, value):
+        starts = no_starts(monkeypatch)
+        kwargs = dict(m_opt=4, restarts=4, seed=0)
         with pytest.raises(ConfigError, match=key):
-            MinimizeConfig(**{**kwargs, key: value})
+            minimize_contrast(zero_sample_table(grid24), grid24, UpsilonParams(0.75, 2.0),
+                              **{**kwargs, key: value})
+        assert starts == []
+
+    def test_refuses_a_table_of_no_observation(self, grid24, monkeypatch):
+        # contrast_oracle's scaled tables have n = 0, which has no stop level
+        starts = no_starts(monkeypatch)
+        flat = zero_sample_table(grid24)
+        empty = EcfTable(grid24.grid_id, 0, flat.first, flat.second, flat.full)
+        with pytest.raises(ConfigError, match="n >= 1"):
+            minimize_contrast(empty, grid24, UpsilonParams(0.75, 2.0), 4)
+        assert starts == []
 
     def test_negative_seed_through_estimate_once(self, grid24, rng):
         samples = SampleSet(1, 1, rng.normal(size=(50, 2)))
@@ -419,12 +423,45 @@ class TestConfig:
             estimate_once(ecf_table_for_grid(samples, grid24), grid24, lattice, kappa=0.75,
                           S=2.0, m_opt=4, seed=-1)
 
-    def test_converts_integral_values(self):
-        config = MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=np.int64(4), tol=1,
-                                restarts=2.0, seed=np.int64(3))
-        assert (config.m_opt, config.restarts, config.seed) == (4, 2, 3)
-        assert all(type(v) is int for v in (config.m_opt, config.restarts, config.seed))
-        assert type(config.tol) is float
+    def test_converts_integral_values(self, grid24, rng, monkeypatch):
+        # one iteration per start, below resolution, so both starts run
+        monkeypatch.setattr(minimize_module, "MAX_ITERS", 1)
+        table = ecf_table_for_grid(SampleSet(1, 1, rng.normal(size=(200, 2))), grid24)
+        stop_at(monkeypatch, table, 1e-8)
+        params = UpsilonParams(0.75, 2.0)
+        seen, moments, seeds = [], minimize_module.ContrastMoments, np.random.SeedSequence
+        monkeypatch.setattr(minimize_module, "ContrastMoments",
+                            lambda *args: seen.append(args[2]) or moments(*args))
+        monkeypatch.setattr(np.random, "SeedSequence",
+                            lambda entropy: seen.append(entropy) or seeds(entropy))
+        ints = minimize_contrast(table, grid24, params, 4, restarts=2, seed=3)
+        converted = minimize_contrast(table, grid24, params, np.int64(4), restarts=2.0,
+                                      seed=np.int64(3))
+        assert seen == [3, 4, 3, 4] and all(type(v) is int for v in seen)
+        assert converted.restarts_used == ints.restarts_used == 2
+        assert converted.estimate.theta.tobytes() == ints.estimate.theta.tobytes()
+
+    def test_stop_level_follows_the_table(self, uniform_repeated, grid24, monkeypatch):
+        # a fit on the pooled table of two halves stops at RESOLUTION over
+        # the pooled n: it reports resolution exactly when its value is at
+        # most that level, for a level above its start's contrast, one
+        # between that and the reachable minimum, and one below the minimum
+        samples = uniform_repeated.sample(400, seed=11)
+        halves = [ecf_table_for_grid(SampleSet(1, 1, samples.data[rows]), grid24)
+                  for rows in (slice(0, 200), slice(200, 400))]
+        table = pooled(*halves)
+        params = UpsilonParams(0.75, 2.0)
+        stop_at(monkeypatch, table, 1e-30)
+        deep = minimize_contrast(table, grid24, params, 4, restarts=1)
+        reasons = []
+        for level in (2.0 * deep.trace[0], math.sqrt(deep.trace[0] * deep.value),
+                      0.5 * deep.value):
+            stop_at(monkeypatch, table, level)
+            res = minimize_contrast(table, grid24, params, 4, restarts=1)
+            assert (res.reason == "resolution") == (
+                res.value <= minimize_module.RESOLUTION / table.n)
+            reasons.append(res.reason)
+        assert reasons[:2] == ["resolution"] * 2 and reasons[2] != "resolution"
 
 
 class TestMemory:
@@ -435,11 +472,9 @@ class TestMemory:
         scenario = make_repeated(SignalSpec("uniform", (1.0,)), noise, noise, d1=2)
         grid = make_grid(1.0, (2, 2), 48)
         table = ecf_table_for_grid(scenario.sample(2000, seed=5), grid)
-        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=0.01 / 2000,
-                                restarts=1, seed=5)
         tracemalloc.start()
         try:
-            res = minimize_contrast(table, grid, config)
+            res = minimize_contrast(table, grid, UpsilonParams(0.75, 1.5), 4, restarts=1, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,11 +486,10 @@ def _dense_ls_theta(table, grid, m_opt):
     """Reference fit: lstsq on the dense (grid points x coefficients) design."""
     phase = parity_phase(grid.d, m_opt)
     n_idx = phase.shape[0]
-    gt = _GridTables.get(grid, m_opt)
+    U, W = pattern_tables(grid, m_opt)
     p1, p2, _, _ = block_split(grid.dims, m_opt)
     design = (
-        gt.U[:, p1].reshape(gt.U.shape[0], 1, n_idx)
-        * gt.W[:, p2].reshape(1, gt.W.shape[0], n_idx)
+        U[:, p1].reshape(U.shape[0], 1, n_idx) * W[:, p2].reshape(1, W.shape[0], n_idx)
     ).reshape(-1, n_idx) * phase
     sqw = np.sqrt(np.outer(grid.w1, grid.w2)).reshape(-1)
     lhs = design[:, 1:] * sqw[:, None]
@@ -482,10 +516,28 @@ def rm4d_table():
     return ecf_table_for_grid(scenario.sample(2000, seed=5), grid), grid
 
 
-def _small_run(grid24, rng, deadline=math.inf):
+def no_starts(monkeypatch):
+    """Record every start the minimizer would make, and make none."""
+    starts = []
+    for name in ("_ls_init", "_descend"):
+        monkeypatch.setattr(minimize_module, name, lambda *args: starts.append(args))
+    return starts
+
+
+def stop_at(monkeypatch, table, level):
+    """Set minimize.RESOLUTION so that a fit on `table` stops at contrast
+    <= level; returns the level minimize_contrast computes from it."""
+    monkeypatch.setattr(minimize_module, "RESOLUTION", level * table.n)
+    return minimize_module.RESOLUTION / table.n
+
+
+def _small_run(grid24, rng, monkeypatch):
+    """A three-start fit on a 200-sample table that stops at 1e-8, as a
+    function of its deadline."""
     table = ecf_table_for_grid(SampleSet(1, 1, rng.normal(size=(200, 2))), grid24)
-    return table, MinimizeConfig(params=UpsilonParams(0.75, 2.0), m_opt=4, tol=1e-8,
-                                 restarts=3, seed=1, deadline=deadline)
+    stop_at(monkeypatch, table, 1e-8)
+    return lambda deadline=math.inf: minimize_contrast(
+        table, grid24, UpsilonParams(0.75, 2.0), 4, restarts=3, seed=1, deadline=deadline)
 
 
 class TestBlasHold:
@@ -495,8 +547,7 @@ class TestBlasHold:
     def test_one_thread_inside_the_objective(self, grid24, rng, monkeypatch, blas_pools):
         seen = []
         _spy_objective(monkeypatch, lambda fun: lambda x: seen.append(blas_pools()) or fun(x))
-        table, config = _small_run(grid24, rng)
-        minimize_contrast(table, grid24, config)
+        _small_run(grid24, rng, monkeypatch)()
         ones = (1,) * len(blas_pools())
         assert seen and set(seen) == {ones}
         assert blas_pools() == (2,) * len(ones)
@@ -520,9 +571,9 @@ class TestBlasHold:
             return objective
 
         _spy_objective(monkeypatch, raising)
-        table, config = _small_run(grid24, rng)
+        fit = _small_run(grid24, rng, monkeypatch)
         with pytest.raises(NumericalError):
-            minimize_contrast(table, grid24, config)
+            fit()
         assert set(blas_pools()) == {2}
 
     def test_concurrent_holders_restore_once(self, grid24, rng, monkeypatch, blas_pools):
@@ -538,11 +589,11 @@ class TestBlasHold:
             return objective
 
         _spy_objective(monkeypatch, meeting)
-        table, config = _small_run(grid24, rng)
+        fit = _small_run(grid24, rng, monkeypatch)
 
         def work():
             try:
-                minimize_contrast(table, grid24, config)
+                fit()
             except Exception as exc:  # surfaced below
                 errors.append(exc)
 
@@ -558,18 +609,20 @@ class TestBlasHold:
         # without setters the hold leaves the pools alone, and with the
         # pools at one thread already the bits are the held run's
         table, grid = rm4d_table
-        config = MinimizeConfig(params=UpsilonParams(0.75, 1.5), m_opt=4, tol=0.01 / 2000,
-                                seed=5)
-        held = minimize_contrast(table, grid, config)
+
+        def fit():
+            return minimize_contrast(table, grid, UpsilonParams(0.75, 1.5), 4, seed=5)
+
+        held = fit()
         setters = _util.blas_setters()
         monkeypatch.setattr(_util, "blas_setters", lambda: ())
         seen = []
         _spy_objective(monkeypatch, lambda fun: lambda x: seen.append(blas_pools()) or fun(x))
-        minimize_contrast(table, grid, config)
+        fit()
         assert set(seen) == {(2,) * len(setters)}
         prior = [setter(1) for setter in setters]
         try:
-            free = minimize_contrast(table, grid, config)
+            free = fit()
         finally:
             for setter, count in zip(setters, prior):
                 setter(count)
@@ -578,18 +631,16 @@ class TestBlasHold:
 
 
 class TestDeadline:
-    def test_passed_deadline_stops_at_first_iterate(self, grid24, rng):
-        table, config = _small_run(grid24, rng, deadline=time.monotonic())
-        res = minimize_contrast(table, grid24, config)
+    def test_passed_deadline_stops_at_first_iterate(self, grid24, rng, monkeypatch):
+        res = _small_run(grid24, rng, monkeypatch)(deadline=time.monotonic())
         assert res.reasons == ("deadline",) and res.restarts_used == 1
         assert res.reason == "deadline" and not res.converged
         assert res.trace.shape == (2,)
 
-    def test_distant_deadline_changes_nothing(self, grid24, rng):
-        table, config = _small_run(grid24, rng)
-        free = minimize_contrast(table, grid24, config)
-        config.deadline = time.monotonic() + 3600.0
-        timed = minimize_contrast(table, grid24, config)
+    def test_distant_deadline_changes_nothing(self, grid24, rng, monkeypatch):
+        fit = _small_run(grid24, rng, monkeypatch)
+        free = fit()
+        timed = fit(deadline=time.monotonic() + 3600.0)
         assert timed.estimate.theta.tobytes() == free.estimate.theta.tobytes()
         assert timed.reasons == free.reasons and "deadline" not in free.reasons
 

@@ -10,7 +10,7 @@ import cfdeconv
 EXPORTS = set("""
     AdaptiveCell AdaptiveOutcome AxisNoise BoundReport CellResult CensusResult
     ConfigError DensityGrid DensityTruth EcfTable EstimateOutcome ExperimentPlan
-    ExperimentReport LatticeSpec LeCamReport LowerBoundInstance MinimizeConfig
+    ExperimentReport LatticeSpec LeCamReport LowerBoundInstance
     MinimizeResult NumericalError OracleModel QuadratureGrid RateFit SampleSet
     ScenarioSpec SelectionReport SelectionRow SignalSpec TaylorPoly TwoPoint
     UpsilonParams WeightSpec WeightedBasis adapt_from_samples adaptive adaptive_run

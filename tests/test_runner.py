@@ -21,6 +21,7 @@ from cfdeconv import (
     adaptive_run,
     cell_seed,
     compute_aggregates,
+    contrast_empirical,
     default_lattice,
     ecf_table_for_grid,
     estimate_once,
@@ -31,6 +32,7 @@ from cfdeconv import (
     poly_tables,
     run,
 )
+from cfdeconv import contrast as contrast_module
 from cfdeconv import minimize as minimize_module
 from cfdeconv import runner as runner_module
 from cfdeconv.adaptive import sigma_rule
@@ -39,6 +41,8 @@ from cfdeconv.minimize import RESOLUTION
 from cfdeconv.multiindex_taylor import UpsilonParams
 from cfdeconv.scenarios import ScenarioSpec
 from cfdeconv.reconstruct import m_rule, omega_rule
+
+from test_multiindex_taylor import poly_11
 
 
 # one small estimate on the benchmark's ICA scenario; prints its theta bytes
@@ -172,6 +176,45 @@ class TestPlanValidation:
         assert plan.lattice.mins == (-4.0, -4.0)
 
 
+class TestDataTypes:
+    # a data input of the wrong type is refused, before any work, with a
+    # ConfigError naming the type it should be
+    @pytest.mark.parametrize("case, message", [
+        ("estimate_once", "table must be a EcfTable, got SampleSet"),
+        ("minimize_contrast", "table must be a EcfTable, got SampleSet"),
+        ("contrast_empirical", "table must be a EcfTable, got SampleSet"),
+        ("adapt_from_samples", "samples must be a SampleSet, got EcfTable"),
+        ("plan_lattice", "lattice must be a LatticeSpec, got dict"),
+        ("plan_scenario", "scenario must be a ScenarioSpec, got NoneType"),
+    ])
+    def test_wrong_type_refused(self, uniform_repeated, monkeypatch, case, message):
+        grid = make_grid(1.0, (1, 1), 8)
+        samples = uniform_repeated.sample(40, seed=3)
+        table = ecf_table_for_grid(samples, grid)
+        lattice = default_lattice(2, half=2.0, count=5)
+        plan = dict(n_list=(12,), replicates=1, kappa_grid=(0.75,), S=1.5)
+        calls = {
+            "estimate_once": lambda: estimate_once(samples, grid, lattice, kappa=0.75, S=1.5),
+            "minimize_contrast": lambda: minimize_module.minimize_contrast(
+                samples, grid, UpsilonParams(0.75, 1.5), 2),
+            "contrast_empirical": lambda: contrast_empirical(poly_11(2, {}), samples, grid),
+            "adapt_from_samples": lambda: adapt_from_samples(
+                table, grid, lattice, kappa_grid=(0.75,), S=1.5, beta=1.0),
+            "plan_lattice": lambda: ExperimentPlan(
+                scenario=uniform_repeated, lattice={"mins": (-1.0, -1.0)}, **plan),
+            "plan_scenario": lambda: ExperimentPlan(scenario=None, **plan),
+        }
+        work = []
+        for module, name in ((runner_module, "_degrees"), (runner_module, "ecf_table_for_grid"),
+                             (minimize_module, "_ls_init"), (minimize_module, "_descend"),
+                             (minimize_module, "pattern_tables"),
+                             (contrast_module, "pattern_tables")):
+            monkeypatch.setattr(module, name, lambda *args: work.append(args))
+        with pytest.raises(ConfigError, match=message):
+            calls[case]()
+        assert work == []
+
+
 class TestCellSeed:
     def test_deterministic(self):
         assert cell_seed(7, 1, 2, 3) == cell_seed(7, 1, 2, 3)
@@ -251,7 +294,8 @@ class TestRun:
         results = []
         real = runner_module.minimize_contrast
         monkeypatch.setattr(runner_module, "minimize_contrast",
-                            lambda *args: results.append(real(*args)) or results[-1])
+                            lambda *args, **kwargs: results.append(real(*args, **kwargs))
+                            or results[-1])
         noise = AxisNoise("g_density", 2.0)
         plan = ExperimentPlan(
             scenario=make_repeated(SignalSpec("uniform", (1.0,)), noise, noise, d1=2),
@@ -334,12 +378,18 @@ class TestFitRate:
 
 
 def record_estimates(monkeypatch):
-    """Record (table, minimizer config, outcome) of every estimate_once call."""
+    """Record (table, stop level of each start, outcome) of every
+    estimate_once call."""
     calls, minimize, estimate = [], runner_module.minimize_contrast, runner_module.estimate_once
+    descend = minimize_module._descend
 
-    def minimize_recorded(table, grid, config):
-        calls.append([table, config])
-        return minimize(table, grid, config)
+    def minimize_recorded(table, *args, **kwargs):
+        calls.append([table, []])
+        return minimize(table, *args, **kwargs)
+
+    def descend_recorded(moments, start, box, tol, deadline):
+        calls[-1][1].append(tol)
+        return descend(moments, start, box, tol, deadline)
 
     def estimate_recorded(*args, **kwargs):
         out = estimate(*args, **kwargs)
@@ -347,6 +397,7 @@ def record_estimates(monkeypatch):
         return out
 
     monkeypatch.setattr(runner_module, "minimize_contrast", minimize_recorded)
+    monkeypatch.setattr(minimize_module, "_descend", descend_recorded)
     monkeypatch.setattr(runner_module, "estimate_once", estimate_recorded)
     return calls
 
@@ -386,7 +437,7 @@ class TestEstimateOnce:
             out = runner_module.estimate_once(table, grid24, lattice, kappa=0.3, S=1.5,
                                               restarts=1)
             assert (out.m_trunc, out.m_opt) == (m_trunc, 2 * m_trunc)
-            assert calls[-1][1].tol == RESOLUTION / table.n
+            assert calls[-1][1] == [RESOLUTION / table.n]
         assert [table.n for table, *_ in calls] == [30, 60]
 
     def test_adapt_full_estimate_is_the_pooled_table(self, uniform_repeated, grid24,
