@@ -270,12 +270,14 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path, header, matrix) -> None:
-    """The header, then each matrix row in fmt17's text; lines end in \r\n,
-    as the csv module's do, on every platform (newline="")."""
+def write_csv(path, header, blocks) -> None:
+    """The header, then the rows of each matrix of `blocks` in fmt17's text,
+    one np.savetxt call per matrix; lines end in \r\n, as the csv module's
+    do, on every platform (newline="")."""
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, matrix, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\r\n")
+        for matrix in blocks:
+            np.savetxt(fh, matrix, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def _extension_file(package: str, *names: str):

@@ -237,7 +237,8 @@ def save_density(grid: DensityGrid, csv_path, meta_path) -> None:
     """Each lattice point's x1..xd and value as CSV (`_util.write_csv`); the
     lattice and the imaginary residue as JSON."""
     header = [f"x{a + 1}" for a in range(grid.lattice.d)] + ["value"]
-    write_csv(csv_path, header, np.column_stack([grid.lattice.points(), grid.values.reshape(-1)]))
+    write_csv(csv_path, header,
+              [np.column_stack([grid.lattice.points(), grid.values.reshape(-1)])])
     meta = {
         "mins": [fmt17(v) for v in grid.lattice.mins],
         "maxs": [fmt17(v) for v in grid.lattice.maxs],
@@ -373,7 +374,7 @@ def emit_figure_data(panels, target) -> list:
                         "kappa": fmt17(kappa), "K": K, "points": int(xs.size)})
         matrix = np.column_stack([xs, np.asarray(panel["value"], dtype=np.float64),
                                   np.full(xs.size, kappa), np.full(xs.size, K)])
-        write_csv(target / listing[-1]["file"], ["x", "value", "kappa", "K"], matrix)
+        write_csv(target / listing[-1]["file"], ["x", "value", "kappa", "K"], [matrix])
     _dump_json({"schema_version": _SCHEMA_VERSION, "panels": listing},
                target / "MANIFEST.json")
     return [target / item["file"] for item in listing]
@@ -410,7 +411,9 @@ def build_profile_panels(kappa_list, K_list, scalings, basis_opts=None,
 # subcommands
 #
 # Each command receives its config checked against its table, and opens its
-# run directory only once its results are computed.
+# run directory only once its results are computed.  `simulate` draws its
+# sample as it writes it, so a failed draw removes the run directory it
+# made.
 
 _SIMULATE = {"scenario": _Key("scenario"), "n": _Key("integer", ">= 1"),
              "seed": _Key("integer", ">= 0", 0), "out_dir": _Key("string")}
@@ -418,9 +421,15 @@ _SIMULATE = {"scenario": _Key("scenario"), "n": _Key("integer", ">= 1"),
 
 def _cmd_simulate(cfg: dict, config_path) -> int:
     scenario = _scenario(cfg["scenario"])
-    samples = scenario.sample(cfg["n"], cfg["seed"])
+    samples = scenario.stream(cfg["n"], cfg["seed"])
+    fresh = not Path(cfg["out_dir"]).exists()
     out = _open_run_dir(cfg["out_dir"], config_path)
-    ecf.export_csv(samples, out / "samples.csv")
+    try:
+        ecf.export_csv(samples, out / "samples.csv")
+    except BaseException:
+        if fresh:
+            shutil.rmtree(out)
+        raise
     _dump_json(
         {"variant": scenario.variant, "n": cfg["n"], "d1": scenario.d1,
          "d2": scenario.d2, "diagnostics": scenario.diagnostics},

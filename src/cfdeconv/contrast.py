@@ -31,7 +31,7 @@ noise CF moduli.  Candidates are `TaylorPoly`s.
 Nothing here is cached across calls at module level: a grid holds only its
 lazily computed read-only id, block points and weights, and pattern
 matrices, moment matrices and candidate tables are built on each call (a
-minimization makes two such calls, none per iterate).
+minimization makes one such call, none per iterate).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from ._util import (ConfigError, NumericalError, as_type, check_instance, content_hash,
                     legendre_rule, one_blas_thread, tensor_points, tensor_weights)
-from .ecf import EcfTable, SampleSet, ecf_on_grid
+from .ecf import EcfTable, RowSource, ecf_on_grid
 from .multiindex_taylor import (
     TaylorPoly,
     block_split,
@@ -137,8 +137,8 @@ def make_grid(nu: float, dims: tuple, nodes_per_axis: int = 48) -> QuadratureGri
     return QuadratureGrid(nu, nodes_per_axis, dims, nodes, weights)
 
 
-def ecf_table_for_grid(samples: SampleSet, grid: QuadratureGrid) -> EcfTable:
-    """Tabulate the empirical CF of `samples` on `grid`."""
+def ecf_table_for_grid(samples: RowSource, grid: QuadratureGrid) -> EcfTable:
+    """Tabulate the empirical CF of a row source on `grid`."""
     if (samples.d1, samples.d2) != grid.dims:
         raise ConfigError(f"sample dims {(samples.d1, samples.d2)} != grid dims {grid.dims}")
     return ecf_on_grid(samples, [grid.axis_nodes] * grid.d, grid_id=grid.grid_id)
@@ -270,11 +270,14 @@ class ContrastMoments:
     The table and the grid are symmetric under t -> -t, so N[k, l] is
     i^(|k| + |l|) times a real number, and c1[s] i^|s| is real: in these
     twisted coordinates the N terms, the largest, are real products.
+
+    `tables` keeps (V1, V2), whose leading columns are the degree-m tables
+    the minimizer's least-squares start fits with.
     """
 
     def __init__(self, table: EcfTable, grid: QuadratureGrid, max_degree: int):
         full, a, b = _ref_tables(table, grid)
-        U, W = pattern_tables(grid, 2 * max_degree)
+        self.tables = U, W = pattern_tables(grid, 2 * max_degree)
         self.S1, self.S2 = (sum_map(d, max_degree) for d in grid.dims)
         self.p1, self.p2, n1, n2 = block_split(grid.dims, max_degree)
         w = grid.w1[:, None] * grid.w2[None, :]

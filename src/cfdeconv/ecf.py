@@ -5,6 +5,15 @@ empirical CF at t is the sample mean of exp(i t . Y).  Evaluation streams
 over fixed-size sample chunks with tree-merged partial sums, so results are
 bit-reproducible regardless of platform memory heuristics.
 
+A sample is a row source (`RowSource`): a `SampleSet` holds its (n, d)
+matrix, and a `RowStream` makes its rows block by block, as
+`ScenarioSpec.stream` does.  `ecf_on_grid` is one accumulator over the
+row blocks, in order, of either kind: it regroups them into aligned runs
+of CHUNK << RUN_LEVEL rows counted from the table's first row, so any
+block sizes give the same table, to the bit.  A run inside one block is a
+view of it, and only a run that straddles a block edge is copied, into a
+carry of less than one run.
+
 Grid tables use the symmetry ecf(-t) = conj(ecf(t)).  Every axis must be
 closed under negation (x == -x[::-1], as for every grid `contrast.make_grid`
 builds); then negating t reverses the flattened lattice index, so only the
@@ -18,14 +27,18 @@ The chunks run on every CPU the process may use.  Each aligned run of
 2^RUN_LEVEL chunks is one task, a subtree of the serial pairwise tree,
 so the merged sums are the serial loop's bit for bit.  A task fills its
 two [cos; sin; 1] stacks in place, chunk after chunk.  A thread pool
-lives for one call and starts only for two or more runs.  The products
-run with both OpenBLAS pools held at one thread (`_util.one_blas_thread`),
-so a table's bytes depend on the sample and the grid alone, not on the
-core count or OPENBLAS_NUM_THREADS.
+lives for one call and starts only for two or more runs (n is known
+before the first block).  At most 2 x workers runs are in flight, each
+absorbed in order, so a stream is read no faster than its runs are
+summed.  The accumulator, the making of a stream's blocks included, runs
+with both OpenBLAS pools held at one thread (`_util.one_blas_thread`), so
+a table's bytes depend on the sample and the grid alone, not on the core
+count or OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import math
@@ -35,15 +48,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (CHUNK, ROW_BLOCK, ConfigError, PairwiseAccumulator, cos_sin,
+from ._util import (CHUNK, ROW_BLOCK, ConfigError, PairwiseAccumulator, as_type, cos_sin,
                     one_blas_thread, row_blocks, write_csv)
 
 # `ecf_on_grid`'s tasks are aligned runs of 2^RUN_LEVEL chunks
 RUN_LEVEL = 5
 
 
+class RowSource:
+    """Observations read as consecutive row blocks.
+
+    A row source has block dimensions d1 and d2, a row count n, `blocks()`,
+    an iterator of (rows, d1 + d2) float64 arrays that hold its n rows in
+    order, and `split(k)`, its first k rows and the rest as two row
+    sources.  A reader only reads the blocks, and may hold one after it has
+    asked for the next.  `SampleSet` holds its rows in one matrix, and
+    `RowStream` makes them block by block; `ecf_on_grid` and `export_csv`
+    read either.
+    """
+
+    @property
+    def d(self) -> int:
+        return self.d1 + self.d2
+
+    def _split_point(self, k) -> int:
+        k = as_type(k, int, "k")
+        if not 1 <= k < self.n:
+            raise ConfigError(f"a split point must lie in [1, {self.n}), got {k}")
+        return k
+
+
 @dataclass(frozen=True)
-class SampleSet:
+class SampleSet(RowSource):
     """An (n, d1+d2) array of observations split into two blocks.  The
     finiteness check runs one row block at a time, so it holds no n x d
     mask."""
@@ -70,9 +106,53 @@ class SampleSet:
     def n(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.d1 + self.d2
+    def blocks(self):
+        """The rows as one block: the matrix itself."""
+        return iter((self.data,))
+
+    def split(self, k: int) -> tuple:
+        """The first k rows and the rest, as two SampleSets of views."""
+        k = self._split_point(k)
+        return SampleSet(self.d1, self.d2, self.data[:k]), SampleSet(self.d1, self.d2, self.data[k:])
+
+
+class RowStream(RowSource):
+    """A row source whose rows are made block by block: `make_blocks()`
+    returns a fresh iterator of its blocks, so the stream reads again from
+    its start, and each block must be a new array."""
+
+    def __init__(self, d1: int, d2: int, n: int, make_blocks):
+        self.d1, self.d2, self.n, self._make_blocks = d1, d2, n, make_blocks
+
+    def blocks(self):
+        return self._make_blocks()
+
+    def split(self, k: int) -> tuple:
+        """The first k rows and the rest, as two streams over one reading:
+        the head reads up to row k, splitting the block that straddles it,
+        and the tail continues that reading, so it is read after the head."""
+        k, rest = self._split_point(k), []
+
+        def head():
+            seen, blocks = 0, self.blocks()
+            for block in blocks:
+                if seen + len(block) >= k:
+                    rest[:] = [(block[k - seen :], blocks)]
+                    yield block[: k - seen]
+                    return
+                seen += len(block)
+                yield block
+
+        def tail():
+            if not rest:
+                raise ConfigError("a stream's tail is read after its head")
+            block, blocks = rest.pop()
+            if len(block):
+                yield block
+            yield from blocks
+
+        return (RowStream(self.d1, self.d2, k, head),
+                RowStream(self.d1, self.d2, self.n - k, tail))
 
 
 @dataclass(frozen=True)
@@ -163,11 +243,48 @@ def _mirrored(half, size):
     return np.concatenate([half[..., :keep], np.conj(half[..., :rest][..., ::-1])], axis=-1)
 
 
-def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
-    """Tabulate the empirical CF on a tensor grid.
+def _runs(blocks, n: int, d: int, size: int):
+    """The rows of `blocks` regrouped into the aligned runs of `size` rows
+    that cover range(n), the last one shorter.  A run inside one block is a
+    view of it; only a run that straddles a block edge is copied, into a
+    carry of less than one run.  Blocks of another width, or rows beyond n
+    or short of it, are refused."""
+    start, carry, filled = 0, None, 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[1] != d:
+            raise ConfigError(f"row blocks must have shape (rows, {d}), got {block.shape}")
+        at = 0
+        while at < len(block):
+            if start == n:
+                raise ConfigError(f"the row source yields more than its n = {n} rows")
+            length = min(size, n - start)
+            if carry is None and len(block) - at >= length:
+                yield block[at : at + length]
+                at, start = at + length, start + length
+                continue
+            if carry is None:
+                carry, filled = np.empty((length, d)), 0
+            take = min(length - filled, len(block) - at)
+            carry[filled : filled + take] = block[at : at + take]
+            filled, at = filled + take, at + take
+            if filled == length:
+                yield carry
+                carry, start = None, start + length
+    if carry is not None:
+        start += filled
+    if start != n:
+        raise ConfigError(f"the row source yields {start} rows, not its n = {n}")
+
+
+def ecf_on_grid(source: RowSource, axis_nodes, grid_id: str = "") -> EcfTable:
+    """Tabulate the empirical CF of a row source on a tensor grid.
 
     Parameters
     ----------
+    source : RowSource
+        The observations, read once, block by block (`SampleSet` or
+        `RowStream`).
     axis_nodes : sequence of d arrays
         Node list per coordinate, each closed under negation
         (x == -x[::-1] exactly); the first d1 belong to block 1.
@@ -181,36 +298,43 @@ def ecf_on_grid(samples: SampleSet, axis_nodes, grid_id: str = "") -> EcfTable:
     + i (SC + CS) and at (t1, -t2) as CC + SS + i (SC - CS); its ones give
     `first` and `second`.  The rest of every field is the conjugate mirror.
     """
-    if len(axis_nodes) != samples.d:
-        raise ConfigError(f"expected {samples.d} axis node arrays, got {len(axis_nodes)}")
+    if len(axis_nodes) != source.d:
+        raise ConfigError(f"expected {source.d} axis node arrays, got {len(axis_nodes)}")
     nodes = [np.asarray(a, dtype=np.float64).reshape(-1) for a in axis_nodes]
     if not all(np.all(np.isfinite(a)) for a in nodes):
         raise ConfigError("axis nodes must be finite")
     if not all(np.array_equal(a, -a[::-1]) for a in nodes):
         raise ConfigError("axis nodes must be closed under negation (x == -x[::-1])")
-    nodes1, nodes2 = nodes[: samples.d1], nodes[samples.d1 :]
+    nodes1, nodes2 = nodes[: source.d1], nodes[source.d1 :]
     size1, size2 = math.prod(map(len, nodes1)), math.prod(map(len, nodes2))
-    n, d1, data = samples.n, samples.d1, samples.data
-    starts = range(0, n, CHUNK << RUN_LEVEL)
+    n, d1, run = source.n, source.d1, CHUNK << RUN_LEVEL
 
-    def run_sum(start):
+    def run_sum(rows):
         """The pairwise sum of one aligned run's chunk products, as its
         accumulator: one node of level RUN_LEVEL for a full run.  The run's
         two stacks are filled in place chunk by chunk."""
         a1, a2 = (np.ones((2 * _half_size(b) + 1, CHUNK)) for b in (nodes1, nodes2))
         acc = PairwiseAccumulator()
-        for lo in range(start, min(start + (CHUNK << RUN_LEVEL), n), CHUNK):
-            block = data[lo : lo + CHUNK]
+        for lo in range(0, len(rows), CHUNK):
+            block = rows[lo : lo + CHUNK]
             acc.add(_half_lattice(a1, block[:, :d1], nodes1)
                     @ _half_lattice(a2, block[:, d1:], nodes2).T)
         return acc
 
     acc = PairwiseAccumulator()
-    workers = min(len(starts), _cpu_count())
+    workers = min(-(-n // run), _cpu_count())
     with (one_blas_thread(),
           ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool):
-        for run in (pool.map if pool else map)(run_sum, starts):
-            acc.absorb(run)
+        pending = collections.deque()
+        for rows in _runs(source.blocks(), n, source.d, run):
+            if pool is None:
+                acc.absorb(run_sum(rows))
+                continue
+            pending.append(pool.submit(run_sum, rows))
+            if len(pending) == 2 * workers:
+                acc.absorb(pending.popleft().result())
+        while pending:
+            acc.absorb(pending.popleft().result())
     p = acc.total()
     p /= n
     h1, h2 = len(p) // 2, p.shape[1] // 2
@@ -238,10 +362,11 @@ def pooled(a: EcfTable, b: EcfTable) -> EcfTable:
     return EcfTable(a.grid_id, n, first, second, full)
 
 
-def export_csv(samples: SampleSet, path) -> None:
-    """Write observations as CSV with header y1..yd, one line per row, 17
-    significant digits (`_util.write_csv`); `load_csv` reads it back."""
-    write_csv(path, [f"y{k + 1}" for k in range(samples.d)], samples.data)
+def export_csv(source: RowSource, path) -> None:
+    """Write a row source's observations as CSV with header y1..yd, one
+    line per row, 17 significant digits (`_util.write_csv`), one block at a
+    time; `load_csv` reads it back."""
+    write_csv(path, [f"y{k + 1}" for k in range(source.d)], source.blocks())
 
 
 def load_csv(path, d1: int, d2: int) -> SampleSet:

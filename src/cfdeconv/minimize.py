@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ConfigError, as_type, one_blas_thread
-from .contrast import ContrastMoments, QuadratureGrid, _ref_tables, pattern_tables
+from ._util import ConfigError, as_type, check_instance, one_blas_thread
+from .contrast import ContrastMoments, QuadratureGrid, _ref_tables
 # module attributes kept for callers that look them up here (perfbench/tracer.py)
 from .contrast import contrast_empirical, contrast_gradient  # noqa: F401
 from .ecf import EcfTable
@@ -79,8 +79,13 @@ class MinimizeResult:
     reasons: tuple
 
 
-def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
+def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int, tables: tuple) -> TaylorPoly:
     """Weighted least-squares fit of the ECF on the full grid, then projection.
+
+    `tables` are the grid's (U, W) monomial tables (`pattern_tables`) of
+    degree at least m_opt, such as the degree-2 m_opt ones that
+    `ContrastMoments` builds: their columns are graded by degree, so the
+    leading `block_split` counts of them are the degree-m_opt tables.
 
     The weighted design is kron(sqrt(w1) U, sqrt(w2) W) restricted to the
     (p1, p2) pattern pairs and phased.  With reduced QRs sqrt(w1) U = Q1 R1
@@ -95,12 +100,12 @@ def _ls_init(table: EcfTable, grid: QuadratureGrid, m_opt: int) -> TaylorPoly:
     subtracted from the table before projecting, so a flat table fits
     exactly.
     """
-    U, W = pattern_tables(grid, m_opt)
+    p1, p2, n1, n2 = block_split(grid.dims, m_opt)
+    U, W = tables[0][:, :n1], tables[1][:, :n2]
     sqw1, sqw2 = np.sqrt(grid.w1)[:, None], np.sqrt(grid.w2)[:, None]
     Q1, R1 = np.linalg.qr(sqw1 * U)
     Q2, R2 = np.linalg.qr(sqw2 * W)
     phase = parity_phase(grid.d, m_opt)
-    p1, p2, _, _ = block_split(grid.dims, m_opt)
     design = (R1[:, None, p1] * R2[None, :, p2]).reshape(-1, phase.shape[0]) * phase
     rhs = ((sqw1 * Q1).T @ (table.full - 1.0) @ (sqw2 * Q2)).reshape(-1)
     lhs = design[:, 1:]
@@ -167,24 +172,30 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, params: UpsilonPara
     Start 0 is the projected least-squares fit to the ECF.  A start stops at
     its first iterate (the start included) with contrast <= RESOLUTION /
     table.n, on L-BFGS-B's FTOL or projected-gradient test, after MAX_ITERS
-    iterations, or past `deadline` (a time.monotonic() value).  A start
+    iterations, or past `deadline` (a time.monotonic() value, or inf).  A start
     drawn uniformly in Upsilon (generator seeded by `seed`) runs only after
     an unconverged one that met no deadline, up to `restarts` starts.  The
     lowest contrast wins, the earliest start on ties.  One `ContrastMoments`
-    of the table values every start's points.  A non-table, a table of
-    another grid or of n < 1, m_opt or restarts < 1 and seed < 0 are
-    refused before any start.
+    of the table values every start's points, and the least-squares start
+    fits with the leading columns of its monomial tables.  A non-table, a table of another grid
+    or of n < 1, params that are no `UpsilonParams`, m_opt or restarts < 1,
+    seed < 0 and a deadline that is no float or is NaN are refused before
+    any start.
 
     The starts run with both OpenBLAS pools held at one thread
     (`_util.one_blas_thread`, see the module docstring).
     """
     from scipy import optimize
 
+    check_instance(params, UpsilonParams, "params")
     m_opt, restarts, seed = (as_type(value, int, key) for value, key in
                              ((m_opt, "m_opt"), (restarts, "restarts"), (seed, "seed")))
     for key, value, low in (("m_opt", m_opt, 1), ("restarts", restarts, 1), ("seed", seed, 0)):
         if value < low:
             raise ConfigError(f"{key} must be >= {low}, got {value}")
+    deadline = as_type(deadline, float, "deadline")
+    if math.isnan(deadline):
+        raise ConfigError("deadline must be a time.monotonic() value or inf, got nan")
     _ref_tables(table, grid)
     if table.n < 1:
         raise ConfigError(f"the stop level needs a table of n >= 1 observations, got {table.n}")
@@ -198,7 +209,7 @@ def minimize_contrast(table: EcfTable, grid: QuadratureGrid, params: UpsilonPara
         moments = ContrastMoments(table, grid, m_opt)
         while len(runs) < restarts and (not runs or runs[-1][3] not in _LAST):
             start = (random_member(params, grid.dims, m_opt, rng) if runs
-                     else _ls_init(table, grid, m_opt))
+                     else _ls_init(table, grid, m_opt, moments.tables))
             runs.append(_descend(moments, project_upsilon(start, params), box, tol, deadline))
     estimate, value, trace, reason = min(runs, key=lambda run: run[1])
     return MinimizeResult(

@@ -120,24 +120,39 @@ class DensityGrid:
         self.values = values
 
 
-def _axis_moments(x: np.ndarray, omega: float, kmax: int) -> np.ndarray:
-    """Matrix of I_k(x) for k = 0..kmax, shape (len(x), kmax+1), complex.
+def _monomial_legendre(kmax: int) -> np.ndarray:
+    """(kmax+1, kmax+1) matrix whose row k is poly2leg of u^k: numpy's
+    legmulx recurrence x P_i = ((i+1) P_{i+1} + i P_{i-1}) / (2i+1) applied
+    k times to P_0, one whole row at a time in legmulx's operation order,
+    so each row has poly2leg's bits (its coefficients are nonnegative, so
+    the additions of exact zeros change none)."""
+    c = np.zeros((kmax + 1, kmax + 1))
+    c[0, 0] = 1.0
+    i = np.arange(1.0, kmax + 1)
+    for k in range(1, kmax + 1):
+        prev, row = c[k - 1], c[k]
+        row[0] = prev[0] * 0
+        row[1:] = (prev[:-1] * i) / (2 * i - 1)
+        row[:-1] += (prev[1:] * i) / (2 * i + 1)
+    return c
+
+
+def _axis_moments(x: np.ndarray, omega: float, c: np.ndarray) -> np.ndarray:
+    """Matrix of I_k(x) for k = 0..kmax, shape (len(x), kmax+1), complex,
+    with c = _monomial_legendre(kmax).
 
     I_k(x) = omega^(k+1) sum_l c_kl 2 (-i)^l j_l(omega x), from u^k =
-    sum_l c_kl P_l(u) (row k of c is poly2leg of the monomial) and
-    integral_{-1}^{1} P_l(u) e^{-izu} du = 2 (-i)^l j_l(z).  The c_kl are
+    sum_l c_kl P_l(u) and integral_{-1}^{1} P_l(u) e^{-izu} du =
+    2 (-i)^l j_l(z).  The c_kl are
     nonnegative with sum 1 and |j_l| <= 1, so the rounding error is a few
     ulps of 2 omega^(k+1) whatever omega x is.
     """
     from scipy.special import spherical_jn
 
     z = omega * np.asarray(x, dtype=np.float64)
-    ls = np.arange(kmax + 1)
+    ls = np.arange(len(c))
     # j_l has the parity of l: evaluate at |z|, restore the sign for odd l
     jl = spherical_jn(ls, np.abs(z)[:, None]) * np.where(ls % 2, np.sign(z)[:, None], 1.0)
-    c = np.zeros((kmax + 1, kmax + 1))
-    for k in range(kmax + 1):
-        c[k, : k + 1] = np.polynomial.legendre.poly2leg([0] * k + [1])
     phases = np.array([1, -1j, -1, 1j])[ls % 4]
     return (2.0 * phases * jl) @ c.T * omega ** (ls + 1.0)
 
@@ -159,9 +174,9 @@ def invert(poly: TaylorPoly, omega: float, lattice: LatticeSpec) -> DensityGrid:
     shape = tuple([kmax + 1] * d)
     coeff_tensor = np.zeros(shape, dtype=np.complex128)
     coeff_tensor[tuple(entries.T)] = poly.coeffs
-    vals = coeff_tensor
+    vals, legendre = coeff_tensor, _monomial_legendre(kmax)
     for axis_pts in lattice.axes():
-        moments = _axis_moments(axis_pts, omega, kmax)
+        moments = _axis_moments(axis_pts, omega, legendre)
         # contract the leading degree axis; evaluated axes cycle to the back,
         # so after d contractions the axes are back in x-order
         vals = np.tensordot(vals, moments, axes=([0], [1]))

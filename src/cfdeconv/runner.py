@@ -21,7 +21,7 @@ from ._util import ConfigError, NumericalError, as_type, check_instance
 from .adaptive import check_kappas, pilot_c_sigma, select_kappa, sigma_rule
 from .contrast import (OracleModel, QuadratureGrid, _ref_tables, ecf_table_for_grid, make_grid,
                        poly_tables)
-from .ecf import EcfTable, SampleSet, pooled
+from .ecf import EcfTable, RowSource, pooled
 from .minimize import minimize_contrast
 from .multiindex_taylor import TaylorPoly, UpsilonParams, truncate
 from .reconstruct import (
@@ -383,18 +383,20 @@ class AdaptiveOutcome:
 def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
                        kappa_grid, S: float, beta: float, restarts: int = 4,
                        seed: int = 0) -> AdaptiveOutcome:
-    """Data-driven kappa selection on a fixed sample.
+    """Data-driven kappa selection on a fixed sample, given as a row source
+    (a `SampleSet`, or a `RowStream` such as `ScenarioSpec.stream`).
 
-    The sample is tabulated once, as the ECF tables of its two index
-    halves.  The penalty scale comes from a split pilot: each half's table
-    yields a reconstruction per candidate kappa, and the largest rescaled
+    The sample is tabulated once, as the ECF tables of its two halves,
+    rows [0, n // 2) and the rest (`split`), the head read first.  The
+    penalty scale comes from a split pilot: each half's table yields a
+    reconstruction per candidate kappa, and the largest rescaled
     half-vs-half distance calibrates c_sigma.  Full-sample reconstructions,
     from the halves' pooled table, then feed the pairwise-comparison
     selector.  The kappa grid is checked as the selector checks it
     (`adaptive.check_kappas`), and beta converted, before any table; a
-    sample that is not a `SampleSet` is refused first.
+    sample that is not a `RowSource` is refused first.
     """
-    check_instance(samples, SampleSet, "samples")
+    check_instance(samples, RowSource, "samples")
     kappa_grid = tuple(as_type(k, float, "kappa_grid") for k in kappa_grid)
     check_kappas(kappa_grid)
     beta = as_type(beta, float, "beta")
@@ -402,8 +404,7 @@ def adapt_from_samples(samples, grid: QuadratureGrid, lattice: LatticeSpec, *,
     if n < 24:
         raise ConfigError(f"adaptation needs n >= 24, so that each half sample has a "
                           f"truncation rule; the sample has {n} observations")
-    table1, table2 = (ecf_table_for_grid(SampleSet(samples.d1, samples.d2, rows), grid)
-                      for rows in (samples.data[: n // 2], samples.data[n // 2 :]))
+    table1, table2 = (ecf_table_for_grid(half, grid) for half in samples.split(n // 2))
     table_full = pooled(table1, table2)
     pilot_rows = []
     full_grids = {}
@@ -436,15 +437,16 @@ class AdaptiveCell:
 
 def adaptive_run(plan: ExperimentPlan, n: int, seed: int) -> AdaptiveCell:
     """One adaptive selection pass at sample size n, scored against truth.
-    It runs at the theoretical degrees, so it refuses override tuning."""
+    The sample streams into its two half tables (`ScenarioSpec.stream`), so
+    no stage holds more than a few row blocks of it.  It runs at the
+    theoretical degrees, so it refuses override tuning."""
     if plan.tuning_mode == "override":
         raise ConfigError("adaptive_run would ignore an override plan's m_opt")
     scenario = plan.scenario
     grid = make_grid(plan.nu, (scenario.d1, scenario.d2), plan.nodes_per_axis)
     truth = scenario.density_truth()
-    samples = scenario.sample(n, seed)
     outcome = adapt_from_samples(
-        samples, grid, plan.lattice, kappa_grid=plan.kappa_grid, S=plan.S,
+        scenario.stream(n, seed), grid, plan.lattice, kappa_grid=plan.kappa_grid, S=plan.S,
         beta=plan.beta, restarts=plan.restarts, seed=seed,
     )
     if truth is None:

@@ -19,6 +19,7 @@ each noise block's CF modulus must clear a floor on the working box.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,7 +30,7 @@ import numpy as np
 from ._util import (ConfigError, as_type, cos_sin, inverse_cdf_sampler, legendre_rule,
                     row_blocks, tensor_points, tensor_weights)
 from .contrast import OracleModel, make_grid, poly_tables
-from .ecf import SampleSet
+from .ecf import RowStream, SampleSet
 from .reconstruct import DensityGrid
 
 # conjecture_lab is imported where an h_kappa or compact_bump source or
@@ -388,46 +389,65 @@ class ScenarioSpec:
         return self.d1 + self.d2
 
     def sample(self, n: int, seed: int) -> SampleSet:
-        """Reproducible draw: the master seed splits into one stream for the
-        signal and one per noise block.
+        """Reproducible draw: the blocks of `stream(n, seed)` gathered into
+        one (n, d) float64 matrix, so the peak is the matrix plus one
+        block's temporaries."""
+        stream = self.stream(n, seed)
+        data, blocks = np.empty((stream.n, self.d)), stream.blocks()
+        for rows in row_blocks(stream.n):
+            data[rows] = next(blocks)  # no block is held while the next is made
+        return SampleSet(d1=self.d1, d2=self.d2, data=data)
 
-        Every stage writes the one (n, d) float64 matrix a row block
-        (`_util.row_blocks`) at a time: each column's draws from its own
-        stream, a mixture's product `data[b] @ A.T`, link(x), and each noise
-        axis's draws added to its column.  A stream is read in the order of
-        one whole-column draw (a compact_bump's box over every block, then
-        its bump), so the sample has the bits of the unblocked construction,
-        and the peak is the matrix plus one block's temporaries.
+    def stream(self, n: int, seed: int) -> RowStream:
+        """The sample of `sample(n, seed)` as a row source made one row
+        block (`_util.row_blocks`) at a time; each reading draws it afresh.
+
+        The master seed splits into one stream for the signal and one per
+        noise block, and each stream's draws are n-draw segments read in
+        order: a source's or signal column's sampler parts (a compact_bump's
+        box, then its bump), then each noise axis of the block
+        (`_segments`).  A block holds each column's draws, a mixture's
+        product `block @ A.T`, link(x), and each noise axis's draws added to
+        its column, so it has the bits of those rows of the unblocked
+        construction.  Each block is checked to be finite.
         """
         n, seed = as_type(n, int, "n"), as_type(seed, int, "seed")
         if n < 1 or seed < 0:
             raise ConfigError(f"need n >= 1 and seed >= 0, got n={n}, seed={seed}")
-        sig_ss, *noise_ss = np.random.SeedSequence(seed).spawn(3)
-        data = np.empty((n, self.d))
-        if self.sources is not None:
-            for j, (src, ss) in enumerate(zip(self.sources, sig_ss.spawn(len(self.sources)))):
-                _draw_into(data[:, j], src.sampler_parts(), np.random.default_rng(ss))
-            for rows in row_blocks(n):
-                data[rows] = data[rows] @ self.mixing.T
-        elif self.variant == "repeated":
-            parts, rng_sig = self.signal.sampler_parts(), np.random.default_rng(sig_ss)
-            for j in range(self.d1):
-                _draw_into(data[:, j], parts, rng_sig)
-                for rows in row_blocks(n):
-                    data[rows, self.d1 + j] = data[rows, j]
-        elif self.variant == "eiv":
-            _draw_into(data[:, 0], self.signal.sampler_parts(), np.random.default_rng(sig_ss))
-            link = _LINKS[self.link_name]
-            for rows in row_blocks(n):
-                # a contiguous x, as the whole-column call had
-                data[rows, 1] = link(np.ascontiguousarray(data[rows, 0]))
-        else:
+        if self.sources is None and self.variant not in ("repeated", "eiv"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        for offset, axes, ss in zip((0, self.d1), (self.noise1, self.noise2), noise_ss):
-            rng = np.random.default_rng(ss)
-            for j, axis in enumerate(axes):
-                _draw_into(data[:, offset + j], (axis.draw,), rng, add=True)
-        return SampleSet(d1=self.d1, d2=self.d2, data=data)
+        return RowStream(self.d1, self.d2, n, lambda: self._blocks(n, seed))
+
+    def _blocks(self, n: int, seed: int):
+        sig_ss, *noise_ss = np.random.SeedSequence(seed).spawn(3)
+        if self.sources is not None:
+            columns = [_segments(ss, src.sampler_parts(), n) for src, ss in
+                       zip(self.sources, sig_ss.spawn(len(self.sources)))]
+        else:
+            # d1 signal columns for repeated measurements, one for eiv
+            parts = self.signal.sampler_parts()
+            segments = _segments(sig_ss, parts * self.d1, n)
+            columns = [segments[j : j + len(parts)] for j in range(0, len(segments), len(parts))]
+        noise = [(offset, _segments(ss, [axis.draw for axis in axes], n)) for offset, axes, ss
+                 in zip((0, self.d1), (self.noise1, self.noise2), noise_ss)]
+        for rows in row_blocks(n):
+            size = rows.stop - rows.start
+            block = np.empty((size, self.d))
+            for j, segments in enumerate(columns):
+                _draw_into(block[:, j], segments, size)
+            if self.sources is not None:
+                block = block @ self.mixing.T
+            elif self.variant == "repeated":
+                block[:, self.d1 :] = block[:, : self.d1]
+            else:
+                # a contiguous x, as the whole-column call had
+                block[:, 1] = _LINKS[self.link_name](np.ascontiguousarray(block[:, 0]))
+            for offset, segments in noise:
+                for j, segment in enumerate(segments):
+                    _draw_into(block[:, offset + j], [segment], size, add=True)
+            if not np.isfinite(block).all():
+                raise ConfigError("sample contains non-finite values")
+            yield block
 
     def signal_cf(self) -> Callable:
         """Joint CF of the signal part R on points of shape (n, d)."""
@@ -482,19 +502,29 @@ class ScenarioSpec:
         return None if norm_sq is None else DensityTruth(self.signal_cf(), norm_sq)
 
 
-def _draw_into(column: np.ndarray, parts, rng, add: bool = False) -> None:
-    """Write into `column`, an (n,) view, the sum of the parts' draws (or
-    add it, with `add`) one row block at a time.  Each part runs over every
-    block before the next starts, so the stream is read as by one n-draw
-    call per part, and each later part is added in place, as `sampler`
-    adds it."""
-    for part in parts:
-        for rows in row_blocks(len(column)):
-            values = part(rows.stop - rows.start, rng)
-            if add:
-                column[rows] += values
-            else:
-                column[rows] = values
+def _segments(ss, parts, n: int) -> list:
+    """(sampler, Generator) per part of one stream whose n-draw parts are
+    read in order, each Generator placed where its part's draws begin: a
+    later part's is the stream after the earlier parts' draws, made by
+    drawing and discarding them one row block at a time (a sampler may use
+    more than one raw draw per value, so no fixed advance would do)."""
+    rng, out = np.random.default_rng(ss), []
+    for part in parts[:-1]:
+        out.append((part, copy.deepcopy(rng)))
+        for rows in row_blocks(n):
+            part(rows.stop - rows.start, rng)
+    return out + [(parts[-1], rng)]
+
+
+def _draw_into(column: np.ndarray, segments, size: int, add: bool = False) -> None:
+    """Write into `column`, a block's (size,) view, the sum of the
+    segments' next `size` draws (or add it, with `add`); each later
+    segment is added in place, as `SignalSpec.sampler` adds it."""
+    for part, rng in segments:
+        if add:
+            column += part(size, rng)
+        else:
+            column[:] = part(size, rng)
         add = True
 
 

@@ -1137,7 +1137,7 @@ class TestConfigSchema:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, owner, name", [
-        ("simulate", cli_io.ScenarioSpec, "sample"), ("estimate", cli_io, "estimate_once"),
+        ("simulate", cli_io.ScenarioSpec, "_blocks"), ("estimate", cli_io, "estimate_once"),
         ("adapt", cli_io, "adapt_from_samples"), ("conjecture", cli_io, "build_profile_panels"),
         ("bounds-check", legendre_bounds, "bound_suite"), ("experiment", cli_io, "run"),
     ])

@@ -342,6 +342,143 @@ class TestChunkRuns:
         assert threading.active_count() == threads
 
 
+def blocks_of(data, sizes):
+    """The rows of `data` as consecutive blocks of the given sizes (the
+    last one repeated), each a new array, as a stream makes them."""
+    sizes, at = iter(sizes), 0
+    size = next(sizes)
+    while at < len(data):
+        yield data[at : at + size].copy()
+        at += size
+        size = next(sizes, size)
+
+
+def stream_of(data, sizes, d1=1, d2=1):
+    return ecf.RowStream(d1, d2, len(data), lambda: blocks_of(data, sizes))
+
+
+def random_sizes(seed):
+    rng = np.random.default_rng(seed)
+    return iter(lambda: int(rng.integers(1, 3 * CHUNK << ecf.RUN_LEVEL)), None)
+
+
+class TestAccumulator:
+    """Rows fed in blocks of any size give the serial loop's table."""
+
+    @pytest.mark.parametrize("n", [1, 1025, (1 << 15) + 1, 3 * (1 << 15) + 1000 + 1])
+    @pytest.mark.parametrize("sizes", [[1], [1000], [ROW_BLOCK], "random"])
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (1, 2)])
+    def test_bits_of_the_serial_table(self, n, sizes, dims, monkeypatch):
+        data = np.random.default_rng(n).standard_t(3, size=(n, sum(dims)))
+        axes = [make_grid(1.0, dims, 6).axis_nodes] * sum(dims)
+        blocks = random_sizes(n) if sizes == "random" else sizes
+        streamed = ecf_on_grid(stream_of(data, blocks, *dims), axes)
+        # one run holding the whole matrix: the plain serial loop
+        monkeypatch.setattr(ecf, "RUN_LEVEL", 60)
+        serial = ecf_on_grid(make_samples(data, *dims), axes)
+        assert streamed.n == n
+        for field in ("first", "second", "full"):
+            assert getattr(streamed, field).tobytes() == getattr(serial, field).tobytes()
+
+    @pytest.mark.parametrize("rows, message", [
+        (99, "yields 99 rows, not its n = 100"),
+        (101, "more than its n = 100 rows"),
+    ])
+    def test_rows_checked_against_n(self, rows, message, rng):
+        data = rng.normal(size=(rows, 2))
+        source = ecf.RowStream(1, 1, 100, lambda: blocks_of(data, [7]))
+        with pytest.raises(ConfigError, match=message):
+            ecf_on_grid(source, [make_grid(1.0, (1, 1), 6).axis_nodes] * 2)
+
+    def test_error_in_a_stream_reaches_the_caller(self, monkeypatch, rng, blas_pools):
+        # the stream fails after five runs went to the pool: the error
+        # propagates once they are done, and no worker or BLAS hold is left
+        run = CHUNK << ecf.RUN_LEVEL
+        data = rng.normal(size=(8 * run, 2))
+
+        def failing():
+            yield from blocks_of(data[: 5 * run + 7], [ROW_BLOCK])
+            raise FloatingPointError("draw failed")
+
+        monkeypatch.setattr(ecf, "_cpu_count", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            ecf_on_grid(ecf.RowStream(1, 1, len(data), failing),
+                        [make_grid(1.0, (1, 1), 8).axis_nodes] * 2)
+        assert set(blas_pools()) == {2}
+        assert threading.active_count() == threads
+
+    def test_block_width_checked(self, rng):
+        data = rng.normal(size=(10, 3))
+        with pytest.raises(ConfigError, match=r"shape \(rows, 2\)"):
+            ecf_on_grid(stream_of(data, [4]), [make_grid(1.0, (1, 1), 6).axis_nodes] * 2)
+
+    def test_runs_in_flight_bounded(self, monkeypatch, rng):
+        # ten runs on two workers: at most four are submitted and not yet
+        # absorbed, where pool.map would submit all ten at once
+        real, runs = ecf.ThreadPoolExecutor, {"open": 0, "most": 0}
+
+        class Counting(real):
+            def submit(self, fn, *args):
+                future = super().submit(fn, *args)
+                runs["open"] += 1
+                runs["most"] = max(runs["most"], runs["open"])
+                result = future.result
+
+                def absorbed():
+                    runs["open"] -= 1
+                    return result()
+
+                future.result = absorbed
+                return future
+
+        monkeypatch.setattr(ecf, "ThreadPoolExecutor", Counting)
+        monkeypatch.setattr(ecf, "_cpu_count", lambda: 2)
+        data = rng.normal(size=(10 * (CHUNK << ecf.RUN_LEVEL), 2))
+        ecf_on_grid(stream_of(data, [ROW_BLOCK]), [make_grid(1.0, (1, 1), 6).axis_nodes] * 2)
+        assert runs == {"open": 0, "most": 4}
+
+    def test_only_straddling_rows_copied(self, rng):
+        # a 40-chunk sample in one block: both runs are views of it, the
+        # partial last one too, since it ends the sample; cut at row 1000,
+        # the first run straddles the cut and is copied, and the second
+        # lies inside the second piece
+        data = rng.normal(size=(40 * CHUNK, 2))
+        runs = list(ecf._runs(iter([data]), len(data), 2, CHUNK << ecf.RUN_LEVEL))
+        assert [len(r) for r in runs] == [32 * CHUNK, 8 * CHUNK]
+        assert all(np.shares_memory(r, data) for r in runs)
+        pieces = [data[:1000].copy(), data[1000:].copy()]
+        runs = list(ecf._runs(iter(pieces), len(data), 2, CHUNK << ecf.RUN_LEVEL))
+        assert not np.shares_memory(runs[0], pieces[0])
+        assert np.shares_memory(runs[1], pieces[1])
+        assert np.concatenate(runs).tobytes() == data.tobytes()
+
+
+class TestRowSources:
+    @pytest.mark.parametrize("k", [1, 1000, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK - 1])
+    def test_split_halves_are_consecutive(self, k, rng):
+        data = rng.normal(size=(3 * ROW_BLOCK, 2))
+        for source in (make_samples(data), stream_of(data, [ROW_BLOCK])):
+            head, tail = source.split(k)
+            assert (head.n, tail.n) == (k, len(data) - k)
+            rows = [np.concatenate(list(half.blocks())) for half in (head, tail)]
+            assert np.concatenate(rows).tobytes() == data.tobytes()
+
+    def test_stream_tail_read_after_its_head(self, rng):
+        head, tail = stream_of(rng.normal(size=(50, 2)), [8]).split(25)
+        with pytest.raises(ConfigError, match="after its head"):
+            list(tail.blocks())
+        list(head.blocks())
+        assert len(np.concatenate(list(tail.blocks()))) == 25
+
+    @pytest.mark.parametrize("k", [0, 50, 1.5])
+    def test_split_point_checked(self, k, rng):
+        for source in (make_samples(rng.normal(size=(50, 2))),
+                       stream_of(rng.normal(size=(50, 2)), [8])):
+            with pytest.raises(ConfigError, match="k must be|split point"):
+                source.split(k)
+
+
 def allocating_tree_sum(blocks):
     """The pairwise tree as first written: every merge allocates a new sum."""
     stack = []
@@ -499,6 +636,14 @@ class TestCsvRoundTrip:
             tracemalloc.stop()
         np.testing.assert_array_equal(back.data, data)
         assert peak <= 2.5 * data.nbytes
+
+    @pytest.mark.parametrize("sizes", [[1], [7], [ROW_BLOCK]])
+    def test_streamed_export_has_the_matrix_bytes(self, tmp_path, rng, sizes):
+        data = np.concatenate([rng.normal(size=(40, 2)), [[np.pi, -0.0]], [[1e-300, 3.0]]])
+        whole, streamed = tmp_path / "whole.csv", tmp_path / "streamed.csv"
+        export_csv(make_samples(data), whole)
+        export_csv(stream_of(data, sizes), streamed)
+        assert streamed.read_bytes() == whole.read_bytes()
 
     def test_dimension_mismatch_on_load(self, tmp_path, rng):
         s = make_samples(rng.normal(size=(5, 2)))

@@ -407,6 +407,22 @@ class TestConfig:
                               **{**kwargs, key: value})
         assert starts == []
 
+    # a class or a deadline of the wrong type, NaN included, is refused
+    # before any start, not where the descent first reads it
+    @pytest.mark.parametrize("params, deadline, match", [
+        (None, math.inf, "params must be a UpsilonParams, got NoneType"),
+        ((0.75, 2.0), math.inf, "params must be a UpsilonParams, got tuple"),
+        (UpsilonParams(0.75, 2.0), "x", "deadline must be a float"),
+        (UpsilonParams(0.75, 2.0), None, "deadline must be a float"),
+        (UpsilonParams(0.75, 2.0), math.nan, "deadline must be .* got nan"),
+    ])
+    def test_refuses_bad_params_or_deadline(self, grid24, monkeypatch, params, deadline,
+                                            match):
+        starts = no_starts(monkeypatch)
+        with pytest.raises(ConfigError, match=match):
+            minimize_contrast(zero_sample_table(grid24), grid24, params, 4, deadline=deadline)
+        assert starts == []
+
     def test_refuses_a_table_of_no_observation(self, grid24, monkeypatch):
         # contrast_oracle's scaled tables have n = 0, which has no stop level
         starts = no_starts(monkeypatch)
@@ -663,14 +679,30 @@ class TestLsInit:
             grid = trapezoid_grid(1.0, dims, nodes)
         samples = SampleSet(dims[0], dims[1], rng.uniform(-1.0, 1.0, size=(400, sum(dims))))
         table = ecf_table_for_grid(samples, grid)
-        theta = _ls_init(table, grid, m_opt).theta
+        theta = _ls_init(table, grid, m_opt, pattern_tables(grid, m_opt)).theta
         ref = _dense_ls_theta(table, grid, m_opt)
         assert np.linalg.norm(theta - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dims, m_opt", [((1, 1), 6), ((2, 1), 4), ((2, 2), 2)])
+    def test_leading_columns_of_the_moment_tables(self, dims, m_opt, rng, monkeypatch):
+        # the degree-2m tables' leading columns give the degree-m fit's bits,
+        # and one minimization builds its monomial tables once
+        grid = make_grid(1.0, dims, 12)
+        samples = SampleSet(dims[0], dims[1], rng.uniform(-1.0, 1.0, size=(300, sum(dims))))
+        table = ecf_table_for_grid(samples, grid)
+        own = _ls_init(table, grid, m_opt, pattern_tables(grid, m_opt)).theta
+        wide = _ls_init(table, grid, m_opt, pattern_tables(grid, 2 * m_opt)).theta
+        assert wide.tobytes() == own.tobytes()
+        calls, real = [], contrast_module.pattern_tables
+        monkeypatch.setattr(contrast_module, "pattern_tables",
+                            lambda *args: calls.append(args[1]) or real(*args))
+        minimize_contrast(table, grid, UpsilonParams(0.75, 2.0), m_opt, restarts=1)
+        assert calls == [2 * m_opt]
 
     def test_zero_sample_exact(self):
         grid = make_grid(1.0, (2, 2), 12)
         table = ecf_table_for_grid(SampleSet(2, 2, np.zeros((1, 4))), grid)
-        theta = _ls_init(table, grid, 4).theta
+        theta = _ls_init(table, grid, 4, pattern_tables(grid, 4)).theta
         np.testing.assert_array_equal(theta, np.eye(1, theta.shape[0])[0])
 
     def test_default_grid_at_d4(self, rng):
@@ -679,7 +711,7 @@ class TestLsInit:
         table = ecf_table_for_grid(SampleSet(2, 2, rng.normal(size=(50, 4))), grid)
         tracemalloc.start()
         try:
-            poly = _ls_init(table, grid, 4)
+            poly = _ls_init(table, grid, 4, pattern_tables(grid, 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

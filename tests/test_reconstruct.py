@@ -10,6 +10,7 @@ from cfdeconv.reconstruct import (
     DensityGrid,
     LatticeSpec,
     _axis_moments,
+    _monomial_legendre,
     invert,
     l2_distance,
     l2_norm,
@@ -120,13 +121,20 @@ def moment_reference(omega, x, kmax):
 
 
 class TestAxisMoments:
+    def test_legendre_rows_have_the_bits_of_poly2leg(self):
+        for kmax in range(30):
+            want = np.zeros((kmax + 1, kmax + 1))
+            for k in range(kmax + 1):
+                want[k, : k + 1] = np.polynomial.legendre.poly2leg([0] * k + [1])
+            assert _monomial_legendre(kmax).tobytes() == want.tobytes(), kmax
+
     @pytest.mark.parametrize("omega", [0.5, 1.5])
     def test_matches_series_reference(self, omega):
         # both sides of |omega x| = 8, both signs, degrees up to 40
         kmax = 40
         z = np.array([1e-9, 1e-3, 0.5, 3.0, 7.99, 8.01, 15.0, 40.0])
         x = np.concatenate([z, -z]) / omega
-        got = _axis_moments(x, omega, kmax)
+        got = _axis_moments(x, omega, _monomial_legendre(kmax))
         scale = 2.0 * omega ** (np.arange(kmax + 1) + 1.0)
         for row, xi in zip(got, x):
             err = np.abs(row - moment_reference(omega, xi, kmax)) / scale

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,8 @@ from cfdeconv.adaptive import sigma_rule
 from cfdeconv.ecf import SampleSet, pooled
 from cfdeconv.minimize import RESOLUTION
 from cfdeconv.multiindex_taylor import UpsilonParams
-from cfdeconv.scenarios import ScenarioSpec
+from cfdeconv.runner import ALIGN_STEP, ALIGN_WINDOW, AdaptiveCell
+from cfdeconv.scenarios import ScenarioSpec, translation_align
 from cfdeconv.reconstruct import m_rule, omega_rule
 
 from test_multiindex_taylor import poly_11
@@ -183,7 +185,7 @@ class TestDataTypes:
         ("estimate_once", "table must be a EcfTable, got SampleSet"),
         ("minimize_contrast", "table must be a EcfTable, got SampleSet"),
         ("contrast_empirical", "table must be a EcfTable, got SampleSet"),
-        ("adapt_from_samples", "samples must be a SampleSet, got EcfTable"),
+        ("adapt_from_samples", "samples must be a RowSource, got EcfTable"),
         ("plan_lattice", "lattice must be a LatticeSpec, got dict"),
         ("plan_scenario", "scenario must be a ScenarioSpec, got NoneType"),
     ])
@@ -207,7 +209,6 @@ class TestDataTypes:
         work = []
         for module, name in ((runner_module, "_degrees"), (runner_module, "ecf_table_for_grid"),
                              (minimize_module, "_ls_init"), (minimize_module, "_descend"),
-                             (minimize_module, "pattern_tables"),
                              (contrast_module, "pattern_tables")):
             monkeypatch.setattr(module, name, lambda *args: work.append(args))
         with pytest.raises(ConfigError, match=message):
@@ -599,6 +600,72 @@ class TestAdaptive:
         )
         with pytest.raises(ConfigError, match="override"):
             adaptive_run(plan, 30, seed=7)
+
+    @pytest.mark.parametrize("variant", ["ica", "repeated"])
+    def test_adaptive_run_is_adapt_from_samples_of_the_sample(self, variant, monkeypatch):
+        # the streamed halves (the head ending 1,808 rows into a run, off
+        # every row block and chunk edge) give the materialized sample's
+        # cell and every estimate's bits
+        laplace, gaussian = AxisNoise("laplace", 0.3), AxisNoise("gaussian", 0.2)
+        uniform = SignalSpec("uniform", (1.0,)), SignalSpec("uniform", (0.5,))
+        if variant == "ica":
+            scenario = make_ica(uniform, [[1.0, 0.5], [0.5, 1.0]], laplace, laplace, d1=1)
+            n, nodes = 2 * (1 << 15) + 3617, 12
+        else:
+            scenario = make_repeated(SignalSpec("compact_bump", (0.5, 2.0)),
+                                     [gaussian, laplace], [laplace, gaussian], d1=2)
+            n, nodes = 3001, 6
+        plan = ExperimentPlan(scenario=scenario, n_list=(n,), replicates=1,
+                              kappa_grid=(0.6, 0.9), S=1.5, nodes_per_axis=nodes, seed=3,
+                              lattice=default_lattice(scenario.d, half=2.0, count=5))
+        outcomes, real = [], runner_module.estimate_once
+        monkeypatch.setattr(runner_module, "estimate_once",
+                            lambda *a, **k: outcomes.append(real(*a, **k)) or outcomes[-1])
+        cell = adaptive_run(plan, n, 3)
+        grid = make_grid(plan.nu, (scenario.d1, scenario.d2), nodes)
+        outcome = adapt_from_samples(scenario.sample(n, 3), grid, plan.lattice,
+                                     kappa_grid=plan.kappa_grid, S=plan.S, beta=plan.beta,
+                                     restarts=plan.restarts, seed=3)
+        truth = scenario.density_truth()
+        shift, aligned = ((0.0,) * scenario.d, math.nan) if truth is None else \
+            translation_align(outcome.chosen, truth, ALIGN_WINDOW, ALIGN_STEP)
+        want = AdaptiveCell(n=n, seed=3, kappa_hat=outcome.kappa_hat, c_sigma=outcome.c_sigma,
+                            sigma_at=outcome.sigma_at, aligned_error=aligned, shift=tuple(shift),
+                            rows=outcome.selection.rows)
+        assert repr(cell) == repr(want)
+        streamed, whole = outcomes[: len(outcomes) // 2], outcomes[len(outcomes) // 2 :]
+        assert [o.density.values.tobytes() for o in streamed] == \
+            [o.density.values.tobytes() for o in whole]
+        assert [o.result.estimate.theta.tobytes() for o in streamed] == \
+            [o.result.estimate.theta.tobytes() for o in whole]
+
+    def test_streamed_peak_does_not_grow_with_n(self):
+        # the sample is never held whole: one ICA pass at n = 1e6 peaks
+        # within 1 MiB of its peak at 4e5, and at most half the peak of the
+        # same selection on the materialized sample
+        noise = AxisNoise("uniform", 0.3)
+        scenario = make_ica((SignalSpec("uniform", (1.0,)), SignalSpec("uniform", (0.5,))),
+                            [[1.0, 0.5], [0.5, 1.0]], noise, noise, d1=1)
+        plan = ExperimentPlan(scenario=scenario, n_list=(10**6,), replicates=1,
+                              kappa_grid=(0.6, 0.9), S=1.5, nodes_per_axis=16, seed=5,
+                              lattice=default_lattice(2, count=9))
+        grid = make_grid(plan.nu, (1, 1), 16)
+        adaptive_run(plan, 3000, 5)  # the cached samplers and rules, outside the trace
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = (peak(lambda: adaptive_run(plan, n, 5)) for n in (400_000, 10**6))
+        whole = peak(lambda: adapt_from_samples(scenario.sample(10**6, 5), grid, plan.lattice,
+                                                kappa_grid=plan.kappa_grid, S=1.5, beta=1.0,
+                                                seed=5))
+        assert abs(large - small) <= 2**20
+        assert large <= 0.5 * whole
 
     def test_adaptive_run_without_truth(self, uniform_repeated):
         plan = ExperimentPlan(

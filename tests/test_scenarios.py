@@ -614,12 +614,19 @@ def sampling_specs():
     g_noise = AxisNoise("g_density", 2.0)
     three = [uniform, SignalSpec("compact_bump", (0.5, 2.0)), SignalSpec("h_kappa", (0.75, 1.0))]
     mixing3 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    two_axes = [AxisNoise("gaussian", 0.2), AxisNoise("laplace", 0.3)]
     return {
         "ica2": make_ica([uniform, SignalSpec("uniform", (0.5,))], MIXING, NOISE, NOISE, d1=1),
         "ica3": make_ica(three, mixing3, AxisNoise("laplace", 0.3),
                          [NOISE, AxisNoise("gaussian", 0.2)], d1=1),
         "repeated": make_repeated(uniform, g_noise, g_noise, d1=2),
         "eiv": make_eiv(uniform, NOISE, AxisNoise("laplace", 0.3)),
+        # a box and a bump part per signal column, and two noise axes per
+        # block, gaussian and laplace: later n-draw segments of one stream
+        "bump_repeated": make_repeated(SignalSpec("compact_bump", (0.5, 2.0)), two_axes,
+                                       two_axes[::-1], d1=2),
+        "bump_eiv": make_eiv(SignalSpec("compact_bump", (0.5, 2.0)), AxisNoise("gaussian", 0.2),
+                             AxisNoise("laplace", 0.3)),
     }
 
 
@@ -647,7 +654,8 @@ class TestSample:
     # one block; several blocks and a partial one; a one-row remainder, which
     # joins the block before it (row_blocks)
     @pytest.mark.parametrize("n", [1, 1025, 3 * ROW_BLOCK + 123, 2 * ROW_BLOCK + 1])
-    @pytest.mark.parametrize("name", ["ica2", "ica3", "repeated", "eiv"])
+    @pytest.mark.parametrize("name", ["ica2", "ica3", "repeated", "eiv", "bump_repeated",
+                                      "bump_eiv"])
     def test_bits_match_the_stacked_construction(self, sampling_specs, name, n):
         spec = sampling_specs[name]
         data = spec.sample(n, seed=17).data
@@ -690,6 +698,41 @@ class TestSample:
     def test_bad_n_or_seed_rejected(self, sampling_specs, n, seed, match):
         with pytest.raises(ConfigError, match=match):
             sampling_specs["eiv"].sample(n, seed)
+
+    @pytest.mark.parametrize("n", [1, 1025, 2 * ROW_BLOCK + 1, 3 * ROW_BLOCK + 123])
+    @pytest.mark.parametrize("name", ["ica2", "ica3", "repeated", "eiv", "bump_repeated",
+                                      "bump_eiv"])
+    def test_stream_blocks_gather_to_the_sample(self, sampling_specs, name, n):
+        spec = sampling_specs[name]
+        stream = spec.stream(n, seed=17)
+        assert (stream.d1, stream.d2, stream.n) == (spec.d1, spec.d2, n)
+        blocks = list(stream.blocks())
+        assert [len(b) for b in blocks] == [rows.stop - rows.start for rows in row_blocks(n)]
+        np.testing.assert_array_equal(np.concatenate(blocks), stacked_sample(spec, n, 17),
+                                      strict=True)
+        # each reading draws the sample afresh
+        assert np.concatenate(list(stream.blocks())).tobytes() == np.concatenate(blocks).tobytes()
+
+    def test_each_block_checked_finite(self, sampling_specs, monkeypatch):
+        # the second block's noise overflows: the first block is yielded,
+        # the second refused
+        real = AxisNoise.draw
+        calls = []
+
+        def draw(self, n, rng):
+            calls.append(n)
+            values = real(self, n, rng)
+            return values * np.inf if len(calls) > 2 else values
+
+        monkeypatch.setattr(AxisNoise, "draw", draw)
+        blocks = sampling_specs["ica2"].stream(3 * ROW_BLOCK, seed=1).blocks()
+        assert np.isfinite(next(blocks)).all()
+        with pytest.raises(ConfigError, match="non-finite"):
+            next(blocks)
+
+    def test_bad_n_or_seed_refused_by_the_stream(self, sampling_specs):
+        with pytest.raises(ConfigError, match="n >= 1"):
+            sampling_specs["ica2"].stream(0, 1)
 
     def test_numpy_integers_accepted(self, sampling_specs):
         spec = sampling_specs["repeated"]

@@ -37,7 +37,13 @@ draws and its squared norm, so the noise-block, errors-in-variables,
 h_kappa and compact_bump laws are compared too.  A
 `lab-lecam` line prints the repr of every Le Cam
 `l1_single` and `value` of the lab pass, in call order, so the size of a
-last-bit change that moves the lab's rows hash can be read off.  Two
+last-bit change that moves the lab's rows hash can be read off.  An
+`adapt-odd-n` line prints one SHA-256 over the repr of two `adaptive_run`
+cells (seed = the seed argument), built through the public API only: an
+ICA plan at n = ODD_N, whose halves end off every ECF run, row block and
+chunk edge, the head's last chunk holding one row, and a d1 = d2 = 2
+repeated plan with two-axis gaussian noise, whose sample streams read
+later n-draw segments of one stream.  Two
 checkouts whose lines match produce the same outputs to the bit:
 
     python3 tools/rows_digest.py                     # this checkout, seed 1
@@ -117,6 +123,14 @@ SCENARIOS = (
      {"d1": 1, "mixing": [[1.0, 0.5, 0.3], [0.4, 1.0, 0.5], [0.3, 0.6, 1.0]]}),
 )
 ORACLE_NODES, ORACLE_DRAWS = 8, 40_000
+
+# 3 ECF runs, a row block, two chunks and 3 rows: n // 2 = 58369 rows end one
+# row into a chunk, 9217 rows into a row block and 25601 rows into a run
+ODD_N = 3 * 2**15 + 2**14 + 2 * 1024 + 3
+ODD_PLANS = (
+    ("ica", ODD_N, {"nodes_per_axis": 16, "kappa_grid": (0.6, 0.9), "S": 1.5}),
+    ("repeated", 3000, {"nodes_per_axis": 8, "kappa_grid": (0.75, 1.0), "S": 1.5}),
+)
 
 
 def _import_checkout(root: Path):
@@ -234,6 +248,27 @@ def oracle_digest(cf, seed: int) -> str:
     return h.hexdigest()
 
 
+def adapt_odd_digest(cf, seed: int) -> str:
+    """SHA-256 over the repr of the `adaptive_run` cell of each ODD_PLANS
+    entry at seed `seed`."""
+    laplace, gaussian = cf.AxisNoise("laplace", 0.3), cf.AxisNoise("gaussian", 0.2)
+    uniform = cf.SignalSpec("uniform", (1.0,)), cf.SignalSpec("uniform", (0.5,))
+    scenarios = {
+        "ica": cf.make_ica(uniform, [[1.0, 0.5], [0.5, 1.0]], laplace, laplace, d1=1),
+        "repeated": cf.make_repeated(uniform[0], [gaussian, gaussian], [gaussian, laplace],
+                                     d1=2),
+    }
+    h = hashlib.sha256()
+    for variant, n, options in ODD_PLANS:
+        scenario = scenarios[variant]
+        plan = cf.ExperimentPlan(scenario=scenario, n_list=(n,), replicates=1, seed=seed,
+                                 lattice=cf.LatticeSpec((-3.0,) * scenario.d,
+                                                        (3.0,) * scenario.d, (7,) * scenario.d),
+                                 **options)
+        h.update(repr(tuple(vars(cf.adaptive_run(plan, n, seed)).values())).encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
@@ -261,6 +296,7 @@ def main(argv=None) -> int:
                          zip(names, cli_digests(command, cfg, names, args.seed)))
         print(f"{label}-cli seed={args.seed} {files}", flush=True)
     print(f"scenario-oracles seed={args.seed} sha256={oracle_digest(cf, args.seed)}", flush=True)
+    print(f"adapt-odd-n seed={args.seed} sha256={adapt_odd_digest(cf, args.seed)}", flush=True)
     return 0
 
 
